@@ -727,6 +727,12 @@ class DistanceVectors:
     def __len__(self) -> int:
         return len(self._full_keys)
 
+    @property
+    def full_rows(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-tree sorted full key arrays and their counts, on
+        :attr:`labels` (treat as read-only)."""
+        return self._full_keys, self._full_counts
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DistanceVectors({len(self)} trees, "

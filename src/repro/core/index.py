@@ -14,7 +14,7 @@ without re-scanning:
 
 :class:`CousinPairIndex` provides exactly that, keyed by the same
 mining parameters as the batch miner, and is differentially tested
-against :func:`repro.core.multi_tree.mine_forest`.
+against :func:`repro.core.reference.mine_forest_reference`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections import Counter, defaultdict
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.core.cousins import ANY, CousinPairItem
-from repro.core.multi_tree import FrequentCousinPair
+from repro.core.multi_tree import FrequentCousinPair, pattern_order
 from repro.core.params import MiningParams, validate_minsup
 from repro.core.fastmine import mine_tree
 from repro.trees.tree import Tree
@@ -199,56 +199,42 @@ class CousinPairIndex:
 
         Output matches
         :func:`repro.core.multi_tree.mine_forest` exactly (same record
-        type, same sort order) — the index is a drop-in accelerator.
+        type, same :func:`~repro.core.multi_tree.pattern_order`) — the
+        index is a drop-in accelerator.
         """
         minsup = validate_minsup(minsup)
         results = [
-            FrequentCousinPair(
-                label_a=key[0],
-                label_b=key[1],
-                distance=key[2],
-                support=len(positions),
-                tree_indexes=tuple(positions),
-                total_occurrences=self._occurrences[key],
-            )
+            self._pattern(key, positions)
             for key, positions in self._postings.items()
             if len(positions) >= minsup
         ]
-        results.sort(
-            key=lambda pair: (
-                -pair.support,
-                pair.label_a,
-                pair.label_b,
-                pair.distance if pair.distance is not None else -1.0,
-            )
-        )
+        results.sort(key=pattern_order)
         return results
 
     def top_k(self, k: int) -> list[FrequentCousinPair]:
         """The ``k`` best-supported patterns (ties by labels/distance)."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        best = heapq.nsmallest(
+        return heapq.nsmallest(
             k,
-            self._postings.items(),
-            key=lambda entry: (
-                -len(entry[1]),
-                entry[0][0],
-                entry[0][1],
-                entry[0][2],
+            (
+                self._pattern(key, positions)
+                for key, positions in self._postings.items()
             ),
+            key=pattern_order,
         )
-        return [
-            FrequentCousinPair(
-                label_a=key[0],
-                label_b=key[1],
-                distance=key[2],
-                support=len(positions),
-                tree_indexes=tuple(positions),
-                total_occurrences=self._occurrences[key],
-            )
-            for key, positions in best
-        ]
+
+    def _pattern(
+        self, key: tuple[str, str, float], positions: list[int]
+    ) -> FrequentCousinPair:
+        return FrequentCousinPair(
+            label_a=key[0],
+            label_b=key[1],
+            distance=key[2],
+            support=len(positions),
+            tree_indexes=tuple(positions),
+            total_occurrences=self._occurrences[key],
+        )
 
     def __len__(self) -> int:
         return self.pattern_count

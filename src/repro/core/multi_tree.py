@@ -10,23 +10,45 @@ item occurs — ``O(k * n^2)`` for ``k`` trees of at most ``n`` nodes.
 
 Distances can be ignored ("``*``" in the paper's notation) so that
 support counts trees containing the label pair at *any* distance.
+
+The counting step is written once, as the vectorised kernel
+:func:`aggregate_rows` over per-tree packed-key rows.  Every producer
+of frequent pairs feeds it: :func:`mine_forest` (directly, or through
+the engine's memoised :meth:`~repro.engine.MiningEngine
+.frequent_pairs`), :class:`~repro.engine.delta.VersionedCorpus` and
+:class:`~repro.store.PairStore`.  :func:`pattern_order` is the one
+order patterns are listed in.  The dict-loop form of the same step,
+over Fig 3 items, is kept only as the test oracle
+:func:`repro.core.reference.mine_forest_reference`.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from repro.core.cousins import CousinPairItem
-from repro.core.params import MiningParams
-from repro.core.fastmine import mine_tree
+from repro.core.distvec import _collapse_pairs, _remap_packed
+from repro.core.fastmine import PackedCounts, mine_arena, mine_tree
+from repro.core.params import MiningParams, validate_minoccur, validate_minsup
+from repro.trees.arena import LabelTable, forest_arenas
+from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK
 from repro.trees.tree import Tree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.engine import MiningEngine
 
-__all__ = ["FrequentCousinPair", "mine_forest", "support", "forest_pair_items"]
+__all__ = [
+    "FrequentCousinPair",
+    "aggregate_packed",
+    "aggregate_rows",
+    "forest_pair_items",
+    "mine_forest",
+    "pattern_order",
+    "support",
+]
 
 
 @dataclass(frozen=True)
@@ -104,6 +126,126 @@ def forest_pair_items(
     ]
 
 
+def pattern_order(pair: FrequentCousinPair) -> tuple:
+    """The canonical order of frequent patterns, as a sort key.
+
+    Descending support, then labels, then distance (``None`` — the
+    distance-free ``*`` — sorts as ``-1``).  Every caller that lists
+    patterns orders them with this key.
+    """
+    return (
+        -pair.support,
+        pair.label_a,
+        pair.label_b,
+        pair.distance if pair.distance is not None else -1.0,
+    )
+
+
+def aggregate_rows(
+    labels: Sequence[str],
+    key_rows: Sequence[np.ndarray],
+    count_rows: Sequence[np.ndarray],
+    *,
+    minoccur: int,
+    minsup: int,
+    ignore_distance: bool,
+) -> list[FrequentCousinPair]:
+    """Section 3's counting step: the frequent pairs of per-tree rows.
+
+    ``key_rows[i]`` / ``count_rows[i]`` are tree ``i``'s sorted full
+    packed keys (:mod:`repro.trees.packing`) and their occurrence
+    counts at the ``minoccur=1`` level, all interned on the one sorted
+    label table ``labels``.  When distances are ignored each row is
+    first collapsed onto label pairs (occurrences summed across
+    distances), then counts below ``minoccur`` are masked, equal keys
+    grouped with one stable sort — so each group's supporters come out
+    in tree order — and groups of at least ``minsup`` trees become
+    :class:`FrequentCousinPair` records in :func:`pattern_order`.
+    """
+    minoccur = validate_minoccur(minoccur)
+    minsup = validate_minsup(minsup)
+    if ignore_distance:
+        collapsed = [
+            _collapse_pairs(keys, counts)
+            for keys, counts in zip(key_rows, count_rows)
+        ]
+        key_rows = [keys for keys, _ in collapsed]
+        count_rows = [counts for _, counts in collapsed]
+    sizes = [len(keys) for keys in key_rows]
+    if not sum(sizes):
+        return []
+    keys = np.concatenate(key_rows)
+    counts = np.concatenate(count_rows)
+    owners = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    if minoccur > 1:
+        keep = counts >= minoccur
+        keys = keys[keep]
+        counts = counts[keep]
+        owners = owners[keep]
+        if not keys.size:
+            # np.add.reduceat rejects an empty array.
+            return []
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    supports = np.diff(np.append(starts, keys.size))
+    totals = np.add.reduceat(counts[order], starts)
+    frequent = supports >= minsup
+    # Only the supporters of frequent groups become Python ints, laid
+    # out group after group, so each group ends at the running total
+    # of the group sizes.
+    supporters = owners[order][np.repeat(frequent, supports)].tolist()
+    sizes = supports[frequent]
+    # Positional fields (label_a, label_b, distance, support,
+    # tree_indexes, total_occurrences): the records are the hot part.
+    results = [
+        FrequentCousinPair(
+            labels[(key >> LABEL_BITS) & LABEL_MASK],
+            labels[key & LABEL_MASK],
+            None if ignore_distance else (key >> DIST_SHIFT) / 2.0,
+            size,
+            tuple(supporters[end - size : end]),
+            total,
+        )
+        for key, size, end, total in zip(
+            keys[starts[frequent]].tolist(),
+            sizes.tolist(),
+            np.cumsum(sizes).tolist(),
+            totals[frequent].tolist(),
+        )
+    ]
+    results.sort(key=pattern_order)
+    return results
+
+
+def aggregate_packed(
+    packed: Sequence[PackedCounts],
+    *,
+    minoccur: int,
+    minsup: int,
+    ignore_distance: bool,
+    table: LabelTable | None = None,
+) -> list[FrequentCousinPair]:
+    """:func:`aggregate_rows` over per-tree kernel output.
+
+    ``packed`` may share one label table (pass it as ``table``: the
+    :func:`~repro.trees.arena.forest_arenas` form) or carry per-tree
+    tables (the engine's cached form), which are re-interned onto
+    their merged, sorted universe.
+    """
+    if table is None:
+        table = LabelTable(label for counts in packed for label in counts.labels)
+    rows = [_remap_packed(counts, table, 1) for counts in packed]
+    return aggregate_rows(
+        table.labels,
+        [keys for keys, _ in rows],
+        [counts for _, counts in rows],
+        minoccur=minoccur,
+        minsup=minsup,
+        ignore_distance=ignore_distance,
+    )
+
+
 def mine_forest(
     trees: Sequence[Tree],
     maxdist: float = 1.5,
@@ -134,14 +276,17 @@ def mine_forest(
         (see :class:`repro.core.params.MiningParams`).
     engine:
         Optional :class:`repro.engine.MiningEngine`; when given, the
-        per-tree mining phase runs through its process pool and cache.
-        Results are identical to the serial path (enforced by the
-        equivalence suite in ``tests/engine``).
+        per-tree mining phase runs through its process pool and cache,
+        and the whole-forest result is memoised
+        (:meth:`~repro.engine.MiningEngine.frequent_pairs`).  Results
+        are identical to the serial path (enforced by the equivalence
+        suite in ``tests/engine``).
 
     Returns
     -------
     list[FrequentCousinPair]
-        Sorted by descending support, then labels, then distance.
+        In :func:`pattern_order`: descending support, then labels,
+        then distance.
     """
     params = MiningParams(
         maxdist=maxdist,
@@ -150,57 +295,20 @@ def mine_forest(
         max_generation_gap=max_generation_gap,
         max_height=max_height,
     )
-    # Phase 1: qualifying items per tree (minoccur applied per tree when
-    # distances are kept; when ignoring distances, occurrences are first
-    # summed across distances, so mine with minoccur=1 and filter after).
-    per_tree = forest_pair_items(
-        trees,
-        maxdist=params.maxdist,
-        minoccur=1 if ignore_distance else params.minoccur,
-        max_generation_gap=params.max_generation_gap,
-        max_height=params.max_height,
-        engine=engine,
-    )
-
-    supporters: dict[tuple, list[int]] = defaultdict(list)
-    occurrence_totals: Counter[tuple] = Counter()
-    for position, items in enumerate(per_tree):
-        if ignore_distance:
-            collapsed: Counter[tuple[str, str]] = Counter()
-            for item in items:
-                collapsed[item.label_key] += item.occurrences
-            for label_key, occurrences in collapsed.items():
-                if occurrences >= params.minoccur:
-                    key = (label_key[0], label_key[1], None)
-                    supporters[key].append(position)
-                    occurrence_totals[key] += occurrences
-        else:
-            for item in items:
-                key = item.key
-                supporters[key].append(position)
-                occurrence_totals[key] += item.occurrences
-
-    results = [
-        FrequentCousinPair(
-            label_a=key[0],
-            label_b=key[1],
-            distance=key[2],
-            support=len(positions),
-            tree_indexes=tuple(positions),
-            total_occurrences=occurrence_totals[key],
+    if engine is not None:
+        return engine.frequent_pairs(
+            trees, params, ignore_distance=ignore_distance
         )
-        for key, positions in supporters.items()
-        if len(positions) >= params.minsup
-    ]
-    results.sort(
-        key=lambda pair: (
-            -pair.support,
-            pair.label_a,
-            pair.label_b,
-            pair.distance if pair.distance is not None else -1.0,
-        )
+    # Phase 1 mines every tree at minoccur=1 against one shared label
+    # table; phase 2 (the kernel) applies every threshold.
+    table, arenas = forest_arenas(trees)
+    return aggregate_packed(
+        [mine_arena(arena, params) for arena in arenas],
+        minoccur=params.minoccur,
+        minsup=params.minsup,
+        ignore_distance=ignore_distance,
+        table=table,
     )
-    return results
 
 
 def support(

@@ -9,13 +9,7 @@ scheme, :mod:`repro.engine.delta` for versioned corpora and
 ``docs/engine.md`` for the architecture overview.
 """
 
-from repro.engine.cache import (
-    CorpusResult,
-    PairSetCache,
-    cache_key,
-    corpus_cache_key,
-    tree_fingerprint,
-)
+from repro.engine.cache import PairSetCache, cache_key, tree_fingerprint
 from repro.engine.delta import (
     CorpusDelta,
     CorpusDiff,
@@ -34,9 +28,7 @@ __all__ = [
     "CorpusDelta",
     "CorpusDiff",
     "CorpusSnapshot",
-    "CorpusResult",
     "TreeRef",
     "cache_key",
-    "corpus_cache_key",
     "tree_fingerprint",
 ]

@@ -31,12 +31,11 @@ mined it.  :func:`cache_key` (from a pointer tree) and
 same address for the same content.
 
 Two layers back the address space: a bounded in-process LRU
-(``OrderedDict``) and an optional on-disk layer (one file per key,
+(``OrderedDict``) and an optional on-disk layer (one pickle per key,
 fanned out over 256 subdirectories, written atomically via
-:func:`repro.io.atomic_write`).  Small payloads are pickled; large
-:class:`CorpusResult` payloads route to columnar ``.npz`` shard files
-(:mod:`repro.store.shards`) instead of monolithic pickles.  Corrupt or
-unreadable disk entries degrade to counted misses either way.
+:func:`repro.io.atomic_write`).  Corrupt or unreadable disk entries
+degrade to counted misses.  Only per-tree payloads live here; the one
+on-disk form of a whole corpus is :class:`repro.store.PairStore`.
 """
 
 from __future__ import annotations
@@ -45,11 +44,10 @@ import hashlib
 import os
 import pickle
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
 
 from repro.core.fastmine import PackedCounts
 from repro.core.params import MiningParams
-from repro.errors import EngineError, StoreError
+from repro.errors import EngineError
 from repro.io import atomic_write
 from repro.obs.context import get_registry
 from repro.trees.arena import TreeArena
@@ -60,8 +58,6 @@ __all__ = [
     "tree_fingerprint",
     "cache_key",
     "arena_cache_key",
-    "corpus_cache_key",
-    "CorpusResult",
     "PairSetCache",
 ]
 
@@ -126,62 +122,6 @@ def arena_cache_key(arena: TreeArena, params: MiningParams) -> str:
     return _digest(arena.fingerprint(), params)
 
 
-@dataclass(frozen=True)
-class CorpusResult:
-    """A corpus-level derived payload bound to its corpus state.
-
-    Per-tree payloads are pure functions of their content address, but
-    corpus-level results (frequent pairs over a versioned corpus) also
-    depend on *which* trees the corpus holds right now.  The payload
-    therefore carries the corpus content ``fingerprint`` and
-    ``version`` it was derived from; the delta layer refuses to serve
-    an entry whose binding disagrees with the live corpus, so a stale
-    disk file copied over a fresh key — or a key scheme collision —
-    degrades to a recompute instead of silently serving pre-mutation
-    results.
-    """
-
-    fingerprint: str
-    version: int
-    patterns: tuple
-
-
-def corpus_cache_key(
-    fingerprint: str,
-    version: int,
-    params: MiningParams,
-    *,
-    minsup: int,
-    ignore_distance: bool,
-) -> str:
-    """The address of one frequent-pair result over a versioned corpus.
-
-    Combines the per-tree digest inputs (scheme tag + count-shaping
-    parameters) with the corpus *content* fingerprint (ordered per-tree
-    content addresses), the corpus version, and the post-filters the
-    result bakes in (``minoccur``/``minsup``/``ignore_distance``).
-    Including the version alongside the content fingerprint means a
-    mutated-and-reverted corpus still gets a distinct address — stale
-    disk entries from an earlier version can never be served for a
-    later one even when the tree multiset coincides.
-    """
-    payload = "\n".join(
-        [
-            _KEY_SCHEME,
-            "corpus-result/v1",
-            f"maxdist={float(params.maxdist)!r}",
-            f"gap={int(params.max_generation_gap)!r}",
-            f"height={params.max_height!r}",
-            f"minoccur={int(params.minoccur)!r}",
-            f"minsup={int(minsup)!r}",
-            f"ignore_distance={bool(ignore_distance)!r}",
-            f"version={int(version)!r}",
-            fingerprint,
-        ]
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 class PairSetCache:
     """Two-layer (LRU memory + optional disk) mining-result cache.
 
@@ -199,13 +139,6 @@ class PairSetCache:
         Directory for the persistent layer, created on demand; ``None``
         (the default) keeps the cache purely in-process.
     """
-
-    #: Frequent-pair results at or above this pattern count are written
-    #: as columnar ``.npz`` shards (:mod:`repro.store.shards`) instead
-    #: of monolithic pickles: the arrays load without unpickling object
-    #: graphs and the corrupt-shard path degrades to the same counted
-    #: miss as a poisoned pickle.
-    shard_min_patterns: int = 256
 
     def __init__(
         self,
@@ -284,50 +217,25 @@ class PairSetCache:
         assert self.cache_dir is not None
         return os.path.join(self.cache_dir, key[:2], key + ".pkl")
 
-    def _shard_path(self, key: str) -> str:
-        assert self.cache_dir is not None
-        return os.path.join(self.cache_dir, key[:2], key + ".npz")
-
     def _disk_read(self, key: str) -> object | None:
         path = self._disk_path(key)
         try:
             with open(path, "rb") as handle:
                 payload = pickle.load(handle)
         except FileNotFoundError:
-            return self._shard_read(key)
+            return None
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError):
             # Truncated or corrupt entry (the file exists but cannot be
             # decoded): treat as a miss, but count the degradation.
             get_registry().counter("cache.disk.read_errors").add(1)
             return None
-        if not isinstance(payload, (PackedCounts, Counter, CorpusResult)):
+        if not isinstance(payload, (PackedCounts, Counter)):
             get_registry().counter("cache.disk.read_errors").add(1)
             return None
         return payload
 
-    def _shard_read(self, key: str) -> object | None:
-        from repro.store.shards import read_result_shard
-
-        path = self._shard_path(key)
-        if not os.path.exists(path):
-            return None
-        try:
-            return read_result_shard(path)
-        except StoreError:
-            # The shard reader already counted store.read_errors; the
-            # cache degrades exactly like a poisoned pickle: a counted
-            # miss followed by a rebuild.
-            get_registry().counter("cache.disk.read_errors").add(1)
-            return None
-
     def _disk_write(self, key: str, payload: object) -> None:
-        if (
-            isinstance(payload, CorpusResult)
-            and len(payload.patterns) >= self.shard_min_patterns
-        ):
-            self._shard_write(key, payload)
-            return
         path = self._disk_path(key)
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -337,15 +245,4 @@ class PairSetCache:
         except OSError:
             # A read-only or full disk never fails the mining run; the
             # result simply stays uncached.
-            get_registry().counter("cache.disk.write_errors").add(1)
-
-    def _shard_write(self, key: str, payload: CorpusResult) -> None:
-        from repro.store.shards import write_result_shard
-
-        path = self._shard_path(key)
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            write_result_shard(path, payload)
-            get_registry().counter("cache.disk.writes").add(1)
-        except OSError:
             get_registry().counter("cache.disk.write_errors").add(1)

@@ -13,10 +13,10 @@ under churn by touching only the contributions that changed:
 - per-tree :class:`~repro.core.fastmine.PackedCounts` come from the
   engine's content-addressed cache (an unchanged tree is never
   re-mined);
-- the occurrence map — pair item → per-tree occurrence counts, kept at
-  the ``minoccur=1`` level so *any* threshold can be re-derived — is
-  patched by deleting the departing tree's entries and inserting the
-  arriving tree's;
+- the occurrence map — pair item → per-tree occurrence counts at the
+  ``minoccur=1`` level, behind :meth:`VersionedCorpus.support` and the
+  log's gained/lost keys — is patched by deleting the departing
+  tree's entries and inserting the arriving tree's;
 - :class:`~repro.core.distvec.DistanceVectors` rows are appended,
   removed or swapped in place (the monotone label remap keeps every
   key array sorted), and materialised distance matrices are patched
@@ -34,31 +34,31 @@ from-scratch re-mine of the current tree sequence —
 :meth:`DistanceVectors.matrix` — enforced at every churn step by the
 differential harness in ``tests/delta``.
 
-Corpus-level frequent-pair results are memoised through the engine's
-:class:`~repro.engine.cache.PairSetCache` under
-:func:`~repro.engine.cache.corpus_cache_key` (corpus content
-fingerprint + version + query knobs) and carried as
-:class:`~repro.engine.cache.CorpusResult` payloads whose embedded
-binding is re-checked at serve time, so a stale entry for a mutated
-corpus degrades to a recompute, never to wrong results.
+Frequent pairs are re-derived per query by the one aggregation
+kernel (:func:`repro.core.multi_tree.aggregate_rows`) straight from
+maintained per-tree rows — no corpus-level result is cached, so no
+stale result can be served after a mutation.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors
 from repro.core.fastmine import PackedCounts
-from repro.core.multi_tree import FrequentCousinPair
-from repro.core.params import MiningParams, validate_minsup, validate_mode
+from repro.core.multi_tree import (
+    FrequentCousinPair,
+    aggregate_packed,
+    aggregate_rows,
+)
+from repro.core.params import MiningParams, validate_mode
 from repro.core.topk import TopKResult
-from repro.engine.cache import CorpusResult, corpus_cache_key
-from repro.engine.engine import MiningEngine
+from repro.engine.engine import MiningEngine, forest_fingerprint
 from repro.errors import EngineError
 from repro.obs.context import scope as obs_scope
 from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK
@@ -366,9 +366,7 @@ class VersionedCorpus:
 
         A digest over the ordered per-tree content addresses — equal
         iff the corpora hold isomorphic trees in the same order under
-        the same parameters.  Combined with :attr:`version` it binds
-        cached corpus-level results (:func:`repro.engine.cache
-        .corpus_cache_key`).
+        the same parameters.
         """
         digest = hashlib.sha256()
         for uid in self._uids:
@@ -560,42 +558,28 @@ class VersionedCorpus:
 
         Byte-identical to :func:`repro.core.multi_tree.mine_forest`
         over :attr:`trees` with this corpus's parameters — same
-        records, same ``tree_indexes``, same order — but derived from
-        the maintained occurrence map, never from a re-mine.  Results
-        are memoised through the engine cache (memory + disk) under
-        :func:`~repro.engine.cache.corpus_cache_key`; a served payload
-        must carry this corpus's exact fingerprint *and* version or it
-        is rejected and recomputed.
+        records, same ``tree_indexes``, same order — but counted from
+        maintained per-tree rows, never from a re-mine: the live
+        vectors' rows when they exist at the ``minoccur=1`` level the
+        kernel takes, else the per-tree packed counts.
         """
-        minsup = validate_minsup(minsup)
-        fingerprint = self.fingerprint
-        key = corpus_cache_key(
-            fingerprint,
-            self.version,
-            self.params,
-            minsup=minsup,
-            ignore_distance=ignore_distance,
-        )
-        registry = self.engine.registry
-        found = self.engine.cache.lookup(key)
-        if found is not None:
-            _layer, payload = found
-            if (
-                isinstance(payload, CorpusResult)
-                and payload.fingerprint == fingerprint
-                and payload.version == self.version
-            ):
-                registry.counter("delta.corpus.hits").add(1)
-                return list(payload.patterns)
-            # Wrong binding under the right key: a stale or foreign
-            # entry (poisoned disk file, scheme collision) — refuse it
-            # and recompute rather than serve pre-mutation results.
-            registry.counter("delta.corpus.rejected").add(1)
-        patterns = tuple(self._derive_frequent(minsup, ignore_distance))
-        self.engine.cache.put(
-            key, CorpusResult(fingerprint, self.version, patterns)
-        )
-        return list(patterns)
+        with obs_scope(self.engine.registry, self.engine.tracer):
+            if self._vectors is not None and self.params.minoccur == 1:
+                keys, counts = self._vectors.full_rows
+                return aggregate_rows(
+                    self._vectors.labels,
+                    keys,
+                    counts,
+                    minoccur=1,
+                    minsup=minsup,
+                    ignore_distance=ignore_distance,
+                )
+            return aggregate_packed(
+                [self._packed[uid] for uid in self._uids],
+                minoccur=self.params.minoccur,
+                minsup=minsup,
+                ignore_distance=ignore_distance,
+            )
 
     def support(
         self, label_a: str, label_b: str, distance: float | None = None
@@ -837,56 +821,6 @@ class VersionedCorpus:
         del self._packed[uid]
         return len(items)
 
-    def _derive_frequent(
-        self, minsup: int, ignore_distance: bool
-    ) -> list[FrequentCousinPair]:
-        """Re-derive mine_forest's exact output from maintained state."""
-        minsup = validate_minsup(minsup)
-        position = {uid: index for index, uid in enumerate(self._uids)}
-        minoccur = self.params.minoccur
-        per_key: Iterable[tuple[tuple, dict[int, int]]]
-        if ignore_distance:
-            collapsed: dict[tuple, dict[int, int]] = {}
-            for (label_a, label_b, _dist), owners in self._occurrences.items():
-                bucket = collapsed.setdefault((label_a, label_b, None), {})
-                for uid, count in owners.items():
-                    bucket[uid] = bucket.get(uid, 0) + count
-            per_key = collapsed.items()
-        else:
-            per_key = self._occurrences.items()
-        results = []
-        for key, owners in per_key:
-            supporters = sorted(
-                position[uid]
-                for uid, count in owners.items()
-                if count >= minoccur
-            )
-            if len(supporters) < minsup:
-                continue
-            results.append(
-                FrequentCousinPair(
-                    label_a=key[0],
-                    label_b=key[1],
-                    distance=key[2],
-                    support=len(supporters),
-                    tree_indexes=tuple(supporters),
-                    total_occurrences=sum(
-                        count
-                        for count in owners.values()
-                        if count >= minoccur
-                    ),
-                )
-            )
-        results.sort(
-            key=lambda pair: (
-                -pair.support,
-                pair.label_a,
-                pair.label_b,
-                pair.distance if pair.distance is not None else -1.0,
-            )
-        )
-        return results
-
     # ------------------------------------------------------------------
     # Distance-state patching
     # ------------------------------------------------------------------
@@ -903,13 +837,10 @@ class VersionedCorpus:
         # Same digest MiningEngine.distance_vectors would stamp on a
         # from-scratch build of this sequence, so engine-level matrix
         # memo entries stay interchangeable either way.
-        digest = hashlib.sha256(
-            "|".join(self._content_keys[uid] for uid in self._uids).encode(
-                "ascii"
-            )
+        return forest_fingerprint(
+            [self._content_keys[uid] for uid in self._uids],
+            self.params.minoccur,
         )
-        digest.update(f"|minoccur={self.params.minoccur}".encode("ascii"))
-        return digest.hexdigest()
 
     def _patch_rows_added(
         self, positions: Sequence[int], refs: Sequence[TreeRef]

@@ -53,11 +53,13 @@ from repro.core.cousins import CousinPairItem
 from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors, assemble_matrix
 from repro.core.fastmine import PackedCounts, mine_arena
+from repro.core.multi_tree import FrequentCousinPair, aggregate_packed
 from repro.core.pairset import CousinPairSet
 from repro.core.params import (
     DEFAULT_SKETCH_PARAMS,
     MiningParams,
     SketchParams,
+    validate_minoccur,
     validate_mode,
 )
 from repro.core.topk import (
@@ -78,10 +80,9 @@ from repro.trees.arena import TreeArena
 from repro.trees.tree import Tree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.core.multi_tree import FrequentCousinPair
     from repro.store import PairStore
 
-__all__ = ["MiningEngine", "available_cpus"]
+__all__ = ["MiningEngine", "available_cpus", "forest_fingerprint"]
 
 _PENDING = object()
 
@@ -101,6 +102,19 @@ def available_cpus() -> int:
         except (AttributeError, OSError):
             count = os.cpu_count()
     return max(1, count or 1)
+
+
+def forest_fingerprint(keys: Sequence[str], minoccur: int) -> str:
+    """Digest of a forest: its ordered per-tree content addresses.
+
+    Keys every whole-forest memo (``distvec`` / ``distmat`` /
+    ``topksketch`` / ``frequent``); equal iff the forests hold
+    isomorphic trees in the same order under the same parameters.
+    """
+    minoccur = validate_minoccur(minoccur)
+    digest = hashlib.sha256("|".join(keys).encode("ascii"))
+    digest.update(f"|minoccur={minoccur}".encode("ascii"))
+    return digest.hexdigest()
 
 
 def _mine_chunk(
@@ -320,7 +334,8 @@ class MiningEngine:
 
         Per-tree packed counts stay cached — they are content-addressed
         and remain valid for any corpus — but whole-forest projections
-        (``distvec`` / ``distmat`` / ``topksketch`` entries) are
+        (``distvec`` / ``distmat`` / ``topksketch`` / ``frequent``
+        entries) are
         fingerprinted over a *specific* tree sequence and must go when
         that sequence mutates
         (a :class:`repro.engine.delta.VersionedCorpus` update) or when
@@ -329,7 +344,7 @@ class MiningEngine:
         stale = [
             key
             for key in self._projections
-            if key[0] in ("distvec", "distmat", "topksketch")
+            if key[0] in ("distvec", "distmat", "topksketch", "frequent")
         ]
         for key in stale:
             del self._projections[key]
@@ -522,9 +537,7 @@ class MiningEngine:
         ):
             self.stats.distance_builds += 1
             keys, resolved = self._resolved_packed(trees, params)
-            digest = hashlib.sha256("|".join(keys).encode("ascii"))
-            digest.update(f"|minoccur={params.minoccur}".encode("ascii"))
-            fingerprint = digest.hexdigest()
+            fingerprint = forest_fingerprint(keys, params.minoccur)
             # repro-lint: disable-next-line=RPL103 -- the digest above folds minoccur into the fingerprint
             vectors = self._projection(
                 ("distvec", fingerprint),
@@ -540,6 +553,50 @@ class MiningEngine:
         packed: Sequence[PackedCounts], params: MiningParams
     ) -> DistanceVectors:
         return DistanceVectors.from_packed(packed, minoccur=params.minoccur)
+
+    def frequent_pairs(
+        self,
+        trees: Sequence[Tree],
+        params: MiningParams,
+        *,
+        ignore_distance: bool = False,
+    ) -> list[FrequentCousinPair]:
+        """Frequent pairs of ``trees`` at ``params``, memoised whole.
+
+        What :func:`repro.core.multi_tree.mine_forest` returns with
+        ``engine=self``: per-tree mining goes through the
+        content-addressed cache, the counting step is the one kernel
+        (:func:`repro.core.multi_tree.aggregate_packed`), and the
+        result is memoised under the forest fingerprint of
+        :meth:`distance_vectors` plus the thresholds, so a repeat
+        query over the same forest skips the kernel too.  The returned
+        list is the caller's.
+        """
+        with obs_scope(self.registry, self.tracer):
+            keys, resolved = self._resolved_packed(trees, params)
+            fingerprint = forest_fingerprint(keys, params.minoccur)
+            patterns = self._projection(
+                ("frequent", fingerprint, params.minoccur, params.minsup,
+                 ignore_distance),
+                [resolved[key] for key in keys],
+                params,
+                self._build_frequent,
+                ignore_distance,
+            )
+            return list(patterns)
+
+    @staticmethod
+    def _build_frequent(
+        packed: Sequence[PackedCounts],
+        params: MiningParams,
+        ignore_distance: bool,
+    ) -> list[FrequentCousinPair]:
+        return aggregate_packed(
+            packed,
+            minoccur=params.minoccur,
+            minsup=params.minsup,
+            ignore_distance=ignore_distance,
+        )
 
     def distance_matrix(
         self,
@@ -788,7 +845,7 @@ class MiningEngine:
 
     def store_frequent_pairs(
         self, minsup: int = 2, ignore_distance: bool = False
-    ) -> "list[FrequentCousinPair]":
+    ) -> list[FrequentCousinPair]:
         """Frequent pairs served from the attached store's shards.
 
         Byte-identical to :func:`repro.core.multi_tree.mine_forest`
@@ -875,19 +932,22 @@ class MiningEngine:
             bands.append((start, size))
         return bands
 
-    def _projection(self, memo_key: tuple, packed, params: MiningParams, build):
+    def _projection(
+        self, memo_key: tuple, packed, params: MiningParams, build, *args
+    ):
         """Serve a derived view of cached packed counts, memoised by address.
 
+        ``build(packed, params, *args)`` computes a missing entry.
         ``CousinPairSet`` instances are shared (their counters are never
-        mutated through the public API); item lists are shared but
-        copied by the caller.  Disabled alongside the memory cache
-        (``cache_size=0``).
+        mutated through the public API); item and pattern lists are
+        shared but copied by the caller.  Disabled alongside the memory
+        cache (``cache_size=0``).
         """
         if self._projection_cap == 0:
-            return build(packed, params)
+            return build(packed, params, *args)
         cached = self._projections.get(memo_key)
         if cached is None:
-            cached = build(packed, params)
+            cached = build(packed, params, *args)
             self._projections[memo_key] = cached
             if self._projection_cap is not None:
                 while len(self._projections) > self._projection_cap:

@@ -342,8 +342,8 @@ class InvalidationCoverageRule(ProjectRule):
 class HotLoopAllocationRule(ProjectRule):
     """RPL105: no fresh allocations inside hot-kernel loops.
 
-    ``fastmine`` / ``distvec`` / ``topk`` / ``store/pairstore`` loops
-    run per tree pair or per packed key; a ``list()`` or ``np.zeros``
+    ``fastmine`` / ``distvec`` / ``topk`` / ``multi_tree`` /
+    ``store/pairstore`` loops run per tree pair or per packed key; a ``list()`` or ``np.zeros``
     born on every iteration turns the kernels the benchmarks gate into
     allocator benchmarks.  Flags ``np.*`` array constructors and bare
     ``list``/``dict``/``set`` constructor calls lexically inside
@@ -359,6 +359,7 @@ class HotLoopAllocationRule(ProjectRule):
         "repro/core/fastmine.py",
         "repro/core/distvec.py",
         "repro/core/topk.py",
+        "repro/core/multi_tree.py",
         "repro/store/pairstore.py",
     )
 

@@ -9,7 +9,9 @@ span forest into:
   ``repro-mine profile`` and the ``--profile`` flag print;
 - the **critical path** — the heaviest root followed greedily down
   its heaviest child at every level, always a real root-to-leaf chain
-  of the recorded tree;
+  of the recorded tree whose steps carry their span ids (equal
+  durations break to the lowest span id, so the path is
+  deterministic);
 - the **folded-stack export** — ``root;child;leaf <micros>`` lines in
   the collapse format standard flamegraph tooling consumes
   (``flamegraph.pl out.folded > out.svg``, speedscope, etc.).
@@ -61,8 +63,14 @@ class ProfileRow:
 
 @dataclass(frozen=True)
 class PathStep:
-    """One span on the critical path (root first)."""
+    """One span on the critical path (root first).
 
+    ``span_id`` names the recorded span the step is, so the path maps
+    back to the trace even when same-name spans have near-equal
+    durations.
+    """
+
+    span_id: int
     name: str
     seconds: float
     self_seconds: float
@@ -210,7 +218,8 @@ def build_profile(
     for sid in order:
         folded[paths[sid]] = folded.get(paths[sid], 0.0) + self_seconds[sid]
 
-    # Critical path: heaviest root, then greedily the heaviest child.
+    # Critical path: heaviest root, then greedily the heaviest child;
+    # equal durations go to the lowest span id.
     critical: list[PathStep] = []
     if root_ids:
         cursor2 = max(
@@ -220,6 +229,7 @@ def build_profile(
             record = by_id[cursor2]
             critical.append(
                 PathStep(
+                    cursor2,
                     str(record["name"]),
                     float(record["seconds"]),
                     self_seconds[cursor2],

@@ -56,14 +56,15 @@ from repro.core.distvec import (
     _remap_full_keys,
     _remap_packed,
 )
-from repro.core.multi_tree import FrequentCousinPair
+from repro.core.multi_tree import FrequentCousinPair, aggregate_rows
 from repro.core.params import MiningParams, validate_minoccur, validate_minsup
+from repro.engine.engine import forest_fingerprint
 from repro.errors import StoreError
 from repro.io import atomic_write
 from repro.obs.context import get_registry, get_tracer
 from repro.store.shards import load_array, write_array
 from repro.trees.arena import LabelTable
-from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK, PACKED_KEY_SCHEME
+from repro.trees.packing import PACKED_KEY_SCHEME
 from repro.trees.tree import Tree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -309,21 +310,17 @@ class PairStore:
             digest.update(b"|")
         return digest.hexdigest()
 
-    # repro-lint: disable-next-line=RPL004 -- digest of a pre-validated knob
     def vectors_fingerprint(self, minoccur: int) -> str:
         """The engine's distance-vectors digest for this sequence.
 
-        Same formula as :meth:`repro.engine.engine.MiningEngine
-        .distance_vectors`, so matrix and sketch memos keyed by a
+        The engine's :func:`~repro.engine.engine.forest_fingerprint`,
+        as :meth:`repro.engine.engine.MiningEngine.distance_vectors`
+        stamps it, so matrix and sketch memos keyed by a
         store-served vectors object interchange with engine builds.
         """
-        digest = hashlib.sha256(
-            "|".join(
-                row["content_key"] for row in self._manifest["rows"]
-            ).encode("ascii")
+        return forest_fingerprint(
+            [row["content_key"] for row in self._manifest["rows"]], minoccur
         )
-        digest.update(f"|minoccur={minoccur}".encode("ascii"))
-        return digest.hexdigest()
 
     @property
     def names(self) -> list[str]:
@@ -575,87 +572,32 @@ class PairStore:
 
         Byte-identical to :func:`repro.core.multi_tree.mine_forest`
         over the store's tree sequence with its parameters — same
-        records, same ``tree_indexes``, same order — derived in one
-        vectorised pass: gather the live rows (full columns, or the
-        collapsed pair columns when distances are ignored), mask by
-        the store's ``minoccur``, group equal keys with a stable sort
-        and read support / supporters / totals off the group runs.
+        records, same ``tree_indexes``, same order: the live rows'
+        full key/count columns (memmap slices, ``minoccur=1`` level)
+        go through the one aggregation kernel,
+        :func:`repro.core.multi_tree.aggregate_rows`, with the store's
+        ``minoccur``.
         """
         minsup = validate_minsup(minsup)
-        minoccur = self.params.minoccur
-        registry = get_registry()
         with get_tracer().span(
             "store.frequent_pairs",
             metric="store.frequent_pairs.seconds",
             trees=len(self),
             minsup=minsup,
         ):
-            kind = "pair" if ignore_distance else "full"
-            manifest_rows = self._manifest["rows"]
-            parts_keys = []
-            parts_counts = []
-            sizes = []
-            for row in manifest_rows:
-                keys, counts = self._generations[row["gen"]].row(
-                    row["row"], kind
-                )
-                parts_keys.append(keys)
-                parts_counts.append(counts)
-                sizes.append(keys.size)
-            registry.counter("store.frequent_pairs").add(1)
-            if not parts_keys or sum(sizes) == 0:
-                return []
-            keys = np.concatenate(parts_keys)
-            counts = np.concatenate(parts_counts)
-            owners = np.repeat(
-                np.arange(len(manifest_rows), dtype=np.int64), sizes
+            rows = [
+                self._generations[row["gen"]].row(row["row"], "full")
+                for row in self._manifest["rows"]
+            ]
+            get_registry().counter("store.frequent_pairs").add(1)
+            return aggregate_rows(
+                self.labels,
+                [keys for keys, _ in rows],
+                [counts for _, counts in rows],
+                minoccur=self.params.minoccur,
+                minsup=minsup,
+                ignore_distance=ignore_distance,
             )
-            if minoccur > 1:
-                keep = counts >= minoccur
-                keys = keys[keep]
-                counts = counts[keep]
-                owners = owners[keep]
-                if keys.size == 0:
-                    return []
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            counts = counts[order]
-            owners = owners[order]
-            starts = np.flatnonzero(
-                np.concatenate(([True], keys[1:] != keys[:-1]))
-            ).astype(np.int64)
-            ends = np.append(starts[1:], keys.size).astype(np.int64)
-            supports = ends - starts
-            totals = np.add.reduceat(counts, starts)
-            labels = self.labels
-            results = []
-            for slot in np.flatnonzero(supports >= minsup):
-                start = int(starts[slot])
-                end = int(ends[slot])
-                key = int(keys[start])
-                results.append(
-                    FrequentCousinPair(
-                        label_a=labels[(key >> LABEL_BITS) & LABEL_MASK],
-                        label_b=labels[key & LABEL_MASK],
-                        distance=(
-                            None
-                            if ignore_distance
-                            else (key >> DIST_SHIFT) / 2.0
-                        ),
-                        support=int(supports[slot]),
-                        tree_indexes=tuple(owners[start:end].tolist()),
-                        total_occurrences=int(totals[slot]),
-                    )
-                )
-            results.sort(
-                key=lambda pair: (
-                    -pair.support,
-                    pair.label_a,
-                    pair.label_b,
-                    pair.distance if pair.distance is not None else -1.0,
-                )
-            )
-            return results
 
     # ------------------------------------------------------------------
     # Mutation (generation append + compaction)

@@ -1,28 +1,17 @@
-"""Shard-level I/O for the on-disk pair store.
+"""Array-shard I/O for the on-disk pair store.
 
-Two kinds of artifact live here, both written through
+Each shard is a plain ``.npy`` file holding one contiguous ``int64``
+column of a store generation (concatenated packed keys, counts, row
+offsets or per-tree totals), written through
 :func:`repro.io.atomic_write` so a reader only ever sees a complete
-previous file or a complete new file:
-
-- **Array shards** — plain ``.npy`` files holding one contiguous
-  ``int64`` column of a store generation (concatenated packed keys,
-  counts, row offsets or per-tree totals).  :func:`write_array`
-  returns the byte size the manifest records, and :func:`load_array`
-  reopens the column as an ``np.load(..., mmap_mode="r")`` view, so
-  serving a query touches only the data pages the join actually
-  reads.
-
-- **Result shards** — ``.npz`` files carrying one large
-  :class:`~repro.engine.cache.CorpusResult` (the corpus-level
-  frequent-pair payloads :class:`~repro.engine.cache.PairSetCache`
-  used to pickle monolithically).  The columns are primitive arrays
-  (labels, distances, supports, a flattened posting list), written
-  and read with ``allow_pickle=False`` — a poisoned shard can fail to
-  decode but cannot execute anything.
+previous file or a complete new file.  :func:`write_array` returns the
+byte size the manifest records, and :func:`load_array` reopens the
+column as an ``np.load(..., mmap_mode="r")`` view, so serving a query
+touches only the data pages the join actually reads.
 
 Every read failure is counted on ``store.read_errors`` and raised as
-:class:`~repro.errors.StoreError`, which callers treat as a miss:
-the cache re-mines, the store re-packs.
+:class:`~repro.errors.StoreError`; the store treats it as a corrupt
+store and re-packs.
 """
 
 from __future__ import annotations
@@ -32,22 +21,14 @@ import zipfile
 
 import numpy as np
 
-from repro.core.multi_tree import FrequentCousinPair
-from repro.engine.cache import CorpusResult
 from repro.errors import StoreError
 from repro.io import atomic_write
 from repro.obs.context import get_registry
 
-__all__ = [
-    "load_array",
-    "read_result_shard",
-    "write_array",
-    "write_result_shard",
-]
+__all__ = ["load_array", "write_array"]
 
-# Everything np.load / np.save / zipfile raise on a truncated, corrupt
-# or structurally wrong shard.  KeyError covers a missing .npz member,
-# EOFError a zip entry cut mid-stream.
+# Everything np.load raises on a truncated, corrupt or structurally
+# wrong shard (a file with a zip header is opened as an archive).
 _DECODE_ERRORS = (
     OSError,
     ValueError,
@@ -63,9 +44,6 @@ def _read_failure(path: str, error: Exception) -> StoreError:
     return StoreError(f"cannot read store shard {path!r}: {error}")
 
 
-# ----------------------------------------------------------------------
-# Array shards (.npy columns of a store generation)
-# ----------------------------------------------------------------------
 def write_array(path: str, array: np.ndarray) -> int:
     """Write one ``.npy`` column atomically; returns its byte size.
 
@@ -95,100 +73,3 @@ def load_array(path: str, *, expected_bytes: int | None = None) -> np.ndarray:
         return np.load(path, mmap_mode="r", allow_pickle=False)
     except _DECODE_ERRORS as error:
         raise _read_failure(path, error) from error
-
-
-# ----------------------------------------------------------------------
-# Result shards (.npz CorpusResult payloads for the cache disk layer)
-# ----------------------------------------------------------------------
-def write_result_shard(path: str, result: CorpusResult) -> None:
-    """Write one :class:`CorpusResult` as a columnar ``.npz`` shard.
-
-    Patterns decompose into parallel primitive columns; the posting
-    lists flatten into one array behind an offsets column, the same
-    layout the store generations use for per-tree rows.  ``distance``
-    is ``NaN`` for distance-ignoring patterns (``None`` round-trips
-    through it losslessly — a real distance is never NaN).
-    """
-    patterns = result.patterns
-    offsets = np.zeros(len(patterns) + 1, dtype=np.int64)
-    for index, pattern in enumerate(patterns):
-        offsets[index + 1] = offsets[index] + len(pattern.tree_indexes)
-    postings = np.fromiter(
-        (index for pattern in patterns for index in pattern.tree_indexes),
-        dtype=np.int64,
-        count=int(offsets[-1]),
-    )
-    with atomic_write(path, "wb") as stream:
-        np.savez(
-            stream,
-            fingerprint=np.asarray(result.fingerprint),
-            version=np.asarray(result.version, dtype=np.int64),
-            label_a=np.asarray([p.label_a for p in patterns], dtype=np.str_),
-            label_b=np.asarray([p.label_b for p in patterns], dtype=np.str_),
-            distance=np.asarray(
-                [
-                    np.nan if p.distance is None else p.distance
-                    for p in patterns
-                ],
-                dtype=np.float64,
-            ),
-            support=np.asarray([p.support for p in patterns], dtype=np.int64),
-            total_occurrences=np.asarray(
-                [p.total_occurrences for p in patterns], dtype=np.int64
-            ),
-            posting_offsets=offsets,
-            postings=postings,
-        )
-
-
-def read_result_shard(path: str) -> CorpusResult:
-    """Rebuild a :class:`CorpusResult` from :func:`write_result_shard`.
-
-    Any structural problem — truncated zip, missing column, ragged
-    posting offsets — counts one ``store.read_errors`` and raises
-    :class:`StoreError`; the cache layer maps that to a counted miss
-    and recomputes, exactly like a poisoned pickle.
-    """
-    try:
-        with np.load(path, allow_pickle=False) as payload:
-            fingerprint = str(payload["fingerprint"])
-            version = int(payload["version"])
-            label_a = payload["label_a"]
-            label_b = payload["label_b"]
-            distance = payload["distance"]
-            support = payload["support"]
-            totals = payload["total_occurrences"]
-            offsets = payload["posting_offsets"]
-            postings = payload["postings"]
-            size = label_a.shape[0]
-            if not (
-                label_b.shape[0] == size
-                and distance.shape[0] == size
-                and support.shape[0] == size
-                and totals.shape[0] == size
-                and offsets.shape[0] == size + 1
-                and offsets[0] == 0
-                and offsets[-1] == postings.shape[0]
-                and bool(np.all(np.diff(offsets) >= 0))
-            ):
-                raise ValueError("pattern columns disagree on size")
-            patterns = tuple(
-                FrequentCousinPair(
-                    label_a=str(label_a[index]),
-                    label_b=str(label_b[index]),
-                    distance=(
-                        None
-                        if np.isnan(distance[index])
-                        else float(distance[index])
-                    ),
-                    support=int(support[index]),
-                    tree_indexes=tuple(
-                        postings[offsets[index] : offsets[index + 1]].tolist()
-                    ),
-                    total_occurrences=int(totals[index]),
-                )
-                for index in range(size)
-            )
-    except _DECODE_ERRORS as error:
-        raise _read_failure(path, error) from error
-    return CorpusResult(fingerprint, version, patterns)

@@ -12,9 +12,14 @@ from __future__ import annotations
 
 from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors
-from repro.core.multi_tree import mine_forest
+from repro.core.reference import mine_forest_reference
 
 MINSUPS = (1, 2, 3)
+
+
+def minsups(trees):
+    """:data:`MINSUPS` plus one threshold no pattern can reach."""
+    return MINSUPS + (len(trees) + 1,)
 
 
 def pattern_tuples(patterns):
@@ -37,19 +42,20 @@ def assert_corpus_matches_remine(corpus, context=""):
 
     ``frequent_pairs(minsup=1)`` enumerates every pair item with its
     support, so comparing it (plus the ignore-distance view) checks
-    the maintained support state exhaustively; the four distance-mode
+    the maintained support state exhaustively (a ``minsup`` above the
+    tree count must come back empty); the four distance-mode
     matrices are compared against a fresh
     :meth:`DistanceVectors.from_trees` build with ``==`` — exact
     float equality, no tolerance.
     """
     trees = list(corpus.trees)
     minoccur = corpus.params.minoccur
-    for minsup in MINSUPS:
+    for minsup in minsups(trees):
         for ignore_distance in (False, True):
             got = corpus.frequent_pairs(
                 minsup=minsup, ignore_distance=ignore_distance
             )
-            want = mine_forest(
+            want = mine_forest_reference(
                 trees,
                 maxdist=corpus.params.maxdist,
                 minoccur=minoccur,

@@ -14,14 +14,14 @@ import pytest
 
 from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors
-from repro.core.multi_tree import mine_forest
+from repro.core.reference import mine_forest_reference
 from repro.engine import MiningEngine, VersionedCorpus
 from repro.generate import SyntheticTreeParams, synthetic_forest
 from repro.store import PairStore
 
 from tests.delta.equivalence import (
-    MINSUPS,
     assert_corpus_matches_remine,
+    minsups,
     pattern_tuples,
 )
 
@@ -35,12 +35,12 @@ def forest(count, seed):
 
 def assert_store_matches_remine(store, trees, context=""):
     """The on-disk rows serve the same bytes as a fresh re-mine."""
-    for minsup in MINSUPS:
+    for minsup in minsups(trees):
         for ignore_distance in (False, True):
             got = store.frequent_pairs(
                 minsup=minsup, ignore_distance=ignore_distance
             )
-            want = mine_forest(
+            want = mine_forest_reference(
                 trees,
                 maxdist=store.params.maxdist,
                 minoccur=store.params.minoccur,
@@ -99,6 +99,12 @@ def test_churn_against_attached_store(engine, tmp_path):
     # Heavy removal forces a compaction; identity must survive it.
     corpus.remove_trees(list(range(4)))
     assert_in_sync(corpus, directory, "after compacting remove")
+
+    # Down to an empty forest, then back up from nothing.
+    corpus.remove_trees(list(range(len(corpus))))
+    assert_in_sync(corpus, directory, "after removing every tree")
+    corpus.add_trees(forest(2, 11))
+    assert_in_sync(corpus, directory, "after refilling")
 
 
 def test_attach_syncs_a_stale_store(engine, tmp_path):

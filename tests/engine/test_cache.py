@@ -16,7 +16,7 @@ import pickle
 import pytest
 
 from repro.core.kernel import find_kernel_trees
-from repro.core.multi_tree import mine_forest
+from repro.core.reference import mine_forest_reference
 from repro.core.params import MiningParams
 from repro.engine import MiningEngine, PairSetCache, cache_key, tree_fingerprint
 from repro.errors import EngineError
@@ -98,7 +98,7 @@ class TestNoStaleHits:
             got = engine.mine_forest(
                 forest, maxdist=maxdist, max_generation_gap=gap
             )
-            want = mine_forest(
+            want = mine_forest_reference(
                 forest, maxdist=maxdist, max_generation_gap=gap
             )
             assert got == want

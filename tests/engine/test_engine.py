@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.multi_tree import mine_forest
 from repro.core.pairset import CousinPairSet
+from repro.core.reference import mine_forest_reference
 from repro.core.single_tree import mine_tree, mine_tree_counter
 from repro.engine import MiningEngine
 from repro.errors import EngineError
@@ -25,6 +25,13 @@ PARAM_GRID = [
     (2.5, 2, 2, False, 3, None),
     (1.5, 1, 2, True, 1, None),
     (2.0, 1, 3, False, 2, 1),
+    # minoccur that masks every count away
+    (1.5, 1000, 1, False, 1, None),
+    (1.5, 1000, 1, True, 1, None),
+    # ignore_distance with minoccur >= 2: summed before the filter
+    (2.5, 2, 1, True, 3, None),
+    # minsup above the tree count
+    (1.5, 1, 100, False, 1, None),
 ]
 
 
@@ -47,7 +54,7 @@ class TestForestEquivalence:
     @pytest.mark.parametrize("grid", PARAM_GRID)
     def test_cold_and_warm_match_serial(self, forest, jobs, grid):
         maxdist, minoccur, minsup, ignore, gap, height = grid
-        reference = mine_forest(
+        reference = mine_forest_reference(
             forest,
             maxdist=maxdist,
             minoccur=minoccur,
@@ -93,13 +100,34 @@ class TestForestEquivalence:
         engine = MiningEngine(jobs=jobs)
         assert engine.counters([]) == []
         assert engine.mine_forest([]) == []
+        for minsup, ignore in [(1, False), (1, True), (3, False)]:
+            assert engine.mine_forest(
+                [], minsup=minsup, ignore_distance=ignore
+            ) == mine_forest_reference(
+                [], minsup=minsup, ignore_distance=ignore
+            )
 
     def test_empty_tree(self, jobs):
         from repro.trees.tree import Tree
 
-        engine = MiningEngine(jobs=jobs)
+        engine = MiningEngine(jobs=jobs, min_parallel_trees=1)
         (counter,) = engine.counters([Tree()])
         assert counter == mine_tree_counter(Tree())
+        # Trees without a single labelled cousin pair.
+        pairless = [
+            Tree(),
+            parse_newick("(a);"),
+            parse_newick("((,),(,));"),
+            parse_newick("(a,(,));"),
+        ]
+        for ignore in (False, True):
+            assert strict(
+                engine.mine_forest(pairless, minsup=1, ignore_distance=ignore)
+            ) == strict(
+                mine_forest_reference(
+                    pairless, minsup=1, ignore_distance=ignore
+                )
+            ) == []
 
 
 class TestStatsAccounting:

@@ -188,6 +188,16 @@ class TestRPL105:
         )
         assert list(RULES_BY_ID["RPL105"].check(context))
 
+    @pytest.mark.parametrize("fixture, flagged", [("bad", True), ("good", False)])
+    def test_aggregation_kernel_module_is_in_scope(self, fixture, flagged):
+        # The frequent-pair kernel runs once per pattern group over
+        # every corpus query; its loops are gated like the kernels'.
+        source = (FIXTURES / f"rpl105_{fixture}.py").read_text(encoding="utf-8")
+        context = project_from_sources(
+            [(source, "repro/core/multi_tree.py")]
+        )
+        assert bool(list(RULES_BY_ID["RPL105"].check(context))) is flagged
+
 
 class TestAnalyzeProject:
     def test_select_filters_project_rules(self, tmp_path):

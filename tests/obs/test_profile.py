@@ -109,6 +109,17 @@ class TestCriticalPath:
             "tail",
         ]
 
+    def test_equal_durations_break_to_the_lowest_span_id(self):
+        spans = [
+            {"id": 7, "parent": None, "name": "r", "seconds": 1.0},
+            {"id": 3, "parent": None, "name": "r", "seconds": 1.0},
+            {"id": 9, "parent": 3, "name": "c", "seconds": 0.5},
+            {"id": 4, "parent": 3, "name": "c", "seconds": 0.5},
+        ]
+        for order in (spans, spans[::-1]):
+            path = build_profile(order).critical_path
+            assert [step.span_id for step in path] == [3, 4]
+
     def test_empty_profile(self):
         profile = build_profile([])
         assert profile.critical_path == ()

@@ -1,7 +1,8 @@
 """Property-based serial/parallel/cached equivalence (hypothesis).
 
 For random forests and random parameter draws, the engine must emit
-byte-for-byte the same frequent pairs as the serial reference — under
+byte-for-byte the same frequent pairs as the dict-loop oracle
+(:func:`repro.core.reference.mine_forest_reference`) — under
 a serial engine (jobs=1), a real process pool (jobs=2), a cold cache
 and a warm cache.  Shrinking then hands back the smallest forest that
 breaks the contract.
@@ -12,7 +13,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.multi_tree import forest_pair_items, mine_forest
+from repro.core.multi_tree import forest_pair_items
+from repro.core.reference import mine_forest_reference
 from repro.engine import MiningEngine
 
 from tests.property.strategies import gaps, maxdists, trees
@@ -46,7 +48,7 @@ def strict(patterns):
 def test_serial_engine_cold_and_warm_equal_reference(
     forest, maxdist, gap, minoccur, minsup, ignore_distance
 ):
-    reference = mine_forest(
+    reference = mine_forest_reference(
         forest,
         maxdist=maxdist,
         minoccur=minoccur,
@@ -70,7 +72,7 @@ def test_serial_engine_cold_and_warm_equal_reference(
 @settings(max_examples=15, deadline=None)
 @given(forest=forests, maxdist=maxdists, gap=gaps)
 def test_process_pool_equals_reference(forest, maxdist, gap):
-    reference = mine_forest(
+    reference = mine_forest_reference(
         forest, maxdist=maxdist, max_generation_gap=gap
     )
     # clamp_jobs=False keeps the pool engaged even on a 1-CPU box.

@@ -131,9 +131,13 @@ def test_index_matches_batch_miner(forest, minsup):
     """The inverted index is a drop-in accelerator for mine_forest."""
     from repro.core.index import CousinPairIndex
     from repro.core.multi_tree import mine_forest
+    from repro.core.reference import mine_forest_reference
+    from tests.delta.equivalence import pattern_tuples
 
     index = CousinPairIndex.build(forest)
-    assert index.frequent(minsup) == mine_forest(forest, minsup=minsup)
+    want = pattern_tuples(mine_forest_reference(forest, minsup=minsup))
+    assert pattern_tuples(index.frequent(minsup)) == want
+    assert pattern_tuples(mine_forest(forest, minsup=minsup)) == want
 
 
 @settings(max_examples=30, deadline=None)

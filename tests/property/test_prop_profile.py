@@ -107,19 +107,16 @@ def test_critical_path_is_a_real_root_to_leaf_chain(spans):
     assert path[0].seconds == approx(
         max(seconds for _, seconds in profile.roots)
     )
-    # Each step's (name, seconds) matches an actual recorded span, and
-    # consecutive steps are a parent/child pair in the span forest.
+    # Each step is the recorded span its id names, and consecutive
+    # steps are a parent/child pair in the span forest.
+    by_id = {span["id"]: span for span in spans}
     current = None
     for step in path:
-        candidates = [
-            span
-            for span in spans
-            if span["name"] == step.name
-            and abs(span["seconds"] - step.seconds) < 1e-9
-            and (current is None or span["parent"] == current["id"])
-        ]
-        assert candidates
-        current = candidates[0]
+        span = by_id[step.span_id]
+        assert span["name"] == step.name
+        assert span["seconds"] == step.seconds
+        assert span["parent"] == (None if current is None else current["id"])
+        current = span
     assert not any(span["parent"] == current["id"] for span in spans)
 
 

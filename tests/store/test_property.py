@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors
-from repro.core.multi_tree import mine_forest
+from repro.core.reference import mine_forest_reference
 from repro.core.topk import topk_similar
 from repro.store import PairStore
 
@@ -38,7 +38,7 @@ def test_pack_reopen_round_trip(forest, data, tmp_path_factory):
             got = store.frequent_pairs(
                 minsup=minsup, ignore_distance=ignore_distance
             )
-            want = mine_forest(
+            want = mine_forest_reference(
                 forest, minsup=minsup, ignore_distance=ignore_distance
             )
             assert pattern_tuples(got) == pattern_tuples(want)

@@ -18,7 +18,8 @@ import pytest
 
 from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors
-from repro.core.multi_tree import mine_forest
+from repro.core.params import MiningParams
+from repro.core.reference import mine_forest_reference
 from repro.core.params import MiningParams
 from repro.core.topk import topk_similar
 from repro.generate import SyntheticTreeParams, synthetic_forest
@@ -59,17 +60,35 @@ def packed_store(tmp_path, registry):
 
 
 class TestFrequentPairs:
-    def test_matches_mine_forest(self, packed_store):
+    def test_matches_mine_forest(self, packed_store, tmp_path):
         trees, store = packed_store
         for minsup in MINSUPS:
             for ignore_distance in (False, True):
                 got = store.frequent_pairs(
                     minsup=minsup, ignore_distance=ignore_distance
                 )
-                want = mine_forest(
+                want = mine_forest_reference(
                     trees, minsup=minsup, ignore_distance=ignore_distance
                 )
                 assert pattern_tuples(got) == pattern_tuples(want)
+        # Stores packed with a minoccur: 2 filters after summing across
+        # distances when they are ignored; 10**6 masks every count.
+        for minoccur in (2, 10**6):
+            directory = str(tmp_path / f"minoccur{minoccur}")
+            PairStore.pack(directory, trees, MiningParams(minoccur=minoccur))
+            strict = PairStore.open(directory)
+            for minsup in (1, 2, len(trees) + 1):
+                for ignore_distance in (False, True):
+                    got = strict.frequent_pairs(
+                        minsup=minsup, ignore_distance=ignore_distance
+                    )
+                    want = mine_forest_reference(
+                        trees,
+                        minoccur=minoccur,
+                        minsup=minsup,
+                        ignore_distance=ignore_distance,
+                    )
+                    assert pattern_tuples(got) == pattern_tuples(want)
 
     def test_counters_land(self, packed_store, registry):
         _, store = packed_store
@@ -189,5 +208,5 @@ class TestVersioning:
         combined = list(trees) + list(extra)
         for minsup in MINSUPS:
             got = reopened.frequent_pairs(minsup=minsup)
-            want = mine_forest(combined, minsup=minsup)
+            want = mine_forest_reference(combined, minsup=minsup)
             assert pattern_tuples(got) == pattern_tuples(want)
