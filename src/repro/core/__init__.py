@@ -22,8 +22,8 @@ Modules
   Section 5.3 (Equation 6);
 - :mod:`repro.core.distvec` — the packed sparse-vector distance kernel
   those distances (and every matrix build) run on;
-- :mod:`repro.core.topk` — single-query top-k similarity search over
-  those vectors (sketch prefilter, bound-pruned exact re-ranking);
+- :mod:`repro.core.topk` — exact single-query top-k similarity search
+  over those vectors (one vectorised distance row, stably sorted);
 - :mod:`repro.core.kernel` — kernel-tree selection across groups of
   phylogenies (Section 5.3);
 - :mod:`repro.core.freetree` — the free-tree / undirected-acyclic-graph

@@ -67,13 +67,7 @@ import numpy as np
 
 from repro.core.distance import DistanceMode
 from repro.core.fastmine import PackedCounts, mine_arena
-from repro.core.params import (
-    DEFAULT_SKETCH_PARAMS,
-    MiningParams,
-    SketchParams,
-    validate_minoccur,
-    validate_mode,
-)
+from repro.core.params import MiningParams, validate_minoccur, validate_mode
 from repro.obs.context import get_registry, get_tracer
 from repro.trees.arena import LabelTable, forest_arenas
 from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK, PAIR_MASK, pack_key
@@ -98,25 +92,24 @@ _FULL_MODES = frozenset({DistanceMode.DIST, DistanceMode.DIST_OCCUR})
 # multiplicative hash (the packed layout concentrates entropy in the
 # low label bits; the multiply mixes it into the high bits the shift
 # keeps).  More buckets -> tighter bound; the count adapts to the
-# largest per-tree key array between the validated clamps of
-# :data:`repro.core.params.DEFAULT_SKETCH_PARAMS` (promoted from
-# module constants here so bad values fail loudly in one place).
+# largest per-tree key array, doubling from _MIN_BUCKETS and clamped
+# at _MAX_BUCKETS (both powers of two: the shift is derived from the
+# bit length).
 _SIG_MIX = np.uint64(0x9E3779B97F4A7C15)
+_MIN_BUCKETS = 64
+_MAX_BUCKETS = 4096
 
 
-def signature_geometry(
-    largest: int, sketch: SketchParams = DEFAULT_SKETCH_PARAMS
-) -> tuple[int, np.uint64]:
+def signature_geometry(largest: int) -> tuple[int, np.uint64]:
     """Bucket count and hash shift for a corpus whose biggest per-tree
     key array has ``largest`` entries.
 
-    Shared by the corpus-side signature cache and the top-k query path
-    (:mod:`repro.core.topk`): a query signature is only comparable to
-    the corpus signatures when both were bucketed with the same
-    geometry.
+    Two signatures are only comparable when both were bucketed with
+    the same geometry, so every signature of one corpus and mode uses
+    the geometry of that corpus's largest row.
     """
-    buckets = sketch.min_buckets
-    while buckets < 4 * largest and buckets < sketch.max_buckets:
+    buckets = _MIN_BUCKETS
+    while buckets < 4 * largest and buckets < _MAX_BUCKETS:
         buckets *= 2
     return buckets, np.uint64(64 - buckets.bit_length() + 1)
 
@@ -238,10 +231,7 @@ def merge_intersection(
     """The (multi)set intersection of two sorted packed-key vectors.
 
     One linear merge-join (``searchsorted`` over the longer side); the
-    exact-arithmetic core of every distance this module serves, shared
-    with the top-k query path (:mod:`repro.core.topk`) so a query-side
-    join is the same integer — and therefore the same float — as the
-    corpus-side join.
+    exact-arithmetic core of :meth:`DistanceVectors.distance`.
     """
     if keys_a.size > keys_b.size:
         keys_a, keys_b = keys_b, keys_a
@@ -479,7 +469,7 @@ class DistanceVectors:
         directory path to open.  Row arrays are ``np.load(...,
         mmap_mode="r")`` views sliced per tree — no key or count column
         is copied into RAM at the default ``minoccur`` (the store's
-        packing level), and every view, join, index and sketch built on
+        packing level), and every view, join and index built on
         them is byte-identical to an in-RAM :meth:`from_packed` build
         over the same trees.  A larger ``minoccur`` filters rows at
         load (copying only the surviving entries).
@@ -818,21 +808,7 @@ class DistanceVectors:
             return 0.0
         return 1.0 - intersection / union
 
-    def mode_geometry(self, mode: DistanceMode | str) -> tuple[int, np.uint64]:
-        """The signature (buckets, shift) this corpus uses for ``mode``.
-
-        A query comparing itself against this corpus
-        (:mod:`repro.core.topk`) must bucket its own signature with
-        exactly this geometry or the bucket-wise caps are meaningless.
-        """
-        mode = validate_mode(mode)
-        keys_list = (
-            self._full_keys if mode in _FULL_MODES else self._pair_keys
-        )
-        largest = max((keys.size for keys in keys_list), default=0)
-        return signature_geometry(largest)
-
-    def mode_signatures(self, mode: DistanceMode | str) -> list[np.ndarray]:
+    def _mode_signatures(self, mode: DistanceMode) -> list[np.ndarray]:
         """Per-tree bucketed count signatures for ``mode`` (cached).
 
         Bucket ``b`` of tree ``i`` holds the summed multiplicity of all
@@ -842,14 +818,14 @@ class DistanceVectors:
         bucket's contribution to ``|A ∩ B|`` is at most
         ``min(sig_a[b], sig_b[b])``.
         """
-        mode = validate_mode(mode)
-        return self._mode_signatures(mode)
-
-    def _mode_signatures(self, mode: DistanceMode) -> list[np.ndarray]:
         cached = self._signatures.get(mode)
         if cached is not None:
             return cached
-        buckets, shift = self.mode_geometry(mode)
+        keys_list = (
+            self._full_keys if mode in _FULL_MODES else self._pair_keys
+        )
+        largest = max((keys.size for keys in keys_list), default=0)
+        buckets, shift = signature_geometry(largest)
         multiset = mode in _MULTISET_MODES
         signatures = []
         for index in range(len(self)):
@@ -980,6 +956,75 @@ class DistanceVectors:
             )
         )
 
+    def _join(
+        self,
+        keys: np.ndarray,
+        counts: np.ndarray,
+        total: int,
+        neighbors: np.ndarray,
+        mode: DistanceMode,
+        totals: np.ndarray,
+    ) -> np.ndarray:
+        """Distances from one sorted vector to each tree in ``neighbors``.
+
+        One batched merge-join: the neighbours' ``mode`` key arrays are
+        concatenated, located in ``keys`` with a single
+        ``searchsorted``, and the per-neighbour (multi)set
+        intersections summed with ``np.add.reduceat``.  Every neighbour
+        shares a label pair with ``keys`` (so neither side is empty,
+        every segment is non-empty and every union is positive), and
+        each value equals :meth:`distance` bit for bit.  ``totals`` is
+        :meth:`totals` for ``mode`` as an array.
+        """
+        views = [self._view(j, mode) for j in neighbors.tolist()]
+        sizes = [view[0].size for view in views]
+        starts = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.int64)
+        candidates = np.concatenate([view[0] for view in views])
+        positions = np.searchsorted(keys, candidates)
+        clipped = np.minimum(positions, keys.size - 1)
+        matched = keys[clipped] == candidates
+        matched &= positions < keys.size
+        if mode in _MULTISET_MODES:
+            candidate_counts = np.concatenate([view[1] for view in views])
+            overlap = np.where(
+                matched, np.minimum(counts[clipped], candidate_counts), 0
+            )
+        else:
+            overlap = matched.astype(np.int64)
+        intersections = np.add.reduceat(overlap, starts)
+        unions = total + totals[neighbors] - intersections
+        return 1.0 - intersections / unions
+
+    def query_distances(
+        self,
+        keys: np.ndarray,
+        counts: np.ndarray,
+        total: int,
+        pair_keys: np.ndarray,
+        mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
+    ) -> tuple[np.ndarray, int, int]:
+        """Distances from one outside vector to every tree, as one array.
+
+        ``(keys, counts, total)`` is the vector's ``mode`` projection
+        and ``pair_keys`` its collapsed label pairs, all in this
+        corpus's id space (:func:`repro.core.topk.query_vector`).
+        Returns ``(distances, pairs_computed, pairs_pruned)``: trees
+        outside :meth:`candidate_trees` are filled with the zero-overlap
+        distance (1.0, or 0.0 when both sides are empty) and counted as
+        pruned; the rest get one batched merge-join, so every entry
+        equals the matching :meth:`row` entry of a corpus holding the
+        vector.
+        """
+        mode = validate_mode(mode)
+        totals = np.asarray(self.totals(mode), dtype=np.int64)
+        distances = np.where((totals > 0) | (total > 0), 1.0, 0.0)
+        neighbors = self.candidate_trees(pair_keys)
+        if neighbors.size:
+            distances[neighbors] = self._join(
+                keys, counts, total, neighbors, mode, totals
+            )
+        return distances, int(neighbors.size), len(self) - int(neighbors.size)
+
     def row(
         self,
         index: int,
@@ -1005,7 +1050,6 @@ class DistanceVectors:
             "distvec.row", index=index, mode=mode.value
         ):
             self.build_index()
-            multiset = mode in _MULTISET_MODES
             totals = self.totals(mode)
             total_i = totals[index]
             row = [
@@ -1017,36 +1061,12 @@ class DistanceVectors:
             pruned = size - 1 - computed
             if neighbors.size:
                 keys_i, counts_i, _total = self._view(index, mode)
-                js = [int(j) for j in neighbors]
-                views = [self._view(j, mode) for j in js]
-                segment_sizes = [view[0].size for view in views]
-                starts = np.concatenate(
-                    ([0], np.cumsum(segment_sizes[:-1]))
-                ).astype(np.int64)
-                candidates = np.concatenate([view[0] for view in views])
-                positions = np.searchsorted(keys_i, candidates)
-                clipped = np.minimum(positions, keys_i.size - 1)
-                matched = keys_i[clipped] == candidates
-                matched &= positions < keys_i.size
-                if multiset:
-                    candidate_counts = np.concatenate(
-                        [view[1] for view in views]
-                    )
-                    overlap = np.where(
-                        matched,
-                        np.minimum(counts_i[clipped], candidate_counts),
-                        0,
-                    )
-                else:
-                    overlap = matched.astype(np.int64)
-                intersections = np.add.reduceat(overlap, starts)
-                neighbor_totals = np.asarray(
-                    [totals[j] for j in js], dtype=np.int64
+                values = self._join(
+                    keys_i, counts_i, total_i, neighbors, mode,
+                    np.asarray(totals, dtype=np.int64),
                 )
-                unions = total_i + neighbor_totals - intersections
-                values = 1.0 - intersections / unions
-                for j, value in zip(js, values):
-                    row[j] = float(value)
+                for j, value in zip(neighbors.tolist(), values.tolist()):
+                    row[j] = value
         registry = get_registry()
         registry.counter("distvec.pairs.joined").add(computed)
         registry.counter("distvec.pairs.pruned").add(pruned)
@@ -1088,10 +1108,10 @@ class DistanceVectors:
     def _triangle(
         self, start: int, stop: int, mode: DistanceMode
     ) -> tuple[list[list[float]], int, int]:
-        multiset = mode in _MULTISET_MODES
         self.build_index()
         size = len(self)
         totals = self.totals(mode)
+        total_array = np.asarray(totals, dtype=np.int64)
         rows: list[list[float]] = []
         computed = 0
         pruned = 0
@@ -1108,36 +1128,11 @@ class DistanceVectors:
             computed += neighbors.size
             if neighbors.size:
                 keys_i, counts_i, _total = self._view(i, mode)
-                js = [int(j) for j in neighbors]
-                views = [self._view(j, mode) for j in js]
-                segment_sizes = [view[0].size for view in views]
-                starts = np.concatenate(
-                    ([0], np.cumsum(segment_sizes[:-1]))
-                ).astype(np.int64)
-                candidates = np.concatenate([view[0] for view in views])
-                positions = np.searchsorted(keys_i, candidates)
-                clipped = np.minimum(positions, keys_i.size - 1)
-                matched = keys_i[clipped] == candidates
-                matched &= positions < keys_i.size
-                if multiset:
-                    candidate_counts = np.concatenate(
-                        [view[1] for view in views]
-                    )
-                    overlap = np.where(
-                        matched,
-                        np.minimum(counts_i[clipped], candidate_counts),
-                        0,
-                    )
-                else:
-                    overlap = matched.astype(np.int64)
-                intersections = np.add.reduceat(overlap, starts)
-                neighbor_totals = np.asarray(
-                    [totals[j] for j in js], dtype=np.int64
+                values = self._join(
+                    keys_i, counts_i, total_i, neighbors, mode, total_array
                 )
-                unions = total_i + neighbor_totals - intersections
-                values = 1.0 - intersections / unions
-                for j, value in zip(js, values):
-                    row[j - i - 1] = float(value)
+                for j, value in zip(neighbors.tolist(), values.tolist()):
+                    row[j - i - 1] = value
             rows.append(row)
         return rows, computed, pruned
 

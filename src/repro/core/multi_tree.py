@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.cousins import CousinPairItem
 from repro.core.distvec import _collapse_pairs, _remap_packed
 from repro.core.fastmine import PackedCounts, mine_arena, mine_tree
 from repro.core.params import MiningParams, validate_minoccur, validate_minsup
@@ -44,7 +43,6 @@ __all__ = [
     "FrequentCousinPair",
     "aggregate_packed",
     "aggregate_rows",
-    "forest_pair_items",
     "mine_forest",
     "pattern_order",
     "support",
@@ -90,40 +88,6 @@ class FrequentCousinPair:
             f"support {self.support} "
             f"(trees {', '.join(str(i) for i in self.tree_indexes)})"
         )
-
-
-def forest_pair_items(
-    trees: Sequence[Tree],
-    maxdist: float = 1.5,
-    minoccur: int = 1,
-    max_generation_gap: int = 1,
-    max_height: int | None = None,
-    engine: "MiningEngine | None" = None,
-) -> list[list[CousinPairItem]]:
-    """Per-tree qualifying cousin pair items (the first mining phase).
-
-    With an ``engine``, the per-tree passes run through
-    :class:`repro.engine.MiningEngine` (parallel workers, cached
-    counters); the output is identical either way.
-    """
-    if engine is not None:
-        return engine.items(
-            trees,
-            maxdist=maxdist,
-            minoccur=minoccur,
-            max_generation_gap=max_generation_gap,
-            max_height=max_height,
-        )
-    return [
-        mine_tree(
-            tree,
-            maxdist=maxdist,
-            minoccur=minoccur,
-            max_generation_gap=max_generation_gap,
-            max_height=max_height,
-        )
-        for tree in trees
-    ]
 
 
 def pattern_order(pair: FrequentCousinPair) -> tuple:

@@ -33,14 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "MiningParams",
     "DEFAULT_PARAMS",
-    "SketchParams",
-    "DEFAULT_SKETCH_PARAMS",
     "validate_maxdist",
     "validate_minoccur",
     "validate_minsup",
     "validate_mode",
-    "validate_signature_buckets",
-    "validate_minhash_width",
 ]
 
 
@@ -109,86 +105,6 @@ def validate_mode(mode: "DistanceMode | str") -> "DistanceMode":
         raise MiningParameterError(
             f"mode must be one of {values}, got {mode!r}"
         ) from None
-
-
-def validate_signature_buckets(buckets: int) -> int:
-    """Check one raw signature bucket count and return it.
-
-    The bucketed count signatures behind
-    :meth:`repro.core.distvec.DistanceVectors.lower_bound` hash packed
-    keys into ``buckets`` slots with a multiply-and-shift, so the count
-    must be a power of two (the shift is derived from its bit length);
-    anything else silently skews the hash and is rejected here.
-    """
-    if (
-        not isinstance(buckets, int)
-        or isinstance(buckets, bool)
-        or buckets < 1
-        or buckets & (buckets - 1)
-    ):
-        raise MiningParameterError(
-            f"signature buckets must be a power of two >= 1, "
-            f"got {buckets!r}"
-        )
-    return buckets
-
-
-def validate_minhash_width(width: int) -> int:
-    """Check one raw MinHash sketch width (rows per sketch) and return it.
-
-    The width trades sketch cost for estimate quality in the top-k
-    candidate ordering (:mod:`repro.core.topk`); it only has to be a
-    positive integer, but a bad value would size every per-tree sketch
-    array, so it is validated once here.
-    """
-    if not isinstance(width, int) or isinstance(width, bool) or width < 1:
-        raise MiningParameterError(
-            f"minhash width must be an integer >= 1, got {width!r}"
-        )
-    return width
-
-
-@dataclass(frozen=True)
-class SketchParams:
-    """Validated sketch knobs for signatures and MinHash sketches.
-
-    Promoted from module constants in ``distvec.py`` so every consumer
-    (the ``lower_bound`` signatures, the top-k MinHash prefilter)
-    routes through one validation point, mirroring
-    :class:`MiningParams` for the mining knobs.
-
-    Attributes
-    ----------
-    min_buckets:
-        Smallest signature bucket count; the per-mode geometry starts
-        here and doubles until the largest per-tree key array fits
-        comfortably.  Power of two.
-    max_buckets:
-        Clamp on the adaptive doubling, keeping signatures small even
-        for very large trees.  Power of two, >= ``min_buckets``.
-    minhash_width:
-        Rows in each per-tree MinHash sketch — the estimate used to
-        order top-k candidate visits (never to prune them).
-    """
-
-    min_buckets: int = 64
-    max_buckets: int = 4096
-    minhash_width: int = 64
-
-    def __post_init__(self) -> None:
-        validate_signature_buckets(self.min_buckets)
-        validate_signature_buckets(self.max_buckets)
-        if self.max_buckets < self.min_buckets:
-            raise MiningParameterError(
-                f"max_buckets ({self.max_buckets!r}) must be >= "
-                f"min_buckets ({self.min_buckets!r})"
-            )
-        validate_minhash_width(self.minhash_width)
-
-
-DEFAULT_SKETCH_PARAMS = SketchParams()
-"""The defaults ``distvec.py`` shipped as module constants: 64..4096
-signature buckets, 64 MinHash rows."""
 
 
 @dataclass(frozen=True)

@@ -1,43 +1,26 @@
-"""Sub-linear top-k similarity search over :class:`DistanceVectors`.
+"""Exact top-k similarity search over :class:`DistanceVectors`.
 
-The ROADMAP's service-shaped query — "find the k trees nearest to
-mine" — only needs k rows' worth of exact work, but
-:func:`repro.core.distance.distance_matrix` is all-pairs.  This module
-is the single-query path: it screens the corpus with three
-progressively cheaper-to-beat filters and runs the exact merge-join
-(:func:`repro.core.distvec.merge_intersection`, the same integers and
-therefore the same floats as the all-pairs kernel) only on the
-survivors.  The returned neighbours are **byte-identical** to sorting
-the corresponding all-pairs matrix row.
+The "find the k trees nearest to mine" query needs one row of the
+Section 5.3 distance matrix — the query against every corpus tree —
+not the all-pairs matrix of :func:`repro.core.distance
+.distance_matrix`.  :func:`topk_search` computes that row in one
+vectorised pass (:meth:`DistanceVectors.query_distances`) and sorts
+it:
 
-The pruning funnel, in visit order:
+- trees sharing no label pair with the query
+  (:meth:`DistanceVectors.candidate_trees`) have a provably empty
+  intersection under every mode, so their distance (1.0, or 0.0 when
+  both sides are empty) is filled without a join.  Counted as
+  ``topk.pruned_index``;
+- every other tree gets the batched merge-join the matrix builds use —
+  the same integers, therefore the same floats.  Counted as
+  ``topk.exact_joins``;
+- a stable sort of the distances picks the first k, so ties go to the
+  smaller tree index.
 
-1. **Inverted-index skip** — trees sharing no label pair with the
-   query (:meth:`DistanceVectors.candidate_trees`) have a provably
-   empty intersection under every mode, so their distance is already
-   known (1.0, or 0.0 when both sides are empty).  They are *filled*,
-   not joined, and still compete for the heap — exactness costs
-   nothing here.  Counted as ``topk.pruned_index``.
-
-2. **Signature bound prune** — each overlapping candidate gets the
-   admissible bucketed-count lower bound of
-   :meth:`DistanceVectors.lower_bound` (the query side bucketed with
-   the *corpus* geometry, or the caps would be meaningless).  Once the
-   heap holds k entries, a candidate whose bound is *strictly* greater
-   than the current k-th distance cannot enter the result — equality
-   is never pruned, because a tying candidate can still win on the
-   smaller-index tie-break.  Counted as ``topk.pruned_bound``.
-
-3. **Exact merge-join** — everything else.  Counted as
-   ``topk.exact_joins``.
-
-MinHash sketches order the candidate *visits* (most-similar-looking
-first, so the k-th distance tightens early and the bound prunes more),
-but never prune anything themselves: the estimate is only a hint, and
-the visit order — ascending estimate, ties by tree index — is
-deterministic, so the funnel counters are reproducible run to run.
-``topk.candidates == topk.pruned_index + topk.pruned_bound +
-topk.exact_joins`` always holds.
+The neighbours are therefore **byte-identical** to sorting the
+corresponding all-pairs matrix row, and ``topk.candidates ==
+topk.pruned_index + topk.exact_joins`` always holds.
 
 A query tree is projected onto the corpus label table without growing
 it (growing a sorted-interned :class:`~repro.trees.arena.LabelTable`
@@ -49,15 +32,13 @@ monotonically); unknown-containing keys can never collide with a
 corpus key.  Intersections — the only quantity distances consume —
 are therefore exactly those of a merged-table rebuild.
 
-Engine integration (sketch memoisation, parallel sketch builds,
-``VersionedCorpus`` invalidation) lives in
-:meth:`repro.engine.MiningEngine.topk_similar`; the CLI surface is
-the ``similar`` subcommand.  See ``docs/perf.md`` for funnel numbers.
+:meth:`repro.engine.MiningEngine.topk_similar` mines the query through
+the engine cache; the CLI surface is the ``similar`` subcommand.  See
+``docs/perf.md`` for the size sweep.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,18 +50,9 @@ from repro.core.distvec import (
     _collapse_pairs,
     _remap_full_keys,
     DistanceVectors,
-    bucket_signature,
-    merge_intersection,
 )
 from repro.core.fastmine import PackedCounts, mine_arena
-from repro.core.params import (
-    DEFAULT_SKETCH_PARAMS,
-    MiningParams,
-    SketchParams,
-    validate_minhash_width,
-    validate_minoccur,
-    validate_mode,
-)
+from repro.core.params import MiningParams, validate_minoccur, validate_mode
 from repro.errors import ArenaError, MiningParameterError
 from repro.obs.context import get_registry, get_tracer
 from repro.trees.arena import TreeArena
@@ -90,27 +62,11 @@ from repro.trees.tree import Tree
 __all__ = [
     "QueryVector",
     "TopKResult",
-    "TopKSketches",
-    "build_sketches",
-    "minhash_block",
-    "minhash_sketch",
     "query_vector",
     "topk_search",
     "topk_similar",
     "validate_k",
 ]
-
-_U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-# splitmix64 finalizer constants: the per-row MinHash multipliers are
-# derived deterministically from the row number, so sketches need no
-# RNG state and identical widths always produce identical sketches
-# (serial and banded parallel builds agree byte for byte).
-_MIX_A = np.uint64(0x9E3779B97F4A7C15)
-_MIX_B = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_C = np.uint64(0x94D049BB133111EB)
-
-_MULTIPLIERS: dict[int, np.ndarray] = {}
 
 
 def validate_k(k: int) -> int:
@@ -120,124 +76,6 @@ def validate_k(k: int) -> int:
             f"k must be an integer >= 1, got {k!r}"
         )
     return k
-
-
-def _multipliers(width: int) -> np.ndarray:
-    """``width`` odd 64-bit multipliers, one per MinHash row (cached).
-
-    Row ``i``'s multiplier is the splitmix64 finalizer of ``i + 1``
-    forced odd, so ``key * multiplier`` is a bijection on uint64 and
-    each row is an independent-looking min-wise hash.
-    """
-    cached = _MULTIPLIERS.get(width)
-    if cached is not None:
-        return cached
-    z = np.arange(1, width + 1, dtype=np.uint64) * _MIX_A
-    z = (z ^ (z >> np.uint64(30))) * _MIX_B
-    z = (z ^ (z >> np.uint64(27))) * _MIX_C
-    z = z ^ (z >> np.uint64(31))
-    mult = z | np.uint64(1)
-    _MULTIPLIERS[width] = mult
-    return mult
-
-
-def minhash_sketch(keys: np.ndarray, width: int) -> np.ndarray:
-    """One ``width``-row MinHash sketch over sorted packed ``keys``.
-
-    Row ``i`` holds ``min(h_i(key))`` with ``h_i`` the row's keyed
-    permutation; an empty key set sketches as all-ones (matches
-    nothing, including another empty sketch — harmless, because empty
-    trees never reach the estimate path: they share no pair key).  The
-    expected fraction of matching rows between two sketches is the
-    Jaccard similarity of the key *sets* — an estimate, used only to
-    order candidate visits, never to prune.
-    """
-    if keys.size == 0:
-        return np.full(width, _U64_MAX, dtype=np.uint64)
-    hashed = keys.astype(np.uint64)[None, :] * _multipliers(width)[:, None]
-    return np.asarray(hashed.min(axis=1), dtype=np.uint64)
-
-
-def minhash_block(
-    vectors: DistanceVectors,
-    mode: DistanceMode | str,
-    start: int,
-    stop: int,
-    width: int,
-) -> np.ndarray:
-    """MinHash sketches of trees ``start..stop`` as a ``(stop - start,
-    width)`` matrix.
-
-    The band kernel the engine fans out under ``--jobs``; pure in its
-    inputs, so banded and serial builds are byte-identical.
-    """
-    mode = validate_mode(mode)
-    width = validate_minhash_width(width)
-    rows = np.empty((stop - start, width), dtype=np.uint64)
-    for offset, index in enumerate(range(start, stop)):
-        keys, _counts, _total = vectors.view(index, mode)
-        rows[offset] = minhash_sketch(keys, width)
-    return rows
-
-
-@dataclass(frozen=True)
-class TopKSketches:
-    """Per-corpus sketch arrays for one :class:`DistanceMode`.
-
-    ``minhash`` is ``(trees, width)`` uint64; ``signatures`` is the
-    ``(trees, buckets)`` int64 stack of the corpus count signatures,
-    bucketed with ``(buckets, shift)`` — the geometry a query signature
-    must reuse.  Built by :func:`build_sketches`, memoised by the
-    engine beside the vectors and invalidated with them.
-    """
-
-    mode: DistanceMode
-    width: int
-    minhash: np.ndarray
-    signatures: np.ndarray
-    buckets: int
-    shift: np.uint64
-
-
-def build_sketches(
-    vectors: DistanceVectors,
-    mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
-    sketch: SketchParams = DEFAULT_SKETCH_PARAMS,
-    *,
-    minhash: np.ndarray | None = None,
-) -> TopKSketches:
-    """All per-tree sketches of ``vectors`` for ``mode``.
-
-    Pass ``minhash`` to reuse rows built elsewhere (the engine's
-    parallel band path stitches :func:`minhash_block` outputs and
-    hands them in); otherwise the rows are built serially here.
-    """
-    mode = validate_mode(mode)
-    with get_tracer().span(
-        "topk.sketch",
-        metric="topk.sketch.seconds",
-        trees=len(vectors),
-        mode=mode.value,
-    ):
-        buckets, shift = vectors.mode_geometry(mode)
-        signatures = vectors.mode_signatures(mode)
-        stacked = (
-            np.stack(signatures)
-            if signatures
-            else np.zeros((0, buckets), dtype=np.int64)
-        )
-        if minhash is None:
-            minhash = minhash_block(
-                vectors, mode, 0, len(vectors), sketch.minhash_width
-            )
-        return TopKSketches(
-            mode=mode,
-            width=int(minhash.shape[1]),
-            minhash=minhash,
-            signatures=stacked,
-            buckets=buckets,
-            shift=shift,
-        )
 
 
 class QueryVector:
@@ -339,13 +177,13 @@ def query_vector(
 
 @dataclass(frozen=True)
 class TopKResult:
-    """Outcome of one top-k query, funnel counters included.
+    """Outcome of one top-k query, with its join counters.
 
     ``neighbors`` is ascending ``(distance, index)`` — the first entry
     is the nearest tree — as ``(index, distance)`` tuples, exactly the
     first k entries of the sorted all-pairs row (ties broken by the
     smaller tree index).  The counters satisfy ``candidates ==
-    pruned_index + pruned_bound + exact_joins``.
+    pruned_index + exact_joins``.
     """
 
     k: int
@@ -353,16 +191,14 @@ class TopKResult:
     neighbors: tuple[tuple[int, float], ...]
     candidates: int
     pruned_index: int
-    pruned_bound: int
     exact_joins: int
 
     def describe(self) -> str:
-        """One human-readable funnel summary line."""
+        """One human-readable summary line."""
         return (
             f"top-{self.k} ({self.mode.value}): {len(self.neighbors)} "
             f"neighbor(s) of {self.candidates} candidate(s); "
             f"{self.pruned_index} index-pruned, "
-            f"{self.pruned_bound} bound-pruned, "
             f"{self.exact_joins} exact join(s)"
         )
 
@@ -372,34 +208,15 @@ def topk_search(
     query: QueryVector,
     k: int,
     mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
-    sketches: TopKSketches | None = None,
-    sketch: SketchParams = DEFAULT_SKETCH_PARAMS,
 ) -> TopKResult:
     """The k nearest corpus trees to ``query``, exactly.
 
     Byte-identical to sorting the all-pairs matrix row of the query
-    (ties by smaller tree index) while joining only the candidates the
-    funnel cannot exclude; see the module docstring for the funnel.
-    ``sketches`` (from :func:`build_sketches`) may be passed to reuse
-    memoised arrays — they must cover exactly ``vectors`` and
-    ``mode``.
+    (ties by smaller tree index); see the module docstring.
     """
     mode = validate_mode(mode)
     k = validate_k(k)
-    if sketches is None:
-        sketches = build_sketches(vectors, mode, sketch)
-    if sketches.mode is not mode:
-        raise MiningParameterError(
-            f"sketches were built for mode {sketches.mode.value!r}, "
-            f"query asked for {mode.value!r}"
-        )
     size = len(vectors)
-    if sketches.minhash.shape[0] != size:
-        raise MiningParameterError(
-            f"sketches cover {sketches.minhash.shape[0]} trees, "
-            f"corpus has {size}"
-        )
-    registry = get_registry()
     with get_tracer().span(
         "topk.search",
         metric="topk.search.seconds",
@@ -407,89 +224,24 @@ def topk_search(
         k=k,
         mode=mode.value,
     ):
-        multiset = mode in _MULTISET_MODES
-        totals = vectors.totals(mode)
-        query_keys, query_counts, query_total = query.view(mode)
-        overlapping = vectors.candidate_trees(query.pair_keys)
-
-        # Max-heap of the k best (distance, index) pairs: entries are
-        # (-distance, -index) under Python's min-heap, so heap[0] is
-        # the lexicographically largest — the current k-th neighbour.
-        heap: list[tuple[float, int]] = []
-
-        def offer(distance: float, index: int) -> None:
-            entry = (-distance, -index)
-            if len(heap) < k:
-                heapq.heappush(heap, entry)
-            elif entry > heap[0]:
-                heapq.heapreplace(heap, entry)
-
-        # 1) zero-overlap trees: distance known without a join.
-        overlap_mask = np.zeros(size, dtype=bool)
-        overlap_mask[overlapping] = True
-        pruned_index = size - int(overlapping.size)
-        for index in range(size):
-            if overlap_mask[index]:
-                continue
-            fill = 1.0 if query_total or totals[index] else 0.0
-            offer(fill, index)
-
-        # 2) + 3) overlapping candidates: bound-screen in MinHash
-        # order, exact-join the survivors.
-        pruned_bound = 0
-        exact_joins = 0
-        if overlapping.size:
-            query_signature = bucket_signature(
-                query_keys,
-                query_counts,
-                multiset,
-                sketches.buckets,
-                sketches.shift,
-            )
-            caps = np.minimum(
-                sketches.signatures[overlapping], query_signature[None, :]
-            ).sum(axis=1)
-            spans = query_total + np.asarray(
-                [totals[int(index)] for index in overlapping], dtype=np.int64
-            )
-            # Overlap guarantees both sides are non-empty, so
-            # spans >= 2 and spans - caps >= max side size >= 1: the
-            # division is safe and each bound equals the scalar
-            # lower_bound formula bit for bit.
-            bounds = 1.0 - caps / (spans - caps)
-            estimates = 1.0 - (
-                sketches.minhash[overlapping]
-                == minhash_sketch(query_keys, sketches.width)[None, :]
-            ).sum(axis=1) / sketches.width
-            order = np.lexsort((overlapping, estimates))
-            for position in order:
-                index = int(overlapping[position])
-                if len(heap) == k and float(bounds[position]) > -heap[0][0]:
-                    pruned_bound += 1
-                    continue
-                keys, counts, total = vectors.view(index, mode)
-                intersection = merge_intersection(
-                    query_keys, query_counts, keys, counts, multiset
-                )
-                union = query_total + total - intersection
-                distance = 0.0 if union == 0 else 1.0 - intersection / union
-                exact_joins += 1
-                offer(distance, index)
-
+        keys, counts, total = query.view(mode)
+        distances, joined, pruned = vectors.query_distances(
+            keys, counts, total, query.pair_keys, mode
+        )
+        nearest = np.argsort(distances, kind="stable")[:k]
+        registry = get_registry()
         registry.counter("topk.candidates").add(size)
-        registry.counter("topk.pruned_index").add(pruned_index)
-        registry.counter("topk.pruned_bound").add(pruned_bound)
-        registry.counter("topk.exact_joins").add(exact_joins)
-
-        ranked = sorted((-entry[0], -entry[1]) for entry in heap)
+        registry.counter("topk.pruned_index").add(pruned)
+        registry.counter("topk.exact_joins").add(joined)
         return TopKResult(
             k=k,
             mode=mode,
-            neighbors=tuple((index, distance) for distance, index in ranked),
+            neighbors=tuple(
+                zip(nearest.tolist(), distances[nearest].tolist())
+            ),
             candidates=size,
-            pruned_index=pruned_index,
-            pruned_bound=pruned_bound,
-            exact_joins=exact_joins,
+            pruned_index=pruned,
+            exact_joins=joined,
         )
 
 
@@ -504,8 +256,6 @@ def topk_similar(
     minoccur: int = 1,
     max_generation_gap: int = 1,
     max_height: int | None = None,
-    sketch: SketchParams = DEFAULT_SKETCH_PARAMS,
-    sketches: TopKSketches | None = None,
 ) -> TopKResult:
     """Mine ``query`` and rank its k nearest trees in ``vectors``.
 
@@ -513,8 +263,9 @@ def topk_similar(
     parameters the corpus was mined with (pass the same ``params`` /
     knobs or the distances stop matching the all-pairs reference),
     projects it onto the corpus label space and runs
-    :func:`topk_search`.  For memoised sketches and parallel sketch
-    builds use :meth:`repro.engine.MiningEngine.topk_similar`.
+    :func:`topk_search`.  :meth:`repro.engine.MiningEngine
+    .topk_similar` does the same with the query mined through the
+    engine cache.
     """
     if params is None:
         params = MiningParams(
@@ -526,6 +277,4 @@ def topk_similar(
         )
     packed = mine_arena(TreeArena.from_tree(query), params)
     projected = query_vector(vectors, packed, params.minoccur)
-    return topk_search(
-        vectors, projected, k, mode, sketches=sketches, sketch=sketch
-    )
+    return topk_search(vectors, projected, k, mode)

@@ -644,10 +644,8 @@ class VersionedCorpus:
         Runs :meth:`repro.engine.MiningEngine.topk_similar` over the
         live incrementally patched vectors with this corpus's mining
         parameters.  Neighbour indexes are positions in
-        :attr:`trees` order.  The engine memoises the corpus sketch
-        arrays under the vectors' fingerprint; every mutation commits
-        through :meth:`MiningEngine.invalidate_distance_memos`, so a
-        query after churn always sketches the current corpus.
+        :attr:`trees` order.  Nothing is memoised per query, so a
+        query after churn always sees the current corpus.
         """
         mode = validate_mode(mode)
         with obs_scope(self.engine.registry, self.engine.tracer):

@@ -47,29 +47,14 @@ from collections import Counter, OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Any, Sequence
 
-import numpy as np
-
 from repro.core.cousins import CousinPairItem
 from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors, assemble_matrix
 from repro.core.fastmine import PackedCounts, mine_arena
 from repro.core.multi_tree import FrequentCousinPair, aggregate_packed
 from repro.core.pairset import CousinPairSet
-from repro.core.params import (
-    DEFAULT_SKETCH_PARAMS,
-    MiningParams,
-    SketchParams,
-    validate_minoccur,
-    validate_mode,
-)
-from repro.core.topk import (
-    TopKResult,
-    TopKSketches,
-    build_sketches,
-    minhash_block,
-    query_vector,
-    topk_search,
-)
+from repro.core.params import MiningParams, validate_minoccur, validate_mode
+from repro.core.topk import TopKResult, query_vector, topk_search
 from repro.engine.cache import PairSetCache, arena_cache_key
 from repro.engine.stats import EngineStats
 from repro.errors import EngineError
@@ -108,7 +93,7 @@ def forest_fingerprint(keys: Sequence[str], minoccur: int) -> str:
     """Digest of a forest: its ordered per-tree content addresses.
 
     Keys every whole-forest memo (``distvec`` / ``distmat`` /
-    ``topksketch`` / ``frequent``); equal iff the forests hold
+    ``frequent``); equal iff the forests hold
     isomorphic trees in the same order under the same parameters.
     """
     minoccur = validate_minoccur(minoccur)
@@ -155,24 +140,6 @@ def _distance_tile(
     with obs_scope(registry=registry):
         rows, computed, pruned = vectors.triangle(start, stop, mode)
     return start, rows, computed, pruned, registry.snapshot()
-
-
-def _sketch_band(
-    payload: tuple[DistanceVectors, str, int, int, int],
-) -> tuple[int, Any, dict[str, Any]]:
-    """Worker task: one band of per-tree MinHash sketch rows.
-
-    Module-level so it pickles; the vectors travel as their raw sorted
-    arrays and each band comes back as ``(start, rows,
-    metrics_snapshot)``, stitched by row index in the parent.  Like
-    :func:`_mine_chunk`, the worker counts into a fresh registry so
-    fork-inherited totals never double-merge.
-    """
-    vectors, mode, start, stop, width = payload
-    registry = MetricsRegistry()
-    with obs_scope(registry=registry):
-        rows = minhash_block(vectors, mode, start, stop, width)
-    return start, rows, registry.snapshot()
 
 
 class MiningEngine:
@@ -334,8 +301,7 @@ class MiningEngine:
 
         Per-tree packed counts stay cached — they are content-addressed
         and remain valid for any corpus — but whole-forest projections
-        (``distvec`` / ``distmat`` / ``topksketch`` / ``frequent``
-        entries) are
+        (``distvec`` / ``distmat`` / ``frequent`` entries) are
         fingerprinted over a *specific* tree sequence and must go when
         that sequence mutates
         (a :class:`repro.engine.delta.VersionedCorpus` update) or when
@@ -344,7 +310,7 @@ class MiningEngine:
         stale = [
             key
             for key in self._projections
-            if key[0] in ("distvec", "distmat", "topksketch", "frequent")
+            if key[0] in ("distvec", "distmat", "frequent")
         ]
         for key in stale:
             del self._projections[key]
@@ -681,24 +647,14 @@ class MiningEngine:
         minoccur: int = 1,
         max_generation_gap: int = 1,
         max_height: int | None = None,
-        sketch: SketchParams = DEFAULT_SKETCH_PARAMS,
     ) -> TopKResult:
-        """The k corpus trees nearest ``query``, exactly and memoised.
+        """The k corpus trees nearest ``query``, exactly.
 
         Identical output to :func:`repro.core.topk.topk_similar`
-        without an engine: the query tree is mined through the
-        content-addressed cache, and the corpus sketch arrays
-        (:class:`repro.core.topk.TopKSketches`) are memoised beside
-        the distance vectors under the vectors' engine fingerprint —
-        so repeat queries against the same corpus skip the sketch
-        build entirely.  The memo is dropped by
-        :meth:`invalidate_distance_memos`, which every
-        :class:`repro.engine.delta.VersionedCorpus` mutation fires.
-        Sketch rows are built in parallel bands when a pool is worth
-        it (``jobs > 1`` and at least ``min_parallel_trees`` trees),
-        byte-identical to the serial build.  ``params`` (or the raw
-        knobs) must match the values the corpus vectors were built
-        with, or the distances stop matching the all-pairs reference.
+        without an engine; the query tree is mined through the
+        content-addressed cache.  ``params`` (or the raw knobs) must
+        match the values the corpus vectors were built with, or the
+        distances stop matching the all-pairs reference.
         """
         mode = validate_mode(mode)
         params = self._resolve(
@@ -714,61 +670,7 @@ class MiningEngine:
             projected = query_vector(
                 vectors, resolved[keys[0]], params.minoccur
             )
-            sketches = self._topk_sketches(vectors, mode, sketch)
-            return topk_search(
-                vectors, projected, k, mode, sketches=sketches, sketch=sketch
-            )
-
-    def _topk_sketches(
-        self,
-        vectors: DistanceVectors,
-        mode: DistanceMode,
-        sketch: SketchParams,
-    ) -> TopKSketches:
-        """Corpus sketches for ``mode``, memoised by engine fingerprint.
-
-        Unfingerprinted vectors (built outside the engine) are
-        sketched per call; fingerprinted ones hit the projection memo,
-        whose entries :meth:`invalidate_distance_memos` drops whenever
-        the underlying tree sequence mutates.
-        """
-        memo_key = (
-            ("topksketch", vectors.fingerprint, mode.value,
-             sketch.minhash_width)
-            if vectors.fingerprint is not None and self._projection_cap != 0
-            else None
-        )
-        if memo_key is not None:
-            cached = self._projections.get(memo_key)
-            if isinstance(cached, TopKSketches):
-                self._projections.move_to_end(memo_key)
-                self.registry.counter("topk.sketch_hits").add(1)
-                return cached
-        size = len(vectors)
-        minhash: np.ndarray | None = None
-        bands = self._sketch_bands(size)
-        if len(bands) > 1:
-            payloads = [
-                (vectors, mode.value, start, stop, sketch.minhash_width)
-                for start, stop in bands
-            ]
-            workers = min(self.jobs, len(bands))
-            tiles: list[tuple[int, np.ndarray]] = []
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for start, rows, snapshot in pool.map(
-                    _sketch_band, payloads
-                ):
-                    tiles.append((start, rows))
-                    self.registry.merge_snapshot(snapshot)
-            tiles.sort()
-            minhash = np.vstack([rows for _start, rows in tiles])
-        sketches = build_sketches(vectors, mode, sketch, minhash=minhash)
-        if memo_key is not None:
-            self._projections[memo_key] = sketches
-            if self._projection_cap is not None:
-                while len(self._projections) > self._projection_cap:
-                    self._projections.popitem(last=False)
-        return sketches
+            return topk_search(vectors, projected, k, mode)
 
     # ------------------------------------------------------------------
     # On-disk pair store (repro.store)
@@ -822,8 +724,8 @@ class MiningEngine:
         Memoised beside engine-built vectors under the store's
         vectors fingerprint — the same digest
         :meth:`distance_vectors` would stamp on an in-RAM build of
-        the identical tree sequence — so matrix tiles and top-k
-        sketches computed against either source interchange.
+        the identical tree sequence — so matrix tiles computed
+        against either source interchange.
         """
         store = self._attached_store()
         with obs_scope(self.registry, self.tracer):
@@ -864,42 +766,17 @@ class MiningEngine:
         query: Tree,
         k: int,
         mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
-        *,
-        sketch: SketchParams = DEFAULT_SKETCH_PARAMS,
     ) -> TopKResult:
         """The k stored trees nearest ``query``, off the memmapped rows.
 
         Routes :meth:`topk_similar` over :meth:`store_vectors` with
         the store's own mining parameters, so the query tree is mined
-        under the exact knobs the corpus was packed with and the
-        sketch memo keys on the store fingerprint.
+        under the exact knobs the corpus was packed with.
         """
         store = self._attached_store()
         return self.topk_similar(
-            self.store_vectors(),
-            query,
-            k,
-            mode,
-            store.params,
-            sketch=sketch,
+            self.store_vectors(), query, k, mode, store.params
         )
-
-    def _sketch_bands(self, size: int) -> list[tuple[int, int]]:
-        """Equal-width tree bands for the parallel sketch build.
-
-        Sketch cost is near-uniform per tree (unlike triangle rows),
-        so plain equal widths balance; serial configurations or small
-        corpora get one band — no pool, no pickling.
-        """
-        if size <= 1 or self.jobs == 1 or size < self.min_parallel_trees:
-            return [(0, size)]
-        width = max(
-            1, math.ceil(size / (self.jobs * self.chunks_per_job))
-        )
-        return [
-            (start, min(start + width, size))
-            for start in range(0, size, width)
-        ]
 
     def _distance_bands(self, size: int) -> list[tuple[int, int]]:
         """Deterministic row bands of the triangle, balanced by pairs.

@@ -307,8 +307,8 @@ class InvalidationCoverageRule(ProjectRule):
     by a *corpus fingerprint* are only valid until the tree sequence
     mutates, so every fingerprint-keyed namespace written to the
     engine's projection memo must be dropped by an ``invalidate*``
-    method or by a hook registered through ``on_reset`` — the bug
-    class PR 7's ``topksketch`` memo had to be hand-verified against.
+    method or by a hook registered through ``on_reset`` — a memo that
+    outlives a mutation serves answers about trees that are gone.
     Coverage is textual: the namespace string must appear inside a
     qualifying function in the same module.
     """

@@ -315,8 +315,8 @@ class PairStore:
 
         The engine's :func:`~repro.engine.engine.forest_fingerprint`,
         as :meth:`repro.engine.engine.MiningEngine.distance_vectors`
-        stamps it, so matrix and sketch memos keyed by a
-        store-served vectors object interchange with engine builds.
+        stamps it, so matrix memos keyed by a store-served vectors
+        object interchange with engine builds.
         """
         return forest_fingerprint(
             [row["content_key"] for row in self._manifest["rows"]], minoccur

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.multi_tree import forest_pair_items, mine_forest, support
+from repro.core.multi_tree import mine_forest, support
 from repro.datasets.figure1 import figure1_trees
 from repro.errors import MiningParameterError
 from repro.trees.newick import parse_newick
@@ -106,17 +106,6 @@ class TestMineForest:
         text = mine_forest(trees)[0].describe()
         assert "support 2" in text
         assert "trees 0, 1" in text
-
-
-class TestForestPairItems:
-    def test_per_tree_phase(self):
-        trees = list(figure1_trees())
-        per_tree = forest_pair_items(trees)
-        assert len(per_tree) == 3
-        from repro.core.single_tree import mine_tree
-
-        for tree, items in zip(trees, per_tree):
-            assert items == mine_tree(tree)
 
 
 class TestMaxHeightForest:

@@ -116,60 +116,3 @@ class TestAdmitsHeights:
     def test_max_level_capped_by_height(self):
         # With max_height 1 and gap 1, the deepest reachable node is 2.
         assert MiningParams(maxdist=5.0, max_height=1).max_level == 2
-
-
-class TestSketchParams:
-    def test_defaults_valid(self):
-        from repro.core.params import DEFAULT_SKETCH_PARAMS, SketchParams
-
-        assert DEFAULT_SKETCH_PARAMS == SketchParams()
-        assert DEFAULT_SKETCH_PARAMS.min_buckets == 64
-        assert DEFAULT_SKETCH_PARAMS.max_buckets == 4096
-        assert DEFAULT_SKETCH_PARAMS.minhash_width == 64
-
-    @pytest.mark.parametrize("bad", [0, -4, 3, 48, 1.5, "64", True])
-    def test_bad_bucket_counts_rejected(self, bad):
-        from repro.core.params import validate_signature_buckets
-
-        with pytest.raises(MiningParameterError, match="power of two"):
-            validate_signature_buckets(bad)
-
-    @pytest.mark.parametrize("good", [1, 2, 64, 4096])
-    def test_powers_of_two_accepted(self, good):
-        from repro.core.params import validate_signature_buckets
-
-        assert validate_signature_buckets(good) == good
-
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, "8", False])
-    def test_bad_widths_rejected(self, bad):
-        from repro.core.params import validate_minhash_width
-
-        with pytest.raises(MiningParameterError, match="minhash width"):
-            validate_minhash_width(bad)
-
-    def test_max_below_min_rejected(self):
-        from repro.core.params import SketchParams
-
-        with pytest.raises(MiningParameterError, match="max_buckets"):
-            SketchParams(min_buckets=256, max_buckets=128)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"min_buckets": 5},
-            {"max_buckets": 0},
-            {"minhash_width": -2},
-        ],
-    )
-    def test_dataclass_validates_on_construction(self, kwargs):
-        from repro.core.params import SketchParams
-
-        with pytest.raises(MiningParameterError):
-            SketchParams(**kwargs)
-
-    def test_frozen(self):
-        from repro.core.params import SketchParams
-
-        params = SketchParams()
-        with pytest.raises(AttributeError):
-            params.minhash_width = 128

@@ -7,13 +7,8 @@ import pytest
 
 from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors
-from repro.core.params import SketchParams
 from repro.core.topk import (
     QueryVector,
-    TopKSketches,
-    build_sketches,
-    minhash_block,
-    minhash_sketch,
     query_vector,
     topk_search,
     topk_similar,
@@ -103,10 +98,23 @@ class TestDeterminism:
         result = topk_similar(vectors, trees[0], 3)
         # All five trees tie at distance 0; the smaller indexes win.
         assert result.neighbors == ((0, 0.0), (1, 0.0), (2, 0.0))
+        # Tree 1 shares the (a, b) label pair but at another distance,
+        # so in dist mode it is joined to exactly 1.0 and must still
+        # tie-break by index against the zero-overlap fills around it.
+        mixed = [
+            parse_newick("((p,q),(r,s));"),
+            parse_newick("((a,x),(b,y));"),
+            parse_newick("((m,n),(o,t));"),
+        ]
+        result = topk_similar(
+            DistanceVectors.from_trees(mixed), trees[0], 3, DistanceMode.DIST
+        )
+        assert result.exact_joins == 1
+        assert result.neighbors == ((0, 1.0), (1, 1.0), (2, 1.0))
 
     def test_kth_tie_never_pruned(self):
-        # Two trees tie exactly at the k-th distance: the strict-bound
-        # rule must keep both in play and return the smaller index.
+        # Two trees tie exactly at the k-th distance: the smaller index
+        # takes the last slot.
         trees = [
             parse_newick("((a,b),(c,d));"),
             parse_newick("((a,b),(c,e));"),
@@ -199,29 +207,6 @@ class TestValidation:
         with pytest.raises(MiningParameterError):
             topk_search(vectors, query, 0)
 
-    def test_mode_mismatched_sketches_rejected(self, vectors):
-        sketches = build_sketches(vectors, DistanceMode.PLAIN)
-        query = topk_similar(vectors, parse_newick("(a,b);"), 1)
-        assert query is not None  # sanity: plain path works
-        projected = query_vector(
-            vectors,
-            MiningEngine(jobs=1).packed_counts([parse_newick("(a,b);")])[1][0],
-        )
-        with pytest.raises(MiningParameterError, match="mode"):
-            topk_search(
-                vectors, projected, 1, DistanceMode.DIST, sketches=sketches
-            )
-
-    def test_stale_sized_sketches_rejected(self, forest, vectors):
-        sketches = build_sketches(vectors)
-        shrunk = DistanceVectors.from_trees(forest[:3])
-        projected = query_vector(
-            shrunk,
-            MiningEngine(jobs=1).packed_counts([parse_newick("(a,b);")])[1][0],
-        )
-        with pytest.raises(MiningParameterError, match="cover"):
-            topk_search(shrunk, projected, 1, sketches=sketches)
-
 
 class TestCounters:
     @pytest.mark.parametrize("mode", list(DistanceMode))
@@ -231,7 +216,7 @@ class TestCounters:
         assert result.candidates == len(forest)
         assert (
             result.candidates
-            == result.pruned_index + result.pruned_bound + result.exact_joins
+            == result.pruned_index + result.exact_joins
         )
 
     def test_registry_counters_emitted(self, vectors):
@@ -244,56 +229,12 @@ class TestCounters:
         counters = registry.snapshot()["counters"]
         assert counters["topk.candidates"] == result.candidates
         assert counters["topk.pruned_index"] == result.pruned_index
-        assert counters["topk.pruned_bound"] == result.pruned_bound
         assert counters["topk.exact_joins"] == result.exact_joins
 
     def test_describe_mentions_funnel(self, vectors):
         result = topk_similar(vectors, parse_newick("((a,b),c);"), 2)
         text = result.describe()
         assert "index-pruned" in text and "exact join" in text
-
-
-class TestSketches:
-    def test_minhash_deterministic(self):
-        keys = np.array([3, 7, 99], dtype=np.int64)
-        assert np.array_equal(minhash_sketch(keys, 16),
-                              minhash_sketch(keys, 16))
-
-    def test_minhash_empty_keys(self):
-        sketch = minhash_sketch(np.empty(0, dtype=np.int64), 8)
-        assert sketch.shape == (8,)
-        assert (sketch == np.uint64(0xFFFFFFFFFFFFFFFF)).all()
-
-    def test_identical_key_sets_match_everywhere(self):
-        keys = np.array([1, 5, 12], dtype=np.int64)
-        assert np.array_equal(minhash_sketch(keys, 32),
-                              minhash_sketch(keys.copy(), 32))
-
-    def test_block_matches_rowwise(self, vectors):
-        block = minhash_block(vectors, DistanceMode.DIST_OCCUR, 0,
-                              len(vectors), 16)
-        for index in range(len(vectors)):
-            keys, _counts, _total = vectors.view(index)
-            assert np.array_equal(block[index], minhash_sketch(keys, 16))
-
-    def test_build_sketches_shapes(self, vectors):
-        sketches = build_sketches(
-            vectors, sketch=SketchParams(minhash_width=8)
-        )
-        assert isinstance(sketches, TopKSketches)
-        assert sketches.minhash.shape == (len(vectors), 8)
-        assert sketches.signatures.shape[0] == len(vectors)
-        assert sketches.buckets == sketches.signatures.shape[1]
-
-    def test_narrow_sketch_still_exact(self, forest, vectors):
-        # Width 1 gives terrible estimates; exactness must not care.
-        query = parse_newick("((a,b),(c,e));")
-        result = topk_similar(
-            vectors, query, 3, sketch=SketchParams(minhash_width=1)
-        )
-        assert result.neighbors == brute_topk(
-            vectors, forest, query, 3, DistanceMode.DIST_OCCUR
-        )
 
 
 class TestQueryProjection:

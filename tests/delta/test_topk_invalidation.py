@@ -1,12 +1,9 @@
-"""Regression tests: corpus churn invalidates top-k sketch memos.
+"""Regression tests: top-k answers follow corpus churn exactly.
 
-The stale-sketch bug class: the engine memoises
-:class:`repro.core.topk.TopKSketches` beside the distance vectors, so
-an incremental add/remove/replace that kept serving the old arrays
-would screen candidates against trees that no longer exist (or miss
-ones that now do) — and the bound pruning would silently drop the
-wrong neighbours.  Every mutation must drop the memo, and every
-post-churn query must equal a from-scratch engine on the same trees.
+An incremental add/remove/replace patches the corpus vectors in
+place; a query that kept seeing the old rows would rank trees that no
+longer exist (or miss ones that now do).  Every post-churn query must
+equal a from-scratch engine on the same trees.
 """
 
 from __future__ import annotations
@@ -49,46 +46,12 @@ def fresh_answer(corpus, k=2, mode=DistanceMode.DIST_OCCUR):
     ).neighbors
 
 
-def memo_kinds(engine):
-    return [key[0] for key in engine._projections]
-
-
-class TestMemoLifecycle:
-    def test_query_plants_a_sketch_memo(self, corpus):
-        corpus.topk_similar(tree(QUERY), 2)
-        assert "topksketch" in memo_kinds(corpus.engine)
-
-    def test_repeat_query_hits_the_memo(self, corpus):
-        corpus.topk_similar(tree(QUERY), 2)
-        corpus.topk_similar(tree(QUERY), 2)
-        counters = corpus.engine.registry.snapshot()["counters"]
-        assert counters.get("topk.sketch_hits", 0) >= 1
-
-    @pytest.mark.parametrize("mutate", ["add", "remove", "replace"])
-    def test_every_mutation_drops_the_memo(self, corpus, mutate):
-        corpus.topk_similar(tree(QUERY), 2)
-        assert "topksketch" in memo_kinds(corpus.engine)
-        if mutate == "add":
-            corpus.add_trees([tree("((a,e),(b,d));")])
-        elif mutate == "remove":
-            corpus.remove_trees([1])
-        else:
-            corpus.replace_trees({0: tree("((p,q),(r,s));")})
-        assert "topksketch" not in memo_kinds(corpus.engine)
-
-    def test_stats_reset_drops_the_memo(self, corpus):
-        corpus.topk_similar(tree(QUERY), 2)
-        corpus.engine.stats.reset()
-        assert "topksketch" not in memo_kinds(corpus.engine)
-
-
 class TestDifferentialAfterChurn:
     @pytest.mark.parametrize("mode", list(DistanceMode))
     def test_add_changes_the_answer_correctly(self, corpus, mode):
         before = corpus.topk_similar(tree(QUERY), 2, mode)
         # A near-duplicate of the query must become the new nearest
-        # neighbour — a stale sketch memo would keep screening with the
-        # old corpus and could prune it.
+        # neighbour.
         corpus.add_trees([tree(QUERY)])
         after = corpus.topk_similar(tree(QUERY), 2, mode)
         assert after.neighbors == fresh_answer(corpus, 2, mode)
@@ -130,11 +93,12 @@ class TestDifferentialAfterChurn:
 
     def test_unfingerprinted_vectors_never_plant_a_memo(self, corpus):
         # Vectors built outside the engine carry no fingerprint, so
-        # there is no safe memo key — the engine must sketch per call
-        # rather than cache something it cannot invalidate.
+        # there is no safe memo key; a query must leave the engine's
+        # whole-forest memo exactly as it found it.
         engine = corpus.engine
         vectors = DistanceVectors.from_trees(list(corpus.trees))
         assert vectors.fingerprint is None
+        before = list(engine._projections)
         result = engine.topk_similar(vectors, tree(QUERY), 2)
-        assert "topksketch" not in memo_kinds(engine)
+        assert list(engine._projections) == before
         assert result.neighbors == fresh_answer(corpus, 2)

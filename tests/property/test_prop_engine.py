@@ -13,8 +13,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.multi_tree import forest_pair_items
 from repro.core.reference import mine_forest_reference
+from repro.core.single_tree import mine_tree
 from repro.engine import MiningEngine
 
 from tests.property.strategies import gaps, maxdists, trees
@@ -88,9 +88,12 @@ def test_process_pool_equals_reference(forest, maxdist, gap):
 @given(forest=forests, maxdist=maxdists, gap=gaps)
 def test_per_tree_items_equal_reference(forest, maxdist, gap):
     engine = MiningEngine(jobs=1)
-    assert forest_pair_items(
-        forest, maxdist=maxdist, max_generation_gap=gap, engine=engine
-    ) == forest_pair_items(forest, maxdist=maxdist, max_generation_gap=gap)
+    assert engine.items(
+        forest, maxdist=maxdist, max_generation_gap=gap
+    ) == [
+        mine_tree(tree, maxdist=maxdist, max_generation_gap=gap)
+        for tree in forest
+    ]
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,10 +1,10 @@
 """Property tests: top-k search equals brute-force ranking exactly.
 
-For every random corpus, query tree, ``k`` and mode, the funnel of
-:func:`repro.core.topk.topk_search` (index skip, bound prune, MinHash
-visit order) must return *byte-identical* neighbours to sorting the
-all-pairs matrix row of the query — the sketches accelerate, never
-approximate.  The pruning counters must always reconcile.
+For every random corpus, query tree, ``k`` and mode,
+:func:`repro.core.topk.topk_search` (zero-overlap fill, batched join,
+stable sort) must return *byte-identical* neighbours to sorting the
+all-pairs matrix row of the query.  The join counters must always
+reconcile.
 """
 
 from hypothesis import given, settings
@@ -12,19 +12,12 @@ from hypothesis import strategies as st
 
 from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors
-from repro.core.params import SketchParams
 from repro.core.topk import topk_similar
 
 from tests.property.strategies import trees
 
 MODES = st.sampled_from(list(DistanceMode))
 KS = st.integers(min_value=1, max_value=8)
-# Narrow sketches on purpose: bad estimates stress the exactness
-# argument (the MinHash order must never change the result), and small
-# signatures stress the bound (loose caps must only cost joins).
-SKETCHES = st.sampled_from(
-    [SketchParams(minhash_width=1), SketchParams(minhash_width=8)]
-)
 # Mixed alphabets so some query labels are unknown to the corpus.
 QUERY_LABELS = st.one_of(st.none(), st.sampled_from(list("abcdxyz")))
 
@@ -50,11 +43,10 @@ def brute_topk(forest, query, k, mode, minoccur=1):
     query=trees(max_size=14, labels=QUERY_LABELS),
     k=KS,
     mode=MODES,
-    sketch=SKETCHES,
 )
-def test_equals_brute_force_every_mode(forest, query, k, mode, sketch):
+def test_equals_brute_force_every_mode(forest, query, k, mode):
     vectors = DistanceVectors.from_trees(forest)
-    result = topk_similar(vectors, query, k, mode, sketch=sketch)
+    result = topk_similar(vectors, query, k, mode)
     assert result.neighbors == brute_topk(forest, query, k, mode)
 
 
@@ -71,10 +63,9 @@ def test_counters_reconcile(forest, query, k, mode):
     assert result.candidates == len(forest)
     assert (
         result.candidates
-        == result.pruned_index + result.pruned_bound + result.exact_joins
+        == result.pruned_index + result.exact_joins
     )
     assert result.pruned_index >= 0
-    assert result.pruned_bound >= 0
     assert len(result.neighbors) == min(k, len(forest))
 
 
