@@ -299,7 +299,6 @@ class DistanceVectors:
         "_pair_totals",
         "_index",
         "_signatures",
-        "fingerprint",
     )
 
     def __init__(
@@ -321,7 +320,6 @@ class DistanceVectors:
         self._pair_totals = [int(counts.sum()) for counts in self._pair_counts]
         self._index: tuple | None = None
         self._signatures: dict[DistanceMode, list[np.ndarray]] = {}
-        self.fingerprint: str | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -453,7 +451,6 @@ class DistanceVectors:
         self._pair_totals = list(pair_totals)
         self._index = None
         self._signatures = {}
-        self.fingerprint = None
         return self
 
     @classmethod
@@ -532,7 +529,6 @@ class DistanceVectors:
     def _invalidate_derived(self) -> None:
         """Drop per-corpus derived state a mutation cannot patch."""
         self._signatures = {}
-        self.fingerprint = None
 
     def _merge_index_entries(
         self, new_keys: np.ndarray, new_owners: np.ndarray

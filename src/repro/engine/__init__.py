@@ -2,7 +2,7 @@
 
 The engine is the seam between the paper's algorithms (pure functions
 over one tree) and production concerns (fan-out across processes,
-memoisation across repeated distance computations, incremental corpus
+content-addressed caching of per-tree counts, incremental corpus
 maintenance, observability).  See :mod:`repro.engine.engine` for the
 execution model, :mod:`repro.engine.cache` for the content-address
 scheme, :mod:`repro.engine.delta` for versioned corpora and

@@ -58,7 +58,7 @@ from repro.core.multi_tree import (
 )
 from repro.core.params import MiningParams, validate_mode
 from repro.core.topk import TopKResult
-from repro.engine.engine import MiningEngine, forest_fingerprint
+from repro.engine.engine import MiningEngine
 from repro.errors import EngineError
 from repro.obs.context import scope as obs_scope
 from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK
@@ -616,8 +616,8 @@ class VersionedCorpus:
     ) -> list[list[float]]:
         """The full distance matrix for ``mode`` as nested lists.
 
-        Materialised once per mode (through the engine's tiled,
-        memoised build) and patched row-by-row under churn; always
+        Materialised once per mode (through the engine's tiled build)
+        and patched row-by-row under churn; always
         byte-identical to ``DistanceVectors.from_trees(corpus.trees,
         minoccur).matrix(mode)``.  The returned lists are copies.
         """
@@ -828,17 +828,7 @@ class VersionedCorpus:
                 [self._packed[uid] for uid in self._uids],
                 minoccur=self.params.minoccur,
             )
-            self._vectors.fingerprint = self._vectors_fingerprint()
         return self._vectors
-
-    def _vectors_fingerprint(self) -> str:
-        # Same digest MiningEngine.distance_vectors would stamp on a
-        # from-scratch build of this sequence, so engine-level matrix
-        # memo entries stay interchangeable either way.
-        return forest_fingerprint(
-            [self._content_keys[uid] for uid in self._uids],
-            self.params.minoccur,
-        )
 
     def _patch_rows_added(
         self, positions: Sequence[int], refs: Sequence[TreeRef]
@@ -849,7 +839,6 @@ class VersionedCorpus:
             [self._packed[ref.uid] for ref in refs],
             minoccur=self.params.minoccur,
         )
-        self._vectors.fingerprint = self._vectors_fingerprint()
         rows = len(positions)
         if self._matrices:
             size = len(self._uids)
@@ -865,7 +854,6 @@ class VersionedCorpus:
         if self._vectors is None:
             return 0
         self._vectors.remove_rows(drop)
-        self._vectors.fingerprint = self._vectors_fingerprint()
         rows = len(drop)
         if self._matrices:
             gone = np.asarray(drop, dtype=np.int64)
@@ -888,7 +876,6 @@ class VersionedCorpus:
             },
             minoccur=self.params.minoccur,
         )
-        self._vectors.fingerprint = self._vectors_fingerprint()
         rows = len(positions)
         if self._matrices:
             for mode, matrix in self._matrices.items():
@@ -945,8 +932,8 @@ class VersionedCorpus:
         stats.delta_trees_removed += len(removed)
         stats.delta_rows_patched += rows_patched
         stats.delta_supports_patched += supports_patched
-        # Whole-forest engine memos are fingerprinted over a specific
-        # tree sequence; this corpus's sequence just changed.
+        # The engine's frequent-pair memo is fingerprinted over a
+        # specific tree sequence; this corpus's sequence just changed.
         self.engine.invalidate_distance_memos()
         # An attached pair store follows every version bump: new trees
         # land as an appended generation (or a compaction), departures

@@ -5,9 +5,9 @@ same hot inner step: one kernel pass over one tree
 (:func:`repro.core.fastmine.mine_arena`).  Those per-tree passes are
 independent — the paper's ``O(k * n^2)`` bound is a sum of ``k``
 unrelated ``O(n^2)`` terms — which makes the forest loop
-embarrassingly parallel, and the §5.3 distance applications recompute
-identical pair sets for every pairwise comparison, which makes it
-memoisable.
+embarrassingly parallel, and a tree's pair counts depend only on its
+shape, labels and the mining parameters, which makes them cacheable
+by content.
 
 :class:`MiningEngine` packages both optimisations behind one object:
 
@@ -52,7 +52,6 @@ from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors, assemble_matrix
 from repro.core.fastmine import PackedCounts, mine_arena
 from repro.core.multi_tree import FrequentCousinPair, aggregate_packed
-from repro.core.pairset import CousinPairSet
 from repro.core.params import MiningParams, validate_minoccur, validate_mode
 from repro.core.topk import TopKResult, query_vector, topk_search
 from repro.engine.cache import PairSetCache, arena_cache_key
@@ -67,7 +66,7 @@ from repro.trees.tree import Tree
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.store import PairStore
 
-__all__ = ["MiningEngine", "available_cpus", "forest_fingerprint"]
+__all__ = ["MiningEngine", "available_cpus"]
 
 _PENDING = object()
 
@@ -92,9 +91,9 @@ def available_cpus() -> int:
 def forest_fingerprint(keys: Sequence[str], minoccur: int) -> str:
     """Digest of a forest: its ordered per-tree content addresses.
 
-    Keys every whole-forest memo (``distvec`` / ``distmat`` /
-    ``frequent``); equal iff the forests hold
-    isomorphic trees in the same order under the same parameters.
+    Keys the whole-forest ``frequent`` memo; equal iff the forests
+    hold isomorphic trees in the same order under the same
+    parameters.
     """
     minoccur = validate_minoccur(minoccur)
     digest = hashlib.sha256("|".join(keys).encode("ascii"))
@@ -231,17 +230,12 @@ class MiningEngine:
             tracer if tracer is not None else Tracer(registry, enabled=False)
         )
         self.stats = EngineStats(registry)
-        # Derived-projection memo: profiling shows building and sorting
-        # the CousinPairItem lists costs ~2x the counter mining itself,
-        # so warm passes also skip the projection.  Keyed by
-        # (kind, counter address, minoccur) — fully determined by the
-        # content-addressed counter plus the post-filter.
+        # Whole-forest frequent-pair memo: a repeat query over the same
+        # forest skips the aggregation kernel (the warm-pass gate of
+        # benchmarks/bench_engine_parallel.py).  Keyed by the forest
+        # fingerprint plus the thresholds.
         self._projections: OrderedDict[tuple, object] = OrderedDict()
         self._projection_cap = self.cache.max_entries
-        # A stats reset starts a fresh measurement window: drop the
-        # distance vector/matrix memos with it so the zeroed counters
-        # can never record tile hits against pre-reset state.
-        self.stats.on_reset(self.invalidate_distance_memos)
         # The attached on-disk pair store, when mine/distance/top-k
         # queries should be served from memmapped shards instead of
         # re-mining (see attach_store / open_store).
@@ -297,21 +291,15 @@ class MiningEngine:
         return keys, [resolved[key] for key in keys]
 
     def invalidate_distance_memos(self) -> None:
-        """Drop memoised distance vectors and matrices.
+        """Drop memoised whole-forest frequent-pair lists.
 
         Per-tree packed counts stay cached — they are content-addressed
-        and remain valid for any corpus — but whole-forest projections
-        (``distvec`` / ``distmat`` / ``frequent`` entries) are
+        and remain valid for any corpus — but ``frequent`` entries are
         fingerprinted over a *specific* tree sequence and must go when
-        that sequence mutates
-        (a :class:`repro.engine.delta.VersionedCorpus` update) or when
-        a stats reset opens a fresh measurement window.
+        that sequence mutates (a
+        :class:`repro.engine.delta.VersionedCorpus` update).
         """
-        stale = [
-            key
-            for key in self._projections
-            if key[0] in ("distvec", "distmat", "frequent")
-        ]
+        stale = [key for key in self._projections if key[0] == "frequent"]
         for key in stale:
             del self._projections[key]
 
@@ -425,51 +413,7 @@ class MiningEngine:
             params, maxdist, minoccur, max_generation_gap, max_height
         )
         keys, resolved = self._resolved_packed(trees, params)
-        per_tree: list[list[CousinPairItem]] = []
-        for key in keys:
-            items = self._projection(
-                ("items", key, params.minoccur), resolved[key], params,
-                self._build_items,
-            )
-            # Shallow copy: the items are frozen, the list is the
-            # caller's to reorder.
-            per_tree.append(list(items))
-        return per_tree
-
-    @staticmethod
-    def _build_items(
-        packed: PackedCounts, params: MiningParams
-    ) -> list[CousinPairItem]:
-        return packed.items(params.minoccur)
-
-    def pair_sets(
-        self,
-        trees: Sequence[Tree],
-        params: MiningParams | None = None,
-        *,
-        maxdist: float = 1.5,
-        minoccur: int = 1,
-        max_generation_gap: int = 1,
-        max_height: int | None = None,
-    ) -> list[CousinPairSet]:
-        """Per-tree pair sets — ``CousinPairSet.from_tree`` for each."""
-        params = self._resolve(
-            params, maxdist, minoccur, max_generation_gap, max_height
-        )
-        keys, resolved = self._resolved_packed(trees, params)
-        return [
-            self._projection(
-                ("pairset", key, params.minoccur), resolved[key], params,
-                self._build_pair_set,
-            )
-            for key in keys
-        ]
-
-    @staticmethod
-    def _build_pair_set(
-        packed: PackedCounts, params: MiningParams
-    ) -> CousinPairSet:
-        return CousinPairSet(packed.filtered_counter(params.minoccur))
+        return [resolved[key].items(params.minoccur) for key in keys]
 
     # ------------------------------------------------------------------
     # Distance kernel (Section 5.3 matrix builds)
@@ -484,16 +428,12 @@ class MiningEngine:
         max_generation_gap: int = 1,
         max_height: int | None = None,
     ) -> DistanceVectors:
-        """Packed distance vectors for ``trees``, cached end to end.
+        """Packed distance vectors for ``trees``.
 
         Identical to :meth:`repro.core.distvec.DistanceVectors
-        .from_trees` without an engine: per-tree mining goes through
-        the content-addressed cache, and the assembled vectors are
-        memoised by a fingerprint of the per-tree content addresses
-        (plus ``minoccur``), so a repeat forest skips the re-interning
-        pass too.  The fingerprint is left on the returned object
-        (``vectors.fingerprint``) and keys matrix memoisation in
-        :meth:`distance_matrix`.
+        .from_trees` without an engine; per-tree mining goes through
+        the content-addressed cache.  Every call builds a fresh object,
+        which is the caller's to mutate.
         """
         params = self._resolve(
             params, maxdist, minoccur, max_generation_gap, max_height
@@ -503,22 +443,9 @@ class MiningEngine:
         ):
             self.stats.distance_builds += 1
             keys, resolved = self._resolved_packed(trees, params)
-            fingerprint = forest_fingerprint(keys, params.minoccur)
-            # repro-lint: disable-next-line=RPL103 -- the digest above folds minoccur into the fingerprint
-            vectors = self._projection(
-                ("distvec", fingerprint),
-                [resolved[key] for key in keys],
-                params,
-                self._build_vectors,
+            return DistanceVectors.from_packed(
+                [resolved[key] for key in keys], minoccur=params.minoccur
             )
-            vectors.fingerprint = fingerprint
-            return vectors
-
-    @staticmethod
-    def _build_vectors(
-        packed: Sequence[PackedCounts], params: MiningParams
-    ) -> DistanceVectors:
-        return DistanceVectors.from_packed(packed, minoccur=params.minoccur)
 
     def frequent_pairs(
         self,
@@ -533,10 +460,9 @@ class MiningEngine:
         ``engine=self``: per-tree mining goes through the
         content-addressed cache, the counting step is the one kernel
         (:func:`repro.core.multi_tree.aggregate_packed`), and the
-        result is memoised under the forest fingerprint of
-        :meth:`distance_vectors` plus the thresholds, so a repeat
-        query over the same forest skips the kernel too.  The returned
-        list is the caller's.
+        result is memoised under the forest fingerprint plus the
+        thresholds, so a repeat query over the same forest skips the
+        kernel too.  The returned list is the caller's.
         """
         with obs_scope(self.registry, self.tracer):
             keys, resolved = self._resolved_packed(trees, params)
@@ -576,8 +502,7 @@ class MiningEngine:
         when a pool is worth it (``jobs > 1`` and at least
         ``min_parallel_trees`` trees) — fanned out to worker processes;
         tiles are reassembled by row index, not completion order.
-        Whole matrices are memoised by the vectors' engine fingerprint,
-        and every call updates the ``distance_*`` counters of
+        Every call updates the ``distance_*`` counters of
         :class:`repro.engine.stats.EngineStats`.
         """
         mode = validate_mode(mode)
@@ -588,18 +513,6 @@ class MiningEngine:
             mode=mode.value,
         ):
             self.stats.distance_builds += 1
-            memo_key = (
-                ("distmat", vectors.fingerprint, mode.value)
-                if vectors.fingerprint is not None and self._projection_cap != 0
-                else None
-            )
-            if memo_key is not None:
-                cached = self._projections.get(memo_key)
-                if cached is not None:
-                    self._projections.move_to_end(memo_key)
-                    matrix, tile_count = cached
-                    self.stats.distance_tile_hits += tile_count
-                    return [row[:] for row in matrix]
             size = len(vectors)
             bands = self._distance_bands(size)
             self.stats.distance_tiles += len(bands)
@@ -627,13 +540,7 @@ class MiningEngine:
                         self.registry.merge_snapshot(snapshot)
             self.stats.distance_pairs_computed += computed
             self.stats.distance_pairs_pruned += pruned
-            matrix = assemble_matrix(size, tiles)
-            if memo_key is not None:
-                self._projections[memo_key] = (matrix, len(bands))
-                if self._projection_cap is not None:
-                    while len(self._projections) > self._projection_cap:
-                        self._projections.popitem(last=False)
-            return [row[:] for row in matrix]
+            return assemble_matrix(size, tiles)
 
     def topk_similar(
         self,
@@ -681,12 +588,7 @@ class MiningEngine:
         return self._store
 
     def attach_store(self, store: "PairStore") -> "PairStore":
-        """Serve subsequent store queries from ``store``.
-
-        Whole-forest memos are dropped: they may describe a different
-        tree sequence than the store's, and the store's own
-        fingerprints re-key them on first use.
-        """
+        """Serve subsequent store queries from ``store``."""
         from repro.store import PairStore
 
         if not isinstance(store, PairStore):
@@ -694,7 +596,6 @@ class MiningEngine:
                 f"attach_store takes a PairStore, got {type(store).__name__}"
             )
         self._store = store
-        self.invalidate_distance_memos()
         return store
 
     def open_store(self, directory: str) -> "PairStore":
@@ -721,29 +622,14 @@ class MiningEngine:
     def store_vectors(self, minoccur: int | None = None) -> DistanceVectors:
         """Distance vectors over the attached store's memmapped rows.
 
-        Memoised beside engine-built vectors under the store's
-        vectors fingerprint — the same digest
-        :meth:`distance_vectors` would stamp on an in-RAM build of
-        the identical tree sequence — so matrix tiles computed
-        against either source interchange.
+        A fresh :meth:`repro.store.PairStore.as_vectors` view per call,
+        at the store's own ``minoccur`` unless one is given.
         """
         store = self._attached_store()
         with obs_scope(self.registry, self.tracer):
-            resolved = (
-                store.params.minoccur if minoccur is None else minoccur
+            return store.as_vectors(
+                minoccur=store.params.minoccur if minoccur is None else minoccur
             )
-            fingerprint = store.vectors_fingerprint(resolved)
-            # repro-lint: disable-next-line=RPL103 -- the store digest folds minoccur into the fingerprint
-            vectors = self._projection(
-                ("distvec", fingerprint),
-                resolved,
-                store.params,
-                lambda threshold, _params: store.as_vectors(
-                    minoccur=threshold
-                ),
-            )
-            vectors.fingerprint = fingerprint
-            return vectors
 
     def store_frequent_pairs(
         self, minsup: int = 2, ignore_distance: bool = False
@@ -812,13 +698,11 @@ class MiningEngine:
     def _projection(
         self, memo_key: tuple, packed, params: MiningParams, build, *args
     ):
-        """Serve a derived view of cached packed counts, memoised by address.
+        """Serve a whole-forest result, memoised by ``memo_key``.
 
         ``build(packed, params, *args)`` computes a missing entry.
-        ``CousinPairSet`` instances are shared (their counters are never
-        mutated through the public API); item and pattern lists are
-        shared but copied by the caller.  Disabled alongside the memory
-        cache (``cache_size=0``).
+        Entries are shared; callers copy what they hand out.  Disabled
+        alongside the memory cache (``cache_size=0``).
         """
         if self._projection_cap == 0:
             return build(packed, params, *args)

@@ -41,7 +41,6 @@ _COUNTER_FIELDS: dict[str, str] = {
     "distance_pairs_computed": "engine.distance.pairs_computed",
     "distance_pairs_pruned": "engine.distance.pairs_pruned",
     "distance_tiles": "engine.distance.tiles",
-    "distance_tile_hits": "engine.distance.tile_hits",
     "delta_updates": "engine.delta.updates",
     "delta_trees_added": "engine.delta.trees_added",
     "delta_trees_removed": "engine.delta.trees_removed",
@@ -79,7 +78,6 @@ _FIELD_ORDER: tuple[str, ...] = (
     "distance_pairs_computed",
     "distance_pairs_pruned",
     "distance_tiles",
-    "distance_tile_hits",
     "delta_updates",
     "delta_trees_added",
     "delta_trees_removed",
@@ -153,9 +151,6 @@ class EngineStats:
         Triangle row tiles executed across all matrix builds (1 per
         build on the serial path, ~``jobs * chunks_per_job`` when
         fanned out).
-    distance_tile_hits:
-        Tiles *not* executed because a whole matrix was served from
-        the projection memo.
     distance_builds:
         Distance-vector builds started (registry-only; not part of
         :meth:`as_dict`).  Nonzero whenever the distance path ran at
@@ -191,11 +186,6 @@ class EngineStats:
         self.registry.counter(DISTANCE_BUILDS_METRIC)
         for metric in _HISTOGRAM_FIELDS.values():
             self.registry.histogram(metric)
-        # Owners (the engine) may register cleanups that must ride
-        # along with a stats reset — e.g. dropping the distance
-        # tile/fingerprint memos so a zeroed stats window can never be
-        # polluted by hits against pre-reset state.
-        self._reset_hooks: list = []
 
     trees_seen = _counter_property(_COUNTER_FIELDS["trees_seen"])
     memory_hits = _counter_property(_COUNTER_FIELDS["memory_hits"])
@@ -214,9 +204,6 @@ class EngineStats:
         _COUNTER_FIELDS["distance_pairs_pruned"]
     )
     distance_tiles = _counter_property(_COUNTER_FIELDS["distance_tiles"])
-    distance_tile_hits = _counter_property(
-        _COUNTER_FIELDS["distance_tile_hits"]
-    )
     distance_builds = _counter_property(DISTANCE_BUILDS_METRIC)
     delta_updates = _counter_property(_COUNTER_FIELDS["delta_updates"])
     delta_trees_added = _counter_property(_COUNTER_FIELDS["delta_trees_added"])
@@ -246,28 +233,14 @@ class EngineStats:
             return 0.0
         return self.hits / seen
 
-    def on_reset(self, callback) -> None:
-        """Register ``callback`` to run after every :meth:`reset`.
-
-        The engine uses this to drop its distance tile/fingerprint
-        memos alongside the counters: a freshly zeroed window must not
-        record tile hits against matrices materialised before the
-        reset.  Callbacks run in registration order and must not raise.
-        """
-        self._reset_hooks.append(callback)
-
     def reset(self) -> None:
         """Zero every counter in place — the whole backing registry.
 
         Registry metrics outside the legacy field set (cache layer
         counters, kernel histograms) reset too: the stats view and any
-        exported snapshot always describe the same window.  Reset hooks
-        registered with :meth:`on_reset` (the engine's distance-memo
-        invalidation) fire afterwards.
+        exported snapshot always describe the same window.
         """
         self.registry.reset()
-        for callback in self._reset_hooks:
-            callback()
 
     def as_dict(self) -> dict[str, int | float]:
         """Plain-JSON form (legacy fields plus the derived rates)."""
@@ -296,7 +269,6 @@ class EngineStats:
         if (
             self.distance_builds
             or self.distance_tiles
-            or self.distance_tile_hits
             or self.distance_pairs_computed
             or self.distance_pairs_pruned
         ):
@@ -306,8 +278,7 @@ class EngineStats:
             line += (
                 f"; distance: {self.distance_pairs_computed} pair join(s), "
                 f"{self.distance_pairs_pruned} pruned, "
-                f"{self.distance_tiles} tile(s), "
-                f"{self.distance_tile_hits} tile hit(s)"
+                f"{self.distance_tiles} tile(s)"
             )
         if self.delta_updates:
             line += (

@@ -58,7 +58,6 @@ from repro.core.distvec import (
 )
 from repro.core.multi_tree import FrequentCousinPair, aggregate_rows
 from repro.core.params import MiningParams, validate_minoccur, validate_minsup
-from repro.engine.engine import forest_fingerprint
 from repro.errors import StoreError
 from repro.io import atomic_write
 from repro.obs.context import get_registry, get_tracer
@@ -310,18 +309,6 @@ class PairStore:
             digest.update(b"|")
         return digest.hexdigest()
 
-    def vectors_fingerprint(self, minoccur: int) -> str:
-        """The engine's distance-vectors digest for this sequence.
-
-        The engine's :func:`~repro.engine.engine.forest_fingerprint`,
-        as :meth:`repro.engine.engine.MiningEngine.distance_vectors`
-        stamps it, so matrix memos keyed by a store-served vectors
-        object interchange with engine builds.
-        """
-        return forest_fingerprint(
-            [row["content_key"] for row in self._manifest["rows"]], minoccur
-        )
-
     @property
     def names(self) -> list[str]:
         """Display names aligned with corpus positions."""
@@ -561,7 +548,6 @@ class PairStore:
                 vectors = DistanceVectors(
                     self.labels, filtered_keys, filtered_counts
                 )
-            vectors.fingerprint = self.vectors_fingerprint(minoccur)
             registry.counter("store.vectors").add(1)
             return vectors
 

@@ -90,15 +90,3 @@ class TestDifferentialAfterChurn:
             for k in (1, 3):
                 got = corpus.topk_similar(tree(QUERY), k).neighbors
                 assert got == fresh_answer(corpus, k)
-
-    def test_unfingerprinted_vectors_never_plant_a_memo(self, corpus):
-        # Vectors built outside the engine carry no fingerprint, so
-        # there is no safe memo key; a query must leave the engine's
-        # whole-forest memo exactly as it found it.
-        engine = corpus.engine
-        vectors = DistanceVectors.from_trees(list(corpus.trees))
-        assert vectors.fingerprint is None
-        before = list(engine._projections)
-        result = engine.topk_similar(vectors, tree(QUERY), 2)
-        assert list(engine._projections) == before
-        assert result.neighbors == fresh_answer(corpus, 2)

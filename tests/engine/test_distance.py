@@ -1,11 +1,16 @@
-"""Engine distance-kernel paths: tiles, memoisation and stats."""
+"""Engine distance-kernel paths: tiles, fresh vectors and stats."""
 
 from __future__ import annotations
+
+import functools
+
+import pytest
 
 from repro.core.distance import DistanceMode, distance_matrix
 from repro.core.distvec import DistanceVectors
 from repro.core.kernel import find_kernel_trees
 from repro.engine import MiningEngine
+from repro.store import PairStore
 
 
 def pooled_engine():
@@ -21,20 +26,33 @@ class TestDistanceVectors:
         for mode in DistanceMode:
             assert engined.matrix(mode) == serial.matrix(mode)
 
-    def test_fingerprint_set_and_stable(self, forest):
+    def test_minoccur_vectors_equal_serial_vectors(self, forest):
         engine = MiningEngine(jobs=1)
-        first = engine.distance_vectors(forest)
-        second = engine.distance_vectors(forest)
-        assert first.fingerprint is not None
-        assert first.fingerprint == second.fingerprint
-        # Same fingerprint -> same memoised object.
-        assert first is second
-
-    def test_minoccur_changes_fingerprint(self, forest):
-        engine = MiningEngine(jobs=1)
-        loose = engine.distance_vectors(forest, minoccur=1)
         strict = engine.distance_vectors(forest, minoccur=2)
-        assert loose.fingerprint != strict.fingerprint
+        serial = DistanceVectors.from_trees(forest, minoccur=2)
+        for mode in DistanceMode:
+            assert strict.matrix(mode) == serial.matrix(mode)
+
+    @pytest.mark.parametrize("source", ["trees", "store"])
+    def test_mutating_returned_vectors_never_leaks(
+        self, forest, tmp_path, source
+    ):
+        # The returned vectors are the caller's: patching them in place
+        # must not change what a later call over the same forest sees.
+        engine = MiningEngine(jobs=1)
+        build = functools.partial(engine.distance_vectors, forest)
+        if source == "store":
+            PairStore.pack(str(tmp_path / "store"), forest)
+            engine.open_store(str(tmp_path / "store"))
+            build = engine.store_vectors
+        vectors = build()
+        vectors.append_packed(engine.packed_counts(forest[:1])[1])
+        vectors.remove_rows([0, 1])
+        again = build()
+        assert len(again) == len(forest)
+        serial = DistanceVectors.from_trees(forest)
+        for mode in DistanceMode:
+            assert again.matrix(mode) == serial.matrix(mode)
 
 
 class TestDistanceMatrixTiles:
@@ -50,14 +68,12 @@ class TestDistanceMatrixTiles:
         distance_matrix(forest, engine=engine)
         assert engine.stats.distance_tiles == 1
 
-    def test_matrix_memo_counts_tile_hits(self, forest):
+    def test_repeat_matrices_equal_and_independent(self, forest):
         engine = MiningEngine(jobs=1)
         first = distance_matrix(forest, engine=engine)
-        assert engine.stats.distance_tile_hits == 0
         second = distance_matrix(forest, engine=engine)
         assert second == first
-        assert engine.stats.distance_tile_hits == 1
-        # Returned rows are copies: mutating one never corrupts the memo.
+        # Returned rows are the caller's: mutating one never leaks.
         second[0][1] = 99.0
         assert distance_matrix(forest, engine=engine) == first
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.pairset import CousinPairSet
 from repro.core.reference import mine_forest_reference
 from repro.core.single_tree import mine_tree, mine_tree_counter
 from repro.engine import MiningEngine
@@ -86,14 +85,6 @@ class TestForestEquivalence:
         counters = engine.counters(forest, maxdist=2.0, max_generation_gap=2)
         assert counters == [
             mine_tree_counter(tree, 2.0, 2, None) for tree in forest
-        ]
-
-    def test_pair_sets_match_from_tree(self, forest, jobs):
-        engine = MiningEngine(jobs=jobs, min_parallel_trees=1)
-        sets = engine.pair_sets(forest, maxdist=1.5, minoccur=2)
-        assert sets == [
-            CousinPairSet.from_tree(tree, maxdist=1.5, minoccur=2)
-            for tree in forest
         ]
 
     def test_empty_forest(self, jobs):

@@ -113,34 +113,3 @@ class TestRegistryView:
         stats.delta_trees_added += 3
         assert "delta: 2 update(s), +3/-0 tree(s)" in stats.describe()
 
-
-class TestResetHooks:
-    def test_hooks_fire_after_the_registry_clears(self):
-        stats = EngineStats()
-        observed = []
-        stats.on_reset(lambda: observed.append(stats.misses))
-        stats.misses += 5
-        stats.reset()
-        # The hook saw the post-clear value, so it ran after the wipe.
-        assert observed == [0]
-        stats.reset()
-        assert observed == [0, 0]
-
-    def test_engine_reset_clears_distance_memos(self):
-        engine = MiningEngine(jobs=1)
-        trees = [
-            parse_newick("((a,b),(c,d));"),
-            parse_newick("((a,b),(c,e));"),
-        ]
-        vectors = engine.distance_vectors(trees)
-        engine.distance_matrix(vectors)
-        kinds = {key[0] for key in engine._projections}
-        assert {"distvec", "distmat"} <= kinds
-        engine.stats.reset()
-        kinds_after = {key[0] for key in engine._projections}
-        assert "distvec" not in kinds_after
-        assert "distmat" not in kinds_after
-        # Mining memos are content-addressed and survive the reset.
-        engine.items(trees)
-        engine.stats.reset()
-        assert any(key[0] == "items" for key in engine._projections)

@@ -27,7 +27,6 @@ COUNTER_FIELDS = (
     "distance_pairs_computed",
     "distance_pairs_pruned",
     "distance_tiles",
-    "distance_tile_hits",
     "delta_updates",
     "delta_trees_added",
     "delta_trees_removed",

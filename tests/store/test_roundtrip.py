@@ -154,9 +154,12 @@ class TestVectors:
     def test_from_store_dispatch(self, packed_store):
         _, store = packed_store
         vectors = DistanceVectors.from_store(store)
-        assert vectors.fingerprint == store.vectors_fingerprint(
-            store.params.minoccur
-        )
+        reference = store.as_vectors()
+        for mode in DistanceMode:
+            assert np.array_equal(
+                np.asarray(vectors.matrix(mode)),
+                np.asarray(reference.matrix(mode)),
+            )
 
 
 class TestManifest:
