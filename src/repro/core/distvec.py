@@ -29,13 +29,13 @@ with a vectorised form that never materialises a string key:
   division), which the property suite
   ``tests/property/test_prop_distvec.py`` enforces.
 
-- Matrix builds skip work twice over: an inverted pair-key → tree
-  index finds, per row, exactly the trees sharing at least one label
-  pair (zero-overlap pairs are filled with their known distance — 1.0,
-  or 0.0 for two empty collections — without a join), and the size
-  bound ``|A ∩ B| <= min(|A|, |B|)`` gives callers an admissible lower
-  bound ``1 - min(total)/max(total)`` for branch-and-bound search
-  (:func:`repro.core.kernel.find_kernel_trees`).
+- Matrix builds skip work: an inverted pair-key → tree index finds,
+  per row, exactly the trees sharing at least one label pair
+  (zero-overlap pairs are filled with their known distance — 1.0, or
+  0.0 for two empty collections — without a join).  Rectangular
+  blocks (:meth:`DistanceVectors.block`, the cross-group distances of
+  :func:`repro.core.kernel.find_kernel_trees`) join every non-empty
+  pair with the same batched merge-join.
 
 Instances pickle as their raw arrays, so the engine can ship one to
 worker processes and fan a matrix out in row tiles
@@ -79,63 +79,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "DistanceVectors",
     "assemble_matrix",
-    "bucket_signature",
     "merge_intersection",
-    "signature_geometry",
 ]
 
 _MULTISET_MODES = frozenset({DistanceMode.OCCUR, DistanceMode.DIST_OCCUR})
 _FULL_MODES = frozenset({DistanceMode.DIST, DistanceMode.DIST_OCCUR})
-
-# Count-signature hashing for :meth:`DistanceVectors.lower_bound`.
-# Keys are spread over a power-of-two bucket count with a Fibonacci
-# multiplicative hash (the packed layout concentrates entropy in the
-# low label bits; the multiply mixes it into the high bits the shift
-# keeps).  More buckets -> tighter bound; the count adapts to the
-# largest per-tree key array, doubling from _MIN_BUCKETS and clamped
-# at _MAX_BUCKETS (both powers of two: the shift is derived from the
-# bit length).
-_SIG_MIX = np.uint64(0x9E3779B97F4A7C15)
-_MIN_BUCKETS = 64
-_MAX_BUCKETS = 4096
-
-
-def signature_geometry(largest: int) -> tuple[int, np.uint64]:
-    """Bucket count and hash shift for a corpus whose biggest per-tree
-    key array has ``largest`` entries.
-
-    Two signatures are only comparable when both were bucketed with
-    the same geometry, so every signature of one corpus and mode uses
-    the geometry of that corpus's largest row.
-    """
-    buckets = _MIN_BUCKETS
-    while buckets < 4 * largest and buckets < _MAX_BUCKETS:
-        buckets *= 2
-    return buckets, np.uint64(64 - buckets.bit_length() + 1)
-
-
-def bucket_signature(
-    keys: np.ndarray,
-    counts: np.ndarray,
-    multiset: bool,
-    buckets: int,
-    shift: np.uint64,
-) -> np.ndarray:
-    """One bucketed count signature over sorted packed ``keys``.
-
-    Bucket ``b`` holds the summed multiplicity of all keys hashing to
-    ``b`` (key presence, for the set modes), so for any two signatures
-    built with the same geometry the bucket-wise min sum caps the true
-    intersection — matching keys land in the same bucket.
-    """
-    hashed = (keys.astype(np.uint64) * _SIG_MIX) >> shift
-    signature = np.zeros(buckets, dtype=np.int64)
-    if multiset:
-        np.add.at(signature, hashed.astype(np.intp), counts)
-    else:
-        np.add.at(signature, hashed.astype(np.intp), 1)
-    return signature
-
 
 def _remap_packed(
     packed: PackedCounts, table: LabelTable, minoccur: int
@@ -298,7 +246,6 @@ class DistanceVectors:
         "_full_totals",
         "_pair_totals",
         "_index",
-        "_signatures",
     )
 
     def __init__(
@@ -319,7 +266,6 @@ class DistanceVectors:
         self._full_totals = [int(counts.sum()) for counts in self._full_counts]
         self._pair_totals = [int(counts.sum()) for counts in self._pair_counts]
         self._index: tuple | None = None
-        self._signatures: dict[DistanceMode, list[np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -450,7 +396,6 @@ class DistanceVectors:
         self._full_totals = list(full_totals)
         self._pair_totals = list(pair_totals)
         self._index = None
-        self._signatures = {}
         return self
 
     @classmethod
@@ -525,10 +470,6 @@ class DistanceVectors:
         self._pair_counts.append(pair_counts)
         self._full_totals.append(int(counts.sum()))
         self._pair_totals.append(int(pair_counts.sum()))
-
-    def _invalidate_derived(self) -> None:
-        """Drop per-corpus derived state a mutation cannot patch."""
-        self._signatures = {}
 
     def _merge_index_entries(
         self, new_keys: np.ndarray, new_owners: np.ndarray
@@ -607,7 +548,6 @@ class DistanceVectors:
                     )
                     order = np.argsort(flat, kind="stable")
                     self._merge_index_entries(flat[order], owners[order])
-            self._invalidate_derived()
             get_registry().counter("distvec.rows.appended").add(len(packed))
             return list(range(start, start + len(packed)))
 
@@ -644,7 +584,6 @@ class DistanceVectors:
                 del self._pair_counts[index]
                 del self._full_totals[index]
                 del self._pair_totals[index]
-            self._invalidate_derived()
             get_registry().counter("distvec.rows.removed").add(len(drop))
 
     def replace_rows(
@@ -702,7 +641,6 @@ class DistanceVectors:
                     )
                     order = np.argsort(flat, kind="stable")
                     self._merge_index_entries(flat[order], owners[order])
-            self._invalidate_derived()
             get_registry().counter("distvec.rows.replaced").add(
                 len(replacements)
             )
@@ -730,7 +668,7 @@ class DistanceVectors:
 
         The multiset modes count occurrences, the set modes count
         distinct keys — exactly the ``|cpi(T)|`` each variant divides
-        by, and the quantity the :meth:`lower_bound` size bound uses.
+        by.
         """
         mode = validate_mode(mode)
         if mode in _MULTISET_MODES:
@@ -803,63 +741,6 @@ class DistanceVectors:
         if union == 0:
             return 0.0
         return 1.0 - intersection / union
-
-    def _mode_signatures(self, mode: DistanceMode) -> list[np.ndarray]:
-        """Per-tree bucketed count signatures for ``mode`` (cached).
-
-        Bucket ``b`` of tree ``i`` holds the summed multiplicity of all
-        keys hashing to ``b`` (key presence, for the set modes).  For
-        any two trees the bucket-wise min sum caps the true
-        intersection: matching keys land in the same bucket, so each
-        bucket's contribution to ``|A ∩ B|`` is at most
-        ``min(sig_a[b], sig_b[b])``.
-        """
-        cached = self._signatures.get(mode)
-        if cached is not None:
-            return cached
-        keys_list = (
-            self._full_keys if mode in _FULL_MODES else self._pair_keys
-        )
-        largest = max((keys.size for keys in keys_list), default=0)
-        buckets, shift = signature_geometry(largest)
-        multiset = mode in _MULTISET_MODES
-        signatures = []
-        for index in range(len(self)):
-            keys, counts, _total = self._view(index, mode)
-            signatures.append(
-                bucket_signature(keys, counts, multiset, buckets, shift)
-            )
-        self._signatures[mode] = signatures
-        return signatures
-
-    def lower_bound(
-        self,
-        first: int,
-        second: int,
-        mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
-    ) -> float:
-        """Admissible lower bound on :meth:`distance`, no join needed.
-
-        The bucketed signatures (:meth:`_mode_signatures`) cap the
-        intersection: ``|A ∩ B| <= cap = sum_b min(sig_a[b],
-        sig_b[b])``.  With ``S = |A| + |B|`` and ``x / (S - x)``
-        increasing in ``x``::
-
-            d = 1 - |A ∩ B| / |A ∪ B| >= 1 - cap / (S - cap)
-
-        Since ``cap <= min(|A|, |B|)`` this always dominates the plain
-        size bound ``1 - min(total)/max(total)``.
-        """
-        mode = validate_mode(mode)
-        get_registry().counter("distvec.bounds").add(1)
-        total_a = self._view(first, mode)[2]
-        total_b = self._view(second, mode)[2]
-        span = total_a + total_b
-        if span == 0:
-            return 0.0
-        signatures = self._mode_signatures(mode)
-        cap = int(np.minimum(signatures[first], signatures[second]).sum())
-        return 1.0 - cap / (span - cap)
 
     # ------------------------------------------------------------------
     # Matrix builds (triangle-only, inverted-index pruned)
@@ -1067,6 +948,42 @@ class DistanceVectors:
         registry.counter("distvec.pairs.joined").add(computed)
         registry.counter("distvec.pairs.pruned").add(pruned)
         return row, computed, pruned
+
+    def block(
+        self,
+        rows: Sequence[int],
+        cols: Sequence[int],
+        mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
+    ) -> np.ndarray:
+        """The ``len(rows) x len(cols)`` distances between two tree sets.
+
+        One batched merge-join per row, over every column whose ``mode``
+        projection is non-empty; empty pairs get the zero-overlap fill
+        :meth:`row` uses (1.0, or 0.0 when both sides are empty).  Every
+        entry equals :meth:`distance` bit for bit.  One
+        ``distvec.block`` span per call; the joined pairs land on the
+        ``distvec.pairs.joined`` counter.
+        """
+        mode = validate_mode(mode)
+        with get_tracer().span(
+            "distvec.block", rows=len(rows), cols=len(cols), mode=mode.value
+        ):
+            totals = np.asarray(self.totals(mode), dtype=np.int64)
+            columns = np.asarray(cols, dtype=np.int64)
+            nonempty = totals[columns] > 0
+            joinable = columns[nonempty]
+            block = np.empty((len(rows), columns.size), dtype=np.float64)
+            joined = 0
+            for position, index in enumerate(rows):
+                keys, counts, total = self._view(index, mode)
+                block[position] = np.where(nonempty | (total > 0), 1.0, 0.0)
+                if total and joinable.size:
+                    block[position, nonempty] = self._join(
+                        keys, counts, total, joinable, mode, totals
+                    )
+                    joined += joinable.size
+        get_registry().counter("distvec.pairs.joined").add(joined)
+        return block
 
     def triangle(
         self,

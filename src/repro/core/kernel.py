@@ -11,21 +11,21 @@ construction, and measures the selection time for 2..5 groups
 
 The selection is solved exactly, on the packed distance kernel
 (:mod:`repro.core.distvec`): every tree is mined once into a shared
-sparse-vector universe, and the combination space is explored with
-branch-and-bound over partial sums.  Cross-group distances are
-evaluated *lazily* — before a candidate's distances are joined, the
-admissible size bound ``d >= 1 - min(|A|,|B|)/max(|A|,|B|)`` screens
-the candidate against the current best, so pairs that cannot matter
-are never evaluated at all (reported as
-:attr:`KernelResult.pairs_pruned`).  The selected kernels and the
-minimised average are identical to exhaustive evaluation.
+sparse-vector universe, every cross-group distance block is computed
+up front with batched merge-joins (:meth:`DistanceVectors.block`), and
+the combination space is explored with branch-and-bound over exact
+partial sums read from those blocks.  Ties go to the lexicographically
+smallest index tuple, so the selected kernels and the minimised
+average are identical to exhaustive evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
+
+import numpy as np
 
 from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors
@@ -53,21 +53,15 @@ class KernelResult:
     average_distance:
         The minimised average pairwise distance between the kernels.
     pairwise_evaluations:
-        How many distinct tree-pair distances were actually joined
-        (the quantity that grows with the number of groups and drives
-        Figure 10).
-    pairs_pruned:
-        Cross-group tree pairs the size bound proved irrelevant —
-        never evaluated.  ``pairwise_evaluations + pairs_pruned`` is
-        the full cross-group pair count an exhaustive search would
-        compute.
+        How many cross-group tree-pair distances were computed — always
+        the full cross-group pair count, the quantity that grows with
+        the number of groups and drives Figure 10.
     """
 
     indexes: tuple[int, ...]
     trees: tuple[Tree, ...]
     average_distance: float
     pairwise_evaluations: int
-    pairs_pruned: int = 0
 
 
 def find_kernel_trees(
@@ -92,8 +86,8 @@ def find_kernel_trees(
         Optional :class:`repro.engine.MiningEngine`.  Per-tree mining
         (the dominant cost for Figure 10) then runs parallel and
         cached — duplicate trees across groups are mined exactly once —
-        with identical selection output, and the evaluated/pruned pair
-        counts are added to the engine's ``distance_*`` stats.
+        with identical selection output, and the joined pair count is
+        added to the engine's ``distance_pairs_computed`` stat.
 
     Raises
     ------
@@ -121,102 +115,73 @@ def find_kernel_trees(
             max_generation_gap=max_generation_gap,
             engine=engine,
         )
-    offsets: list[int] = []
+    members: list[range] = []
     cursor = 0
     for group in groups:
-        offsets.append(cursor)
+        members.append(range(cursor, cursor + len(group)))
         cursor += len(group)
-
-    memo: dict[tuple[int, int], float] = {}
-
-    def bound(first: int, second: int) -> float:
-        """Admissible lower bound; exact once the pair is memoised."""
-        value = memo.get((first, second))
-        if value is not None:
-            return value
-        return vectors.lower_bound(first, second, mode)
-
-    def evaluate(first: int, second: int) -> float:
-        value = memo.get((first, second))
-        if value is None:
-            value = vectors.distance(first, second, mode)
-            memo[(first, second)] = value
-        return value
+    blocks = {
+        (first, second): vectors.block(members[first], members[second], mode)
+        for first, second in combinations(range(len(groups)), 2)
+    }
 
     with get_tracer().span(
         "kernel.search", metric="kernel.search.seconds", groups=len(groups)
     ):
-        best_sum, best_choice = _search(groups, offsets, bound, evaluate)
+        best_sum, best_choice = _search([len(group) for group in groups], blocks)
 
-    evaluations = len(memo)
-    total_cross_pairs = sum(
-        len(groups[group_i]) * len(groups[group_j])
-        for group_i, group_j in combinations(range(len(groups)), 2)
-    )
-    pruned = total_cross_pairs - evaluations
-    registry = get_registry()
-    registry.counter("kernel.evaluations").add(evaluations)
-    registry.counter("kernel.pruned").add(pruned)
+    evaluations = sum(block.size for block in blocks.values())
+    get_registry().counter("kernel.evaluations").add(evaluations)
     if engine is not None:
         engine.stats.distance_pairs_computed += evaluations
-        engine.stats.distance_pairs_pruned += pruned
     pair_count = len(groups) * (len(groups) - 1) // 2
     return KernelResult(
         indexes=best_choice,
         trees=tuple(groups[i][choice] for i, choice in enumerate(best_choice)),
         average_distance=best_sum / pair_count,
         pairwise_evaluations=evaluations,
-        pairs_pruned=pruned,
     )
 
 
 def _search(
-    groups: Sequence[Sequence[Tree]],
-    offsets: Sequence[int],
-    bound: Callable[[int, int], float],
-    evaluate: Callable[[int, int], float],
+    sizes: Sequence[int],
+    blocks: Mapping[tuple[int, int], np.ndarray],
 ) -> tuple[float, tuple[int, ...]]:
     """Branch-and-bound over one-choice-per-group combinations.
 
     State: a partial assignment for groups ``0..k-1`` with the sum of
     distances among chosen trees so far; since all distances are
-    non-negative, the partial sum is an admissible lower bound.  Before
-    a candidate's real distances are evaluated, the same sum is formed
-    from per-pair lower bounds (memoised exact values where available);
-    bounds never exceed the true distances and both sums accumulate in
-    the same order, so a screened-out candidate is exactly one the
-    exhaustive search would have discarded on entry — selection and
-    float accumulation are unchanged.
+    non-negative, the partial sum is an admissible lower bound.  At
+    level ``k`` every candidate's sum is one vector,
+    ``partial + (0.0 + D[0,k][c0] + D[1,k][c1] + ...)``, added in that
+    order.  Intermediate levels visit candidates in ascending order and
+    skip any whose sum is already ``>= best``; the last level takes the
+    first minimum and keeps it only if strictly smaller, so ties go to
+    the lexicographically smallest index tuple.
     """
-    group_count = len(groups)
+    group_count = len(sizes)
     best_sum = float("inf")
     best_choice: tuple[int, ...] = ()
     choice: list[int] = []
 
-    def extend(group_index: int, partial_sum: float) -> None:
+    def extend(level: int, partial_sum: float) -> None:
         nonlocal best_sum, best_choice
-        if partial_sum >= best_sum:
+        added = np.zeros(sizes[level])
+        for earlier in range(level):
+            added += blocks[earlier, level][choice[earlier]]
+        sums = partial_sum + added
+        if level == group_count - 1:
+            candidate = int(np.argmin(sums))
+            if sums[candidate] < best_sum:
+                best_sum = float(sums[candidate])
+                best_choice = (*choice, candidate)
             return
-        if group_index == group_count:
-            best_sum = partial_sum
-            best_choice = tuple(choice)
-            return
-        for candidate in range(len(groups[group_index])):
-            flat_candidate = offsets[group_index] + candidate
-            screen = 0.0
-            for earlier in range(group_index):
-                screen += bound(
-                    offsets[earlier] + choice[earlier], flat_candidate
-                )
-            if partial_sum + screen >= best_sum:
+        for candidate, value in enumerate(sums.tolist()):
+            # best_sum moves during the loop, so re-check each time.
+            if value >= best_sum:
                 continue
-            added = 0.0
-            for earlier in range(group_index):
-                added += evaluate(
-                    offsets[earlier] + choice[earlier], flat_candidate
-                )
             choice.append(candidate)
-            extend(group_index + 1, partial_sum + added)
+            extend(level + 1, value)
             choice.pop()
 
     extend(0, 0.0)

@@ -104,14 +104,40 @@ class TestDistances:
                 pair_set.label_pairs()
             )
 
-    def test_lower_bound_admissible_on_random_forest(self, rng):
-        forest = [make_random_tree(rng, max_size=20) for _ in range(8)]
-        vectors = DistanceVectors.from_trees(forest)
-        for mode in DistanceMode:
-            for i in range(len(forest)):
-                for j in range(len(forest)):
-                    bound = vectors.lower_bound(i, j, mode)
-                    assert bound <= vectors.distance(i, j, mode)
+
+class TestBlock:
+    def test_cells_equal_pairwise_distance(self, rng):
+        # Trees 0 and 5 are one-leaf trees: empty under every mode.
+        forest = [parse_newick("a;")]
+        forest += [make_random_tree(rng, max_size=15) for _ in range(4)]
+        forest += [parse_newick("b;")]
+        for minoccur in (1, 2):
+            vectors = DistanceVectors.from_trees(forest, minoccur=minoccur)
+            for mode in DistanceMode:
+                rows, cols = [0, 2, 5, 1], [3, 5, 0, 4, 2]
+                block = vectors.block(rows, cols, mode)
+                assert block.shape == (len(rows), len(cols))
+                for r, i in enumerate(rows):
+                    for c, j in enumerate(cols):
+                        assert block[r, c] == vectors.distance(i, j, mode)
+
+    def test_counts_joined_pairs(self):
+        from repro.obs.context import scope
+        from repro.obs.metrics import MetricsRegistry
+
+        trees = [
+            parse_newick("((a,b),(c,d));"),
+            parse_newick("a;"),
+            parse_newick("((a,b),x);"),
+            parse_newick("((e,f),(g,h));"),
+        ]
+        vectors = DistanceVectors.from_trees(trees)
+        with scope(MetricsRegistry()) as (registry, _tracer):
+            block = vectors.block([0, 1], [2, 3], DistanceMode.PLAIN)
+        # Row 1 is empty: filled with 1.0, never joined.
+        assert registry.counter("distvec.pairs.joined").value == 2
+        assert block[1].tolist() == [1.0, 1.0]
+        assert block[0, 1] == 1.0
 
 
 class TestTriangle:
@@ -182,7 +208,6 @@ class TestLowerBoundEdgeCases:
             [parse_newick("(a);"), parse_newick("(b);")]
         )
         for mode in DistanceMode:
-            assert vectors.lower_bound(0, 1, mode) == 0.0
             assert vectors.distance(0, 1, mode) == 0.0
 
     def test_empty_vs_nonempty_admissible(self):
@@ -190,33 +215,18 @@ class TestLowerBoundEdgeCases:
             [parse_newick("(a);"), parse_newick("((a,b),c);")]
         )
         for mode in DistanceMode:
-            bound = vectors.lower_bound(0, 1, mode)
-            assert bound <= vectors.distance(0, 1, mode) == 1.0
+            assert vectors.distance(0, 1, mode) == 1.0
 
     def test_duplicate_fingerprint_trees_bound_zero(self):
         twins = [parse_newick("((a,b),(c,d));") for _ in range(2)]
         vectors = DistanceVectors.from_trees(twins)
         for mode in DistanceMode:
-            # Identical trees: signatures agree bucket for bucket, so
-            # cap == |A| == |B| and the bound collapses to the true 0.
-            assert vectors.lower_bound(0, 1, mode) == 0.0
             assert vectors.distance(0, 1, mode) == 0.0
-
-    def test_admissible_on_random_forest(self, rng):
-        forest = [make_random_tree(rng, max_size=20) for _ in range(8)]
-        vectors = DistanceVectors.from_trees(forest)
-        for mode in DistanceMode:
-            for i in range(len(forest)):
-                for j in range(len(forest)):
-                    assert vectors.lower_bound(i, j, mode) <= (
-                        vectors.distance(i, j, mode)
-                    )
 
     def test_kth_tie_order_pinned_in_topk(self):
         # Three trees tie at the same distance from the query; with
         # k=2 the returned pair must be the two smallest indexes, and
-        # repeat runs must agree (the deterministic-order contract the
-        # bound pruning relies on).
+        # repeat runs must agree (the deterministic-order contract).
         from repro.core.topk import topk_similar
 
         trees = [

@@ -1,9 +1,12 @@
 """Unit tests for kernel-tree selection (Section 5.3)."""
 
+from itertools import product
+
 import pytest
 
-from repro.core.distance import DistanceMode, tree_distance
+from repro.core.distance import DistanceMode, pairset_distance
 from repro.core.kernel import find_kernel_trees
+from repro.core.pairset import CousinPairSet
 from repro.trees.newick import parse_newick
 
 from tests.conftest import make_random_tree
@@ -31,27 +34,41 @@ class TestExactness:
         assert result.average_distance == 0.0
 
     def test_matches_brute_force(self, rng):
-        from itertools import product
-
-        groups = [
-            [make_random_tree(rng, max_size=15) for _ in range(3)]
-            for _ in range(3)
-        ]
-        result = find_kernel_trees(groups, mode=DistanceMode.DIST_OCCUR)
-        best = None
-        for combo in product(range(3), repeat=3):
-            total = 0.0
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    total += tree_distance(
-                        groups[i][combo[i]],
-                        groups[j][combo[j]],
-                        mode=DistanceMode.DIST_OCCUR,
+        for group_count in (2, 3, 4, 5):
+            groups = [
+                [make_random_tree(rng, max_size=12) for _ in range(3)]
+                for _ in range(group_count)
+            ]
+            # Ties: a duplicated tree within a group, and the same tree
+            # in two groups.  The one-leaf tree mines no pairs at all.
+            groups[0].append(groups[0][1])
+            groups[1].append(groups[0][0])
+            groups[-1].append(parse_newick("a;"))
+            for mode in DistanceMode:
+                for minoccur in (1, 2, 3):
+                    result = find_kernel_trees(
+                        groups, mode=mode, minoccur=minoccur
                     )
-            average = total / 3
-            if best is None or average < best:
-                best = average
-        assert result.average_distance == pytest.approx(best)
+                    expected = _exhaustive(groups, mode, minoccur)
+                    assert (
+                        result.indexes, result.average_distance
+                    ) == expected
+
+    def test_empty_projections_pair_at_zero(self):
+        # Two empty collections are at distance 0, an empty and a
+        # non-empty one at 1.0: only the all-empty tuple reaches 0.
+        groups = [
+            [parse_newick("a;"), parse_newick("(b,c);")],
+            [parse_newick("(d,e);"), parse_newick("f;")],
+            [parse_newick("g;")],
+        ]
+        for mode in DistanceMode:
+            result = find_kernel_trees(groups, mode=mode)
+            assert result.indexes == (0, 1, 0)
+            assert result.average_distance == 0.0
+            assert (result.indexes, result.average_distance) == _exhaustive(
+                groups, mode, 1
+            )
 
     def test_returns_actual_trees(self, rng):
         groups = [
@@ -63,25 +80,18 @@ class TestExactness:
 
 
 class TestBookkeeping:
-    def test_evaluated_plus_pruned_covers_all_pairs(self, rng):
+    def test_evaluations_cover_all_cross_pairs(self, rng):
         sizes = [2, 3, 4]
         groups = [
             [make_random_tree(rng, max_size=10) for _ in range(size)]
             for size in sizes
         ]
         result = find_kernel_trees(groups)
-        total_cross_pairs = 2 * 3 + 2 * 4 + 3 * 4
-        assert result.pairs_pruned >= 0
-        assert 0 < result.pairwise_evaluations <= total_cross_pairs
-        assert (
-            result.pairwise_evaluations + result.pairs_pruned
-            == total_cross_pairs
-        )
+        assert result.pairwise_evaluations == 2 * 3 + 2 * 4 + 3 * 4
 
     def test_prunes_after_perfect_match(self):
-        # Once a distance-0 assignment is found, every remaining
-        # candidate's screen (>= 0) ties or exceeds it, so no further
-        # pair is ever joined.
+        # A distance-0 assignment found first is never displaced: every
+        # later candidate ties or exceeds it.
         shared = "((a,b),(c,d));"
         groups = [
             [parse_newick(shared)],
@@ -94,17 +104,45 @@ class TestBookkeeping:
         result = find_kernel_trees(groups)
         assert result.indexes == (0, 0)
         assert result.average_distance == 0.0
-        assert result.pairwise_evaluations == 1
-        assert result.pairs_pruned == 2
+        assert result.pairwise_evaluations == 3
 
     def test_total_pairs_grow_with_groups(self, rng):
         trees = [
             [make_random_tree(rng, max_size=10) for _ in range(3)]
             for _ in range(5)
         ]
-        totals = []
-        for count in (2, 3, 4, 5):
-            result = find_kernel_trees(trees[:count])
-            totals.append(result.pairwise_evaluations + result.pairs_pruned)
+        totals = [
+            find_kernel_trees(trees[:count]).pairwise_evaluations
+            for count in (2, 3, 4, 5)
+        ]
         expected = [9 * count * (count - 1) // 2 for count in (2, 3, 4, 5)]
         assert totals == expected
+
+
+def _exhaustive(groups, mode, minoccur):
+    """Exact oracle: every index tuple in lexicographic order.
+
+    Sums accumulate in the search's order — per group ``k``, the
+    distances to the earlier choices are added left to right onto 0.0
+    and then onto the running total — and the best only moves on a
+    strictly smaller sum, so ties keep the smallest tuple.  Distances
+    come from the string-keyed reference, not the packed kernel.
+    """
+    sets = [
+        [CousinPairSet.from_tree(tree, minoccur=minoccur) for tree in group]
+        for group in groups
+    ]
+    best_sum, best_choice = float("inf"), None
+    for choice in product(*(range(len(group)) for group in groups)):
+        total = 0.0
+        for k in range(1, len(groups)):
+            added = 0.0
+            for earlier in range(k):
+                added += pairset_distance(
+                    sets[earlier][choice[earlier]], sets[k][choice[k]], mode
+                )
+            total += added
+        if total < best_sum:
+            best_sum, best_choice = total, choice
+    pair_count = len(groups) * (len(groups) - 1) // 2
+    return best_choice, best_sum / pair_count
