@@ -54,19 +54,19 @@ from repro.core.params import validate_mode
 from repro.core.similarity import average_similarity
 from repro.core.treerank import rank_trees
 from repro.errors import ReproError
-from repro.trees.newick import read_newick_file, write_newick
-from repro.trees.nexus import read_nexus_file
+from repro.trees.newick import write_newick
+from repro.trees.nexus import read_arenas
 
 __all__ = ["main", "build_parser", "load_trees"]
 
 
 def load_trees(path: str):
-    """Read trees from a Newick or NEXUS file (sniffed by header)."""
-    with open(path, encoding="utf-8") as handle:
-        head = handle.read(64)
-    if head.lstrip().upper().startswith("#NEXUS"):
-        return read_nexus_file(path)
-    return read_newick_file(path)
+    """Read pointer trees from a Newick or NEXUS file (sniffed by header).
+
+    For the subcommands that walk nodes; the mining subcommands read
+    arenas with :func:`repro.trees.nexus.read_arenas` instead.
+    """
+    return [arena.to_tree() for arena in read_arenas(path)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -518,7 +518,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_frequent(args: argparse.Namespace) -> int:
-    trees = load_trees(args.file)
+    trees = read_arenas(args.file)
     with _engine_session(args) as engine:
         patterns = mine_forest(
             trees,
@@ -580,8 +580,8 @@ def _cmd_distance(args: argparse.Namespace) -> int:
             _report_engine_stats(engine, args)
         print(f"{value:.6f}")
         return 0
-    first = load_trees(args.first)
-    second = load_trees(args.second)
+    first = read_arenas(args.first)
+    second = read_arenas(args.second)
     if len(first) != 1 or len(second) != 1:
         print("distance expects exactly one tree per file", file=sys.stderr)
         return 2
@@ -604,7 +604,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     if len(args.files) < 2:
         print("kernel needs at least two group files", file=sys.stderr)
         return 2
-    groups = [load_trees(path) for path in args.files]
+    groups = [read_arenas(path) for path in args.files]
     with _engine_session(args) as engine:
         result = find_kernel_trees(
             groups,
@@ -636,7 +636,7 @@ def _cmd_treerank(args: argparse.Namespace) -> int:
 
 
 def _cmd_similar(args: argparse.Namespace) -> int:
-    queries = load_trees(args.query)
+    queries = read_arenas(args.query)
     if len(queries) != 1:
         print("similar expects exactly one query tree", file=sys.stderr)
         return 2
@@ -654,7 +654,7 @@ def _cmd_similar(args: argparse.Namespace) -> int:
         print("similar needs a database file or --store DIR",
               file=sys.stderr)
         return 2
-    database = load_trees(args.database)
+    database = read_arenas(args.database)
     with _engine_session(args) as engine:
         vectors = engine.distance_vectors(
             database,

@@ -28,6 +28,7 @@ import enum
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.pairset import CousinPairSet
+from repro.trees.arena import TreeLike
 from repro.trees.tree import Tree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -136,8 +137,8 @@ def pairset_distance_matrix(
 
 
 def tree_distance(
-    first: Tree,
-    second: Tree,
+    first: TreeLike,
+    second: TreeLike,
     mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
     maxdist: float = 1.5,
     minoccur: int = 1,

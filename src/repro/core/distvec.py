@@ -69,9 +69,8 @@ from repro.core.distance import DistanceMode
 from repro.core.fastmine import PackedCounts, mine_arena
 from repro.core.params import MiningParams, validate_minoccur, validate_mode
 from repro.obs.context import get_registry, get_tracer
-from repro.trees.arena import LabelTable, forest_arenas
+from repro.trees.arena import LabelTable, TreeLike, forest_arenas
 from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK, PAIR_MASK, pack_key
-from repro.trees.tree import Tree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.engine import MiningEngine
@@ -301,7 +300,7 @@ class DistanceVectors:
     @classmethod
     def from_trees(
         cls,
-        trees: Sequence[Tree],
+        trees: Sequence[TreeLike],
         params: MiningParams | None = None,
         *,
         maxdist: float = 1.5,

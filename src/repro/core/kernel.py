@@ -31,7 +31,7 @@ from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors
 from repro.core.params import validate_mode
 from repro.obs.context import get_registry, get_tracer
-from repro.trees.tree import Tree
+from repro.trees.arena import TreeLike
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.engine import MiningEngine
@@ -59,13 +59,13 @@ class KernelResult:
     """
 
     indexes: tuple[int, ...]
-    trees: tuple[Tree, ...]
+    trees: tuple[TreeLike, ...]
     average_distance: float
     pairwise_evaluations: int
 
 
 def find_kernel_trees(
-    groups: Sequence[Sequence[Tree]],
+    groups: Sequence[Sequence[TreeLike]],
     mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
     maxdist: float = 1.5,
     minoccur: int = 1,

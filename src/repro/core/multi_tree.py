@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.distvec import _collapse_pairs, _remap_packed
 from repro.core.fastmine import PackedCounts, mine_arena, mine_tree
 from repro.core.params import MiningParams, validate_minoccur, validate_minsup
-from repro.trees.arena import LabelTable, forest_arenas
+from repro.trees.arena import LabelTable, TreeLike, forest_arenas
 from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK
 from repro.trees.tree import Tree
 
@@ -211,7 +211,7 @@ def aggregate_packed(
 
 
 def mine_forest(
-    trees: Sequence[Tree],
+    trees: Sequence[TreeLike],
     maxdist: float = 1.5,
     minoccur: int = 1,
     minsup: int = 2,

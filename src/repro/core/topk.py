@@ -55,9 +55,8 @@ from repro.core.fastmine import PackedCounts, mine_arena
 from repro.core.params import MiningParams, validate_minoccur, validate_mode
 from repro.errors import ArenaError, MiningParameterError
 from repro.obs.context import get_registry, get_tracer
-from repro.trees.arena import TreeArena
+from repro.trees.arena import TreeLike, as_arena
 from repro.trees.packing import MAX_LABELS
-from repro.trees.tree import Tree
 
 __all__ = [
     "QueryVector",
@@ -247,7 +246,7 @@ def topk_search(
 
 def topk_similar(
     vectors: DistanceVectors,
-    query: Tree,
+    query: TreeLike,
     k: int,
     mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
     params: MiningParams | None = None,
@@ -275,6 +274,6 @@ def topk_similar(
             max_generation_gap=max_generation_gap,
             max_height=max_height,
         )
-    packed = mine_arena(TreeArena.from_tree(query), params)
+    packed = mine_arena(as_arena(query), params)
     projected = query_vector(vectors, packed, params.minoccur)
     return topk_search(vectors, projected, k, mode)

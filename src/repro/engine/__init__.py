@@ -9,7 +9,7 @@ scheme, :mod:`repro.engine.delta` for versioned corpora and
 ``docs/engine.md`` for the architecture overview.
 """
 
-from repro.engine.cache import PairSetCache, cache_key, tree_fingerprint
+from repro.engine.cache import PairSetCache, arena_cache_key
 from repro.engine.delta import (
     CorpusDelta,
     CorpusDiff,
@@ -29,6 +29,5 @@ __all__ = [
     "CorpusDiff",
     "CorpusSnapshot",
     "TreeRef",
-    "cache_key",
-    "tree_fingerprint",
+    "arena_cache_key",
 ]

@@ -19,16 +19,17 @@ Cache keys are *content addresses*: a SHA-256 over
   ``max_generation_gap`` and ``max_height`` (``minoccur`` and
   ``minsup`` are post-filters and deliberately excluded, so one cached
   payload serves every threshold), and
-- the tree's canonical form (:meth:`repro.trees.tree.Tree.canonical_form`
+- the tree's canonical form (:meth:`repro.trees.arena.TreeArena
+  .fingerprint`: :meth:`repro.trees.tree.Tree.canonical_form`
   semantics, serialised iteratively so arbitrarily deep trees are safe).
 
 Because interning is deterministic (sorted label order — see
 :class:`repro.trees.arena.LabelTable`) and the canonical form ignores
 node ids, a packed payload is a pure function of the content address:
 isomorphic trees resolve to the same interned result whichever process
-mined it.  :func:`cache_key` (from a pointer tree) and
-:func:`arena_cache_key` (from an already-flattened arena) produce the
-same address for the same content.
+mined it.  :func:`arena_cache_key` is the only address function: the
+engine computes it from the arenas the readers produce (or flattens a
+pointer tree first).
 
 Two layers back the address space: a bounded in-process LRU
 (``OrderedDict``) and an optional on-disk layer (one pickle per key,
@@ -52,11 +53,8 @@ from repro.io import atomic_write
 from repro.obs.context import get_registry
 from repro.trees.arena import TreeArena
 from repro.trees.packing import PACKED_KEY_SCHEME
-from repro.trees.tree import Tree
 
 __all__ = [
-    "tree_fingerprint",
-    "cache_key",
     "arena_cache_key",
     "PairSetCache",
 ]
@@ -65,61 +63,24 @@ __all__ = [
 # change to the key layout must re-address every cached payload.
 _KEY_SCHEME = PACKED_KEY_SCHEME
 
-# Separators chosen below "\x00" .. label bytes so no label content can
-# forge a boundary: labels are arbitrary strings, so each is wrapped in
-# a length prefix instead of relying on forbidden characters.
 
+def arena_cache_key(arena: TreeArena, params: MiningParams) -> str:
+    """The content address of one (tree, parameters) mining result.
 
-def tree_fingerprint(tree: Tree) -> str:
-    """A canonical-form string: equal iff the trees are isomorphic.
-
-    Matches the equivalence of :meth:`Tree.canonical_form` (rooted,
-    unordered, labeled; ids and branch lengths ignored) but is built as
-    a flat string bottom-up, so hashing never recurses into nested
-    tuples.  Labels are length-prefixed, which keeps the encoding
-    injective whatever characters a label contains.
+    Equal for isomorphic arenas under the same counter-affecting
+    parameters (:meth:`TreeArena.fingerprint` ignores ids and branch
+    lengths), whichever reader or process produced the arena.
     """
-    root = tree.root
-    if root is None:
-        return "empty"
-    forms: dict[int, str] = {}
-    for node in tree.postorder():
-        child_forms = sorted(forms.pop(child.node_id) for child in node.children)
-        if node.label is None:
-            label_key = "-"
-        else:
-            label_key = f"{len(node.label)}:{node.label}"
-        forms[node.node_id] = "(" + label_key + "".join(child_forms) + ")"
-    return forms[root.node_id]
-
-
-def _digest(fingerprint: str, params: MiningParams) -> str:
     payload = "\n".join(
         [
             _KEY_SCHEME,
             f"maxdist={float(params.maxdist)!r}",
             f"gap={int(params.max_generation_gap)!r}",
             f"height={params.max_height!r}",
-            fingerprint,
+            arena.fingerprint(),
         ]
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def cache_key(tree: Tree, params: MiningParams) -> str:
-    """The content address of one (tree, parameters) mining result."""
-    return _digest(tree_fingerprint(tree), params)
-
-
-def arena_cache_key(arena: TreeArena, params: MiningParams) -> str:
-    """The content address computed from an already-flattened arena.
-
-    Produces the same digest as :func:`cache_key` on the source tree
-    (:meth:`TreeArena.fingerprint` matches :func:`tree_fingerprint`
-    byte for byte), so engine code that has flattened its inputs never
-    needs the pointer tree to address the cache.
-    """
-    return _digest(arena.fingerprint(), params)
 
 
 class PairSetCache:

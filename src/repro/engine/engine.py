@@ -60,8 +60,7 @@ from repro.errors import EngineError
 from repro.obs.context import scope as obs_scope
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.trees.arena import TreeArena
-from repro.trees.tree import Tree
+from repro.trees.arena import TreeArena, TreeLike, as_arena
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.store import PairStore
@@ -249,7 +248,7 @@ class MiningEngine:
     # ------------------------------------------------------------------
     def counters(
         self,
-        trees: Sequence[Tree],
+        trees: Sequence[TreeLike],
         params: MiningParams | None = None,
         *,
         maxdist: float = 1.5,
@@ -269,7 +268,7 @@ class MiningEngine:
 
     def packed_counts(
         self,
-        trees: Sequence[Tree],
+        trees: Sequence[TreeLike],
         params: MiningParams | None = None,
         *,
         maxdist: float = 1.5,
@@ -304,12 +303,14 @@ class MiningEngine:
             del self._projections[key]
 
     def _resolved_packed(
-        self, trees: Sequence[Tree], params: MiningParams
+        self, trees: Sequence[TreeLike], params: MiningParams
     ) -> tuple[list[str], dict[str, PackedCounts]]:
         """Content addresses per tree plus the address -> counts map.
 
-        Each tree is flattened once; the arena both addresses the
-        cache and feeds the kernel (or a worker process) on a miss.
+        Arena inputs are used as they are (re-interned only if they
+        carry a shared label table); pointer trees are flattened once.
+        The arena both addresses the cache and feeds the kernel (or a
+        worker process) on a miss.
         The returned :class:`PackedCounts` are the engine's own cached
         objects — internal callers only read them; the public surface
         materialises fresh counters / item lists from them.
@@ -325,7 +326,7 @@ class MiningEngine:
             resolved: dict[str, object] = {}
             to_mine: list[tuple[str, TreeArena]] = []
             with tracer.span("engine.lookup"):
-                arenas = [TreeArena.from_tree(tree) for tree in trees]
+                arenas = [as_arena(tree) for tree in trees]
                 keys = [arena_cache_key(arena, params) for arena in arenas]
                 for arena, key in zip(arenas, keys):
                     if key in resolved:
@@ -400,7 +401,7 @@ class MiningEngine:
     # ------------------------------------------------------------------
     def items(
         self,
-        trees: Sequence[Tree],
+        trees: Sequence[TreeLike],
         params: MiningParams | None = None,
         *,
         maxdist: float = 1.5,
@@ -420,7 +421,7 @@ class MiningEngine:
     # ------------------------------------------------------------------
     def distance_vectors(
         self,
-        trees: Sequence[Tree],
+        trees: Sequence[TreeLike],
         params: MiningParams | None = None,
         *,
         maxdist: float = 1.5,
@@ -449,7 +450,7 @@ class MiningEngine:
 
     def frequent_pairs(
         self,
-        trees: Sequence[Tree],
+        trees: Sequence[TreeLike],
         params: MiningParams,
         *,
         ignore_distance: bool = False,
@@ -545,7 +546,7 @@ class MiningEngine:
     def topk_similar(
         self,
         vectors: DistanceVectors,
-        query: Tree,
+        query: TreeLike,
         k: int,
         mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
         params: MiningParams | None = None,
@@ -649,7 +650,7 @@ class MiningEngine:
 
     def store_topk(
         self,
-        query: Tree,
+        query: TreeLike,
         k: int,
         mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
     ) -> TopKResult:
@@ -717,7 +718,7 @@ class MiningEngine:
             self._projections.move_to_end(memo_key)
         return cached
 
-    def mine_forest(self, trees: Sequence[Tree], **kwargs):
+    def mine_forest(self, trees: Sequence[TreeLike], **kwargs):
         """Frequent pairs across a forest via this engine.
 
         Same signature and output as

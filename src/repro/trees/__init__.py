@@ -6,15 +6,17 @@ mining algorithms of the paper operate:
 - :mod:`repro.trees.tree` — the :class:`~repro.trees.tree.Tree` and
   :class:`~repro.trees.tree.Node` data structures (unique identification
   numbers, optional labels, children sets);
-- :mod:`repro.trees.newick` — a self-contained Newick parser and writer
-  (the environment substitute for Biopython / ete3);
+- :mod:`repro.trees.newick` — a self-contained Newick reader and writer
+  (the environment substitute for Biopython / ete3); the reader fills
+  :class:`~repro.trees.arena.TreeArena` columns straight from text;
 - :mod:`repro.trees.traversal` — traversal orders, depth/height tables,
   ancestor tables and least-common-ancestor queries (the preprocessing
   step of Section 3 of the paper);
 - :mod:`repro.trees.bipartition` — clusters (clades) and split-based
   comparisons such as Robinson–Foulds, used by the consensus methods;
 - :mod:`repro.trees.nexus` — NEXUS tree-file support (the format
-  TreeBASE distributes);
+  TreeBASE distributes) and :func:`~repro.trees.nexus.read_arenas`,
+  which reads either format into arenas;
 - :mod:`repro.trees.build` — rooted triples and the BUILD algorithm
   (Aho et al.), the supertree substrate;
 - :mod:`repro.trees.arena` — flat-array arenas with interned integer
@@ -27,7 +29,7 @@ mining algorithms of the paper operate:
 
 from repro.trees.arena import LabelTable, TreeArena, forest_arenas
 from repro.trees.tree import Node, Tree
-from repro.trees.newick import parse_newick, parse_forest, write_newick
+from repro.trees.newick import parse_arenas, parse_newick, parse_forest, write_newick
 from repro.trees.traversal import TreeIndex
 from repro.trees.bipartition import (
     clusters,
@@ -35,7 +37,13 @@ from repro.trees.bipartition import (
     robinson_foulds,
     tree_from_clusters,
 )
-from repro.trees.nexus import parse_nexus, write_nexus, read_nexus_file
+from repro.trees.nexus import (
+    parse_nexus,
+    parse_nexus_arenas,
+    read_arenas,
+    read_nexus_file,
+    write_nexus,
+)
 from repro.trees.build import Triple, tree_triples, build_from_triples, BuildConflict
 from repro.trees.rooting import outgroup_root, midpoint_root, reroot_on_edge
 from repro.trees.drawing import render_tree, render_with_highlights, render_pattern_report
@@ -54,6 +62,7 @@ __all__ = [
     "TreeArena",
     "forest_arenas",
     "TreeIndex",
+    "parse_arenas",
     "parse_newick",
     "parse_forest",
     "write_newick",
@@ -67,6 +76,8 @@ __all__ = [
     "collapse_unary",
     "tree_from_parent_list",
     "parse_nexus",
+    "parse_nexus_arenas",
+    "read_arenas",
     "write_nexus",
     "read_nexus_file",
     "Triple",

@@ -1,10 +1,14 @@
 """Flat-array tree arenas with interned integer labels.
 
-The pointer-based :class:`~repro.trees.tree.Tree` is the right
-structure for construction and editing, but the mining hot path
-(:mod:`repro.core.fastmine`) wants something an inner loop can chew
-through without attribute lookups, per-node objects, or string
-hashing.  This module provides that compact form:
+The arena is the mining path's only tree representation: the Newick
+and NEXUS readers (:func:`repro.trees.newick.parse_arenas`,
+:func:`repro.trees.nexus.read_arenas`) fill its columns straight from
+text, and the kernel (:mod:`repro.core.fastmine`), the engine's cache
+keys and its worker processes all consume it without attribute
+lookups, per-node objects, or string hashing.  The pointer-based
+:class:`~repro.trees.tree.Tree` is for editing and for the consumers
+that walk nodes (consensus, parsimony, rooting, the apps);
+:meth:`TreeArena.to_tree` builds one on demand.  This module provides:
 
 - :class:`LabelTable` interns the distinct labels of a tree (or a
   whole forest) into dense integer ids, assigned in **sorted label
@@ -54,6 +58,8 @@ __all__ = [
     "MAX_LABELS",
     "LabelTable",
     "TreeArena",
+    "TreeLike",
+    "as_arena",
     "forest_arenas",
 ]
 
@@ -98,11 +104,14 @@ class LabelTable:
         }
 
     @classmethod
-    def from_forest(cls, trees: Sequence[Tree]) -> "LabelTable":
+    def from_forest(cls, trees: Sequence["TreeLike"]) -> "LabelTable":
         """One shared table covering every label of every tree."""
 
         def labels() -> Iterator[str]:
             for tree in trees:
+                if isinstance(tree, TreeArena):
+                    yield from tree.labels_used()
+                    continue
                 for node in tree.preorder():
                     if node.label is not None:
                         yield node.label
@@ -159,8 +168,9 @@ class LabelTable:
 class TreeArena:
     """One tree flattened into preorder-indexed array buffers.
 
-    Build with :meth:`from_tree`; the constructor takes the raw
-    buffers and is mostly useful to deserialisers and tests.
+    The readers build arenas with :meth:`from_columns`; :meth:`from_tree`
+    flattens a pointer tree.  The constructor takes the raw buffers and
+    is mostly useful to deserialisers and tests.
     """
 
     __slots__ = (
@@ -241,7 +251,27 @@ class TreeArena:
                 for child in reversed(node._children):
                     stack_append((child, index))
                 index += 1
+        return cls.from_columns(parent, label, lengths, table, tree.name, node_ids)
+
+    @classmethod
+    def from_columns(
+        cls,
+        parent: array,
+        label: array,
+        lengths: array,
+        table: LabelTable,
+        name: str | None = None,
+        node_ids: array | None = None,
+    ) -> "TreeArena":
+        """Wrap preorder ``parent``/``label``/``lengths`` columns.
+
+        Derives the child and sibling links from ``parent``; without
+        ``node_ids`` every node's id is its preorder index, the ids
+        :func:`repro.trees.newick.parse_newick` assigns.
+        """
         count = len(parent)
+        if node_ids is None:
+            node_ids = array("q", range(count))
         first_child = array("i", [-1]) * count
         next_sibling = array("i", [-1]) * count
         for index in range(count - 1, 0, -1):
@@ -256,7 +286,50 @@ class TreeArena:
             node_ids,
             lengths,
             table,
-            name=tree.name,
+            name=name,
+        )
+
+    def labels_used(self) -> list[str]:
+        """The distinct labels on this tree's nodes, in sorted order."""
+        labels = self.table.labels
+        return [labels[index] for index in self._used_ids()]
+
+    def _used_ids(self) -> list[int]:
+        return [index for index in sorted(set(self.label)) if index >= 0]
+
+    def interned(self, table: LabelTable | None = None) -> "TreeArena":
+        """This arena with its label column interned through ``table``.
+
+        ``None`` asks for the per-tree table (this tree's labels only)
+        that content addresses and cached payloads are checked against.
+        Returns ``self`` when the arena already carries the requested
+        table; otherwise a new arena sharing the structure buffers.
+        Raises :class:`ArenaError` if ``table`` misses a used label.
+        """
+        labels = self.table.labels
+        used = self._used_ids()
+        if table is None:
+            if len(used) == len(labels):
+                return self
+            table = LabelTable(labels[index] for index in used)
+        elif table is self.table or table == self.table:
+            return self
+        ids = table._ids
+        remap = [-1] * (len(labels) + 1)  # slot -1 keeps unlabeled at -1
+        for index in used:
+            try:
+                remap[index] = ids[labels[index]]
+            except KeyError:
+                raise table.missing(labels[index]) from None
+        return TreeArena(
+            self.parent,
+            self.first_child,
+            self.next_sibling,
+            array("i", [remap[index] for index in self.label]),
+            self.node_ids,
+            self.lengths,
+            table,
+            self.name,
         )
 
     # ------------------------------------------------------------------
@@ -284,10 +357,14 @@ class TreeArena:
     def fingerprint(self) -> str:
         """The canonical-form string of the flattened tree.
 
-        Matches :func:`repro.engine.cache.tree_fingerprint` exactly
-        (rooted unordered labeled isomorphism; ids and branch lengths
-        ignored), so an arena can stand in for its source tree when
-        computing content addresses.
+        Equal iff the trees are isomorphic as rooted, unordered,
+        labeled trees (the equivalence of
+        :meth:`~repro.trees.tree.Tree.canonical_form`; ids and branch
+        lengths ignored).  Built bottom-up as a flat string, so it
+        never recurses, and labels are length-prefixed, which keeps the
+        encoding injective whatever characters a label contains.  This
+        is the content address behind
+        :func:`repro.engine.cache.arena_cache_key`.
         """
         count = len(self.parent)
         if count == 0:
@@ -388,15 +465,37 @@ class TreeArena:
         )
 
 
+TreeLike = Tree | TreeArena
+"""What the mining entry points accept: a pointer tree or an arena."""
+
+
+def as_arena(tree: TreeLike) -> TreeArena:
+    """``tree`` as an arena carrying its own per-tree label table.
+
+    A pointer tree is flattened; an arena passes through unless it
+    carries a shared table, in which case its labels are re-interned.
+    """
+    if isinstance(tree, TreeArena):
+        return tree.interned()
+    return TreeArena.from_tree(tree)
+
+
 def forest_arenas(
-    trees: Sequence[Tree], table: LabelTable | None = None
+    trees: Sequence[TreeLike], table: LabelTable | None = None
 ) -> tuple[LabelTable, list[TreeArena]]:
     """Flatten a forest against one shared label table.
 
     Interns the whole forest's label universe once (the per-forest
     interning pass of the mining kernel) and returns the table plus
-    one arena per tree, aligned with the input order.
+    one arena per tree, aligned with the input order.  Arenas already
+    carrying ``table`` pass through; others have their label column
+    re-interned (:meth:`TreeArena.interned`).
     """
     if table is None:
         table = LabelTable.from_forest(trees)
-    return table, [TreeArena.from_tree(tree, table) for tree in trees]
+    return table, [
+        tree.interned(table)
+        if isinstance(tree, TreeArena)
+        else TreeArena.from_tree(tree, table)
+        for tree in trees
+    ]

@@ -16,75 +16,101 @@ table::
     END;
 
 Supported: any number of TREES blocks, ``[...]`` comments (including
-the ``[&R]``/``[&U]`` rooting annotations, which are recorded on the
-tree name side), quoted names, case-insensitive keywords, and the
-TRANSLATE indirection (labels in the Newick bodies are mapped through
-the table).  Other NEXUS blocks (TAXA, CHARACTERS, ...) are skipped.
+the ``[&R]``/``[&U]`` rooting annotations, which are skipped), quoted
+names, case-insensitive keywords, and the TRANSLATE indirection
+(labels in the Newick bodies are mapped through the table).  Other
+NEXUS blocks (TAXA, CHARACTERS, ...) are skipped.
+
+The document is split into ``;``-terminated statements by one
+quote- and comment-aware pattern, so a quoted name may hold ``;``,
+``,`` or brackets (``'a;b'``, ``'x, y'``, ``'c[1]'``).  Each TREE body
+goes straight to the Newick token reader of :mod:`repro.trees.newick`
+with the block's TRANSLATE map, which fills one
+:class:`~repro.trees.arena.TreeArena` per tree
+(:func:`parse_nexus_arenas`); :func:`read_arenas` reads either format
+from a file, sniffing the ``#NEXUS`` header.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
+from itertools import count
 
 from repro.errors import NewickError
-from repro.trees.newick import parse_newick, write_newick
-from repro.trees.ops import relabel
+from repro.trees.arena import TreeArena
+from repro.trees.newick import parse_arenas, read_tokens, write_newick
 from repro.trees.tree import Tree
 
-__all__ = ["parse_nexus", "write_nexus", "read_nexus_file"]
+__all__ = [
+    "parse_nexus",
+    "parse_nexus_arenas",
+    "write_nexus",
+    "read_nexus_file",
+    "read_arenas",
+]
 
-_BLOCK_RE = re.compile(
-    r"BEGIN\s+TREES\s*;(.*?)END\s*;", re.IGNORECASE | re.DOTALL
+_QUOTED = r"'[^']*(?:''[^']*)*'(?!')"
+_FILLER = r"\s*(?:\[[^\]]*\]\s*)*"
+_HEADER_RE = re.compile(rf"{_FILLER}#NEXUS", re.IGNORECASE)
+# A statement runs to the next ``;`` outside quotes and comments; the
+# match stops early at an unterminated quote or comment.
+_STATEMENT_RE = re.compile(rf"(?:[^;'\[]+|{_QUOTED}|\[[^\]]*\])*")
+# The first two words of a statement, such as ``BEGIN TREES``.
+_KEYWORDS_RE = re.compile(rf"{_FILLER}(\w*){_FILLER}(\w*)")
+# One TRANSLATE entry: a key, then the name (one or more words, kept as
+# written), then ``,`` or the end of the statement.
+_WORD = rf"(?:{_QUOTED}|[^\s\[',;]+)"
+_ENTRY_RE = re.compile(
+    rf"{_FILLER}({_WORD}){_FILLER}((?:{_WORD}(?:{_FILLER}{_WORD})*)?){_FILLER}(?:,|\Z)"
 )
+# ``TREE [*] name =``, where ``*`` marks the default tree.
 _TREE_RE = re.compile(
-    r"U?TREE\s*(\*)?\s*([^=\s]+)\s*=\s*(.*?);",
-    re.IGNORECASE | re.DOTALL,
-)
-_TRANSLATE_RE = re.compile(
-    r"TRANSLATE\s+(.*?);", re.IGNORECASE | re.DOTALL
+    rf"{_FILLER}U?TREE{_FILLER}(?:\*{_FILLER})?({_QUOTED}|[^\s\['=,]+){_FILLER}=",
+    re.IGNORECASE,
 )
 
 
-def _strip_comments(text: str) -> str:
-    """Remove ``[...]`` comments (non-nested, per the NEXUS standard)."""
-    pieces: list[str] = []
-    position = 0
-    while True:
-        start = text.find("[", position)
-        if start == -1:
-            pieces.append(text[position:])
-            return "".join(pieces)
-        pieces.append(text[position:start])
-        end = text.find("]", start + 1)
-        if end == -1:
-            raise NewickError("unterminated NEXUS comment", start)
-        position = end + 1
+def parse_nexus_arenas(text: str) -> list[TreeArena]:
+    """Read every tree in the TREES block(s) of a NEXUS document.
 
+    One arena per TREE statement, named after it, with TRANSLATE keys
+    in the Newick body replaced by their taxon names.
 
-def _unquote(token: str) -> str:
-    # Underscores in unquoted tokens are kept literal (TreeBASE taxon
-    # names such as ``Mus_musculus`` round-trip unchanged).
-    token = token.strip()
-    if len(token) >= 2 and token[0] == "'" and token[-1] == "'":
-        return token[1:-1].replace("''", "'")
-    return token
-
-
-def _parse_translate(block: str) -> dict[str, str]:
-    match = _TRANSLATE_RE.search(block)
-    if not match:
-        return {}
-    table: dict[str, str] = {}
-    for entry in match.group(1).split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        parts = entry.split(None, 1)
-        if len(parts) != 2:
-            raise NewickError(f"malformed TRANSLATE entry {entry!r}")
-        key, name = parts
-        table[_unquote(key)] = _unquote(name)
-    return table
+    Raises
+    ------
+    NewickError
+        If the document has no ``#NEXUS`` header, no TREES block, an
+        unterminated quote, comment or TREES block, or a malformed
+        statement or tree.
+    """
+    header = _HEADER_RE.match(text)
+    if header is None:
+        raise NewickError("missing #NEXUS header")
+    arenas: list[TreeArena] = []
+    translate: dict[str, str] | None = None  # None outside TREES blocks
+    seen_block = False
+    for start, stop in _statements(text, header.end()):
+        words = _KEYWORDS_RE.match(text, start, stop)
+        keyword, second = words.group(1, 2) if words else ("", "")
+        keyword = keyword.upper()
+        if translate is None:
+            if keyword == "BEGIN" and second.upper() == "TREES":
+                translate = {}
+                seen_block = True
+        elif keyword in ("END", "ENDBLOCK"):
+            translate = None
+        elif keyword == "TRANSLATE":
+            translate = _translate(text, start, stop)
+        elif keyword in ("TREE", "UTREE"):
+            arenas.append(_tree(text, start, stop, translate))
+    if translate is not None:
+        raise NewickError("unterminated TREES block (no END;)", len(text))
+    if not seen_block:
+        raise NewickError("no TREES block found")
+    if not arenas:
+        raise NewickError("TREES block contains no TREE statements")
+    return arenas
 
 
 def parse_nexus(text: str) -> list[Tree]:
@@ -99,35 +125,81 @@ def parse_nexus(text: str) -> list[Tree]:
         If the document has no ``#NEXUS`` header, no TREES block, or a
         malformed tree statement.
     """
-    stripped = _strip_comments(text)
-    if not stripped.lstrip().upper().startswith("#NEXUS"):
-        raise NewickError("missing #NEXUS header")
-    blocks = _BLOCK_RE.findall(stripped)
-    if not blocks:
-        raise NewickError("no TREES block found")
-    trees: list[Tree] = []
-    for block in blocks:
-        table = _parse_translate(block)
-        # Cut the TRANSLATE statement so its commas don't look like
-        # tree statements.
-        body = _TRANSLATE_RE.sub("", block)
-        for match in _TREE_RE.finditer(body):
-            name = _unquote(match.group(2))
-            newick = match.group(3).strip()
-            tree = parse_newick(newick + ";", name=name)
-            if table:
-                tree = relabel(tree, table, missing="keep")
-                tree.name = name
-            trees.append(tree)
-    if not trees:
-        raise NewickError("TREES block contains no TREE statements")
-    return trees
+    return [arena.to_tree() for arena in parse_nexus_arenas(text)]
 
 
 def read_nexus_file(path: str) -> list[Tree]:
     """Read all trees from a NEXUS file."""
     with open(path, encoding="utf-8") as handle:
         return parse_nexus(handle.read())
+
+
+def read_arenas(path: str) -> list[TreeArena]:
+    """Read every tree of a Newick or NEXUS file into arenas.
+
+    The format is sniffed by a ``#NEXUS`` header in the first 64
+    characters; Newick trees are named ``tree_0``, ``tree_1``, ...
+    """
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    if text[:64].lstrip().upper().startswith("#NEXUS"):
+        return parse_nexus_arenas(text)
+    return parse_arenas(text)
+
+
+def _statements(text: str, position: int) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` of each ``;``-terminated statement."""
+    end = len(text)
+    while position < end:
+        match = _STATEMENT_RE.match(text, position)
+        stop = position if match is None else match.end()
+        if stop < end and text[stop] != ";":
+            what = "comment" if text[stop] == "[" else "quoted token"
+            raise NewickError(f"unterminated NEXUS {what}", stop)
+        yield position, stop
+        position = stop + 1
+
+
+def _unquote(word: str) -> str:
+    # Underscores in unquoted tokens are kept literal (TreeBASE taxon
+    # names such as ``Mus_musculus`` round-trip unchanged).
+    if len(word) >= 2 and word[0] == "'" and word[-1] == "'":
+        return word[1:-1].replace("''", "'")
+    return word
+
+
+def _translate(text: str, start: int, stop: int) -> dict[str, str]:
+    """The ``key -> taxon`` map of a TRANSLATE statement.
+
+    Entries are ``key name`` pairs separated by commas; a name of
+    several unquoted words is kept as written.
+    """
+    table: dict[str, str] = {}
+    keyword = _KEYWORDS_RE.match(text, start, stop)
+    begin = start if keyword is None else keyword.end(1)
+    for key, name in _ENTRY_RE.findall(text, begin, stop):
+        if not name:
+            raise NewickError(f"malformed TRANSLATE entry {key!r}", start)
+        table[_unquote(key)] = _unquote(name)
+    return table
+
+
+def _tree(
+    text: str, start: int, stop: int, translate: dict[str, str] | None
+) -> TreeArena:
+    """The arena of one ``TREE [*] name = newick`` statement."""
+    head = _TREE_RE.match(text, start, stop)
+    if head is None:
+        raise NewickError("malformed TREE statement", start)
+    # The body keeps its ``;``: a bare ``;`` is a one-node tree.
+    return read_tokens(
+        text,
+        head.end(),
+        min(stop + 1, len(text)),
+        single=True,
+        name=_unquote(head.group(1)),
+        translate=translate,
+    )[0]
 
 
 def write_nexus(trees: list[Tree], translate: bool = True) -> str:
@@ -138,14 +210,23 @@ def write_nexus(trees: list[Tree], translate: bool = True) -> str:
     translate:
         When true (default), emit a TRANSLATE table over the union of
         leaf labels and reference taxa by number — the compact style
-        TreeBASE uses.  When false, labels are written inline.
+        TreeBASE uses.  Numbers equal to an internal label are skipped,
+        so reading the file back never renames an internal node.  When
+        false, labels are written inline.
     """
     lines = ["#NEXUS", "BEGIN TREES;"]
+    number_of: dict[str, str] = {}
     if translate:
-        taxa = sorted({
-            label for tree in trees for label in tree.leaf_labels()
-        })
-        number_of = {name: str(i + 1) for i, name in enumerate(taxa)}
+        leaves = {label for tree in trees for label in tree.leaf_labels()}
+        taxa = sorted(leaves)
+        taken = {
+            node.label
+            for tree in trees
+            for node in tree.internal_nodes()
+            if node.label is not None and node.label not in leaves
+        }
+        numbers = (number for number in map(str, count(1)) if number not in taken)
+        number_of = dict(zip(taxa, numbers))
         if taxa:
             lines.append("    TRANSLATE")
             entries = [
@@ -153,14 +234,9 @@ def write_nexus(trees: list[Tree], translate: bool = True) -> str:
                 for name, number in number_of.items()
             ]
             lines.append(",\n".join(entries) + ";")
-        payload = [
-            relabel(tree, number_of, missing="keep") for tree in trees
-        ]
-    else:
-        payload = list(trees)
-    for position, tree in enumerate(payload):
-        name = trees[position].name or f"tree_{position}"
-        body = write_newick(tree, include_lengths=True)
+    for position, tree in enumerate(trees):
+        name = tree.name or f"tree_{position}"
+        body = write_newick(tree, include_lengths=True, translate=number_of)
         lines.append(f"    TREE {_quote_if_needed(name)} = [&R] {body}")
     lines.append("END;")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from repro.core.fastmine import (
     mine_tree_counter,
 )
 from repro.core.params import MiningParams
-from repro.engine.cache import arena_cache_key, cache_key, tree_fingerprint
+from repro.engine.cache import arena_cache_key
 from repro.errors import ArenaError, ReproError
 from repro.trees import arena as arena_module
 from repro.trees.arena import (
@@ -26,7 +26,7 @@ from repro.trees.arena import (
     TreeArena,
     forest_arenas,
 )
-from repro.trees.newick import parse_newick
+from repro.trees.newick import parse_arenas, parse_newick
 from repro.trees.tree import Tree
 
 _LABEL_MASK = (1 << LABEL_BITS) - 1
@@ -139,16 +139,17 @@ class TestTreeArena:
 
     def test_fingerprint_matches_tree_fingerprint(self):
         for source in ["((a,b,(c,a)d)e,(f,(g)));", "a;", "((,a),);"]:
-            tree = parse_newick(source)
-            assert TreeArena.from_tree(tree).fingerprint() == (
-                tree_fingerprint(tree)
+            (read,) = parse_arenas(source)
+            assert read.fingerprint() == (
+                TreeArena.from_tree(parse_newick(source)).fingerprint()
             )
 
     def test_arena_cache_key_matches_cache_key(self):
-        tree = _sample_tree()
+        source = "((a,b,(c,a)d)e,((b)f,c,(a,(b,c))));"
         params = MiningParams(maxdist=2.5, max_generation_gap=2)
-        assert arena_cache_key(TreeArena.from_tree(tree), params) == (
-            cache_key(tree, params)
+        (read,) = parse_arenas(source)
+        assert arena_cache_key(read, params) == (
+            arena_cache_key(TreeArena.from_tree(parse_newick(source)), params)
         )
 
     def test_pickle_round_trip(self):

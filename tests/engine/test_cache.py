@@ -18,9 +18,18 @@ import pytest
 from repro.core.kernel import find_kernel_trees
 from repro.core.reference import mine_forest_reference
 from repro.core.params import MiningParams
-from repro.engine import MiningEngine, PairSetCache, cache_key, tree_fingerprint
+from repro.engine import MiningEngine, PairSetCache, arena_cache_key
 from repro.errors import EngineError
+from repro.trees.arena import TreeArena
 from repro.trees.newick import parse_newick
+
+
+def _fingerprint(tree):
+    return TreeArena.from_tree(tree).fingerprint()
+
+
+def _key(tree, params):
+    return arena_cache_key(TreeArena.from_tree(tree), params)
 
 
 @pytest.fixture
@@ -32,29 +41,29 @@ class TestFingerprint:
     def test_isomorphic_reorderings_collide(self):
         first = parse_newick("((a,b),(c,d));")
         second = parse_newick("((d,c),(b,a));")
-        assert tree_fingerprint(first) == tree_fingerprint(second)
+        assert _fingerprint(first) == _fingerprint(second)
 
     def test_label_change_changes_fingerprint(self):
         first = parse_newick("((a,b),(c,d));")
         second = parse_newick("((a,b),(c,e));")
-        assert tree_fingerprint(first) != tree_fingerprint(second)
+        assert _fingerprint(first) != _fingerprint(second)
 
     def test_structure_change_changes_fingerprint(self):
         first = parse_newick("((a,b),(c,d));")
         second = parse_newick("(a,(b,(c,d)));")
-        assert tree_fingerprint(first) != tree_fingerprint(second)
+        assert _fingerprint(first) != _fingerprint(second)
 
     def test_ids_and_lengths_ignored(self):
         first = parse_newick("((a:1,b:2),(c,d));")
         second = parse_newick("((a,b),(c:9,d));")
-        assert tree_fingerprint(first) == tree_fingerprint(second)
+        assert _fingerprint(first) == _fingerprint(second)
 
     def test_mutating_a_tree_changes_its_key(self, tree):
         params = MiningParams()
-        before = cache_key(tree, params)
+        before = _key(tree, params)
         leaf = next(node for node in tree.preorder() if node.label == "a")
         leaf.label = "z"
-        assert cache_key(tree, params) != before
+        assert _key(tree, params) != before
 
     def test_tricky_labels_do_not_collide(self):
         # Labels that could forge structure markers if unescaped.
@@ -68,7 +77,7 @@ class TestFingerprint:
         root = second.add_root()
         second.add_child(root, label="")
         second.add_child(root, label="(a")
-        assert tree_fingerprint(first) != tree_fingerprint(second)
+        assert _fingerprint(first) != _fingerprint(second)
 
 
 class TestCacheKey:
@@ -82,12 +91,12 @@ class TestCacheKey:
         ids=["maxdist", "gap", "max_height"],
     )
     def test_counter_affecting_params_change_key(self, tree, variant):
-        assert cache_key(tree, MiningParams()) != cache_key(tree, variant)
+        assert _key(tree, MiningParams()) != _key(tree, variant)
 
     def test_post_filters_do_not_change_key(self, tree):
-        base = cache_key(tree, MiningParams())
-        assert base == cache_key(tree, MiningParams(minoccur=5))
-        assert base == cache_key(tree, MiningParams(minsup=7))
+        base = _key(tree, MiningParams())
+        assert base == _key(tree, MiningParams(minoccur=5))
+        assert base == _key(tree, MiningParams(minsup=7))
 
 
 class TestNoStaleHits:
@@ -222,7 +231,7 @@ class TestKernelMissAccounting:
             parse_newick("((a,c),(b,d));"),  # shared with group 1
         ]
         distinct = {
-            tree_fingerprint(tree) for tree in g1 + g2
+            _fingerprint(tree) for tree in g1 + g2
         }
         engine = MiningEngine()
         result = find_kernel_trees([g1, g2], engine=engine)
@@ -249,7 +258,7 @@ class TestPayloadRejection:
 
         engine = MiningEngine()
         baseline = engine.items([tree])
-        key = cache_key(tree, MiningParams(minsup=1))
+        key = _key(tree, MiningParams(minsup=1))
         poisoned = PackedCounts(("w", "x", "y", "z"), {0: 99})
         engine.cache.put(key, poisoned)
         engine.stats.reset()
@@ -275,7 +284,7 @@ class TestPayloadRejection:
 
         engine = MiningEngine()
         baseline = engine.items([tree])
-        key = cache_key(tree, MiningParams(minsup=1))
+        key = _key(tree, MiningParams(minsup=1))
         engine.cache.put(key, Counter({("a", "b", 1.0): 1}))
         engine.stats.reset()
 

@@ -72,3 +72,49 @@ class TestCooccurrence:
         assert engined.patterns == serial.patterns
         assert engined.occurrences == serial.occurrences
         assert engined.describe() == serial.describe()
+
+
+class TestArenaInputs:
+    """Arenas stand in for pointer trees on the engine and serial paths:
+    per-tree arenas from the reader, and arenas on one shared table
+    (re-interned before they address the cache)."""
+
+    @staticmethod
+    def _inputs(forest):
+        from repro.trees.arena import TreeArena, forest_arenas
+        from repro.trees.newick import parse_arenas, write_newick
+
+        read = parse_arenas("".join(write_newick(tree) for tree in forest))
+        flattened = [TreeArena.from_tree(tree) for tree in forest]
+        _table, shared = forest_arenas(forest)
+        return [read, flattened, shared]
+
+    def test_mining_entry_points_accept_arenas(self, forest, jobs):
+        from repro.core.distance import tree_distance
+        from repro.core.distvec import DistanceVectors
+        from repro.core.kernel import find_kernel_trees
+        from repro.core.multi_tree import mine_forest
+        from repro.core.topk import topk_similar
+
+        def results(trees, engine):
+            groups = [trees[:3], trees[3:]]
+            kernel = find_kernel_trees(groups, engine=engine)
+            vectors = DistanceVectors.from_trees(trees, engine=engine)
+            return (
+                mine_forest(trees, minsup=2, engine=engine),
+                (kernel.indexes, kernel.average_distance),
+                vectors.matrix("dist_occur"),
+                tree_distance(trees[0], trees[3], engine=engine),
+                topk_similar(vectors, trees[1], 3).neighbors,
+            )
+
+        expected = results(forest, None)
+        engine = make_engine(jobs)
+        assert results(forest, engine) == expected
+        for arenas in self._inputs(forest):
+            assert results(arenas, None) == expected
+            # One engine serves every input kind from one cache: an
+            # arena on a shared table must not disagree with the
+            # per-tree payloads already cached for its content.
+            assert results(arenas, engine) == expected
+            assert engine.stats.rejected == 0

@@ -124,12 +124,24 @@ def test_weighted_spans_match_lca_walk(tree, maxdist, gap, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(tree=trees(), maxdist=maxdists, gap=gaps)
-def test_fingerprint_tracks_isomorphism_oracle(tree, maxdist, gap):
-    """The arena fingerprint matches the cache's pointer-tree one."""
-    from repro.engine.cache import tree_fingerprint
+@given(tree=trees(), other=trees(), maxdist=maxdists, gap=gaps)
+def test_fingerprint_tracks_isomorphism_oracle(tree, other, maxdist, gap):
+    """Arena fingerprints and content addresses are equal exactly when
+    the canonical forms are (the isomorphism oracle), and survive a
+    Newick round trip through the arena reader."""
+    from repro.engine.cache import arena_cache_key
+    from repro.trees.newick import parse_arenas, write_newick
 
-    assert TreeArena.from_tree(tree).fingerprint() == tree_fingerprint(tree)
+    params = MiningParams(maxdist=maxdist, max_generation_gap=gap)
+    first = TreeArena.from_tree(tree)
+    second = TreeArena.from_tree(other)
+    same = tree.canonical_form() == other.canonical_form()
+    assert (first.fingerprint() == second.fingerprint()) == same
+    assert (
+        arena_cache_key(first, params) == arena_cache_key(second, params)
+    ) == same
+    (read,) = parse_arenas(write_newick(tree))
+    assert arena_cache_key(read, params) == arena_cache_key(first, params)
 
 
 @settings(max_examples=40, deadline=None)

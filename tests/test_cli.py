@@ -415,3 +415,90 @@ class TestMaxHeightFlag:
         out = capsys.readouterr().out
         assert "siblings" in out
         assert "first cousins" not in out
+
+
+class TestArenaOnlyMiningPath:
+    """frequent/kernel read arenas straight from text: no pointer tree
+    is built and no tree is flattened on the way to the kernel."""
+
+    @staticmethod
+    def _forbid_pointer_trees(monkeypatch):
+        from repro.trees.arena import TreeArena
+        from repro.trees.tree import Tree
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pointer tree on the mining path")
+
+        monkeypatch.setattr(Tree, "add_root", refuse)
+        monkeypatch.setattr(TreeArena, "from_tree", refuse)
+
+    def test_frequent_on_nexus(self, tmp_path, capsys, monkeypatch):
+        from repro.datasets.seed_plants import seed_plants_nexus
+
+        path = tmp_path / "seed.nex"
+        path.write_text(seed_plants_nexus(), encoding="utf-8")
+        argv = ["frequent", str(path), "--minsup", "2"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        self._forbid_pointer_trees(monkeypatch)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        assert "frequent pair(s) in 4 tree(s)" in expected
+
+    def test_kernel_on_newick_groups(self, tmp_path, capsys, monkeypatch):
+        paths = []
+        for number, block in enumerate(
+            [SEED_PLANT_NEWICKS[:2], SEED_PLANT_NEWICKS[2:]]
+        ):
+            path = tmp_path / f"g{number}.nwk"
+            path.write_text("\n".join(block), encoding="utf-8")
+            paths.append(str(path))
+        for mode in ("plain", "dist", "occur", "dist_occur"):
+            argv = ["kernel", *paths, "--mode", mode]
+            with monkeypatch.context() as patched:
+                assert main(argv) == 0
+                expected = capsys.readouterr().out
+                self._forbid_pointer_trees(patched)
+                assert main(argv) == 0
+                assert capsys.readouterr().out == expected
+
+
+class TestMalformedInputErrors:
+    """Truncated or mis-quoted inputs end in one ``error:`` line."""
+
+    NEXUS = "#NEXUS\nBEGIN TREES;\nTREE t = ((a,b),c);\nTREE u = ((a,c),b);\nEND;\n"
+
+    @pytest.fixture(
+        params=["truncated-nexus", "unterminated-quote"], ids=lambda p: p
+    )
+    def bad_file(self, request, tmp_path):
+        text = {
+            "truncated-nexus": self.NEXUS[: self.NEXUS.index("TREE u") + 14],
+            "unterminated-quote": "(('a,b),c);\n",
+        }[request.param]
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    @pytest.fixture
+    def good_file(self, tmp_path):
+        path = tmp_path / "good.nwk"
+        path.write_text("((a,b),c);\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command", ["frequent", "kernel", "distance", "similar"]
+    )
+    def test_one_error_line(self, command, bad_file, good_file, capsys):
+        argv = {
+            "frequent": ["frequent", bad_file],
+            "kernel": ["kernel", good_file, bad_file],
+            "distance": ["distance", good_file, bad_file],
+            "similar": ["similar", good_file, bad_file],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err

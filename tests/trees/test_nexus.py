@@ -116,3 +116,71 @@ class TestWrite:
             node.length for node in back.preorder() if node.length is not None
         )
         assert lengths == [0.5, 1.5, 2.0, 3.0]
+
+
+class TestQuoting:
+    """Quoted names may hold NEXUS punctuation: ``;`` ends no statement,
+    ``[`` opens no comment and ``,`` splits no TRANSLATE entry inside
+    quotes."""
+
+    @pytest.mark.parametrize("taxon", ["a;b", "a[1]", "x, y"])
+    def test_round_trip_keeps_quoted_taxon(self, taxon):
+        from repro.trees.tree import Tree
+
+        tree = Tree(name="t")
+        root = tree.add_root()
+        tree.add_child(root, label=taxon)
+        tree.add_child(root, label="other")
+        (back,) = parse_nexus(write_nexus([tree]))
+        assert sorted(back.leaf_labels()) == sorted([taxon, "other"])
+        assert back.canonical_form() == tree.canonical_form()
+
+    def test_quoted_names_inline(self):
+        text = (
+            "#NEXUS\nBEGIN TREES;\n"
+            "TREE 'my tree' = ('a;b','x, y',(c[1],'c[1]'));\nEND;\n"
+        )
+        (tree,) = parse_nexus(text)
+        assert tree.name == "my tree"
+        assert tree.leaf_labels() == {"a;b", "x, y", "c", "c[1]"}
+
+    def test_internal_label_never_renamed_by_translate(self):
+        tree = parse_newick("((a,b)1,c)2;", name="t")
+        (back,) = parse_nexus(write_nexus([tree]))
+        assert back.canonical_form() == tree.canonical_form()
+
+    def test_unterminated_quote(self):
+        text = "#NEXUS\nBEGIN TREES;\nTREE t = ('a,b);\nEND;\n"
+        with pytest.raises(NewickError, match="quoted"):
+            parse_nexus(text)
+
+    def test_truncated_trees_block(self):
+        text = "#NEXUS\nBEGIN TREES;\nTREE t = (a,b);\nTREE u = ((a,"
+        with pytest.raises(NewickError, match="unbalanced"):
+            parse_nexus(text)
+        with pytest.raises(NewickError, match="TREES block"):
+            parse_nexus(text[: text.index("TREE u")])
+
+    def test_malformed_tree_statement(self):
+        with pytest.raises(NewickError, match="TREE statement"):
+            parse_nexus("#NEXUS\nBEGIN TREES;\nTREE (a,b);\nEND;\n")
+
+
+class TestArenas:
+    def test_arenas_match_flattened_trees(self):
+        from repro.trees.arena import TreeArena
+        from repro.trees.nexus import parse_nexus_arenas
+
+        arenas = parse_nexus_arenas(SAMPLE)
+        assert arenas == [TreeArena.from_tree(t) for t in parse_nexus(SAMPLE)]
+        assert [arena.name for arena in arenas] == ["tree_1", "tree_2"]
+
+    def test_read_arenas_sniffs_format(self, tmp_path):
+        from repro.trees.nexus import read_arenas
+
+        nexus = tmp_path / "trees.nex"
+        nexus.write_text(SAMPLE, encoding="utf-8")
+        newick = tmp_path / "trees.nwk"
+        newick.write_text("((a,b),c);\n(a,(b,c));\n", encoding="utf-8")
+        assert [a.name for a in read_arenas(str(nexus))] == ["tree_1", "tree_2"]
+        assert [a.name for a in read_arenas(str(newick))] == ["tree_0", "tree_1"]

@@ -55,7 +55,7 @@ class TestPickleRoundtrip:
     def test_deep_chain_does_not_overflow(self):
         # Far deeper than the interpreter stack: default pickling of
         # the linked node graph would hit RecursionError here.
-        from repro.engine import tree_fingerprint
+        from repro.trees.arena import TreeArena
 
         depth = max(sys.getrecursionlimit() * 3, 3000)
         tree = Tree()
@@ -64,7 +64,10 @@ class TestPickleRoundtrip:
             node = tree.add_child(node, label=f"n{i}")
         clone = roundtrip(tree)
         assert len(clone) == depth
-        assert tree_fingerprint(clone) == tree_fingerprint(tree)
+        assert (
+            TreeArena.from_tree(clone).fingerprint()
+            == TreeArena.from_tree(tree).fingerprint()
+        )
 
     def test_explicit_ids_preserved(self):
         tree = Tree()
