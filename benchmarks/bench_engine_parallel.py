@@ -1,4 +1,4 @@
-"""Engine benchmark: kernels, fan-out and cache speedup (BENCH_engine.json).
+"""Engine benchmark: kernels and cache speedup (BENCH_engine.json).
 
 Runs ``Multiple_Tree_Mining`` over a Figure-6-style synthetic forest
 and records, side by side:
@@ -8,18 +8,11 @@ and records, side by side:
   path) vs the **fastmine** serial kernel (per-tree
   :func:`repro.core.fastmine.mine_tree_counter`) — the perf trajectory
   across PRs stays comparable because both are always measured;
-- a ``MiningEngine`` asked for ``jobs=4`` (with the default clamp to
-  the CPUs actually available, so a 1-core box takes the serial path
-  instead of paying for a useless process pool);
+- ``mine_forest`` without an engine;
 - a cached engine mined cold then warm.
 
-The parallel gate (>= 1.5x over serial at jobs=4) is only asserted
-when the hardware can express it (4+ CPUs); on smaller machines the
-JSON documents the cap instead (``hardware_capped: true``), and the
-clamp is asserted to have *removed* the old regression: the engine at
-``jobs=4`` must not run meaningfully slower than serial.  The cache
-gate always applies: a warm second pass over the same forest must be
-at least 2x faster than the cold pass.
+The cache gate: a warm second pass over the same forest must be at
+least 2x faster than the cold pass.
 """
 
 from __future__ import annotations
@@ -34,11 +27,9 @@ from repro.core import fastmine, single_tree
 from repro.core.multi_tree import mine_forest
 from repro.engine import MiningEngine
 from repro.generate.random_trees import SyntheticTreeParams, synthetic_forest
-from repro.obs.metrics import MetricsRegistry
 
 COUNT = 600
 TREESIZE = 50  # Table 3's 200 scaled down, matching bench_fig6
-JOBS = 4
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 
@@ -57,7 +48,7 @@ def strict(patterns):
     ]
 
 
-def test_engine_parallel_and_cache_speedup(benchmark, print_rows):
+def test_engine_cache_speedup(benchmark, print_rows):
     corpus = make_corpus()
     cpus = multiprocessing.cpu_count()
 
@@ -73,12 +64,6 @@ def test_engine_parallel_and_cache_speedup(benchmark, print_rows):
 
         reference, serial_seconds = wall_time(mine_forest, corpus)
 
-        parallel_engine = MiningEngine(jobs=JOBS, min_parallel_trees=1)
-        parallel, parallel_seconds = wall_time(
-            parallel_engine.mine_forest, corpus
-        )
-        assert strict(parallel) == strict(reference)
-
         cached_engine = MiningEngine()
         cold, cache_cold_seconds = wall_time(cached_engine.mine_forest, corpus)
         warm, cache_warm_seconds = wall_time(cached_engine.mine_forest, corpus)
@@ -86,74 +71,44 @@ def test_engine_parallel_and_cache_speedup(benchmark, print_rows):
         assert strict(warm) == strict(reference)
         assert cached_engine.stats.misses <= len(corpus)
 
-        # One merged snapshot for the manifest: the parallel engine's
-        # counters plus the cold/warm cache passes.
-        registry = MetricsRegistry()
-        registry.merge_snapshot(parallel_engine.registry.snapshot())
-        registry.merge_snapshot(cached_engine.registry.snapshot())
-
-        hardware_capped = cpus < JOBS
         payload = {
             "corpus": {"trees": COUNT, "treesize": TREESIZE, "fanout": 5,
                        "alphabetsize": 200},
             "cpu_count": cpus,
-            "jobs_requested": JOBS,
-            "jobs_effective": parallel_engine.jobs,
             "kernel_legacy_seconds": legacy_seconds,
             "kernel_fastmine_seconds": fastmine_seconds,
             "kernel_speedup": legacy_seconds / fastmine_seconds,
             "serial_seconds": serial_seconds,
-            "parallel_seconds": parallel_seconds,
-            "parallel_speedup": serial_seconds / parallel_seconds,
             "cache_cold_seconds": cache_cold_seconds,
             "cache_warm_seconds": cache_warm_seconds,
             "cache_speedup": cache_cold_seconds / max(cache_warm_seconds, 1e-9),
-            "hardware_capped": hardware_capped,
             "phases": [
                 {"name": "kernel_legacy", "seconds": legacy_seconds},
                 {"name": "kernel_fastmine", "seconds": fastmine_seconds},
                 {"name": "serial", "seconds": serial_seconds},
-                {"name": "parallel", "seconds": parallel_seconds},
                 {"name": "cache_cold", "seconds": cache_cold_seconds},
                 {"name": "cache_warm", "seconds": cache_warm_seconds},
             ],
-            "note": (
-                f"only {cpus} CPU(s) visible: jobs={JOBS} is clamped to "
-                f"{parallel_engine.jobs} and the engine takes the serial "
-                "path (no pool, no pickling), so the old 0.69x parallel "
-                "regression cannot recur; the >=1.5x parallel gate is "
-                "documented rather than asserted"
-            ) if hardware_capped else "parallel gate asserted at >=1.5x",
         }
-        return payload, registry
+        return payload, cached_engine.registry
 
     payload, registry = benchmark.pedantic(sweep, rounds=1, iterations=1)
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     write_run_manifest("bench_engine", payload, OUTPUT, registry=registry)
 
     print_rows(
-        "Engine — kernels, fan-out and cache (BENCH_engine.json)",
+        "Engine — kernels and cache (BENCH_engine.json)",
         [
-            f"cpus {payload['cpu_count']}, jobs {payload['jobs_requested']} "
-            f"-> {payload['jobs_effective']} effective",
+            f"cpus {payload['cpu_count']}",
             f"kernel legacy:   {payload['kernel_legacy_seconds']:.3f}s",
             f"kernel fastmine: {payload['kernel_fastmine_seconds']:.3f}s "
             f"({payload['kernel_speedup']:.2f}x)",
             f"serial:        {payload['serial_seconds']:.3f}s",
-            f"parallel:      {payload['parallel_seconds']:.3f}s "
-            f"({payload['parallel_speedup']:.2f}x)",
             f"cache cold:    {payload['cache_cold_seconds']:.3f}s",
             f"cache warm:    {payload['cache_warm_seconds']:.3f}s "
             f"({payload['cache_speedup']:.1f}x)",
-            f"hardware capped: {payload['hardware_capped']}",
         ],
     )
 
     # Cache gate: a warm pass never re-mines, so it must be far faster.
     assert payload["cache_speedup"] >= 2.0, payload
-    if payload["hardware_capped"]:
-        # The clamp must have removed the pool-on-1-CPU regression.
-        assert payload["parallel_speedup"] >= 0.85, payload
-    else:
-        # Parallel gate: only enforceable when the CPUs exist to win it.
-        assert payload["parallel_speedup"] >= 1.5, payload

@@ -102,8 +102,7 @@ def cluster_trees(
         ``"single"``, ``"complete"`` or ``"average"`` (default).
     engine:
         Optional :class:`repro.engine.MiningEngine` for the distance
-        matrix's per-tree mining (parallel + cached, identical
-        output).
+        matrix's per-tree mining (cached, identical output).
     """
     # Validate every knob before the expensive matrix build.
     mode = validate_mode(mode)

@@ -107,17 +107,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "(mining knobs come from the store)")
 
     def add_engine_args(p: argparse.ArgumentParser) -> None:
+        # Accepted and ignored: mining always runs in-process.  Kept
+        # (hidden) so existing scripts keep working; still validated.
         p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for per-tree mining "
-                            "(default: all available CPUs; an "
-                            "effective count of 1 runs serially "
-                            "with no process pool)")
+                       help=argparse.SUPPRESS)
         p.add_argument("--cache-dir", default=None, dest="cache_dir",
                        help="directory for the persistent pair-set "
                             "cache (reused across runs)")
         p.add_argument("--engine-stats", action="store_true",
                        dest="engine_stats",
-                       help="print cache and parallelism statistics "
+                       help="print cache and distance statistics "
                             "to stderr")
         p.add_argument("--trace", default=None, metavar="PATH",
                        help="record spans and write a JSON-lines "

@@ -186,9 +186,9 @@ def distance_matrix(
     zero diagonal, computed on the packed sparse-vector kernel
     (:mod:`repro.core.distvec`) — numerically identical to
     :func:`pairset_distance_matrix` over the same trees.  With an
-    ``engine``, per-tree mining is cached and the triangle is fanned
-    out in row tiles (:meth:`repro.engine.MiningEngine
-    .distance_matrix`) with identical output.
+    ``engine``, per-tree mining is cached and the build is counted in
+    its stats (:meth:`repro.engine.MiningEngine.distance_matrix`) with
+    identical output.
     """
     from repro.core.distvec import DistanceVectors
     from repro.core.params import validate_mode

@@ -37,11 +37,9 @@ with a vectorised form that never materialises a string key:
   :func:`repro.core.kernel.find_kernel_trees`) join every non-empty
   pair with the same batched merge-join.
 
-Instances pickle as their raw arrays, so the engine can ship one to
-worker processes and fan a matrix out in row tiles
-(:meth:`repro.engine.MiningEngine.distance_matrix`).  See
-``docs/perf.md`` for the representation details and the
-``BENCH_distance.json`` numbers.
+A matrix is one upper-triangle pass (:meth:`DistanceVectors.triangle`)
+mirrored by :func:`assemble_matrix`.  See ``docs/perf.md`` for the
+representation details and the ``BENCH_distance.json`` numbers.
 
 Since the delta-mining pass the vectors are also *patchable*:
 :meth:`DistanceVectors.append_packed`,
@@ -311,7 +309,7 @@ class DistanceVectors:
     ) -> "DistanceVectors":
         """Mine ``trees`` once and wrap the results.
 
-        With an ``engine`` the per-tree mining is cached and parallel
+        With an ``engine`` the per-tree mining is cached
         (:meth:`repro.engine.MiningEngine.distance_vectors`) with
         identical output.
         """
@@ -747,9 +745,8 @@ class DistanceVectors:
     def build_index(self) -> None:
         """Materialise the inverted pair-key → tree index.
 
-        Called lazily by :meth:`triangle`; the engine calls it once
-        before fanning tiles out so workers inherit the prebuilt index
-        instead of each rebuilding it.
+        Called lazily by :meth:`triangle`, :meth:`row` and
+        :meth:`candidate_trees`.
         """
         if self._index is not None:
             return
@@ -985,40 +982,35 @@ class DistanceVectors:
         return block
 
     def triangle(
-        self,
-        start: int,
-        stop: int,
-        mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
+        self, mode: DistanceMode | str = DistanceMode.DIST_OCCUR
     ) -> tuple[list[list[float]], int, int]:
-        """Rows ``start..stop`` of the upper triangle, plus join stats.
+        """The upper triangle of the distance matrix, plus join stats.
 
         Returns ``(rows, pairs_computed, pairs_pruned)`` where
-        ``rows[i - start]`` holds the distances from tree ``i`` to
-        every ``j > i``.  Pairs with provably empty intersection (no
-        shared label pair) are filled from totals alone and counted as
-        pruned; the rest get one batched merge-join per row.
+        ``rows[i]`` holds the distances from tree ``i`` to every
+        ``j > i``.  Pairs with provably empty intersection (no shared
+        label pair) are filled from totals alone and counted as pruned;
+        the rest get one batched merge-join per row.
 
-        One ``distvec.triangle`` span per band; the joined/pruned
-        totals also land on the ambient registry
-        (``distvec.pairs.joined`` / ``distvec.pairs.pruned``), so
-        worker-side bands merge back into engine-level counts.
+        One ``distvec.triangle`` span per call; the joined/pruned totals
+        also land on the ambient registry (``distvec.pairs.joined`` /
+        ``distvec.pairs.pruned``).
         """
         mode = validate_mode(mode)
         with get_tracer().span(
             "distvec.triangle",
             metric="distvec.triangle.seconds",
-            start=start,
-            stop=stop,
+            trees=len(self),
             mode=mode.value,
         ):
-            rows, computed, pruned = self._triangle(start, stop, mode)
+            rows, computed, pruned = self._triangle(mode)
         registry = get_registry()
         registry.counter("distvec.pairs.joined").add(computed)
         registry.counter("distvec.pairs.pruned").add(pruned)
         return rows, computed, pruned
 
     def _triangle(
-        self, start: int, stop: int, mode: DistanceMode
+        self, mode: DistanceMode
     ) -> tuple[list[list[float]], int, int]:
         self.build_index()
         size = len(self)
@@ -1027,7 +1019,7 @@ class DistanceVectors:
         rows: list[list[float]] = []
         computed = 0
         pruned = 0
-        for i in range(start, stop):
+        for i in range(size):
             # Zero-overlap default: union is max(total) = total_a +
             # total_b - 0, distance 1.0 — or 0.0 when both are empty.
             total_i = totals[i]
@@ -1052,35 +1044,22 @@ class DistanceVectors:
         self, mode: DistanceMode | str = DistanceMode.DIST_OCCUR
     ) -> list[list[float]]:
         """The full symmetric distance matrix (zero diagonal)."""
-        rows, _computed, _pruned = self.triangle(0, len(self), mode)
-        return assemble_matrix(len(self), [(0, rows)])
-
-    # ------------------------------------------------------------------
-    # Pickling (workers receive the raw arrays, index included)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
+        rows, _computed, _pruned = self.triangle(mode)
+        return assemble_matrix(rows)
 
 
-def assemble_matrix(
-    size: int, tiles: Iterable[tuple[int, list[list[float]]]]
-) -> list[list[float]]:
-    """Mirror triangle tiles into one symmetric nested-list matrix.
+def assemble_matrix(rows: Sequence[list[float]]) -> list[list[float]]:
+    """Mirror an upper triangle into one symmetric nested-list matrix.
 
-    ``tiles`` holds ``(start_row, rows)`` pieces as produced by
-    :meth:`DistanceVectors.triangle`; together they must cover rows
-    ``0..size``.  The diagonal is zero.
+    ``rows`` is the triangle :meth:`DistanceVectors.triangle` returns:
+    ``rows[i]`` holds the distances from ``i`` to every ``j > i``.
+    The diagonal is zero.
     """
+    size = len(rows)
     matrix = [[0.0] * size for _ in range(size)]
-    for start, rows in tiles:
-        for offset, row in enumerate(rows):
-            i = start + offset
-            for step, value in enumerate(row):
-                j = i + step + 1
-                matrix[i][j] = value
-                matrix[j][i] = value
+    for i, row in enumerate(rows):
+        for step, value in enumerate(row):
+            j = i + step + 1
+            matrix[i][j] = value
+            matrix[j][i] = value
     return matrix

@@ -43,8 +43,8 @@ loop — while walking each stratum only once per child.
 
 The string-keyed boundary (``Counter`` objects,
 :class:`~repro.core.cousins.CousinPairItem`) is materialised only on
-request via :class:`PackedCounts`, so the engine can cache, pickle and
-ship the interned form between processes.
+request via :class:`PackedCounts`, so the engine can cache and pickle
+the interned form.
 """
 
 from __future__ import annotations
@@ -262,8 +262,8 @@ def _sweep_packed(arena: TreeArena, params: MiningParams) -> dict[int, int]:
 class PackedCounts:
     """Interned mining result: packed-int keys plus the label table.
 
-    This is what the kernel produces, what the engine caches, and what
-    worker processes ship back — materialising string-keyed
+    This is what the kernel produces and what the engine caches (in
+    memory and pickled on disk) — materialising string-keyed
     :class:`~collections.Counter` objects or
     :class:`~repro.core.cousins.CousinPairItem` lists only at the
     boundary via :meth:`to_counter` / :meth:`items`.

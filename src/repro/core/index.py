@@ -91,7 +91,7 @@ class CousinPairIndex:
         """Index a whole forest at once.
 
         With an ``engine``, the per-tree mining runs through
-        :class:`repro.engine.MiningEngine` (parallel + cached) and the
+        :class:`repro.engine.MiningEngine` (cached) and the
         pre-mined items are folded in; the resulting index is
         identical to the serial build.
         """

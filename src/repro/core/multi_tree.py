@@ -240,7 +240,7 @@ def mine_forest(
         (see :class:`repro.core.params.MiningParams`).
     engine:
         Optional :class:`repro.engine.MiningEngine`; when given, the
-        per-tree mining phase runs through its process pool and cache,
+        per-tree mining phase runs through its content-addressed cache,
         and the whole-forest result is memoised
         (:meth:`~repro.engine.MiningEngine.frequent_pairs`).  Results
         are identical to the serial path (enforced by the equivalence

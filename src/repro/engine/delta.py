@@ -6,9 +6,9 @@ incremental — a database of phylogenies grows sample by sample — yet
 to a 1,500-tree corpus re-mines every pair set, rebuilds the inverted
 pair-key → tree index and recounts every support.  The batch pass is,
 however, a *sum of independent per-tree contributions* (the
-``O(k * n^2)`` bound is ``k`` unrelated ``O(n^2)`` terms, which is
-also what makes it parallel), so all of its products can be maintained
-under churn by touching only the contributions that changed:
+``O(k * n^2)`` bound is ``k`` unrelated ``O(n^2)`` terms), so all of
+its products can be maintained under churn by touching only the
+contributions that changed:
 
 - per-tree :class:`~repro.core.fastmine.PackedCounts` come from the
   engine's content-addressed cache (an unchanged tree is never

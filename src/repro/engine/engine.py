@@ -1,51 +1,37 @@
-"""The parallel + cached mining engine.
+"""The cached mining engine.
 
 ``Multiple_Tree_Mining`` and every Section 5 application reduce to the
 same hot inner step: one kernel pass over one tree
-(:func:`repro.core.fastmine.mine_arena`).  Those per-tree passes are
-independent — the paper's ``O(k * n^2)`` bound is a sum of ``k``
-unrelated ``O(n^2)`` terms — which makes the forest loop
-embarrassingly parallel, and a tree's pair counts depend only on its
-shape, labels and the mining parameters, which makes them cacheable
-by content.
+(:func:`repro.core.fastmine.mine_arena`).  A tree's pair counts depend
+only on its shape, labels and the mining parameters, which makes them
+cacheable by content.
 
-:class:`MiningEngine` packages both optimisations behind one object:
+:class:`MiningEngine` packages that behind one object:
 
 - each input tree is flattened once into a
   :class:`repro.trees.arena.TreeArena`; the flat form addresses the
-  cache (:func:`repro.engine.cache.arena_cache_key`), travels to
-  worker processes (a few array buffers instead of a pickled node
-  graph), and feeds the interned kernel directly;
+  cache (:func:`repro.engine.cache.arena_cache_key`) and feeds the
+  interned kernel directly;
 - per-tree :class:`repro.core.fastmine.PackedCounts` are looked up in
   a content-addressed :class:`repro.engine.cache.PairSetCache`
   (in-process LRU plus an optional persistent directory) and
   materialised into string-keyed counters / item lists only at the
   public boundary;
-- cache misses are mined either serially or fanned out to a
-  ``concurrent.futures.ProcessPoolExecutor`` in deterministic chunks.
-  ``jobs`` defaults to the CPUs actually available to this process
-  and is clamped to that count (``clamp_jobs=False`` opts out), so an
-  effective job count of 1 — a 1-CPU container, however large
-  ``--jobs`` was — takes the serial path with no pool and no
-  pickling;
+- cache misses are mined in-process, one ``mine_arena`` call each;
 - duplicate trees inside one batch are mined once and re-served;
 - every batch updates an :class:`repro.engine.stats.EngineStats`.
 
 Results are *bit-identical* to the serial reference paths regardless
-of worker count or cache temperature: misses are reassembled by
-content address, not by completion order, and the mined counts are
-deterministic.  ``tests/engine`` and
+of cache temperature: the mined counts are deterministic and are
+reassembled by content address.  ``tests/engine`` and
 ``tests/property/test_prop_engine.py`` enforce this equivalence.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
-import os
 from collections import Counter, OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.cousins import CousinPairItem
 from repro.core.distance import DistanceMode
@@ -65,26 +51,9 @@ from repro.trees.arena import TreeArena, TreeLike, as_arena
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.store import PairStore
 
-__all__ = ["MiningEngine", "available_cpus"]
+__all__ = ["MiningEngine"]
 
 _PENDING = object()
-
-
-def available_cpus() -> int:
-    """CPUs usable by this process — the default worker count.
-
-    Prefers ``os.process_cpu_count`` (Python 3.13+, affinity-aware),
-    falling back to ``sched_getaffinity`` and then ``os.cpu_count``;
-    never less than 1.
-    """
-    probe = getattr(os, "process_cpu_count", None)
-    count = probe() if probe is not None else None
-    if count is None:
-        try:
-            count = len(os.sched_getaffinity(0))
-        except (AttributeError, OSError):
-            count = os.cpu_count()
-    return max(1, count or 1)
 
 
 def forest_fingerprint(keys: Sequence[str], minoccur: int) -> str:
@@ -100,58 +69,15 @@ def forest_fingerprint(keys: Sequence[str], minoccur: int) -> str:
     return digest.hexdigest()
 
 
-def _mine_chunk(
-    payload: tuple[list[tuple[str, TreeArena]], MiningParams],
-) -> tuple[list[tuple[str, PackedCounts]], dict[str, Any]]:
-    """Worker task: mine one chunk of (key, arena) pairs.
-
-    Module-level so it pickles; arenas travel as their raw array
-    buffers (see :meth:`repro.trees.arena.TreeArena.__getstate__`) —
-    no node graph is ever shipped — and the interned results come back
-    as :class:`PackedCounts` plus a snapshot of the worker-side
-    metrics, ready for the cache and the parent registry.  The worker
-    counts into a *fresh* registry: the parent's fork-inherited totals
-    must not ride back and be double-merged.
-    """
-    chunk, params = payload
-    registry = MetricsRegistry()
-    with obs_scope(registry=registry):
-        mined = [(key, mine_arena(arena, params)) for key, arena in chunk]
-    return mined, registry.snapshot()
-
-
-def _distance_tile(
-    payload: tuple[DistanceVectors, int, int, str],
-) -> tuple[int, list[list[float]], int, int, dict[str, Any]]:
-    """Worker task: one row band of a distance-matrix triangle.
-
-    Module-level so it pickles; the vectors travel as their raw sorted
-    arrays (inverted index included — the parent builds it once before
-    fanning out) and each band comes back as ``(start, rows,
-    pairs_computed, pairs_pruned, metrics_snapshot)`` ready for
-    :func:`repro.core.distvec.assemble_matrix` and the parent
-    registry.  Like :func:`_mine_chunk`, the worker counts into a
-    fresh registry so fork-inherited totals never double-merge.
-    """
-    vectors, start, stop, mode = payload
-    registry = MetricsRegistry()
-    with obs_scope(registry=registry):
-        rows, computed, pruned = vectors.triangle(start, stop, mode)
-    return start, rows, computed, pruned, registry.snapshot()
-
-
 class MiningEngine:
-    """Runs per-tree mining across forests, in parallel and cached.
+    """Runs per-tree mining across forests, cached by content.
 
     Parameters
     ----------
     jobs:
-        Worker processes for cache misses.  ``None`` (the default)
-        auto-detects the CPUs available to this process
-        (:func:`available_cpus`); an effective count of 1 mines
-        serially in-process with no pool and no pickling.  Explicit
-        values are clamped to the available CPUs unless
-        ``clamp_jobs=False``.
+        Accepted for compatibility and ignored: misses are always
+        mined in-process.  A value that is not an integer >= 1 (a bool
+        included) still raises :class:`~repro.errors.EngineError`.
     cache:
         An explicit :class:`PairSetCache` to share between engines;
         mutually exclusive with ``cache_size``/``cache_dir``.
@@ -160,18 +86,6 @@ class MiningEngine:
         ``None`` unbounded).
     cache_dir:
         Optional directory for the persistent cache layer.
-    min_parallel_trees:
-        Smallest number of *misses* in a batch worth a process pool;
-        below it the engine mines serially even when ``jobs > 1``.
-    chunks_per_job:
-        Task granularity: misses are split into about
-        ``jobs * chunks_per_job`` chunks so stragglers rebalance.
-    clamp_jobs:
-        When true (the default), the effective job count never exceeds
-        :func:`available_cpus` — process fan-out beyond the visible
-        CPUs only adds pickling overhead (a measured 0.69x *slowdown*
-        at ``jobs=4`` on a 1-CPU box).  Set false to force a real pool
-        regardless, e.g. to exercise the parallel path in tests.
     registry:
         The :class:`repro.obs.metrics.MetricsRegistry` backing
         ``engine.stats`` and every kernel metric counted during this
@@ -191,37 +105,22 @@ class MiningEngine:
         cache: PairSetCache | None = None,
         cache_size: int | None = 4096,
         cache_dir: str | None = None,
-        min_parallel_trees: int = 8,
-        chunks_per_job: int = 4,
-        clamp_jobs: bool = True,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
-        if jobs is None:
-            jobs = available_cpus()
-        if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        if jobs is not None and (
+            not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1
+        ):
             raise EngineError(f"jobs must be an integer >= 1, got {jobs!r}")
-        if min_parallel_trees < 1:
-            raise EngineError(
-                f"min_parallel_trees must be >= 1, got {min_parallel_trees!r}"
-            )
-        if chunks_per_job < 1:
-            raise EngineError(
-                f"chunks_per_job must be >= 1, got {chunks_per_job!r}"
-            )
         if cache is not None and (cache_size != 4096 or cache_dir is not None):
             raise EngineError(
                 "pass either an explicit cache or cache_size/cache_dir, not both"
             )
-        self.requested_jobs = jobs
-        self.jobs = min(jobs, available_cpus()) if clamp_jobs else jobs
         self.cache = (
             cache
             if cache is not None
             else PairSetCache(max_entries=cache_size, cache_dir=cache_dir)
         )
-        self.min_parallel_trees = min_parallel_trees
-        self.chunks_per_job = chunks_per_job
         if registry is None:
             registry = tracer.registry if tracer is not None else MetricsRegistry()
         self.registry = registry
@@ -241,7 +140,7 @@ class MiningEngine:
         self._store: "PairStore | None" = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MiningEngine(jobs={self.jobs}, cache={self.cache!r})"
+        return f"MiningEngine(cache={self.cache!r})"
 
     # ------------------------------------------------------------------
     # Core batch pass
@@ -309,8 +208,8 @@ class MiningEngine:
 
         Arena inputs are used as they are (re-interned only if they
         carry a shared label table); pointer trees are flattened once.
-        The arena both addresses the cache and feeds the kernel (or a
-        worker process) on a miss.
+        The arena both addresses the cache and feeds the kernel on a
+        miss.
         The returned :class:`PackedCounts` are the engine's own cached
         objects — internal callers only read them; the public surface
         materialises fresh counters / item lists from them.
@@ -364,37 +263,12 @@ class MiningEngine:
                     metric="engine.mine.seconds",
                     misses=len(to_mine),
                 ):
-                    for key, packed in self._mine(to_mine, params):
+                    for key, arena in to_mine:
+                        packed = mine_arena(arena, params)
                         resolved[key] = packed
                         self.cache.put(key, packed)
 
             return keys, resolved
-
-    def _mine(
-        self, to_mine: list[tuple[str, TreeArena]], params: MiningParams
-    ) -> list[tuple[str, PackedCounts]]:
-        if self.jobs == 1 or len(to_mine) < self.min_parallel_trees:
-            # Serial fast path: no pool, no pickling — on a 1-CPU box
-            # this is what every batch takes, whatever --jobs said.
-            return [(key, mine_arena(arena, params)) for key, arena in to_mine]
-        self.stats.parallel_batches += 1
-        chunk_size = max(
-            1, math.ceil(len(to_mine) / (self.jobs * self.chunks_per_job))
-        )
-        chunks = [
-            to_mine[start : start + chunk_size]
-            for start in range(0, len(to_mine), chunk_size)
-        ]
-        self.stats.chunks += len(chunks)
-        workers = min(self.jobs, len(chunks))
-        results: list[tuple[str, PackedCounts]] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part, snapshot in pool.map(
-                _mine_chunk, [(chunk, params) for chunk in chunks]
-            ):
-                results.extend(part)
-                self.registry.merge_snapshot(snapshot)
-        return results
 
     # ------------------------------------------------------------------
     # Projections (mirror the serial reference APIs exactly)
@@ -498,12 +372,8 @@ class MiningEngine:
     ) -> list[list[float]]:
         """Full symmetric distance matrix over prebuilt vectors.
 
-        Identical to ``vectors.matrix(mode)``: the upper triangle is
-        split into deterministic row bands balanced by pair count and —
-        when a pool is worth it (``jobs > 1`` and at least
-        ``min_parallel_trees`` trees) — fanned out to worker processes;
-        tiles are reassembled by row index, not completion order.
-        Every call updates the ``distance_*`` counters of
+        Identical to ``vectors.matrix(mode)``; every call also updates
+        the ``distance_*`` counters of
         :class:`repro.engine.stats.EngineStats`.
         """
         mode = validate_mode(mode)
@@ -514,34 +384,10 @@ class MiningEngine:
             mode=mode.value,
         ):
             self.stats.distance_builds += 1
-            size = len(vectors)
-            bands = self._distance_bands(size)
-            self.stats.distance_tiles += len(bands)
-            tiles: list[tuple[int, list[list[float]]]] = []
-            computed = 0
-            pruned = 0
-            if len(bands) == 1:
-                rows, computed, pruned = vectors.triangle(0, size, mode)
-                tiles.append((0, rows))
-            else:
-                # Workers inherit the prebuilt inverted index instead of
-                # each rebuilding it from the pair keys.
-                vectors.build_index()
-                payloads = [
-                    (vectors, start, stop, mode.value) for start, stop in bands
-                ]
-                workers = min(self.jobs, len(bands))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for start, rows, band_computed, band_pruned, snapshot in (
-                        pool.map(_distance_tile, payloads)
-                    ):
-                        tiles.append((start, rows))
-                        computed += band_computed
-                        pruned += band_pruned
-                        self.registry.merge_snapshot(snapshot)
+            rows, computed, pruned = vectors.triangle(mode)
             self.stats.distance_pairs_computed += computed
             self.stats.distance_pairs_pruned += pruned
-            return assemble_matrix(size, tiles)
+            return assemble_matrix(rows)
 
     def topk_similar(
         self,
@@ -664,37 +510,6 @@ class MiningEngine:
         return self.topk_similar(
             self.store_vectors(), query, k, mode, store.params
         )
-
-    def _distance_bands(self, size: int) -> list[tuple[int, int]]:
-        """Deterministic row bands of the triangle, balanced by pairs.
-
-        Row ``i`` joins against ``size - 1 - i`` later rows, so
-        equal-width bands would hand the first worker nearly all the
-        pairs; instead each band closes once its cumulative pair count
-        reaches an equal share of ``size * (size - 1) / 2``.  Serial
-        configurations (or small matrices) get one band covering
-        everything — no pool, no pickling.
-        """
-        if (
-            size <= 1
-            or self.jobs == 1
-            or size < self.min_parallel_trees
-        ):
-            return [(0, size)]
-        target_bands = min(size, self.jobs * self.chunks_per_job)
-        per_band = (size * (size - 1) / 2) / target_bands
-        bands: list[tuple[int, int]] = []
-        start = 0
-        accumulated = 0
-        for row in range(size):
-            accumulated += size - 1 - row
-            if accumulated >= per_band and row + 1 < size:
-                bands.append((start, row + 1))
-                start = row + 1
-                accumulated = 0
-        if start < size:
-            bands.append((start, size))
-        return bands
 
     def _projection(
         self, memo_key: tuple, packed, params: MiningParams, build, *args

@@ -36,11 +36,8 @@ _COUNTER_FIELDS: dict[str, str] = {
     "misses": "engine.cache.misses",
     "rejected": "engine.cache.rejected",
     "batches": "engine.batches",
-    "parallel_batches": "engine.batches.parallel",
-    "chunks": "engine.chunks",
     "distance_pairs_computed": "engine.distance.pairs_computed",
     "distance_pairs_pruned": "engine.distance.pairs_pruned",
-    "distance_tiles": "engine.distance.tiles",
     "delta_updates": "engine.delta.updates",
     "delta_trees_added": "engine.delta.trees_added",
     "delta_trees_removed": "engine.delta.trees_removed",
@@ -71,13 +68,10 @@ _FIELD_ORDER: tuple[str, ...] = (
     "misses",
     "rejected",
     "batches",
-    "parallel_batches",
-    "chunks",
     "mine_seconds",
     "total_seconds",
     "distance_pairs_computed",
     "distance_pairs_pruned",
-    "distance_tiles",
     "delta_updates",
     "delta_trees_added",
     "delta_trees_removed",
@@ -132,12 +126,8 @@ class EngineStats:
         arena being served (each rejection is also counted as a miss).
     batches:
         Number of engine batch calls.
-    parallel_batches:
-        Batches whose misses were mined in a process pool.
-    chunks:
-        Worker task chunks submitted across all parallel batches.
     mine_seconds:
-        Wall time spent mining misses (serial or parallel).
+        Wall time spent mining misses.
     total_seconds:
         Wall time of whole batch calls (lookups + mining + assembly).
     distance_pairs_computed:
@@ -147,10 +137,6 @@ class EngineStats:
     distance_pairs_pruned:
         Tree pairs the inverted pair-key index or size bound proved
         irrelevant — filled from totals alone, no join.
-    distance_tiles:
-        Triangle row tiles executed across all matrix builds (1 per
-        build on the serial path, ~``jobs * chunks_per_job`` when
-        fanned out).
     distance_builds:
         Distance-vector builds started (registry-only; not part of
         :meth:`as_dict`).  Nonzero whenever the distance path ran at
@@ -193,8 +179,6 @@ class EngineStats:
     misses = _counter_property(_COUNTER_FIELDS["misses"])
     rejected = _counter_property(_COUNTER_FIELDS["rejected"])
     batches = _counter_property(_COUNTER_FIELDS["batches"])
-    parallel_batches = _counter_property(_COUNTER_FIELDS["parallel_batches"])
-    chunks = _counter_property(_COUNTER_FIELDS["chunks"])
     mine_seconds = _histogram_property(_HISTOGRAM_FIELDS["mine_seconds"])
     total_seconds = _histogram_property(_HISTOGRAM_FIELDS["total_seconds"])
     distance_pairs_computed = _counter_property(
@@ -203,7 +187,6 @@ class EngineStats:
     distance_pairs_pruned = _counter_property(
         _COUNTER_FIELDS["distance_pairs_pruned"]
     )
-    distance_tiles = _counter_property(_COUNTER_FIELDS["distance_tiles"])
     distance_builds = _counter_property(DISTANCE_BUILDS_METRIC)
     delta_updates = _counter_property(_COUNTER_FIELDS["delta_updates"])
     delta_trees_added = _counter_property(_COUNTER_FIELDS["delta_trees_added"])
@@ -263,12 +246,10 @@ class EngineStats:
             f"engine: {self.trees_seen} tree lookup(s), "
             f"{self.memory_hits} memory hit(s), {self.disk_hits} disk hit(s), "
             f"{self.misses} miss(es) mined in {self.mine_seconds:.3f}s "
-            f"({self.parallel_batches}/{self.batches} batch(es) parallel, "
-            f"hit rate {self.hit_rate:.0%})"
+            f"({self.batches} batch(es), hit rate {self.hit_rate:.0%})"
         )
         if (
             self.distance_builds
-            or self.distance_tiles
             or self.distance_pairs_computed
             or self.distance_pairs_pruned
         ):
@@ -277,8 +258,7 @@ class EngineStats:
             # distance section rather than silently vanishing.
             line += (
                 f"; distance: {self.distance_pairs_computed} pair join(s), "
-                f"{self.distance_pairs_pruned} pruned, "
-                f"{self.distance_tiles} tile(s)"
+                f"{self.distance_pairs_pruned} pruned"
             )
         if self.delta_updates:
             line += (

@@ -581,14 +581,14 @@ class DeterministicGenerators(Rule):
 
 
 class UnpicklableWorkerPayload(Rule):
-    """RPL006: everything handed to the engine pool must pickle.
+    """RPL006: everything handed to an executor in the engine must pickle.
 
-    ``MiningEngine`` fans cache misses out to a
-    ``ProcessPoolExecutor``; lambdas and nested functions do not
-    pickle, so passing one to ``submit``/``map`` fails only when the
-    parallel path actually runs (jobs > 1 and enough misses) — the
-    worst kind of latent bug.  Worker tasks must be module-level
-    callables, like ``_mine_chunk``.
+    ``MiningEngine`` mines in-process today, so this rule has nothing
+    to check there; it stays so that any future executor is held to
+    the discipline.  Lambdas and nested functions do not pickle, so
+    passing one to ``submit``/``map`` fails only when the pool path
+    actually runs — the worst kind of latent bug.  Worker tasks must
+    be module-level callables.
     """
 
     id = "RPL006"

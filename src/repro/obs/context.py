@@ -12,14 +12,10 @@ Owners install their own scope for a bounded section::
     with obs.scope(registry=engine.registry, tracer=engine.tracer):
         ...   # kernel metrics land in the engine's registry
 
-The engine wraps each batch this way; the CLI wraps a whole command;
-worker processes wrap their chunk in a *fresh* registry and ship its
-snapshot home (:meth:`MetricsRegistry.snapshot`), which keeps
-fork-inherited parent state out of the merged totals.
+The engine wraps each batch this way; the CLI wraps a whole command.
 
 The stack is a plain module-level list: the mining stack is
-single-threaded per process (parallelism is processes, not threads),
-and each worker process gets its own copy-on-write stack.
+single-threaded.
 """
 
 from __future__ import annotations

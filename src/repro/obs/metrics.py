@@ -2,9 +2,8 @@
 
 A :class:`MetricsRegistry` is the single mutable store behind the
 instrumentation layer: :class:`repro.engine.stats.EngineStats` is a
-thin view over one, worker processes ship snapshots of their own back
-across the pool boundary (:meth:`MetricsRegistry.snapshot` /
-:meth:`MetricsRegistry.merge_snapshot`), and the tracing layer
+thin view over one, snapshots serialise it
+(:meth:`MetricsRegistry.snapshot`), and the tracing layer
 (:mod:`repro.obs.trace`) observes span durations into its histograms.
 
 Metric objects are plain attribute-holding instances handed out once
@@ -220,8 +219,8 @@ class MetricsRegistry:
 
     ``counter``/``gauge``/``histogram`` get-or-create, so callers can
     resolve a metric once and keep the reference.  ``snapshot`` is a
-    plain-JSON dict; ``merge_snapshot`` adds one into this registry
-    (the engine merges worker snapshots this way); ``reset`` zeroes
+    plain-JSON dict; ``merge_snapshot`` adds one into this registry;
+    ``reset`` zeroes
     every metric in place without invalidating held references.
     """
 

@@ -3,8 +3,8 @@
 The arena is the mining path's only tree representation: the Newick
 and NEXUS readers (:func:`repro.trees.newick.parse_arenas`,
 :func:`repro.trees.nexus.read_arenas`) fill its columns straight from
-text, and the kernel (:mod:`repro.core.fastmine`), the engine's cache
-keys and its worker processes all consume it without attribute
+text, and the kernel (:mod:`repro.core.fastmine`) and the engine's
+cache keys consume it without attribute
 lookups, per-node objects, or string hashing.  The pointer-based
 :class:`~repro.trees.tree.Tree` is for editing and for the consumers
 that walk nodes (consensus, parsimony, rooting, the apps);
@@ -36,12 +36,12 @@ that walk nodes (consensus, parsimony, rooting, the apps);
   ``lengths``           ``d``     branch length (``NaN`` when absent)
   ====================  ========  =======================================
 
-Arenas pickle as their raw buffers, so shipping one to a worker
-process costs a few ``memcpy``-like array copies instead of
-re-pickling a linked node graph.  Because ids are assigned in sorted
-order, interning is a pure function of the label *set* — two
+Arenas pickle as their raw buffers: a few ``memcpy``-like array
+copies instead of a linked node graph.  Because ids are assigned in
+sorted order, interning is a pure function of the label *set* — two
 processes (or two runs) flattening the same tree always agree on
-every id, which is what makes interned mining results portable.
+every id, which is what makes interned mining results portable (the
+on-disk cache serves them across runs).
 """
 
 from __future__ import annotations

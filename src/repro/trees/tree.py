@@ -494,8 +494,7 @@ class Tree:
         recurses once per tree level and overflows the interpreter
         stack on deep trees; a flat ``(id, parent_id, label, length)``
         row per node (parents always before children) has no such
-        limit, and is what lets trees cross process boundaries in the
-        parallel mining engine.
+        limit.
         """
         rows: list[tuple[int, int | None, str | None, float | None]] = []
         for node in self.preorder():

@@ -141,17 +141,6 @@ class TestBlock:
 
 
 class TestTriangle:
-    def test_tiles_reassemble_to_full_matrix(self, forest):
-        vectors = DistanceVectors.from_trees(forest)
-        full = vectors.matrix(DistanceMode.DIST_OCCUR)
-        tiles = []
-        for start, stop in ((0, 2), (2, 3), (3, len(forest))):
-            rows, _computed, _pruned = vectors.triangle(
-                start, stop, DistanceMode.DIST_OCCUR
-            )
-            tiles.append((start, rows))
-        assert assemble_matrix(len(forest), tiles) == full
-
     def test_disjoint_trees_are_pruned_not_joined(self):
         trees = [
             parse_newick("((a,b),(c,d));"),
@@ -159,9 +148,7 @@ class TestTriangle:
             parse_newick("((a,b),x);"),
         ]
         vectors = DistanceVectors.from_trees(trees)
-        rows, computed, pruned = vectors.triangle(
-            0, len(trees), DistanceMode.DIST_OCCUR
-        )
+        rows, computed, pruned = vectors.triangle(DistanceMode.DIST_OCCUR)
         # Tree 1 shares no label pair with anyone: both its pairs are
         # pruned; (0, 2) share (a, b) and take the one real join.
         assert computed == 1
@@ -174,7 +161,7 @@ class TestTriangle:
         lone = parse_newick("(a);")
         other = parse_newick("(b);")
         vectors = DistanceVectors.from_trees([lone, other])
-        rows, computed, pruned = vectors.triangle(0, 2, DistanceMode.PLAIN)
+        rows, computed, pruned = vectors.triangle(DistanceMode.PLAIN)
         assert rows[0] == [0.0]
         assert computed == 0
         assert pruned == 1
@@ -191,7 +178,7 @@ class TestPickling:
 
 class TestAssembleMatrix:
     def test_symmetric_with_zero_diagonal(self):
-        matrix = assemble_matrix(3, [(0, [[0.25, 0.5], [0.75]])])
+        matrix = assemble_matrix([[0.25, 0.5], [0.75], []])
         assert matrix == [
             [0.0, 0.25, 0.5],
             [0.25, 0.0, 0.75],
@@ -199,7 +186,7 @@ class TestAssembleMatrix:
         ]
 
     def test_empty(self):
-        assert assemble_matrix(0, [(0, [])]) == []
+        assert assemble_matrix([]) == []
 
 
 class TestLowerBoundEdgeCases:

@@ -172,8 +172,7 @@ class TestLRULayer:
 class TestDiskLayer:
     def test_second_engine_hits_disk(self, forest, tmp_path, jobs):
         cache_dir = str(tmp_path / "cache")
-        first = MiningEngine(jobs=jobs, cache_dir=cache_dir,
-                             min_parallel_trees=1)
+        first = MiningEngine(jobs=jobs, cache_dir=cache_dir)
         reference = first.mine_forest(forest)
         # Fresh engine, fresh memory layer, same directory: all lookups
         # must come back from disk with identical results.

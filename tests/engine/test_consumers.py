@@ -10,7 +10,7 @@ from repro.engine import MiningEngine
 
 
 def make_engine(jobs):
-    return MiningEngine(jobs=jobs, min_parallel_trees=1)
+    return MiningEngine(jobs=jobs)
 
 
 class TestIndexBuild:

@@ -1,4 +1,4 @@
-"""Engine distance-kernel paths: tiles, fresh vectors and stats."""
+"""Engine distance-kernel paths: matrices, fresh vectors and stats."""
 
 from __future__ import annotations
 
@@ -13,14 +13,9 @@ from repro.engine import MiningEngine
 from repro.store import PairStore
 
 
-def pooled_engine():
-    """An engine that takes the real process-pool path even on 1 CPU."""
-    return MiningEngine(jobs=2, min_parallel_trees=1, clamp_jobs=False)
-
-
 class TestDistanceVectors:
     def test_engine_vectors_equal_serial_vectors(self, forest, jobs):
-        engine = MiningEngine(jobs=jobs, min_parallel_trees=1)
+        engine = MiningEngine(jobs=jobs)
         serial = DistanceVectors.from_trees(forest)
         engined = engine.distance_vectors(forest)
         for mode in DistanceMode:
@@ -56,17 +51,15 @@ class TestDistanceVectors:
 
 
 class TestDistanceMatrixTiles:
-    def test_pooled_tiles_equal_serial_matrix(self, forest):
-        serial = distance_matrix(forest)
-        engine = pooled_engine()
-        assert distance_matrix(forest, engine=engine) == serial
-        # The pool really fanned out: more than one tile ran.
-        assert engine.stats.distance_tiles > 1
-
     def test_serial_engine_uses_one_tile(self, forest):
-        engine = MiningEngine(jobs=1)
-        distance_matrix(forest, engine=engine)
-        assert engine.stats.distance_tiles == 1
+        # A matrix is one triangle pass, whatever jobs= says.
+        engine = MiningEngine(jobs=4)
+        assert distance_matrix(forest, engine=engine) == distance_matrix(
+            forest
+        )
+        triangles = engine.registry.histogram("distvec.triangle.seconds")
+        assert triangles.count == 1
+        assert engine.stats.distance_builds == 2  # vectors + matrix
 
     def test_repeat_matrices_equal_and_independent(self, forest):
         engine = MiningEngine(jobs=1)
@@ -87,21 +80,12 @@ class TestDistanceMatrixTiles:
             == size * (size - 1) // 2
         )
 
-    def test_bands_partition_rows(self):
-        engine = pooled_engine()
-        for size in (0, 1, 2, 7, 20, 53):
-            bands = engine._distance_bands(size)
-            covered = [
-                row for start, stop in bands for row in range(start, stop)
-            ]
-            assert covered == list(range(size))
-
 
 class TestKernelEnginePath:
     def test_engine_kernel_equals_serial(self, forest, jobs):
         groups = [forest[:3], forest[3:6], forest[6:]]
         serial = find_kernel_trees(groups)
-        engine = MiningEngine(jobs=jobs, min_parallel_trees=1)
+        engine = MiningEngine(jobs=jobs)
         engined = find_kernel_trees(groups, engine=engine)
         assert engined.indexes == serial.indexes
         assert engined.average_distance == serial.average_distance

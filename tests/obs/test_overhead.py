@@ -1,6 +1,6 @@
-"""Tracing must not change results, and its no-op path must be cheap.
+"""Tracing must not change results, and must stay cheap.
 
-Two guarantees:
+Three guarantees:
 
 - **Differential**: a mining/distance run with tracing enabled is
   byte-identical to the same run with tracing disabled — spans observe,
@@ -11,16 +11,24 @@ Two guarantees:
   actually produces, which keeps the assertion robust on noisy CI
   boxes (the two measurements are each best-of-N tight loops, not one
   racy subtraction of two full runs).
+- **Enabled-tracer gate**: with tracing on, the smoke ``mine_forest``
+  and a small 3-group ``find_kernel_trees`` run take at most 10% more
+  wall-clock than with tracing off (min of 5 runs per side).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import time
 
 from repro.core.distance import DistanceMode, distance_matrix
+from repro.core.kernel import find_kernel_trees
 from repro.engine import MiningEngine
+from repro.generate.phylo import random_nni, yule_tree
 from repro.generate.random_trees import SyntheticTreeParams, synthetic_forest
+from repro.obs.context import scope
 from repro.obs.metrics import MetricsRegistry, stopwatch
 from repro.obs.trace import Tracer
 
@@ -106,4 +114,81 @@ class TestOverheadGate:
         assert overhead < 0.05 * baseline, (
             f"{span_count} no-op spans x {per_span:.2e}s = {overhead:.6f}s "
             f"is not < 5% of the {baseline:.6f}s smoke run"
+        )
+
+
+def make_groups():
+    """Three groups of 10 NNI neighbours of one 30-taxon Yule tree each."""
+    rng = random.Random(73)
+    taxa = [f"t{index}" for index in range(30)]
+    groups = []
+    for _ in range(3):
+        base = yule_tree(taxa, rng)
+        groups.append([random_nni(base, rng) for _ in range(10)])
+    return groups
+
+
+def run_seconds(workload, enabled):
+    """Wall-clock of ``workload(engine)`` on a cold engine, CLI-style.
+
+    The registry/tracer pair is installed as the ambient scope, as
+    ``repro-mine`` does, so every span of the run is recorded when
+    ``enabled``.  Collection is paused so a GC pass cannot land on one
+    side only.
+    """
+    registry = MetricsRegistry()
+    tracer = Tracer(registry, enabled=enabled)
+    engine = MiningEngine(registry=registry, tracer=tracer)
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        with scope(registry, tracer):
+            workload(engine)
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
+def enabled_ratio(workload, runs=5):
+    """Min-of-``runs`` traced over min-of-``runs`` untraced wall-clock.
+
+    Runs alternate between the two sides so host load drifts evenly.
+    """
+    off = on = float("inf")
+    for index in range(runs):
+        sides = (False, True) if index % 2 == 0 else (True, False)
+        for enabled in sides:
+            seconds = run_seconds(workload, enabled)
+            if enabled:
+                on = min(on, seconds)
+            else:
+                off = min(off, seconds)
+    return on / off
+
+
+class TestEnabledOverheadGate:
+    BOUND = 1.10
+    # On a shared host the machine's speed can shift between the two
+    # sides of one measurement; a real regression fails every attempt.
+    ATTEMPTS = 3
+
+    def assert_cheap(self, workload):
+        ratios = []
+        for _ in range(self.ATTEMPTS):
+            ratios.append(enabled_ratio(workload))
+            if ratios[-1] <= self.BOUND:
+                return
+        raise AssertionError(
+            f"traced/untraced wall-clock {ratios} exceeds {self.BOUND}"
+        )
+
+    def test_mine_forest_traced_within_10_percent(self):
+        forest = make_forest()
+        self.assert_cheap(lambda engine: engine.mine_forest(forest))
+
+    def test_kernel_search_traced_within_10_percent(self):
+        groups = make_groups()
+        self.assert_cheap(
+            lambda engine: find_kernel_trees(groups, engine=engine)
         )

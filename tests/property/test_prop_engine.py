@@ -1,10 +1,9 @@
-"""Property-based serial/parallel/cached equivalence (hypothesis).
+"""Property-based engine/cache equivalence (hypothesis).
 
 For random forests and random parameter draws, the engine must emit
 byte-for-byte the same frequent pairs as the dict-loop oracle
-(:func:`repro.core.reference.mine_forest_reference`) — under
-a serial engine (jobs=1), a real process pool (jobs=2), a cold cache
-and a warm cache.  Shrinking then hands back the smallest forest that
+(:func:`repro.core.reference.mine_forest_reference`) — under a cold
+cache and a warm cache.  Shrinking then hands back the smallest forest that
 breaks the contract.
 """
 
@@ -65,21 +64,6 @@ def test_serial_engine_cold_and_warm_equal_reference(
             minsup=minsup,
             ignore_distance=ignore_distance,
             max_generation_gap=gap,
-        )
-        assert strict(got) == strict(reference)
-
-
-@settings(max_examples=15, deadline=None)
-@given(forest=forests, maxdist=maxdists, gap=gaps)
-def test_process_pool_equals_reference(forest, maxdist, gap):
-    reference = mine_forest_reference(
-        forest, maxdist=maxdist, max_generation_gap=gap
-    )
-    # clamp_jobs=False keeps the pool engaged even on a 1-CPU box.
-    engine = MiningEngine(jobs=2, min_parallel_trees=1, clamp_jobs=False)
-    for _temperature in ("cold", "warm"):
-        got = engine.mine_forest(
-            forest, maxdist=maxdist, max_generation_gap=gap
         )
         assert strict(got) == strict(reference)
 

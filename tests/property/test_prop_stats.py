@@ -22,11 +22,8 @@ COUNTER_FIELDS = (
     "misses",
     "rejected",
     "batches",
-    "parallel_batches",
-    "chunks",
     "distance_pairs_computed",
     "distance_pairs_pruned",
-    "distance_tiles",
     "delta_updates",
     "delta_trees_added",
     "delta_trees_removed",

@@ -349,7 +349,41 @@ class TestEngineFlags:
     def test_jobs_zero_is_clean_error(self, forest_file, capsys):
         assert main(["frequent", forest_file, "--jobs", "0"]) == 1
         err = capsys.readouterr().err
-        assert "error:" in err and "jobs" in err
+        assert err == "error: jobs must be an integer >= 1, got 0\n"
+
+    def test_jobs_is_inert_and_never_starts_a_pool(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import concurrent.futures
+
+        def no_pool(self, *args, **kwargs):
+            raise AssertionError("the CLI must not start a process pool")
+
+        monkeypatch.setattr(
+            concurrent.futures.ProcessPoolExecutor, "__init__", no_pool
+        )
+        trees = [
+            "((a,b),(c,d));", "((a,c),(b,d));", "((a,d),(b,c));",
+            "(((a,b),c),d);", "(((a,c),b),d);", "((a,b),(c,(d,e)));",
+            "((a,(b,c)),(d,e));", "(((a,b),(c,d)),e);", "((a,e),(b,(c,d)));",
+        ]
+        forest = tmp_path / "forest.nwk"
+        forest.write_text("\n".join(trees) + "\n", encoding="utf-8")
+        groups = []
+        for index in range(3):
+            group = tmp_path / f"g{index}.nwk"
+            group.write_text(
+                "\n".join(trees[index::3]) + "\n", encoding="utf-8"
+            )
+            groups.append(str(group))
+        for argv in (["frequent", str(forest), "--minsup", "1"],
+                     ["kernel", *groups]):
+            outputs = []
+            for jobs in ([], ["--jobs", "1"], ["--jobs", "4"]):
+                assert main(argv + jobs) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0]
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_engine_stats_go_to_stderr(self, forest_file, capsys):
         assert main(["frequent", forest_file, "--engine-stats"]) == 0
