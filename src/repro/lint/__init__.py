@@ -3,20 +3,19 @@
 The mining stack encodes invariants that no general-purpose linter
 knows about: packed-int key layouts (:mod:`repro.trees.packing`),
 iterative-only traversal of arbitrarily deep phylogenies, allocation
-discipline in the kernel hot path, centralised validation of the
+discipline in the kernel hot paths, centralised validation of the
 paper's mining knobs, deterministic randomness in the generators, and
-picklability of everything shipped to engine workers.  Each rule here
-turns one such convention into a mechanical check, so a future change
-that would corrupt mined cousin-pair counts fails the build instead of
+timings that reach the metrics registry.  Each rule here turns one
+such convention into a mechanical check, so a future change that
+would corrupt mined cousin-pair counts fails the build instead of
 silently diverging.
 
-On top of the per-file rules sits a two-phase *whole-program* pass
-(:mod:`repro.lint.project`): phase 1 condenses every module into a
-summary (symbol tables, import graph, conservative call graph, memo
-and invalidation indexes), phase 2 runs the cross-module ``RPL1xx``
-family (:mod:`repro.lint.xrules`) — engine threading, pool purity,
-memo-key completeness, invalidation coverage, hot-loop allocation —
-the invariants a single file can never witness.
+On top of the per-file rules sits a *whole-program* pass
+(:mod:`repro.lint.project`): it condenses every module into a summary
+(import map, classes, conservative call graph) and runs the
+cross-module rules (:mod:`repro.lint.xrules`) over the assembled
+world — today ``engine=`` threading (RPL101), which a single file can
+never witness.
 
 Run it as ``repro-lint [paths]`` or ``python -m repro.lint [paths]``;
 see :mod:`repro.lint.rules` / :mod:`repro.lint.xrules` for the rule

@@ -14,12 +14,17 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from repro.lint.rules import Rule
 
 __all__ = [
     "Finding",
     "ModuleContext",
     "PragmaError",
+    "check_module",
+    "dotted_name",
     "lint_source",
     "lint_path",
     "run_lint",
@@ -102,7 +107,7 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
 
     def to_dict(self) -> dict:
-        """JSON-ready form (the ``--json`` report and the cache)."""
+        """JSON-ready form (the ``--json`` report)."""
         return {
             "path": self.path,
             "module": module_key(self.path),
@@ -111,16 +116,6 @@ class Finding:
             "rule_id": self.rule_id,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Finding":
-        return cls(
-            payload["path"],
-            payload["line"],
-            payload["col"],
-            payload["rule_id"],
-            payload["message"],
-        )
 
 
 def module_key(path: str) -> str:
@@ -138,6 +133,19 @@ def module_key(path: str) -> str:
         if parts[index] == "repro":
             return "/".join(parts[index:])
     return Path(path).name
+
+
+def dotted_name(node: ast.AST) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else None (explicit stack)."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        parts.reverse()
+        return ".".join(parts)
+    return None
 
 
 class ModuleContext:
@@ -227,16 +235,20 @@ def lint_source(
     hook fixture tests use to aim scoped rules at arbitrary snippets.
     """
     context = ModuleContext(source, path, module=module)
+    return sorted(check_module(context, _select_rules(select)))
+
+
+def check_module(context: ModuleContext, rules: Iterable[Rule]) -> list[Finding]:
+    """Unsorted, pragma-filtered findings of ``rules`` on one module."""
     if context.skip_file:
         return []
     findings: list[Finding] = []
-    for rule in _select_rules(select):
+    for rule in rules:
         if not rule.applies(context):
             continue
         for finding in rule.check(context):
             if not context.suppressed(finding):
                 findings.append(finding)
-    findings.sort()
     return findings
 
 

@@ -1,7 +1,7 @@
 """Command-line front end: ``repro-lint`` / ``python -m repro.lint``.
 
-By default this runs the full two-phase pass — per-file rules plus
-the whole-program ``RPL1xx`` family — and compares findings against
+By default this runs the full pass — per-file rules plus the
+whole-program rules — and compares findings against
 the nearest checked-in baseline (``.repro-lint-baseline.json``,
 discovered upward from the first path).  Baselined findings are
 reported but do not fail the build; new ones do.
@@ -27,14 +27,13 @@ from repro.lint.baseline import (
     partition,
     write_baseline,
 )
-from repro.lint.cache import LintCache
 from repro.lint.project import analyze_project
 from repro.lint.rules import RULES
 from repro.lint.xrules import PROJECT_RULES
 
 __all__ = ["main"]
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,8 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "Project-specific static analysis for the repro mining "
-            "stack: per-file rules RPL001.. plus the whole-program "
-            "RPL1xx family (see docs/dev.md)."
+            "stack: per-file rules plus the whole-program engine= "
+            "threading rule (see docs/dev.md)."
         ),
     )
     parser.add_argument(
@@ -77,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-project",
         action="store_true",
-        help="per-file rules only; skip the whole-program RPL1xx pass",
+        help="per-file rules only; skip the whole-program RPL101 pass",
     )
     parser.add_argument(
         "--baseline",
@@ -98,29 +97,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the current findings to the baseline file and exit 0",
     )
     parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        help="incremental cache file; unchanged modules are skipped",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse workers for the project pass (default: 1)",
-    )
-    parser.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
-        help="record spans (scan, cache, project pass) and write a "
+        help="record spans (scan, project pass) and write a "
              "JSON-lines trace of the run to PATH",
     )
     parser.add_argument(
         "--engine-stats",
         action="store_true",
         dest="engine_stats",
-        help="print cache and pass statistics to stderr",
+        help="print pass statistics to stderr",
     )
     return parser
 
@@ -137,14 +124,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run the analyzer; returns the process exit status.
 
     ``--trace PATH`` installs an enabled tracer for the run, so the
-    scan/cache/project spans land in a JSON-lines trace exactly like
+    scan/project spans land in a JSON-lines trace exactly like
     the ``repro-mine`` engine subcommands; ``--engine-stats`` prints
     the accumulated metrics to stderr.
     """
     options = _build_parser().parse_args(argv)
 
     if options.list_rules:
-        for rule in (*RULES, *PROJECT_RULES):
+        for rule in sorted((*RULES, *PROJECT_RULES), key=lambda rule: rule.id):
             print(f"{rule.id}  {rule.name}: {rule.summary}")
         return 0
 
@@ -175,29 +162,16 @@ def _execute(options) -> int:
     if options.select:
         select = [part.strip() for part in options.select.split(",") if part.strip()]
 
-    cache = None
     try:
-        if options.cache and not options.no_project:
-            cache = LintCache(options.cache)
         if options.no_project:
             findings = run_lint(options.paths, select=select)
             files = len(list(_iter_python_files(options.paths)))
             rule_ids = [rule.id for rule in RULES] if select is None else sorted(select)
-            cache_hits = cache_misses = 0
         else:
-            report = analyze_project(
-                options.paths,
-                select=select,
-                cache=cache,
-                jobs=max(1, options.jobs),
-            )
+            report = analyze_project(options.paths, select=select)
             findings = report.findings
             files = report.files
             rule_ids = report.rule_ids
-            cache_hits = report.cache_hits
-            cache_misses = report.cache_misses
-        if cache is not None:
-            cache.write()
     except (FileNotFoundError, ValueError) as error:
         print(f"repro-lint: error: {error}", file=sys.stderr)
         return 2
@@ -237,12 +211,6 @@ def _execute(options) -> int:
             "paths": [str(path) for path in options.paths],
             "rules": rule_ids,
             "files": files,
-            "cache": {
-                "enabled": cache is not None,
-                "path": str(cache.path) if cache is not None else None,
-                "hits": cache_hits,
-                "misses": cache_misses,
-            },
             "baseline": {
                 "path": str(baseline_path) if baseline_path is not None else None,
                 "entries": sum(allowed.values()) if allowed is not None else 0,

@@ -1,31 +1,30 @@
-"""Phase 1 of the whole-program pass: per-module summaries, one world.
+"""The whole-program pass: one world of module summaries.
 
 The per-file rules (:mod:`repro.lint.rules`) see one module at a time,
-so the invariants most likely to rot — an engine memo nobody
-invalidates, a callee that silently drops ``engine=`` — are exactly
-the ones they cannot check.  This module parses every module once and
-condenses it into a JSON-serialisable :data:`ModuleSummary` (symbol
-table, import map, calls per function, engine-memo writes,
-invalidation sites, executor submissions, ``engine=``-accepting
-signatures, hot-loop allocation sites), then assembles the summaries
-into a :class:`ProjectContext` — the conservative cross-module world
-the ``RPL1xx`` rules (:mod:`repro.lint.xrules`) analyse.
-
-Summaries being plain dicts is load-bearing twice over: they travel
-through the parallel-parsing pool untouched, and they persist in the
-content-hash cache (:mod:`repro.lint.cache`) so a warm re-run skips
-every unchanged module entirely.
+so an invariant that spans modules — a callee that silently drops
+``engine=`` — is exactly the one they cannot check.  This module
+parses every file once, runs the per-file rules on it, and condenses
+it into a summary dict (import map, classes, and the calls and
+``engine=`` acceptance of every function).  The summaries
+are assembled into a :class:`ProjectContext`, the conservative
+cross-module world the whole-program rules (:mod:`repro.lint.xrules`)
+analyse.
 """
 
 from __future__ import annotations
 
 import ast
-import math
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.lint.analyzer import Finding, ModuleContext, module_key
+from repro.lint.analyzer import (
+    Finding,
+    ModuleContext,
+    _iter_python_files,
+    check_module,
+    dotted_name,
+    module_key,
+)
 
 __all__ = [
     "ProjectContext",
@@ -35,49 +34,7 @@ __all__ = [
     "summarize_module",
 ]
 
-# Attribute names that hold per-engine memo dictionaries.  The engine's
-# derived-projection memo is the one that exists today; the tuple keeps
-# the detector honest if another memo surface appears.
-_MEMO_ATTRS = frozenset({"_projections"})
-
-# Ambient-observability readers a pool worker must not reach without
-# installing a fresh scope first (see RPL102).
-_OBS_READERS = frozenset({"get_registry", "get_tracer", "global_registry"})
-_SCOPE_INSTALLERS = frozenset({"scope", "obs_scope"})
-
-# Allocation constructors RPL105 counts inside hot loops.
-_NP_ALLOCATORS = frozenset(
-    {
-        "zeros",
-        "empty",
-        "ones",
-        "full",
-        "array",
-        "arange",
-        "fromiter",
-        "vstack",
-        "hstack",
-        "concatenate",
-        "repeat",
-    }
-)
-_BUILTIN_ALLOCATORS = frozenset({"list", "dict", "set"})
-
 _FUNCTION_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
-_LOOP_TYPES = (ast.For, ast.AsyncFor, ast.While)
-
-
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None (explicit stack)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return ".".join(parts)
-    return None
 
 
 def _dotted_module(key: str) -> str:
@@ -89,96 +46,13 @@ def _dotted_module(key: str) -> str:
     return ".".join(parts)
 
 
-def _param_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
+def _takes_engine(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     args = node.args
     names = [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs]
-    if args.vararg is not None:
-        names.append(args.vararg.arg)
-    if args.kwarg is not None:
-        names.append(args.kwarg.arg)
-    return names
-
-
-def _tuple_mentions(node: ast.AST) -> list[str]:
-    """Every Name / dotted-attribute read inside a key expression."""
-    mentions: list[str] = []
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        text = _dotted(current)
-        if text is not None:
-            mentions.append(text)
-            # Also record each prefix root, so `vectors.fingerprint`
-            # counts as a mention of `vectors`.
-            root = text.split(".")[0]
-            if root != text:
-                mentions.append(root)
-            continue
-        stack.extend(ast.iter_child_nodes(current))
-    return sorted(set(mentions))
-
-
-def _first_tuple(node: ast.AST) -> ast.Tuple | None:
-    """The first tuple literal inside ``node`` (handles IfExp keys)."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, ast.Tuple):
-            return current
-        stack.extend(ast.iter_child_nodes(current))
-    return None
-
-
-def _namespace_of(tuple_node: ast.Tuple) -> str | None:
-    if tuple_node.elts:
-        head = tuple_node.elts[0]
-        if isinstance(head, ast.Constant) and isinstance(head.value, str):
-            return head.value
-    return None
-
-
-class _FunctionInfo:
-    """Mutable scratch while summarising one function; emitted as a dict."""
-
-    def __init__(
-        self,
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        qualname: str,
-        owner: str | None,
-        nested: bool,
-    ) -> None:
-        self.node = node
-        self.qualname = qualname
-        self.owner = owner
-        self.nested = nested
-        params = _param_names(node)
-        self.params = params
-        self.has_engine = "engine" in params
-        self.calls: list[dict] = []
-        self.reads_obs = False
-        self.installs_scope = False
-        self.param_attr_reads: dict[str, set[str]] = {}
-        self.reads: set[str] = set()
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.node.name,
-            "qualname": self.qualname,
-            "class": self.owner,
-            "nested": self.nested,
-            "line": self.node.lineno,
-            "col": self.node.col_offset,
-            "params": self.params,
-            "has_engine": self.has_engine,
-            "calls": self.calls,
-            "reads_obs": self.reads_obs,
-            "installs_scope": self.installs_scope,
-            "param_attr_reads": {
-                name: sorted(attrs)
-                for name, attrs in self.param_attr_reads.items()
-            },
-            "reads": sorted(self.reads),
-        }
+    for extra in (args.vararg, args.kwarg):
+        if extra is not None:
+            names.append(extra.arg)
+    return "engine" in names
 
 
 def _collect_imports(tree: ast.AST) -> dict[str, str]:
@@ -221,240 +95,61 @@ def _function_frames(
     return frames
 
 
-def _summarize_function(info: _FunctionInfo) -> None:
-    """Fill a :class:`_FunctionInfo` from its body (explicit stack)."""
-    node = info.node
-    params = set(info.params)
+def _summarize_function(
+    node: ast.FunctionDef | ast.AsyncFunctionDef,
+    qualname: str,
+    owner: str | None,
+    nested: bool,
+) -> dict:
+    """One function's calls and ``engine=`` acceptance (explicit stack)."""
+    calls: list[dict] = []
     stack: list[ast.AST] = list(node.body)
     while stack:
         current = stack.pop()
         if isinstance(current, ast.Call):
-            callee = _dotted(current.func)
+            callee = dotted_name(current.func)
             if callee is not None:
-                keywords = [kw.arg for kw in current.keywords if kw.arg]
-                entry = {
-                    "callee": callee,
-                    "line": current.lineno,
-                    "col": current.col_offset,
-                    "kwargs": keywords,
-                    "star_kwargs": any(
-                        kw.arg is None for kw in current.keywords
-                    ),
-                    "arg_names": [
-                        _dotted(arg)
-                        for arg in current.args
-                        if _dotted(arg) is not None
-                    ],
-                }
-                info.calls.append(entry)
-                leaf = callee.split(".")[-1]
-                if leaf in _OBS_READERS:
-                    info.reads_obs = True
-        elif isinstance(current, ast.With):
-            for item in current.items:
-                expr = item.context_expr
-                if isinstance(expr, ast.Call):
-                    callee = _dotted(expr.func)
-                    if callee and callee.split(".")[-1] in _SCOPE_INSTALLERS:
-                        info.installs_scope = True
-        elif isinstance(current, ast.Attribute) and isinstance(
-            current.ctx, ast.Load
-        ):
-            if isinstance(current.value, ast.Name):
-                root = current.value.id
-                if root in params:
-                    info.param_attr_reads.setdefault(root, set()).add(
-                        current.attr
-                    )
-        elif isinstance(current, ast.Name) and isinstance(current.ctx, ast.Load):
-            if current.id in params:
-                info.reads.add(current.id)
-        stack.extend(ast.iter_child_nodes(current))
-
-
-def _memo_writes(
-    tree: ast.AST,
-    frames: Sequence[tuple[ast.FunctionDef | ast.AsyncFunctionDef, str | None, bool]],
-) -> list[dict]:
-    """Engine-memo write sites: direct subscript stores and the
-    ``self._projection((...), ...)`` call form."""
-    writes: list[dict] = []
-    for node, owner, _nested in frames:
-        qualname = node.name if owner is None else f"{owner}.{node.name}"
-        # Local name -> the tuple literal it was assigned (IfExp-aware).
-        local_tuples: dict[str, ast.Tuple] = {}
-        body_nodes: list[ast.AST] = []
-        stack: list[ast.AST] = list(node.body)
-        while stack:
-            current = stack.pop()
-            body_nodes.append(current)
-            if not isinstance(current, _FUNCTION_TYPES):
-                stack.extend(ast.iter_child_nodes(current))
-        for current in body_nodes:
-            if isinstance(current, ast.Assign) and len(current.targets) == 1:
-                target = current.targets[0]
-                if isinstance(target, ast.Name):
-                    found = _first_tuple(current.value)
-                    if found is not None:
-                        local_tuples[target.id] = found
-        for current in body_nodes:
-            key_node: ast.Tuple | None = None
-            builder: str | None = None
-            line = 0
-            col = 0
-            if isinstance(current, ast.Assign):
-                target = current.targets[0] if current.targets else None
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Attribute)
-                    and target.value.attr in _MEMO_ATTRS
-                ):
-                    line, col = current.lineno, current.col_offset
-                    if isinstance(target.slice, ast.Tuple):
-                        key_node = target.slice
-                    elif isinstance(target.slice, ast.Name):
-                        key_node = local_tuples.get(target.slice.id)
-            elif isinstance(current, ast.Call):
-                callee = _dotted(current.func)
-                if (
-                    callee is not None
-                    and callee.split(".")[-1] == "_projection"
-                    and current.args
-                ):
-                    line, col = current.lineno, current.col_offset
-                    key_node = _first_tuple(current.args[0])
-                    if len(current.args) >= 4:
-                        builder = _dotted(current.args[3])
-            if key_node is None or not line:
-                continue
-            mentions = _tuple_mentions(key_node)
-            writes.append(
-                {
-                    "function": qualname,
-                    "line": line,
-                    "col": col,
-                    "namespace": _namespace_of(key_node),
-                    "mentions": mentions,
-                    "builder": builder,
-                    "fingerprint_keyed": any(
-                        part == "fingerprint" or part.endswith(".fingerprint")
-                        for part in mentions
-                    ),
-                }
-            )
-    return writes
-
-
-def _invalidations(
-    frames: Sequence[tuple[ast.FunctionDef | ast.AsyncFunctionDef, str | None, bool]],
-) -> tuple[dict[str, list[str]], list[str]]:
-    """(dropper name -> string constants inside it, reset-hook names).
-
-    Hooks are gathered first so a non-``invalidate*`` function that is
-    registered via ``on_reset`` still gets its strings collected.
-    """
-    hooks: list[str] = []
-    for node, _owner, _nested in frames:
-        stack: list[ast.AST] = list(node.body)
-        while stack:
-            current = stack.pop()
-            if isinstance(current, ast.Call):
-                callee = _dotted(current.func)
-                if callee is not None and callee.split(".")[-1] == "on_reset":
-                    for arg in current.args:
-                        name = _dotted(arg)
-                        if name is not None:
-                            hooks.append(name.split(".")[-1])
-            if not isinstance(current, _FUNCTION_TYPES):
-                stack.extend(ast.iter_child_nodes(current))
-    strings: dict[str, list[str]] = {}
-    for node, _owner, _nested in frames:
-        if not (node.name.startswith("invalidate") or node.name in hooks):
-            continue
-        found: set[str] = set()
-        stack = list(node.body)
-        while stack:
-            current = stack.pop()
-            if isinstance(current, ast.Constant) and isinstance(
-                current.value, str
-            ):
-                found.add(current.value)
-            stack.extend(ast.iter_child_nodes(current))
-        strings[node.name] = sorted(found)
-    return strings, hooks
-
-
-def _loop_allocations(tree: ast.AST) -> list[dict]:
-    """Allocation sites inside loops, for RPL105 (explicit stack)."""
-    sites: list[dict] = []
-    stack: list[tuple[ast.AST, bool]] = [(tree, False)]
-    while stack:
-        node, in_loop = stack.pop()
-        if in_loop:
-            what: str | None = None
-            if isinstance(node, ast.Call):
-                callee = _dotted(node.func)
-                if callee is not None:
-                    parts = callee.split(".")
-                    if (
-                        len(parts) == 2
-                        and parts[0] in ("np", "numpy")
-                        and parts[1] in _NP_ALLOCATORS
-                    ):
-                        what = callee
-                    elif len(parts) == 1 and parts[0] in _BUILTIN_ALLOCATORS:
-                        what = f"{callee}()"
-            if what is not None:
-                sites.append(
+                arg_names = [dotted_name(arg) for arg in current.args]
+                calls.append(
                     {
-                        "line": node.lineno,
-                        "col": node.col_offset,
-                        "what": what,
+                        "callee": callee,
+                        "line": current.lineno,
+                        "col": current.col_offset,
+                        "kwargs": [
+                            kw.arg for kw in current.keywords if kw.arg
+                        ],
+                        "star_kwargs": any(
+                            kw.arg is None for kw in current.keywords
+                        ),
+                        "arg_names": [
+                            name for name in arg_names if name is not None
+                        ],
                     }
                 )
-        descend_in_loop = in_loop or isinstance(node, _LOOP_TYPES)
-        for child in ast.iter_child_nodes(node):
-            stack.append((child, descend_in_loop))
-    return sites
+        stack.extend(ast.iter_child_nodes(current))
+    return {
+        "name": node.name,
+        "qualname": qualname,
+        "class": owner,
+        "nested": nested,
+        "has_engine": _takes_engine(node),
+        "calls": calls,
+    }
 
 
 def summarize_module(ctx: ModuleContext) -> dict:
-    """One module condensed to the JSON-serialisable project summary."""
+    """One module condensed to its project summary."""
     frames = _function_frames(ctx.tree)
     functions: dict[str, dict] = {}
     for node, owner, nested in frames:
         qualname = node.name if owner is None else f"{owner}.{node.name}"
-        info = _FunctionInfo(node, qualname, owner, nested)
-        _summarize_function(info)
         # Nested defs share a qualname slot with nobody: suffix by line
         # so they never shadow the module-level namesake.
         slot = qualname if not nested else f"{qualname}@{node.lineno}"
-        functions[slot] = info.as_dict()
+        functions[slot] = _summarize_function(node, qualname, owner, nested)
     classes = sorted(
         {owner for _node, owner, _nested in frames if owner is not None}
     )
-    pool_submissions: list[dict] = []
-    imports = _collect_imports(ctx.tree)
-    uses_pools = any(
-        target.startswith("concurrent.futures") or "ProcessPoolExecutor" in target
-        for target in imports.values()
-    )
-    if uses_pools:
-        for slot, entry in functions.items():
-            for call in entry["calls"]:
-                leaf = call["callee"].split(".")[-1]
-                if leaf in ("submit", "map") and "." in call["callee"]:
-                    payload = call["arg_names"][0] if call["arg_names"] else None
-                    pool_submissions.append(
-                        {
-                            "function": slot,
-                            "line": call["line"],
-                            "col": call["col"],
-                            "method": leaf,
-                            "payload": payload,
-                        }
-                    )
-    invalidation_strings, reset_hooks = _invalidations(frames)
     return {
         "module": ctx.module,
         "dotted": _dotted_module(ctx.module),
@@ -463,19 +158,14 @@ def summarize_module(ctx: ModuleContext) -> dict:
         "disabled": {
             str(line): sorted(names) for line, names in ctx.disabled.items()
         },
-        "imports": imports,
+        "imports": _collect_imports(ctx.tree),
         "classes": classes,
         "functions": functions,
-        "pool_submissions": pool_submissions,
-        "memo_writes": _memo_writes(ctx.tree, frames),
-        "invalidation_strings": invalidation_strings,
-        "reset_hooks": reset_hooks,
-        "loop_allocations": _loop_allocations(ctx.tree),
     }
 
 
 class ProjectContext:
-    """The assembled cross-module world the RPL1xx rules run against."""
+    """The assembled cross-module world the project rules run against."""
 
     def __init__(self, summaries: Sequence[dict]) -> None:
         self.summaries = list(summaries)
@@ -483,26 +173,16 @@ class ProjectContext:
         self.by_key: dict[str, dict] = {}
         # dotted module (repro.engine.engine) -> summary
         self.by_dotted: dict[str, dict] = {}
-        # class name -> dotted modules defining it
-        self.class_modules: dict[str, list[str]] = {}
         # method name -> [(dotted module, qualname)] across all classes
         self.methods_by_name: dict[str, list[tuple[str, str]]] = {}
         for summary in self.summaries:
             self.by_key[summary["module"]] = summary
             self.by_dotted[summary["dotted"]] = summary
-            for cls in summary["classes"]:
-                self.class_modules.setdefault(cls, []).append(summary["dotted"])
             for slot, entry in summary["functions"].items():
                 if entry["class"] is not None and not entry["nested"]:
                     self.methods_by_name.setdefault(entry["name"], []).append(
                         (summary["dotted"], slot)
                     )
-
-    def function(self, dotted_module: str, qualname: str) -> dict | None:
-        summary = self.by_dotted.get(dotted_module)
-        if summary is None:
-            return None
-        return summary["functions"].get(qualname)
 
     def _import_target(
         self, summary: dict, name: str
@@ -572,32 +252,6 @@ class ProjectContext:
             return (module, qualname, self.by_dotted[module]["functions"][qualname])
         return None
 
-    def reachable_from(
-        self, dotted_module: str, qualname: str, limit: int = 512
-    ) -> list[tuple[str, str, dict]]:
-        """BFS over resolved calls from one root (explicit queue)."""
-        start = self.function(dotted_module, qualname)
-        if start is None:
-            return []
-        seen: set[tuple[str, str]] = {(dotted_module, qualname)}
-        order: list[tuple[str, str, dict]] = [
-            (dotted_module, qualname, start)
-        ]
-        cursor = 0
-        while cursor < len(order) and len(order) < limit:
-            module, name, entry = order[cursor]
-            cursor += 1
-            summary = self.by_dotted[module]
-            for call in entry["calls"]:
-                resolved = self.resolve_call(summary, entry, call["callee"])
-                if resolved is None:
-                    continue
-                key = (resolved[0], resolved[1])
-                if key not in seen:
-                    seen.add(key)
-                    order.append(resolved)
-        return order
-
     def suppressed(self, finding: Finding) -> bool:
         """Whether a module pragma (line or skip-file) hides ``finding``."""
         summary = self.by_key.get(module_key(finding.path))
@@ -627,86 +281,51 @@ def project_from_sources(
     return ProjectContext(summaries)
 
 
+def project_from_sources(
+    entries: Sequence[tuple[str, str]],
+) -> ProjectContext:
+    """A :class:`ProjectContext` from ``(source, module_key)`` pairs.
+
+    The fixture-test entry point: module keys double as paths, so a
+    pair like ``(code, "repro/engine/fixture.py")`` lands in the
+    engine scope exactly as a real file there would.
+    """
+    summaries = []
+    for source, key in entries:
+        ctx = ModuleContext(source, key)
+        summaries.append(summarize_module(ctx))
+    return ProjectContext(summaries)
+
+
 class ProjectReport:
     """Everything one whole-program run produced."""
 
     def __init__(
-        self,
-        findings: list[Finding],
-        files: int,
-        cache_hits: int,
-        cache_misses: int,
-        rule_ids: list[str],
+        self, findings: list[Finding], files: int, rule_ids: list[str]
     ) -> None:
         self.findings = findings
         self.files = files
-        self.cache_hits = cache_hits
-        self.cache_misses = cache_misses
         self.rule_ids = rule_ids
-
-
-def _iter_python_files(paths: Sequence[str | Path]):
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            yield from sorted(path.rglob("*.py"))
-        elif path.suffix == ".py":
-            yield path
-        else:
-            raise FileNotFoundError(f"not a python file or directory: {path}")
-
-
-def _scan_files(payload: tuple[list[str], list[str] | None]) -> list[dict]:
-    """Worker task: parse + per-file lint + summarise a chunk of files.
-
-    Module-level so it pickles (the RPL006/RPL102 discipline); returns
-    plain dicts ready for the cache and the parent's ProjectContext.
-    The per-file findings are computed over *all* per-file rules — the
-    caller applies any ``--select`` filter when serving them, so cache
-    entries stay select-independent.
-    """
-    from repro.lint.analyzer import lint_source
-    from repro.lint.cache import content_hash
-
-    paths, _reserved = payload
-    records: list[dict] = []
-    for path in paths:
-        source = Path(path).read_text(encoding="utf-8")
-        ctx = ModuleContext(source, path)
-        findings = lint_source(source, path)
-        records.append(
-            {
-                "path": path,
-                "sha": content_hash(source),
-                "summary": summarize_module(ctx),
-                "findings": [finding.to_dict() for finding in findings],
-            }
-        )
-    return records
 
 
 def analyze_project(
     paths: Sequence[str | Path],
     *,
     select: Iterable[str] | None = None,
-    cache=None,
-    jobs: int = 1,
-    min_parallel_files: int = 16,
 ) -> ProjectReport:
-    """The full two-phase pass: per-file rules plus the RPL1xx family.
+    """Per-file rules plus the whole-program rules, in one serial pass.
 
-    Phase 1 parses every module (in parallel when ``jobs > 1`` and the
-    miss list is worth a pool) into summaries plus per-file findings,
-    serving unchanged modules straight from ``cache`` when one is
-    given.  Phase 2 assembles the :class:`ProjectContext` and runs the
-    project rules over it.  ``select`` filters both families by rule
-    id; unknown ids raise ``ValueError`` exactly like the per-file
-    driver.
+    Each module is parsed once: the per-file rules run on it and it is
+    summarised.  The summaries then form the :class:`ProjectContext`
+    the project rules run over.  ``select`` filters both families by
+    rule id; unknown ids raise ``ValueError`` exactly like the
+    per-file driver.
     """
     from repro.lint.rules import RULES
     from repro.lint.xrules import PROJECT_RULES
+    from repro.obs.context import get_tracer
 
-    all_ids = [rule.id for rule in RULES] + [rule.id for rule in PROJECT_RULES]
+    all_ids = sorted(rule.id for rule in (*RULES, *PROJECT_RULES))
     wanted: set[str] | None = None
     if select is not None:
         wanted = set(select)
@@ -715,75 +334,31 @@ def analyze_project(
             raise ValueError(
                 f"unknown rule id(s): {', '.join(sorted(unknown))}"
             )
+    file_rules = [rule for rule in RULES if wanted is None or rule.id in wanted]
 
-    from repro.lint.cache import content_hash
-    from repro.obs.context import get_tracer
-
-    # Spans live in this parent-side body only — never in _scan_files,
-    # which runs as a pool payload under the RPL102 purity rule.
     tracer = get_tracer()
-    with tracer.span("lint.scan", metric="lint.scan.seconds") as scan_span:
-        files = [str(path) for path in _iter_python_files(paths)]
-        records: dict[str, dict] = {}
-        hits = 0
-        to_scan: list[str] = []
-        for path in files:
-            source = Path(path).read_text(encoding="utf-8")
-            sha = content_hash(source)
-            cached = cache.lookup(path, sha) if cache is not None else None
-            if cached is not None:
-                records[path] = cached
-                hits += 1
-            else:
-                to_scan.append(path)
-
-        if to_scan:
-            fresh: list[dict] = []
-            if jobs > 1 and len(to_scan) >= min_parallel_files:
-                chunk_size = max(1, math.ceil(len(to_scan) / (jobs * 4)))
-                chunks = [
-                    to_scan[start : start + chunk_size]
-                    for start in range(0, len(to_scan), chunk_size)
-                ]
-                with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(chunks))
-                ) as pool:
-                    for part in pool.map(
-                        _scan_files, [(chunk, None) for chunk in chunks]
-                    ):
-                        fresh.extend(part)
-            else:
-                fresh = _scan_files((to_scan, None))
-            for record in fresh:
-                records[record["path"]] = record
-                if cache is not None:
-                    cache.store(record["path"], record)
-        scan_span.annotate(
-            files=len(files), hits=hits, misses=len(to_scan)
-        )
-
     findings: list[Finding] = []
-    for path in files:
-        for payload in records[path]["findings"]:
-            if wanted is None or payload["rule_id"] in wanted:
-                findings.append(Finding.from_dict(payload))
+    summaries: list[dict] = []
+    with tracer.span("lint.scan", metric="lint.scan.seconds") as scan_span:
+        files = list(_iter_python_files(paths))
+        for path in files:
+            context = ModuleContext(path.read_text(encoding="utf-8"), str(path))
+            findings.extend(check_module(context, file_rules))
+            summaries.append(summarize_module(context))
+        scan_span.annotate(files=len(files))
 
     with tracer.span("lint.project", metric="lint.project.seconds"):
-        context = ProjectContext(
-            [records[path]["summary"] for path in files]
-        )
+        project = ProjectContext(summaries)
         for rule in PROJECT_RULES:
             if wanted is not None and rule.id not in wanted:
                 continue
-            for finding in rule.check(context):
-                if not context.suppressed(finding):
+            for finding in rule.check(project):
+                if not project.suppressed(finding):
                     findings.append(finding)
 
     findings.sort()
     return ProjectReport(
         findings=findings,
         files=len(files),
-        cache_hits=hits,
-        cache_misses=len(to_scan),
         rule_ids=all_ids if wanted is None else sorted(wanted),
     )

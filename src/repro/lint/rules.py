@@ -20,7 +20,7 @@ import ast
 import re
 from typing import Iterator
 
-from repro.lint.analyzer import Finding, ModuleContext
+from repro.lint.analyzer import Finding, ModuleContext, dotted_name
 from repro.trees.packing import (
     DIST_SHIFT,
     HALF_STEP_BITS,
@@ -65,6 +65,7 @@ class Rule:
 
 _FUNCTION_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SCOPE_TYPES = _FUNCTION_TYPES + (ast.Lambda, ast.ClassDef)
+_LOOP_TYPES = (ast.For, ast.AsyncFor, ast.While)
 
 
 def _iter_functions(tree: ast.AST) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
@@ -86,6 +87,18 @@ def _walk_body(
         if not into_scopes and isinstance(node, _SCOPE_TYPES):
             continue
         stack.extend(ast.iter_child_nodes(node))
+
+
+def _loop_nodes(tree: ast.AST) -> Iterator[ast.AST]:
+    """Every node lexically inside a ``for``/``while`` body or header."""
+    stack: list[tuple[ast.AST, bool]] = [(tree, False)]
+    while stack:
+        node, in_loop = stack.pop()
+        if in_loop:
+            yield node
+        descend_in_loop = in_loop or isinstance(node, _LOOP_TYPES)
+        for child in ast.iter_child_nodes(node):
+            stack.append((child, descend_in_loop))
 
 
 def _bound_names(function: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
@@ -362,8 +375,6 @@ class HotPathAllocations(Rule):
     )
     scope = ("repro/core/fastmine.py", "repro/trees/arena.py")
 
-    _loop_types = (ast.For, ast.AsyncFor, ast.While)
-
     @staticmethod
     def _str_keyed(node: ast.Dict) -> bool:
         return any(
@@ -373,46 +384,40 @@ class HotPathAllocations(Rule):
         )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        stack: list[tuple[ast.AST, bool]] = [(ctx.tree, False)]
-        while stack:
-            node, in_loop = stack.pop()
-            if in_loop:
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    called = (
-                        func.attr
-                        if isinstance(func, ast.Attribute)
-                        else func.id
-                        if isinstance(func, ast.Name)
-                        else None
-                    )
-                    if called == "intern":
-                        yield self.finding(
-                            ctx,
-                            node,
-                            "label interning inside a loop on the mining "
-                            "hot path; intern once up front (LabelTable / "
-                            "forest_arenas) and pass ids through",
-                        )
-                    elif called == "dict" and node.keywords:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            "str-keyed dict built inside a hot-path loop; "
-                            "keep the sweep on packed-int keys and "
-                            "materialise strings at the boundary",
-                        )
-                elif isinstance(node, ast.Dict) and self._str_keyed(node):
+        for node in _loop_nodes(ctx.tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = (
+                    func.attr
+                    if isinstance(func, ast.Attribute)
+                    else func.id
+                    if isinstance(func, ast.Name)
+                    else None
+                )
+                if called == "intern":
                     yield self.finding(
                         ctx,
                         node,
-                        "str-keyed dict literal inside a hot-path loop; "
-                        "keep the sweep on packed-int keys and materialise "
-                        "strings at the boundary",
+                        "label interning inside a loop on the mining "
+                        "hot path; intern once up front (LabelTable / "
+                        "forest_arenas) and pass ids through",
                     )
-            descend_in_loop = in_loop or isinstance(node, self._loop_types)
-            for child in ast.iter_child_nodes(node):
-                stack.append((child, descend_in_loop))
+                elif called == "dict" and node.keywords:
+                    yield self.finding(
+                        ctx,
+                        node,
+                        "str-keyed dict built inside a hot-path loop; "
+                        "keep the sweep on packed-int keys and "
+                        "materialise strings at the boundary",
+                    )
+            elif isinstance(node, ast.Dict) and self._str_keyed(node):
+                yield self.finding(
+                    ctx,
+                    node,
+                    "str-keyed dict literal inside a hot-path loop; "
+                    "keep the sweep on packed-int keys and materialise "
+                    "strings at the boundary",
+                )
 
 
 class UnvalidatedMiningKnobs(Rule):
@@ -580,70 +585,6 @@ class DeterministicGenerators(Rule):
                     )
 
 
-class UnpicklableWorkerPayload(Rule):
-    """RPL006: everything handed to an executor in the engine must pickle.
-
-    ``MiningEngine`` mines in-process today, so this rule has nothing
-    to check there; it stays so that any future executor is held to
-    the discipline.  Lambdas and nested functions do not pickle, so
-    passing one to ``submit``/``map`` fails only when the pool path
-    actually runs — the worst kind of latent bug.  Worker tasks must
-    be module-level callables.
-    """
-
-    id = "RPL006"
-    name = "unpicklable-worker-payload"
-    summary = (
-        "no lambdas or nested functions passed to executor "
-        "submit/map in repro/engine/"
-    )
-    scope = ("repro/engine/",)
-
-    _dispatch = frozenset({"submit", "map"})
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for function in _iter_functions(ctx.tree):
-            nested = {
-                node.name
-                for node in _walk_body(function, into_scopes=False)
-                if isinstance(node, _FUNCTION_TYPES)
-            }
-            lambda_names = {
-                target.id
-                for node in _walk_body(function, into_scopes=False)
-                if isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Lambda)
-                for target in node.targets
-                if isinstance(target, ast.Name)
-            }
-            local = nested | lambda_names
-            for node in _walk_body(function, into_scopes=True):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in self._dispatch
-                ):
-                    continue
-                for arg in node.args:
-                    if isinstance(arg, ast.Lambda):
-                        yield self.finding(
-                            ctx,
-                            arg,
-                            "lambda passed to an executor "
-                            f"{node.func.attr}(); lambdas do not pickle — "
-                            "use a module-level function",
-                        )
-                    elif isinstance(arg, ast.Name) and arg.id in local:
-                        yield self.finding(
-                            ctx,
-                            arg,
-                            f"locally-defined {arg.id!r} passed to an "
-                            f"executor {node.func.attr}(); nested "
-                            "functions do not pickle — hoist it to "
-                            "module level",
-                        )
-
-
 class UntracedTimers(Rule):
     """RPL007: no ad-hoc monotonic clocks outside ``repro/obs/``.
 
@@ -728,14 +669,82 @@ class ObsInternalTimers(UntracedTimers):
     _where = "in the obs analysis layer"
 
 
+class HotLoopAllocation(Rule):
+    """RPL105: no fresh allocations inside hot-kernel loops.
+
+    ``fastmine`` / ``distvec`` / ``topk`` / ``multi_tree`` /
+    ``store/pairstore`` loops run per tree pair or per packed key; a
+    ``list()`` or ``np.zeros`` born on every iteration turns the
+    kernels the benchmarks gate into allocator benchmarks.  Flags
+    ``np.*`` array constructors and bare ``list``/``dict``/``set``
+    constructor calls lexically inside ``for``/``while`` bodies in the
+    hot modules.  Hoist the allocation, reuse a scratch buffer, or
+    pragma the site with a justification when the allocation is the
+    algorithm.
+    """
+
+    id = "RPL105"
+    name = "hot-loop-allocation"
+    summary = "allocation inside a hot-kernel loop"
+    scope = (
+        "repro/core/fastmine.py",
+        "repro/core/distvec.py",
+        "repro/core/topk.py",
+        "repro/core/multi_tree.py",
+        "repro/store/pairstore.py",
+    )
+
+    _np_allocators = frozenset(
+        {
+            "zeros",
+            "empty",
+            "ones",
+            "full",
+            "array",
+            "arange",
+            "fromiter",
+            "vstack",
+            "hstack",
+            "concatenate",
+            "repeat",
+        }
+    )
+    _builtin_allocators = frozenset({"list", "dict", "set"})
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        for node in _loop_nodes(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = dotted_name(node.func)
+            if callee is None:
+                continue
+            parts = callee.split(".")
+            if (
+                len(parts) == 2
+                and parts[0] in ("np", "numpy")
+                and parts[1] in self._np_allocators
+            ):
+                what = callee
+            elif len(parts) == 1 and parts[0] in self._builtin_allocators:
+                what = f"{callee}()"
+            else:
+                continue
+            yield self.finding(
+                ctx,
+                node,
+                f"{what} allocated inside a loop in a hot kernel; hoist "
+                "or reuse a scratch buffer",
+            )
+
+
 RULES: tuple[Rule, ...] = (
     NoRecursiveTraversal(),
     NoMagicPackingLiterals(),
     HotPathAllocations(),
     UnvalidatedMiningKnobs(),
     DeterministicGenerators(),
-    UnpicklableWorkerPayload(),
     UntracedTimers(),
     ObsInternalTimers(),
+    HotLoopAllocation(),
 )
 """Every registered rule, in id order."""

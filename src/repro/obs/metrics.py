@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from types import TracebackType
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 __all__ = [
     "DEFAULT_SECONDS_BUCKETS",
@@ -219,9 +219,8 @@ class MetricsRegistry:
 
     ``counter``/``gauge``/``histogram`` get-or-create, so callers can
     resolve a metric once and keep the reference.  ``snapshot`` is a
-    plain-JSON dict; ``merge_snapshot`` adds one into this registry;
-    ``reset`` zeroes
-    every metric in place without invalidating held references.
+    plain-JSON dict; ``reset`` zeroes every metric in place without
+    invalidating held references.
     """
 
     __slots__ = ("_counters", "_gauges", "_histograms")
@@ -256,7 +255,7 @@ class MetricsRegistry:
         return Timer(self.histogram(name))
 
     def snapshot(self) -> dict[str, Any]:
-        """Plain-JSON state: mergeable, exportable, schema-stable."""
+        """Plain-JSON state: exportable, schema-stable."""
         return {
             "counters": {
                 name: metric.value
@@ -278,41 +277,6 @@ class MetricsRegistry:
                 for name, metric in sorted(self._histograms.items())
             },
         }
-
-    def merge_snapshot(self, snapshot: Mapping[str, Any]) -> None:
-        """Add a :meth:`snapshot` into this registry.
-
-        Counters and histograms accumulate; gauges take the incoming
-        value (last write wins, matching their point-in-time meaning).
-        Histograms must agree on bucket bounds — a mismatch raises
-        ``ValueError`` rather than silently misbinning.
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).add(int(value))
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(float(value))
-        for name, payload in snapshot.get("histograms", {}).items():
-            bounds = tuple(float(bound) for bound in payload["bounds"])
-            metric = self.histogram(name, bounds)
-            if metric.bounds != bounds:
-                raise ValueError(
-                    f"histogram {name!r} bounds mismatch: "
-                    f"{metric.bounds} vs {bounds}"
-                )
-            for index, bucket in enumerate(payload["bucket_counts"]):
-                metric.bucket_counts[index] += int(bucket)
-            metric.count += int(payload["count"])
-            metric.total += float(payload["total"])
-            low = payload.get("min")
-            if low is not None:
-                low = float(low)
-                if metric.minimum is None or low < metric.minimum:
-                    metric.minimum = low
-            high = payload.get("max")
-            if high is not None:
-                high = float(high)
-                if metric.maximum is None or high > metric.maximum:
-                    metric.maximum = high
 
     def reset(self) -> None:
         """Zero every metric in place (held references stay valid)."""

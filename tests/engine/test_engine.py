@@ -76,6 +76,25 @@ class TestForestEquivalence:
             )
             assert strict(result) == strict(reference), temperature
 
+    def test_one_engine_serves_the_whole_grid(self, forest):
+        # One engine, every grid point forwards then backwards: the
+        # whole-forest memo must key on every threshold, or a later
+        # grid point is served an earlier point's answer.
+        engine = MiningEngine()
+        for grid in PARAM_GRID + PARAM_GRID[::-1]:
+            maxdist, minoccur, minsup, ignore, gap, height = grid
+            knobs = dict(
+                maxdist=maxdist,
+                minoccur=minoccur,
+                minsup=minsup,
+                ignore_distance=ignore,
+                max_generation_gap=gap,
+                max_height=height,
+            )
+            assert strict(engine.mine_forest(forest, **knobs)) == strict(
+                mine_forest_reference(forest, **knobs)
+            ), grid
+
     def test_order_follows_input(self, forest, jobs):
         engine = MiningEngine(jobs=jobs)
         per_tree = engine.items(forest)

@@ -27,9 +27,9 @@ MODULE_KEYS = {
     "rpl003": "repro/core/fastmine.py",
     "rpl004": "repro/apps/fixture.py",
     "rpl005": "repro/generate/fixture.py",
-    "rpl006": "repro/engine/fixture.py",
     "rpl007": "repro/apps/fixture.py",
     "rpl008": "repro/obs/profile.py",
+    "rpl105": "repro/core/topk.py",
 }
 
 
@@ -187,24 +187,6 @@ class TestRPL005:
         )
 
 
-class TestRPL006:
-    def test_lambda_and_nested_def_each_reported(self):
-        findings = lint_fixture("rpl006_bad", select=["RPL006"])
-        messages = " ".join(f.message for f in findings)
-        assert "lambda" in messages
-        assert "mine_one" in messages
-
-    def test_sort_key_lambdas_are_fine(self):
-        source = (
-            "def order(rows):\n"
-            "    return sorted(rows, key=lambda row: row[0])\n"
-        )
-        assert (
-            lint_source(source, module="repro/engine/x.py", select=["RPL006"])
-            == []
-        )
-
-
 class TestRPL007:
     def test_attribute_and_import_forms_each_reported(self):
         findings = lint_fixture("rpl007_bad", select=["RPL007"])
@@ -231,6 +213,39 @@ class TestRPL007:
             lint_source(source, module="repro/apps/x.py", select=["RPL007"])
             == []
         )
+
+
+class TestRPL105:
+    def test_np_and_builtin_allocations_each_reported(self):
+        findings = lint_fixture("rpl105_bad", select=["RPL105"])
+        messages = " ".join(f.message for f in findings)
+        assert "np.zeros" in messages
+        assert "list()" in messages
+
+    def test_scoped_to_hot_modules_only(self):
+        source = (FIXTURES / "rpl105_bad.py").read_text(encoding="utf-8")
+        assert (
+            lint_source(source, module="repro/apps/report.py", select=["RPL105"])
+            == []
+        )
+
+    def test_pair_store_module_is_in_scope(self):
+        # The memmapped shard reader serves the same per-query loops
+        # the in-RAM kernels do; its loops are gated the same way.
+        source = (FIXTURES / "rpl105_bad.py").read_text(encoding="utf-8")
+        assert lint_source(
+            source, module="repro/store/pairstore.py", select=["RPL105"]
+        )
+
+    @pytest.mark.parametrize("fixture, flagged", [("bad", True), ("good", False)])
+    def test_aggregation_kernel_module_is_in_scope(self, fixture, flagged):
+        # The frequent-pair kernel runs once per pattern group over
+        # every corpus query; its loops are gated like the kernels'.
+        source = (FIXTURES / f"rpl105_{fixture}.py").read_text(encoding="utf-8")
+        findings = lint_source(
+            source, module="repro/core/multi_tree.py", select=["RPL105"]
+        )
+        assert bool(findings) is flagged
 
 
 class TestPragmas:

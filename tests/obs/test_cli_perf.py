@@ -246,17 +246,14 @@ class TestSpanCoverage:
         }
         assert "store.append" in append_names
 
-    def test_lint_cli_trace_covers_cache_and_scan(self, tmp_path, capsys):
+    def test_lint_cli_trace_covers_run_scan_and_project(self, tmp_path, capsys):
         from repro.lint.cli import main as lint_main
 
         target = tmp_path / "pkg"
         target.mkdir()
         (target / "mod.py").write_text("x = 1\n", encoding="utf-8")
         trace = tmp_path / "lint_trace.jsonl"
-        code = lint_main(
-            [str(target), "--trace", str(trace),
-             "--cache", str(tmp_path / "cache.json")]
-        )
+        code = lint_main([str(target), "--trace", str(trace)])
         assert code == 0
         capsys.readouterr()
         names = {
@@ -267,6 +264,4 @@ class TestSpanCoverage:
             )
             if line["type"] == "span"
         }
-        assert "lint.run" in names
-        assert "lint.scan" in names
-        assert "lint.cache.write" in names
+        assert {"lint.run", "lint.scan", "lint.project"} <= names

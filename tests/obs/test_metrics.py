@@ -77,37 +77,6 @@ class TestRegistrySnapshots:
         assert payload["count"] == 1
         assert payload["min"] == payload["max"] == 0.005
 
-    def test_merge_adds_counters_and_histograms(self):
-        source = MetricsRegistry()
-        source.counter("c").add(3)
-        source.histogram("h").observe(0.2)
-        target = MetricsRegistry()
-        target.counter("c").add(1)
-        target.histogram("h").observe(0.4)
-        target.merge_snapshot(source.snapshot())
-        target.merge_snapshot(source.snapshot())
-        assert target.counter("c").value == 7
-        merged = target.histogram("h")
-        assert merged.count == 3
-        assert merged.total == pytest.approx(0.8)
-        assert merged.minimum == 0.2 and merged.maximum == 0.4
-
-    def test_merge_overwrites_gauges(self):
-        source = MetricsRegistry()
-        source.gauge("g").set(9.0)
-        target = MetricsRegistry()
-        target.gauge("g").set(1.0)
-        target.merge_snapshot(source.snapshot())
-        assert target.gauge("g").value == 9.0
-
-    def test_merge_rejects_bounds_mismatch(self):
-        source = MetricsRegistry()
-        source.histogram("h", bounds=(1.0, 2.0)).observe(0.5)
-        target = MetricsRegistry()
-        target.histogram("h", bounds=(1.0, 3.0))
-        with pytest.raises(ValueError, match="bounds mismatch"):
-            target.merge_snapshot(source.snapshot())
-
     def test_reset_keeps_references_valid(self):
         registry = MetricsRegistry()
         counter = registry.counter("c")

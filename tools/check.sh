@@ -50,7 +50,6 @@ skip_step() {
 lint_gate() {
     python -m repro.lint --json \
         --baseline .repro-lint-baseline.json \
-        --cache .repro-lint-cache.json \
         src/repro > .lint-report.json
     local code=$?
     python - <<'PY'
@@ -60,9 +59,7 @@ report = json.load(open(".lint-report.json", encoding="utf-8"))
 counts = report["counts"]
 print(
     f"   {counts['total']} findings "
-    f"({counts['new']} new, {counts['baselined']} baselined); "
-    f"cache {report['cache']['hits']} hits / "
-    f"{report['cache']['misses']} misses"
+    f"({counts['new']} new, {counts['baselined']} baselined)"
 )
 for finding in report["findings"]:
     if not finding["baselined"]:
