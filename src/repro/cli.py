@@ -45,14 +45,11 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.engine import MiningEngine
 
-from repro.consensus.base import CONSENSUS_METHODS, consensus
-from repro.core.distance import DistanceMode, tree_distance
-from repro.core.kernel import find_kernel_trees
+from repro.consensus.base import CONSENSUS_METHODS
+from repro.core.distance import DistanceMode
 from repro.core.multi_tree import mine_forest, support
 from repro.core.fastmine import mine_tree
 from repro.core.params import validate_mode
-from repro.core.similarity import average_similarity
-from repro.core.treerank import rank_trees
 from repro.errors import ReproError
 from repro.trees.newick import write_newick
 from repro.trees.nexus import read_arenas
@@ -558,6 +555,9 @@ def _cmd_support(args: argparse.Namespace) -> int:
 
 
 def _cmd_consensus(args: argparse.Namespace) -> int:
+    from repro.consensus.base import consensus
+    from repro.core.similarity import average_similarity
+
     trees = load_trees(args.file)
     result = consensus(trees, method=args.method)
     print(write_newick(result, include_lengths=False))
@@ -568,6 +568,8 @@ def _cmd_consensus(args: argparse.Namespace) -> int:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
+    from repro.core.distance import tree_distance
+
     if args.store is not None:
         with _engine_session(args) as engine:
             store = engine.open_store(args.store)
@@ -600,6 +602,8 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
+    from repro.core.kernel import find_kernel_trees
+
     if len(args.files) < 2:
         print("kernel needs at least two group files", file=sys.stderr)
         return 2
@@ -622,6 +626,8 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def _cmd_treerank(args: argparse.Namespace) -> int:
+    from repro.core.treerank import rank_trees
+
     queries = load_trees(args.query)
     if len(queries) != 1:
         print("treerank expects exactly one query tree", file=sys.stderr)

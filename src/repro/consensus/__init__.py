@@ -17,12 +17,16 @@ over one common taxon set, with uniquely labeled leaves.  Use
 :func:`consensus` to dispatch by name.
 """
 
-from repro.consensus.base import consensus, CONSENSUS_METHODS
-from repro.consensus.strict import strict_consensus
-from repro.consensus.majority import majority_consensus
-from repro.consensus.semistrict import semistrict_consensus
-from repro.consensus.adams import adams_consensus
-from repro.consensus.nelson import nelson_consensus
+from importlib import import_module
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.consensus.base import consensus, CONSENSUS_METHODS
+    from repro.consensus.strict import strict_consensus
+    from repro.consensus.majority import majority_consensus
+    from repro.consensus.semistrict import semistrict_consensus
+    from repro.consensus.adams import adams_consensus
+    from repro.consensus.nelson import nelson_consensus
 
 __all__ = [
     "consensus",
@@ -33,3 +37,28 @@ __all__ = [
     "adams_consensus",
     "nelson_consensus",
 ]
+
+# Name -> defining submodule.  Each submodule is imported the first time
+# one of its names is looked up (PEP 562), so importing this package
+# loads none of them.
+_EXPORTS = {
+    "consensus": "base",
+    "CONSENSUS_METHODS": "base",
+    "strict_consensus": "strict",
+    "majority_consensus": "majority",
+    "semistrict_consensus": "semistrict",
+    "adams_consensus": "adams",
+    "nelson_consensus": "nelson",
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from importlib import import_module
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.errors import ConsensusError
 from repro.trees.tree import Tree
@@ -60,54 +61,30 @@ def consensus(trees: Sequence[Tree], method: str = "majority", **kwargs) -> Tree
     return function(trees, **kwargs)
 
 
-def _load_methods() -> dict[str, Callable[..., Tree]]:
-    # Imported late to avoid a circular import at package load.
-    from repro.consensus.adams import adams_consensus
-    from repro.consensus.majority import majority_consensus
-    from repro.consensus.nelson import nelson_consensus
-    from repro.consensus.semistrict import semistrict_consensus
-    from repro.consensus.strict import strict_consensus
+class _MethodRegistry(Mapping[str, Callable[..., Tree]]):
+    """Name -> method.  The names are fixed; a method's module is imported
+    when the method is looked up.  So listing the names (the CLI's
+    ``--method`` choices) imports no method, and the late import avoids a
+    cycle with the method modules, which import this one."""
 
-    return {
-        "strict": strict_consensus,
-        "majority": majority_consensus,
-        "semistrict": semistrict_consensus,
-        "adams": adams_consensus,
-        "nelson": nelson_consensus,
-    }
+    def __init__(self, *names: str) -> None:
+        self._names = names
 
+    def __getitem__(self, key: str) -> Callable[..., Tree]:
+        if key not in self._names:
+            raise KeyError(key)
+        module = import_module(f"repro.consensus.{key}")
+        function: Callable[..., Tree] = getattr(module, f"{key}_consensus")
+        return function
 
-class _MethodRegistry(dict):
-    """Lazily populated method table (avoids import cycles)."""
-
-    def _ensure(self) -> None:
-        if not super().__len__():
-            super().update(_load_methods())
-
-    def __getitem__(self, key):
-        self._ensure()
-        return super().__getitem__(key)
-
-    def __iter__(self):
-        self._ensure()
-        return super().__iter__()
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
 
     def __len__(self) -> int:
-        self._ensure()
-        return super().__len__()
-
-    def __contains__(self, key) -> bool:
-        self._ensure()
-        return super().__contains__(key)
-
-    def keys(self):
-        self._ensure()
-        return super().keys()
-
-    def items(self):
-        self._ensure()
-        return super().items()
+        return len(self._names)
 
 
-CONSENSUS_METHODS: dict[str, Callable[..., Tree]] = _MethodRegistry()
+CONSENSUS_METHODS: Mapping[str, Callable[..., Tree]] = _MethodRegistry(
+    "strict", "majority", "semistrict", "adams", "nelson"
+)
 """Name -> implementation for the five methods of the paper."""

@@ -13,13 +13,14 @@ small (bounded by taxa x trees), so this is fast in practice.  For
 determinism across runs, clusters enter the graph in sorted order and
 ties between maximum cliques are broken by preferring the
 lexicographically smallest cluster set.
+
+networkx is imported inside :func:`nelson_consensus`, its only use in
+the package, so no other code path pays for loading it.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-import networkx as nx
 
 from repro.consensus.base import validate_profile
 from repro.trees.bipartition import cluster_counts, compatible, tree_from_clusters
@@ -30,6 +31,8 @@ __all__ = ["nelson_consensus"]
 
 def nelson_consensus(trees: Sequence[Tree]) -> Tree:
     """The Nelson consensus of a profile of same-taxa rooted trees."""
+    import networkx as nx
+
     taxa = validate_profile(trees)
     counts = cluster_counts(trees)
     if not counts:

@@ -38,32 +38,36 @@ Modules
   complete k-ary trees (the arithmetic behind Figure 4).
 """
 
-from repro.core.params import MiningParams, DEFAULT_PARAMS, validate_mode
-from repro.core.cousins import (
-    ANY,
-    CousinPair,
-    CousinPairItem,
-    cousin_distance,
-    valid_distances,
-)
-from repro.core.fastmine import mine_tree, enumerate_cousin_pairs
-from repro.core.multi_tree import FrequentCousinPair, mine_forest, support
-from repro.core.pairset import CousinPairSet
-from repro.core.similarity import similarity_score, average_similarity
-from repro.core.distance import (
-    tree_distance,
-    distance_matrix,
-    pairset_distance,
-    pairset_distance_matrix,
-    DistanceMode,
-)
-from repro.core.distvec import DistanceVectors
-from repro.core.topk import TopKResult, topk_search, topk_similar
-from repro.core.kernel import KernelResult, find_kernel_trees
-from repro.core.freetree import FreeTree, mine_free_tree, mine_graph_forest
-from repro.core.treerank import updown_matrix, updown_distance, treerank_score, rank_trees
-from repro.core.weighted import WeightedPairItem, mine_tree_weighted
-from repro.core.index import CousinPairIndex
+from importlib import import_module
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.core.params import MiningParams, DEFAULT_PARAMS, validate_mode
+    from repro.core.cousins import (
+        ANY,
+        CousinPair,
+        CousinPairItem,
+        cousin_distance,
+        valid_distances,
+    )
+    from repro.core.fastmine import mine_tree, enumerate_cousin_pairs
+    from repro.core.multi_tree import FrequentCousinPair, mine_forest, support
+    from repro.core.pairset import CousinPairSet
+    from repro.core.similarity import similarity_score, average_similarity
+    from repro.core.distance import (
+        tree_distance,
+        distance_matrix,
+        pairset_distance,
+        pairset_distance_matrix,
+        DistanceMode,
+    )
+    from repro.core.distvec import DistanceVectors
+    from repro.core.topk import TopKResult, topk_search, topk_similar
+    from repro.core.kernel import KernelResult, find_kernel_trees
+    from repro.core.freetree import FreeTree, mine_free_tree, mine_graph_forest
+    from repro.core.treerank import updown_matrix, updown_distance, treerank_score, rank_trees
+    from repro.core.weighted import WeightedPairItem, mine_tree_weighted
+    from repro.core.index import CousinPairIndex
 
 __all__ = [
     "ANY",
@@ -104,3 +108,58 @@ __all__ = [
     "mine_tree_weighted",
     "CousinPairIndex",
 ]
+
+# Name -> defining submodule.  Each submodule is imported the first time
+# one of its names is looked up (PEP 562), so importing this package
+# loads none of them.
+_EXPORTS = {
+    "MiningParams": "params",
+    "DEFAULT_PARAMS": "params",
+    "validate_mode": "params",
+    "ANY": "cousins",
+    "CousinPair": "cousins",
+    "CousinPairItem": "cousins",
+    "cousin_distance": "cousins",
+    "valid_distances": "cousins",
+    "mine_tree": "fastmine",
+    "enumerate_cousin_pairs": "fastmine",
+    "FrequentCousinPair": "multi_tree",
+    "mine_forest": "multi_tree",
+    "support": "multi_tree",
+    "CousinPairSet": "pairset",
+    "similarity_score": "similarity",
+    "average_similarity": "similarity",
+    "tree_distance": "distance",
+    "distance_matrix": "distance",
+    "pairset_distance": "distance",
+    "pairset_distance_matrix": "distance",
+    "DistanceMode": "distance",
+    "DistanceVectors": "distvec",
+    "TopKResult": "topk",
+    "topk_search": "topk",
+    "topk_similar": "topk",
+    "KernelResult": "kernel",
+    "find_kernel_trees": "kernel",
+    "FreeTree": "freetree",
+    "mine_free_tree": "freetree",
+    "mine_graph_forest": "freetree",
+    "updown_matrix": "treerank",
+    "updown_distance": "treerank",
+    "treerank_score": "treerank",
+    "rank_trees": "treerank",
+    "WeightedPairItem": "weighted",
+    "mine_tree_weighted": "weighted",
+    "CousinPairIndex": "index",
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -30,54 +30,58 @@ Spans, metrics, exporters and the analysis layer in one package:
 See ``docs/observability.md`` for the span taxonomy and metric names.
 """
 
-from repro.obs.context import get_registry, get_tracer, global_registry, scope
-from repro.obs.export import (
-    MANIFEST_VERSION,
-    TRACE_VERSION,
-    build_manifest,
-    git_revision,
-    render_stats,
-    trace_lines,
-    write_manifest,
-    write_trace,
-)
-from repro.obs.history import (
-    HISTORY_DIRNAME,
-    HISTORY_VERSION,
-    RunHistory,
-    manifest_metrics,
-    manifest_record,
-    params_fingerprint,
-)
-from repro.obs.metrics import (
-    DEFAULT_SECONDS_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Stopwatch,
-    Timer,
-    stopwatch,
-)
-from repro.obs.profile import (
-    PathStep,
-    Profile,
-    ProfileRow,
-    build_profile,
-    folded_lines,
-    profile_trace,
-    read_trace_spans,
-    render_profile,
-    write_folded,
-)
-from repro.obs.regress import (
-    REGRESS_VERSION,
-    RegressPolicy,
-    check_manifest,
-    is_gated_metric,
-    render_report,
-)
-from repro.obs.trace import NULL_SPAN, Span, SpanRecord, Tracer
+from importlib import import_module
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.obs.context import get_registry, get_tracer, global_registry, scope
+    from repro.obs.export import (
+        MANIFEST_VERSION,
+        TRACE_VERSION,
+        build_manifest,
+        git_revision,
+        render_stats,
+        trace_lines,
+        write_manifest,
+        write_trace,
+    )
+    from repro.obs.history import (
+        HISTORY_DIRNAME,
+        HISTORY_VERSION,
+        RunHistory,
+        manifest_metrics,
+        manifest_record,
+        params_fingerprint,
+    )
+    from repro.obs.metrics import (
+        DEFAULT_SECONDS_BUCKETS,
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        Stopwatch,
+        Timer,
+        stopwatch,
+    )
+    from repro.obs.profile import (
+        PathStep,
+        Profile,
+        ProfileRow,
+        build_profile,
+        folded_lines,
+        profile_trace,
+        read_trace_spans,
+        render_profile,
+        write_folded,
+    )
+    from repro.obs.regress import (
+        REGRESS_VERSION,
+        RegressPolicy,
+        check_manifest,
+        is_gated_metric,
+        render_report,
+    )
+    from repro.obs.trace import NULL_SPAN, Span, SpanRecord, Tracer
 
 __all__ = [
     "DEFAULT_SECONDS_BUCKETS",
@@ -125,3 +129,65 @@ __all__ = [
     "write_manifest",
     "write_trace",
 ]
+
+# Name -> defining submodule.  Each submodule is imported the first time
+# one of its names is looked up (PEP 562), so importing this package
+# loads none of them.
+_EXPORTS = {
+    "get_registry": "context",
+    "get_tracer": "context",
+    "global_registry": "context",
+    "scope": "context",
+    "MANIFEST_VERSION": "export",
+    "TRACE_VERSION": "export",
+    "build_manifest": "export",
+    "git_revision": "export",
+    "render_stats": "export",
+    "trace_lines": "export",
+    "write_manifest": "export",
+    "write_trace": "export",
+    "HISTORY_DIRNAME": "history",
+    "HISTORY_VERSION": "history",
+    "RunHistory": "history",
+    "manifest_metrics": "history",
+    "manifest_record": "history",
+    "params_fingerprint": "history",
+    "DEFAULT_SECONDS_BUCKETS": "metrics",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "Stopwatch": "metrics",
+    "Timer": "metrics",
+    "stopwatch": "metrics",
+    "PathStep": "profile",
+    "Profile": "profile",
+    "ProfileRow": "profile",
+    "build_profile": "profile",
+    "folded_lines": "profile",
+    "profile_trace": "profile",
+    "read_trace_spans": "profile",
+    "render_profile": "profile",
+    "write_folded": "profile",
+    "REGRESS_VERSION": "regress",
+    "RegressPolicy": "regress",
+    "check_manifest": "regress",
+    "is_gated_metric": "regress",
+    "render_report": "regress",
+    "NULL_SPAN": "trace",
+    "Span": "trace",
+    "SpanRecord": "trace",
+    "Tracer": "trace",
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

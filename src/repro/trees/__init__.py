@@ -27,33 +27,37 @@ mining algorithms of the paper operate:
 - :mod:`repro.trees.validate` — structural invariants used by tests.
 """
 
-from repro.trees.arena import LabelTable, TreeArena, forest_arenas
-from repro.trees.tree import Node, Tree
-from repro.trees.newick import parse_arenas, parse_newick, parse_forest, write_newick
-from repro.trees.traversal import TreeIndex
-from repro.trees.bipartition import (
-    clusters,
-    nontrivial_clusters,
-    robinson_foulds,
-    tree_from_clusters,
-)
-from repro.trees.nexus import (
-    parse_nexus,
-    parse_nexus_arenas,
-    read_arenas,
-    read_nexus_file,
-    write_nexus,
-)
-from repro.trees.build import Triple, tree_triples, build_from_triples, BuildConflict
-from repro.trees.rooting import outgroup_root, midpoint_root, reroot_on_edge
-from repro.trees.drawing import render_tree, render_with_highlights, render_pattern_report
-from repro.trees.ops import (
-    copy_tree,
-    relabel,
-    restrict_to_taxa,
-    collapse_unary,
-    tree_from_parent_list,
-)
+from importlib import import_module
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.trees.arena import LabelTable, TreeArena, forest_arenas
+    from repro.trees.tree import Node, Tree
+    from repro.trees.newick import parse_arenas, parse_newick, parse_forest, write_newick
+    from repro.trees.traversal import TreeIndex
+    from repro.trees.bipartition import (
+        clusters,
+        nontrivial_clusters,
+        robinson_foulds,
+        tree_from_clusters,
+    )
+    from repro.trees.nexus import (
+        parse_nexus,
+        parse_nexus_arenas,
+        read_arenas,
+        read_nexus_file,
+        write_nexus,
+    )
+    from repro.trees.build import Triple, tree_triples, build_from_triples, BuildConflict
+    from repro.trees.rooting import outgroup_root, midpoint_root, reroot_on_edge
+    from repro.trees.drawing import render_tree, render_with_highlights, render_pattern_report
+    from repro.trees.ops import (
+        copy_tree,
+        relabel,
+        restrict_to_taxa,
+        collapse_unary,
+        tree_from_parent_list,
+    )
 
 __all__ = [
     "LabelTable",
@@ -91,3 +95,55 @@ __all__ = [
     "render_with_highlights",
     "render_pattern_report",
 ]
+
+# Name -> defining submodule.  Each submodule is imported the first time
+# one of its names is looked up (PEP 562), so importing this package
+# loads none of them.
+_EXPORTS = {
+    "LabelTable": "arena",
+    "TreeArena": "arena",
+    "forest_arenas": "arena",
+    "Node": "tree",
+    "Tree": "tree",
+    "parse_arenas": "newick",
+    "parse_newick": "newick",
+    "parse_forest": "newick",
+    "write_newick": "newick",
+    "TreeIndex": "traversal",
+    "clusters": "bipartition",
+    "nontrivial_clusters": "bipartition",
+    "robinson_foulds": "bipartition",
+    "tree_from_clusters": "bipartition",
+    "parse_nexus": "nexus",
+    "parse_nexus_arenas": "nexus",
+    "read_arenas": "nexus",
+    "read_nexus_file": "nexus",
+    "write_nexus": "nexus",
+    "Triple": "build",
+    "tree_triples": "build",
+    "build_from_triples": "build",
+    "BuildConflict": "build",
+    "outgroup_root": "rooting",
+    "midpoint_root": "rooting",
+    "reroot_on_edge": "rooting",
+    "render_tree": "drawing",
+    "render_with_highlights": "drawing",
+    "render_pattern_report": "drawing",
+    "copy_tree": "ops",
+    "relabel": "ops",
+    "restrict_to_taxa": "ops",
+    "collapse_unary": "ops",
+    "tree_from_parent_list": "ops",
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
