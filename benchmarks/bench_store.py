@@ -99,11 +99,11 @@ def peak_rss_kb() -> int:
 # Child phases (each runs in its own process for an isolated ru_maxrss)
 # ----------------------------------------------------------------------
 def phase_pack(directory: str, count: int, engine=None) -> dict:
-    from repro.store import PairStore
+    from repro.engine.delta import VersionedCorpus
 
     forest = make_forest(count)
     started = time.perf_counter()
-    PairStore.pack(directory, forest, engine=engine)
+    VersionedCorpus(forest, engine=engine).pack_store(directory)
     pack_seconds = time.perf_counter() - started
     size_bytes = sum(
         os.path.getsize(os.path.join(root, name))

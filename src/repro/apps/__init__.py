@@ -6,9 +6,7 @@
   methods over sets of equally parsimonious trees (Section 5.2,
   Figure 9);
 - :mod:`repro.apps.kernel_trees` — select kernel trees across groups
-  of phylogenies (Section 5.3, Figure 10);
-- :mod:`repro.apps.corpus` — persistent versioned corpora over the
-  incremental delta-mining layer (``repro-mine corpus``).
+  of phylogenies (Section 5.3, Figure 10).
 """
 
 from repro.apps.cooccurrence import CooccurrenceReport, find_cooccurring_patterns
@@ -20,10 +18,8 @@ from repro.apps.kernel_trees import KernelExperimentRow, kernel_tree_experiment
 from repro.apps.clustering import ClusteringResult, cluster_trees, cluster_consensus
 from repro.apps.supertree import SupertreeResult, build_supertree
 from repro.apps.diff import PatternDiff, diff_patterns, diff_forests
-from repro.apps.corpus import CorpusStore
 
 __all__ = [
-    "CorpusStore",
     "CooccurrenceReport",
     "find_cooccurring_patterns",
     "ConsensusQualityRow",

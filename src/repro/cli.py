@@ -20,9 +20,8 @@ plus the extension workflows::
     repro-mine corpus remove DIR 3 7
     repro-mine corpus log DIR
     repro-mine corpus diff DIR 0 4
-    repro-mine corpus pack DIR [--store STOREDIR]
-    repro-mine similar query.nwk --store STOREDIR --k 10
-    repro-mine distance 0 7 --store STOREDIR
+    repro-mine similar query.nwk --store DIR --k 10
+    repro-mine distance 0 7 --store DIR
     repro-mine profile trace.jsonl --folded out.folded --top 15
     repro-mine perf ingest BENCH_store.manifest.json
     repro-mine perf log --markdown
@@ -100,17 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_store_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("--store", default=None, metavar="DIR",
-                       help="serve from the on-disk pair store at DIR "
-                            "(mining knobs come from the store)")
+                       help="serve from the corpus directory DIR, a "
+                            "pair store (mining knobs come from it)")
 
     def add_engine_args(p: argparse.ArgumentParser) -> None:
         # Accepted and ignored: mining always runs in-process.  Kept
         # (hidden) so existing scripts keep working; still validated.
         p.add_argument("--jobs", type=int, default=None,
                        help=argparse.SUPPRESS)
-        p.add_argument("--cache-dir", default=None, dest="cache_dir",
-                       help="directory for the persistent pair-set "
-                            "cache (reused across runs)")
         p.add_argument("--engine-stats", action="store_true",
                        dest="engine_stats",
                        help="print cache and distance statistics "
@@ -251,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc_init.add_argument("--trees", default=None, metavar="FILE",
                          help="initial tree file (omit for an empty corpus)")
     add_mining_args(pc_init)
-    add_store_arg(pc_init)
     add_engine_args(pc_init)
 
     pc_add = corpus_sub.add_parser(
@@ -259,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pc_add.add_argument("dir")
     pc_add.add_argument("file", help="tree file with the new members")
-    add_store_arg(pc_add)
     add_engine_args(pc_add)
 
     pc_remove = corpus_sub.add_parser(
@@ -267,14 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pc_remove.add_argument("dir")
     pc_remove.add_argument("indexes", nargs="+", type=int, metavar="INDEX")
-    add_store_arg(pc_remove)
     add_engine_args(pc_remove)
 
     pc_log = corpus_sub.add_parser(
         "log", help="show the corpus delta log"
     )
     pc_log.add_argument("dir")
-    add_store_arg(pc_log)
     add_engine_args(pc_log)
 
     pc_diff = corpus_sub.add_parser(
@@ -283,17 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc_diff.add_argument("dir")
     pc_diff.add_argument("old", type=int, help="older version number")
     pc_diff.add_argument("new", type=int, help="newer version number")
-    add_store_arg(pc_diff)
     add_engine_args(pc_diff)
-
-    pc_pack = corpus_sub.add_parser(
-        "pack",
-        help="pack the corpus into an on-disk pair store "
-             "(memmapped .npy shards)",
-    )
-    pc_pack.add_argument("dir")
-    add_store_arg(pc_pack)
-    add_engine_args(pc_pack)
 
     p_prof = sub.add_parser(
         "profile",
@@ -390,12 +372,7 @@ def _engine_session(args: argparse.Namespace) -> Iterator[MiningEngine]:
     profile = getattr(args, "profile", False)
     registry = MetricsRegistry()
     tracer = Tracer(registry, enabled=trace_path is not None or profile)
-    engine = MiningEngine(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        registry=registry,
-        tracer=tracer,
-    )
+    engine = MiningEngine(jobs=args.jobs, registry=registry, tracer=tracer)
     try:
         with scope(registry, tracer):
             yield engine
@@ -418,32 +395,6 @@ def _report_engine_stats(engine: MiningEngine, args: argparse.Namespace) -> None
         print(engine.stats.describe(), file=sys.stderr)
         for line in render_stats(engine.registry):
             print(line, file=sys.stderr)
-
-
-def _attach_pair_store(corpus, directory: str, names=None):
-    """Attach the pair store at ``directory``, re-packing on damage.
-
-    A damaged, truncated or parameter-mismatched store degrades to a
-    counted rebuild (``store.rebuilds``) from the corpus itself,
-    mirroring the poisoned-cache recovery path.
-    """
-    from repro.errors import StoreError
-    from repro.obs.context import get_registry, get_tracer
-    from repro.store import PairStore
-
-    try:
-        corpus.attach_store(PairStore.open(directory), names=names)
-    except StoreError as error:
-        get_registry().counter("store.rebuilds").add(1)
-        print(f"# rebuilding pair store at {directory}: {error}",
-              file=sys.stderr)
-        with get_tracer().span(
-            "store.rebuild",
-            metric="store.rebuild.seconds",
-            directory=directory,
-        ):
-            corpus.pack_store(directory, names=names)
-    return corpus.store
 
 
 def _store_position(store, token: str) -> int:
@@ -760,12 +711,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    from repro.apps.corpus import CorpusStore
     from repro.core.params import MiningParams
+    from repro.engine.delta import VersionedCorpus
+    from repro.store import STORE_FILE
 
     with _engine_session(args) as engine:
         if args.action == "init":
-            trees = load_trees(args.trees) if args.trees is not None else []
+            path = os.path.join(args.dir, STORE_FILE)
+            if os.path.exists(path):
+                raise ReproError(f"corpus already initialised at {path}")
+            trees = read_arenas(args.trees) if args.trees is not None else []
             params = MiningParams(
                 maxdist=args.maxdist,
                 minoccur=args.minoccur,
@@ -773,84 +728,41 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
                 max_generation_gap=args.gap,
                 max_height=args.max_height,
             )
-            store = CorpusStore.create(args.dir, trees, params, engine=engine)
+            corpus = VersionedCorpus(trees, params, engine=engine)
+            corpus.pack_store(args.dir)
             print(
                 f"initialised corpus at {args.dir}: "
-                f"{len(store.corpus)} tree(s), v{store.corpus.version}"
+                f"{len(corpus)} tree(s), v{corpus.version}"
             )
-            if args.store is not None:
-                pair_store = store.corpus.pack_store(
-                    args.store, names=store.names
-                )
-                print(
-                    f"packed pair store at {args.store}: "
-                    f"{len(pair_store.names)} tree(s), "
-                    f"{len(pair_store.labels)} label(s)"
-                )
-        elif args.action == "pack":
-            store = CorpusStore.open(args.dir, engine=engine)
-            target = (
-                args.store
-                if args.store is not None
-                else os.path.join(args.dir, "pairstore")
-            )
-            pair_store = store.corpus.pack_store(target, names=store.names)
-            print(
-                f"packed pair store at {target}: "
-                f"{len(pair_store.names)} tree(s), "
-                f"{len(pair_store.labels)} label(s), "
-                f"v{pair_store.version}"
-            )
-        elif args.action == "add":
-            store = CorpusStore.open(args.dir, engine=engine)
-            if args.store is not None:
-                _attach_pair_store(
-                    store.corpus, args.store, names=store.names
-                )
-            trees = load_trees(args.file)
-            positions = store.add_trees(trees)
-            store.save()
-            print(store.corpus.log()[-1].describe())
-            for position in positions:
-                print(f"  added {store.names[position]} at #{position}")
-        elif args.action == "remove":
-            store = CorpusStore.open(args.dir, engine=engine)
-            if args.store is not None:
-                _attach_pair_store(
-                    store.corpus, args.store, names=store.names
-                )
-            # Out-of-range indexes are rejected by the corpus itself
-            # (before any mutation); only name the valid ones here.
-            gone = [
-                store.names[index]
-                for index in sorted(set(args.indexes))
-                if 0 <= index < len(store.names)
-            ]
-            store.remove_trees(args.indexes)
-            store.save()
-            print(store.corpus.log()[-1].describe())
-            for name in gone:
-                print(f"  removed {name}")
-        elif args.action == "log":
-            store = CorpusStore.open(args.dir, engine=engine)
-            if args.store is not None:
-                _attach_pair_store(
-                    store.corpus, args.store, names=store.names
-                )
-            for delta in store.corpus.log():
-                print(delta.describe())
-        else:  # diff
-            store = CorpusStore.open(args.dir, engine=engine)
-            if args.store is not None:
-                _attach_pair_store(
-                    store.corpus, args.store, names=store.names
-                )
-            diff = store.corpus.diff(args.old, args.new)
-            print(diff.describe())
-            for ref in diff.added:
-                print(f"  + {ref.describe()}")
-            for ref in diff.removed:
-                print(f"  - {ref.describe()}")
+        else:
+            corpus = VersionedCorpus.open(args.dir, engine=engine)
+            if args.action == "add":
+                positions = corpus.add_trees(read_arenas(args.file))
+                print(corpus.log()[-1].describe())
+                for position in positions:
+                    print(f"  added {corpus.names[position]} at #{position}")
+            elif args.action == "remove":
+                # Out-of-range indexes are rejected by the corpus itself
+                # (before any mutation); only name the valid ones here.
+                gone = [
+                    corpus.names[index]
+                    for index in sorted(set(args.indexes))
+                    if 0 <= index < len(corpus)
+                ]
+                corpus.remove_trees(args.indexes)
+                print(corpus.log()[-1].describe())
+                for name in gone:
+                    print(f"  removed {name}")
+            elif args.action == "log":
+                for delta in corpus.log():
+                    print(delta.describe())
+            else:  # diff
+                diff = corpus.diff(args.old, args.new)
+                print(diff.describe())
+                for ref in diff.added:
+                    print(f"  + {ref.describe()}")
+                for ref in diff.removed:
+                    print(f"  - {ref.describe()}")
         _report_engine_stats(engine, args)
     return 0
 

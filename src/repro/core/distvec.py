@@ -429,20 +429,23 @@ class DistanceVectors:
     # ------------------------------------------------------------------
     # Row patching (delta-mining)
     # ------------------------------------------------------------------
-    def _grow_labels(self, packed: Sequence[PackedCounts]) -> None:
+    def _grow_labels(
+        self, packed: Sequence[PackedCounts]
+    ) -> np.ndarray | None:
         """Extend the shared label table to cover ``packed``, in place.
 
         When new labels appear, every existing key array is re-interned
-        through the monotone old → new id remap; sorted order survives
-        (see :func:`_monotone_remap`), and a built inverted index only
-        needs its unique-key array remapped — the slot layout and the
-        owner runs are untouched.
+        through the monotone old → new id remap, which is returned
+        (``None`` when the table already covers ``packed``); sorted
+        order survives (see :func:`_monotone_remap`), and a built
+        inverted index only needs its unique-key array remapped — the
+        slot layout and the owner runs are untouched.
         """
         incoming = {
             label for counts in packed for label in counts.labels
         }
         if incoming.issubset(self.labels):
-            return
+            return None
         new_labels = tuple(sorted(incoming.union(self.labels)))
         remap = _monotone_remap(self.labels, new_labels)
         self._full_keys = [
@@ -457,6 +460,7 @@ class DistanceVectors:
                 _remap_pair_keys(unique, remap), starts, ends, owners
             )
         self.labels = new_labels
+        return remap
 
     def _append_one(self, keys: np.ndarray, counts: np.ndarray) -> None:
         """Append one tree's remapped sorted arrays as the last row."""
@@ -653,6 +657,23 @@ class DistanceVectors:
         """Per-tree sorted full key arrays and their counts, on
         :attr:`labels` (treat as read-only)."""
         return self._full_keys, self._full_counts
+
+    def at_minoccur(self, minoccur: int) -> "DistanceVectors":
+        """These vectors with counts below ``minoccur`` dropped.
+
+        ``self`` at 1 (rows are kept at that level); otherwise a new
+        instance over copies of the surviving entries, equal to a
+        :meth:`from_packed` build at ``minoccur`` over the same trees.
+        """
+        if validate_minoccur(minoccur) == 1:
+            return self
+        keys_kept = []
+        counts_kept = []
+        for keys, counts in zip(self._full_keys, self._full_counts):
+            keep = np.asarray(counts) >= minoccur
+            keys_kept.append(np.asarray(keys)[keep])
+            counts_kept.append(np.asarray(counts)[keep])
+        return DistanceVectors(self.labels, keys_kept, counts_kept)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -13,14 +13,17 @@ contributions that changed:
 - per-tree :class:`~repro.core.fastmine.PackedCounts` come from the
   engine's content-addressed cache (an unchanged tree is never
   re-mined);
-- the occurrence map — pair item → per-tree occurrence counts at the
-  ``minoccur=1`` level, behind :meth:`VersionedCorpus.support` and the
-  log's gained/lost keys — is patched by deleting the departing
-  tree's entries and inserting the arriving tree's;
-- :class:`~repro.core.distvec.DistanceVectors` rows are appended,
+- the one row state — each tree's sorted packed keys and occurrence
+  counts at the ``minoccur=1`` level on one shared label table, held
+  as :class:`~repro.core.distvec.DistanceVectors` (the columns
+  :class:`repro.store.PairStore` persists) — has rows appended,
   removed or swapped in place (the monotone label remap keeps every
-  key array sorted), and materialised distance matrices are patched
-  one *row* per affected tree instead of one triangle per mutation.
+  key array sorted);
+- a key census — the sorted distinct keys of all rows and how many
+  trees hold each — is patched by a merge of the changed rows' keys,
+  which yields the log's gained/lost keys;
+- materialised distance matrices are patched one *row* per affected
+  tree instead of one triangle per mutation.
 
 :class:`VersionedCorpus` packages this behind a mutable forest with
 ``add_trees`` / ``remove_trees`` / ``replace_trees``.  Every mutation
@@ -38,10 +41,17 @@ Frequent pairs are re-derived per query by the one aggregation
 kernel (:func:`repro.core.multi_tree.aggregate_rows`) straight from
 maintained per-tree rows — no corpus-level result is cached, so no
 stale result can be served after a mutation.
+
+A corpus persists as a pair store (:meth:`VersionedCorpus.pack_store`,
+:meth:`VersionedCorpus.open`): the rows, members and names in the
+store's shards and manifest, the delta log in its ``log.jsonl``
+sidecar, and every later commit syncs the store.  Reopening reads the
+rows back without parsing or mining a tree.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -49,22 +59,24 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from repro.core.distance import DistanceMode
-from repro.core.distvec import DistanceVectors
+from repro.core.distvec import DistanceVectors, _remap_full_keys
 from repro.core.fastmine import PackedCounts
-from repro.core.multi_tree import (
-    FrequentCousinPair,
-    aggregate_packed,
-    aggregate_rows,
-)
+from repro.core.multi_tree import FrequentCousinPair, aggregate_rows
 from repro.core.params import MiningParams, validate_mode
-from repro.core.topk import TopKResult
 from repro.engine.engine import MiningEngine
 from repro.errors import EngineError
 from repro.obs.context import scope as obs_scope
-from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK
-from repro.trees.tree import Tree
+from repro.trees.arena import TreeLike
+from repro.trees.packing import (
+    DIST_SHIFT,
+    LABEL_BITS,
+    LABEL_MASK,
+    MAX_HALF_STEPS,
+    pack_key,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.core.topk import TopKResult
     from repro.store import PairStore
 
 __all__ = [
@@ -215,20 +227,22 @@ class CorpusSnapshot:
 class VersionedCorpus:
     """A mutable, versioned forest with incrementally maintained mining.
 
-    Wraps a :class:`~repro.engine.engine.MiningEngine` and keeps, per
-    member tree: its :class:`~repro.core.fastmine.PackedCounts`
-    contribution (engine-cached), its decoded occurrence entries in the
-    corpus-wide pair-item → tree map, and — once distance queries have
-    materialised them — its :class:`~repro.core.distvec
-    .DistanceVectors` row and its row/column in each distance-mode
-    matrix.  Mutations patch exactly the affected entries; queries
-    re-derive results from the maintained state and are byte-identical
-    to a from-scratch re-mine of the current tree sequence.
+    Wraps a :class:`~repro.engine.engine.MiningEngine` and keeps one
+    row state: per member tree, its sorted packed keys and occurrence
+    counts at the ``minoccur=1`` level on one shared label table (a
+    :class:`~repro.core.distvec.DistanceVectors`), next to its uid,
+    content address and display name, plus the delta log and a census
+    of the distinct keys.  Mutations patch exactly the affected rows
+    (and the rows/columns of any materialised distance matrix);
+    queries re-derive results from the rows and are byte-identical to
+    a from-scratch re-mine of the current tree sequence.
 
     Parameters
     ----------
     trees:
-        The initial forest (version 0; logged as the ``init`` delta).
+        The initial forest (version 0; logged as the ``init`` delta),
+        as pointer trees or arenas.  A tree's display name is its
+        ``name``, or ``t<uid>`` when it has none.
     params:
         A full :class:`~repro.core.params.MiningParams`; mutually
         exclusive with the raw knobs.  ``minoccur`` here is the
@@ -241,7 +255,7 @@ class VersionedCorpus:
 
     def __init__(
         self,
-        trees: Sequence[Tree] = (),
+        trees: Sequence[TreeLike] = (),
         params: MiningParams | None = None,
         *,
         engine: MiningEngine | None = None,
@@ -261,104 +275,86 @@ class VersionedCorpus:
         self.params = params
         self.engine = engine if engine is not None else MiningEngine()
         self.version = 0
-        self._uids: list[int] = []
+        self._refs: list[TreeRef] = []
+        self._names: list[str] = []
         self._next_uid = 0
-        self._trees: dict[int, Tree] = {}
-        self._content_keys: dict[int, str] = {}
-        self._packed: dict[int, PackedCounts] = {}
-        # pair item -> {uid: occurrences}, at minoccur=1 so every
-        # threshold filters the same maintained state; _tree_items is
-        # the per-tree reverse view that makes retirement O(own keys).
-        self._occurrences: dict[PairKey, dict[int, int]] = {}
-        self._tree_items: dict[int, dict[PairKey, int]] = {}
-        self._vectors: DistanceVectors | None = None
+        refs: list[TreeRef] = []
+        packed: list[PackedCounts] = []
+        if trees:
+            refs, self._names, packed = self._mine(trees)
+            self._refs = list(refs)
+        with obs_scope(self.engine.registry, self.engine.tracer):
+            self._rows = DistanceVectors.from_packed(packed)
+        # The key census: the sorted distinct keys of all rows, and how
+        # many trees hold each.
+        self._census_keys = np.zeros(0, dtype=np.int64)
+        self._census_trees = np.zeros(0, dtype=np.int64)
+        rows = self._rows.full_rows[0]
+        gained, _lost = self._count_keys(rows, ())
         self._matrices: dict[DistanceMode, np.ndarray] = {}
         self._store: "PairStore | None" = None
-        self._store_names: dict[int, str] = {}
-        self._log: list[CorpusDelta] = []
-        gained: set[PairKey] = set()
-        refs = []
-        patched = 0
-        if trees:
-            refs, patched = self._ingest(trees, gained, set())
-            self._uids.extend(ref.uid for ref in refs)
-        self._log.append(
+        self._log = [
             CorpusDelta(
                 version=0,
                 op="init",
                 added=tuple(refs),
                 removed=(),
-                trees_after=len(self._uids),
-                keys_gained=tuple(sorted(gained)),
+                trees_after=len(refs),
+                keys_gained=self._decode(gained),
                 keys_lost=(),
-                supports_changed=patched,
+                supports_changed=sum(len(keys) for keys in rows),
             )
-        )
+        ]
 
     @classmethod
-    def restore(
-        cls,
-        trees: Sequence[Tree],
-        params: MiningParams | None = None,
-        *,
-        engine: MiningEngine | None = None,
-        version: int,
-        history: Sequence[CorpusDelta | Mapping],
-        uids: Sequence[int] | None = None,
+    def open(
+        cls, directory: str, *, engine: MiningEngine | None = None
     ) -> "VersionedCorpus":
-        """Rebuild a corpus from persisted state (the CLI store).
+        """Reopen the corpus persisted at ``directory`` (a pair store).
 
-        ``trees`` is the *current* membership, ``history`` the full
-        delta log (records or their :meth:`CorpusDelta.as_dict` forms)
-        and ``uids`` the members' stable ids — positional when omitted.
-        Mining state is re-derived from the trees (per-tree passes hit
-        the engine cache when warm); version and log are adopted as-is
-        rather than replayed, and no ``delta_*`` counters move.
+        Rows, members and names come straight off the store
+        (:meth:`repro.store.PairStore.as_vectors`) and the log from its
+        sidecar — no tree is parsed or mined.  The store stays
+        attached, so every later commit syncs it.  A damaged store, or
+        a log shorter than the store's version, raises
+        :class:`~repro.errors.StoreError` after counting
+        ``store.read_errors``.
         """
-        if version < 0:
-            raise EngineError(f"version must be >= 0, got {version!r}")
-        trees = list(trees)
-        if uids is None:
-            uids = list(range(len(trees)))
-        else:
-            uids = [int(uid) for uid in uids]
-        if len(uids) != len(trees) or len(set(uids)) != len(uids):
-            raise EngineError(
-                f"uids must be {len(trees)} distinct ids, got {uids!r}"
-            )
-        corpus = cls((), params, engine=engine)
-        keys, packed = corpus.engine.packed_counts(trees, corpus.params)
-        for uid, tree, content_key, counts in zip(uids, trees, keys, packed):
-            corpus._trees[uid] = tree
-            corpus._content_keys[uid] = content_key
-            corpus._packed[uid] = counts
-            corpus._enroll(uid, counts, set(), set())
-        corpus._uids = list(uids)
-        corpus._next_uid = max(uids, default=-1) + 1
-        corpus.version = version
-        corpus._log = [
-            delta
-            if isinstance(delta, CorpusDelta)
-            else CorpusDelta.from_dict(delta)
-            for delta in history
-        ]
+        from repro.store import PairStore
+
+        engine = engine if engine is not None else MiningEngine()
+        with obs_scope(engine.registry, engine.tracer):
+            store = PairStore.open(directory)
+            log = store.read_log(CorpusDelta.from_dict)
+            rows = store.as_vectors()
+        corpus = cls((), store.params, engine=engine)
+        corpus.version = store.version
+        corpus._refs = [TreeRef(uid, key) for uid, key in store.members]
+        corpus._names = store.names
+        corpus._next_uid = 1 + max(
+            [ref.uid for delta in log for ref in delta.added]
+            + [ref.uid for ref in corpus._refs],
+            default=-1,
+        )
+        corpus._rows = rows
+        corpus._count_keys(rows.full_rows[0], ())
+        corpus._log = log
+        corpus._store = store
         return corpus
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._uids)
+        return len(self._refs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"VersionedCorpus(v{self.version}, {len(self._uids)} trees)"
-        )
+        return f"VersionedCorpus(v{self.version}, {len(self._refs)} trees)"
 
     @property
-    def trees(self) -> tuple[Tree, ...]:
-        """The current tree sequence (positions match query indexes)."""
-        return tuple(self._trees[uid] for uid in self._uids)
+    def names(self) -> tuple[str, ...]:
+        """Display names, aligned with corpus positions."""
+        return tuple(self._names)
 
     @property
     def fingerprint(self) -> str:
@@ -369,8 +365,8 @@ class VersionedCorpus:
         the same parameters.
         """
         digest = hashlib.sha256()
-        for uid in self._uids:
-            digest.update(self._content_keys[uid].encode("ascii"))
+        for ref in self._refs:
+            digest.update(ref.content_key.encode("ascii"))
             digest.update(b"|")
         return digest.hexdigest()
 
@@ -379,9 +375,7 @@ class VersionedCorpus:
         return CorpusSnapshot(
             version=self.version,
             fingerprint=self.fingerprint,
-            refs=tuple(
-                TreeRef(uid, self._content_keys[uid]) for uid in self._uids
-            ),
+            refs=tuple(self._refs),
         )
 
     def log(self) -> tuple[CorpusDelta, ...]:
@@ -442,7 +436,7 @@ class VersionedCorpus:
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
-    def add_trees(self, trees: Sequence[Tree]) -> list[int]:
+    def add_trees(self, trees: Sequence[TreeLike]) -> list[int]:
         """Append trees; returns their positions.  One version bump."""
         trees = list(trees)
         if not trees:
@@ -451,20 +445,21 @@ class VersionedCorpus:
         with obs_scope(engine.registry, engine.tracer), engine.tracer.span(
             "delta.update", op="add", trees=len(trees)
         ):
-            gained: set[PairKey] = set()
-            refs, patched = self._ingest(trees, gained, set())
-            start = len(self._uids)
-            self._uids.extend(ref.uid for ref in refs)
-            positions = list(range(start, len(self._uids)))
-            rows = self._patch_rows_added(positions, refs)
+            refs, names, packed = self._mine(trees)
+            self._grow_labels(packed)
+            start = len(self._refs)
+            self._rows.append_packed(packed)
+            self._refs.extend(refs)
+            self._names.extend(names)
+            positions = list(range(start, len(self._refs)))
             self._commit(
                 "add",
                 added=refs,
                 removed=(),
-                gained=gained,
-                lost=set(),
-                supports_patched=patched,
-                rows_patched=rows,
+                arrived=self._rows.full_rows[0][start:],
+                departed=(),
+                packed=packed,
+                rows_patched=self._patch_matrices(positions),
             )
             return positions
 
@@ -474,37 +469,29 @@ class VersionedCorpus:
         drop = sorted(set(indexes))
         if not drop:
             return
-        size = len(self._uids)
-        for index in drop:
-            if not 0 <= index < size:
-                raise EngineError(
-                    f"tree index {index} out of range for {size} trees"
-                )
+        self._check_positions(drop)
         engine = self.engine
         with obs_scope(engine.registry, engine.tracer), engine.tracer.span(
             "delta.update", op="remove", trees=len(drop)
         ):
-            lost: set[PairKey] = set()
-            removed = []
-            patched = 0
-            for index in drop:
-                uid = self._uids[index]
-                removed.append(TreeRef(uid, self._content_keys[uid]))
-                patched += self._retire(uid, lost)
+            rows = self._rows.full_rows[0]
+            departed = [rows[index] for index in drop]
+            removed = [self._refs[index] for index in drop]
+            self._rows.remove_rows(drop)
             for index in reversed(drop):
-                del self._uids[index]
-            rows = self._patch_rows_removed(drop)
+                del self._refs[index]
+                del self._names[index]
             self._commit(
                 "remove",
                 added=(),
-                removed=tuple(removed),
-                gained=set(),
-                lost=lost,
-                supports_patched=patched,
-                rows_patched=rows,
+                removed=removed,
+                arrived=(),
+                departed=departed,
+                packed=(),
+                rows_patched=self._patch_matrices((), dropped=drop),
             )
 
-    def replace_trees(self, replacements: Mapping[int, Tree]) -> None:
+    def replace_trees(self, replacements: Mapping[int, TreeLike]) -> None:
         """Swap the trees at the given positions in place.
 
         Positions and the corpus size are unchanged; each replacement
@@ -512,40 +499,31 @@ class VersionedCorpus:
         """
         if not replacements:
             return
-        size = len(self._uids)
-        for index in replacements:
-            if not 0 <= index < size:
-                raise EngineError(
-                    f"tree index {index} out of range for {size} trees"
-                )
-        engine = self.engine
         positions = sorted(replacements)
+        self._check_positions(positions)
+        engine = self.engine
         with obs_scope(engine.registry, engine.tracer), engine.tracer.span(
             "delta.update", op="replace", trees=len(positions)
         ):
-            gained: set[PairKey] = set()
-            lost: set[PairKey] = set()
-            removed = []
-            patched = 0
-            for index in positions:
-                uid = self._uids[index]
-                removed.append(TreeRef(uid, self._content_keys[uid]))
-                patched += self._retire(uid, lost)
-            refs, enrolled = self._ingest(
-                [replacements[index] for index in positions], gained, lost
+            refs, names, packed = self._mine(
+                [replacements[index] for index in positions]
             )
-            patched += enrolled
-            for index, ref in zip(positions, refs):
-                self._uids[index] = ref.uid
-            rows = self._patch_rows_replaced(positions, refs)
+            self._grow_labels(packed)
+            rows = self._rows.full_rows[0]
+            departed = [rows[index] for index in positions]
+            removed = [self._refs[index] for index in positions]
+            self._rows.replace_rows(dict(zip(positions, packed)))
+            for index, ref, name in zip(positions, refs, names):
+                self._refs[index] = ref
+                self._names[index] = name
             self._commit(
                 "replace",
                 added=refs,
-                removed=tuple(removed),
-                gained=gained,
-                lost=lost,
-                supports_patched=patched,
-                rows_patched=rows,
+                removed=removed,
+                arrived=[self._rows.full_rows[0][index] for index in positions],
+                departed=departed,
+                packed=packed,
+                rows_patched=self._patch_matrices(positions),
             )
 
     # ------------------------------------------------------------------
@@ -557,25 +535,18 @@ class VersionedCorpus:
         """Frequent cousin pairs over the current corpus.
 
         Byte-identical to :func:`repro.core.multi_tree.mine_forest`
-        over :attr:`trees` with this corpus's parameters — same
+        over the current trees with this corpus's parameters — same
         records, same ``tree_indexes``, same order — but counted from
-        maintained per-tree rows, never from a re-mine: the live
-        vectors' rows when they exist at the ``minoccur=1`` level the
-        kernel takes, else the per-tree packed counts.
+        the maintained rows by the one aggregation kernel,
+        :func:`repro.core.multi_tree.aggregate_rows`, never from a
+        re-mine.
         """
         with obs_scope(self.engine.registry, self.engine.tracer):
-            if self._vectors is not None and self.params.minoccur == 1:
-                keys, counts = self._vectors.full_rows
-                return aggregate_rows(
-                    self._vectors.labels,
-                    keys,
-                    counts,
-                    minoccur=1,
-                    minsup=minsup,
-                    ignore_distance=ignore_distance,
-                )
-            return aggregate_packed(
-                [self._packed[uid] for uid in self._uids],
+            keys, counts = self._rows.full_rows
+            return aggregate_rows(
+                self._rows.labels,
+                keys,
+                counts,
                 minoccur=self.params.minoccur,
                 minsup=minsup,
                 ignore_distance=ignore_distance,
@@ -588,28 +559,40 @@ class VersionedCorpus:
 
         ``distance=None`` ignores distances (occurrences summed across
         distances before the ``minoccur`` test) — equal to
-        :func:`repro.core.multi_tree.support` over :attr:`trees` with
-        this corpus's ``minoccur``.
+        :func:`repro.core.multi_tree.support` over the current trees
+        with this corpus's ``minoccur``.  Scans the rows.
         """
         if label_a > label_b:
             label_a, label_b = label_b, label_a
-        minoccur = self.params.minoccur
-        if distance is not None:
-            owners = self._occurrences.get(
-                (label_a, label_b, float(distance)), {}
-            )
-            return sum(1 for count in owners.values() if count >= minoccur)
-        totals: dict[int, int] = {}
-        for (la, lb, _dist), owners in self._occurrences.items():
-            if (la, lb) == (label_a, label_b):
-                for uid, count in owners.items():
-                    totals[uid] = totals.get(uid, 0) + count
-        return sum(1 for count in totals.values() if count >= minoccur)
+        labels = self._rows.labels
+        ids = []
+        for label in (label_a, label_b):
+            at = bisect.bisect_left(labels, label)
+            if at == len(labels) or labels[at] != label:
+                return 0
+            ids.append(at)
+        if distance is None:
+            mode = DistanceMode.OCCUR
+            key = (ids[0] << LABEL_BITS) | ids[1]
+        else:
+            half_steps = 2 * float(distance)
+            if not (half_steps.is_integer() and 0 <= half_steps <= MAX_HALF_STEPS):
+                return 0
+            mode = DistanceMode.DIST_OCCUR
+            key = pack_key(int(half_steps), ids[0], ids[1])
+        supporters = 0
+        for index in range(len(self._rows)):
+            keys, counts, _total = self._rows.view(index, mode)
+            at = int(np.searchsorted(keys, key))
+            if at < len(keys) and keys[at] == key:
+                supporters += int(counts[at] >= self.params.minoccur)
+        return supporters
 
     def distance_vectors(self) -> DistanceVectors:
-        """The live, incrementally patched vectors (treat as read-only)."""
+        """The live, incrementally patched vectors at this corpus's
+        ``minoccur`` (treat as read-only)."""
         with obs_scope(self.engine.registry, self.engine.tracer):
-            return self._ensure_vectors()
+            return self._query_vectors()
 
     def distance_matrix(
         self, mode: DistanceMode | str = DistanceMode.DIST_OCCUR
@@ -617,16 +600,15 @@ class VersionedCorpus:
         """The full distance matrix for ``mode`` as nested lists.
 
         Materialised once per mode (through the engine's tiled build)
-        and patched row-by-row under churn; always
-        byte-identical to ``DistanceVectors.from_trees(corpus.trees,
-        minoccur).matrix(mode)``.  The returned lists are copies.
+        and patched row-by-row under churn; always byte-identical to
+        ``DistanceVectors.from_trees(trees, minoccur).matrix(mode)``
+        over the current trees.  The returned lists are copies.
         """
         mode = validate_mode(mode)
         with obs_scope(self.engine.registry, self.engine.tracer):
-            self._ensure_vectors()
             matrix = self._matrices.get(mode)
             if matrix is None:
-                rows = self.engine.distance_matrix(self._vectors, mode)
+                rows = self.engine.distance_matrix(self._query_vectors(), mode)
                 matrix = np.asarray(rows, dtype=np.float64).reshape(
                     len(rows), len(rows)
                 )
@@ -635,7 +617,7 @@ class VersionedCorpus:
 
     def topk_similar(
         self,
-        query: Tree,
+        query: TreeLike,
         k: int,
         mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
     ) -> "TopKResult":
@@ -643,13 +625,13 @@ class VersionedCorpus:
 
         Runs :meth:`repro.engine.MiningEngine.topk_similar` over the
         live incrementally patched vectors with this corpus's mining
-        parameters.  Neighbour indexes are positions in
-        :attr:`trees` order.  Nothing is memoised per query, so a
-        query after churn always sees the current corpus.
+        parameters.  Neighbour indexes are corpus positions.  Nothing
+        is memoised per query, so a query after churn always sees the
+        current corpus.
         """
         mode = validate_mode(mode)
         with obs_scope(self.engine.registry, self.engine.tracer):
-            vectors = self._ensure_vectors()
+            vectors = self._query_vectors()
         return self.engine.topk_similar(vectors, query, k, mode, self.params)
 
     # ------------------------------------------------------------------
@@ -660,283 +642,211 @@ class VersionedCorpus:
         """The attached on-disk pair store, if any."""
         return self._store
 
-    def pack_store(
-        self,
-        directory: str,
-        names: Mapping[int, str] | Sequence[str] | None = None,
-    ) -> "PairStore":
-        """Write this corpus's packed rows as a fresh store and attach it.
+    def pack_store(self, directory: str) -> "PairStore":
+        """Write this corpus as a fresh pair store and attach it.
 
-        The store persists each tree's ``minoccur=1``-level
-        contribution under its stable uid and content address, so a
-        later :meth:`attach_store` (or
-        :meth:`repro.engine.engine.MiningEngine.open_store`) serves
-        the same byte-identical results without re-mining.  ``names``
-        overrides the stored display names (a uid -> name mapping, or
-        a sequence aligned with the current positions) for callers —
-        like :class:`repro.apps.corpus.CorpusStore` — that track names
-        outside the trees themselves.
+        The store persists the rows, uids, content addresses, names
+        and the delta log, so :meth:`open` (or
+        :meth:`repro.engine.engine.MiningEngine.open_store`) serves the
+        same byte-identical results without re-mining; every later
+        commit syncs it.
         """
         from repro.store import PairStore
 
-        self._record_store_names(names)
+        keys, counts = self._rows.full_rows
         engine = self.engine
         with obs_scope(engine.registry, engine.tracer):
-            store = PairStore.build(
+            self._store = PairStore.build(
                 directory,
-                [(uid, self._content_keys[uid]) for uid in self._uids],
-                self._packed,
+                [(ref.uid, ref.content_key) for ref in self._refs],
+                self._rows.labels,
+                list(zip(keys, counts)),
                 self.params,
                 version=self.version,
-                names={uid: self._store_name(uid) for uid in self._uids},
+                names=self._names,
+                log=[delta.as_dict() for delta in self._log],
             )
-        self._store = store
-        return store
-
-    def attach_store(
-        self,
-        store: "PairStore",
-        names: Mapping[int, str] | Sequence[str] | None = None,
-    ) -> None:
-        """Keep ``store`` in sync with this corpus from now on.
-
-        The store's mining parameters must match the corpus's
-        (:meth:`repro.store.PairStore.check_params`); its membership
-        is brought up to this corpus's current state immediately, and
-        every subsequent mutation commit re-syncs it — add/remove/
-        replace against an attached store stays byte-identical to a
-        from-scratch re-mine at every step (the ``tests/delta``
-        differential harness extends to this path).  ``names`` is the
-        same display-name override :meth:`pack_store` accepts.
-        """
-        store.check_params(self.params)
-        self._record_store_names(names)
-        self._store = store
-        self._sync_store()
-
-    def _record_store_names(
-        self, names: Mapping[int, str] | Sequence[str] | None
-    ) -> None:
-        if names is None:
-            return
-        if isinstance(names, Mapping):
-            pairs = [(int(uid), str(name)) for uid, name in names.items()]
-        else:
-            pairs = [
-                (uid, str(name)) for uid, name in zip(self._uids, names)
-            ]
-        self._store_names.update(pairs)
-
-    def _store_name(self, uid: int) -> str:
-        recorded = self._store_names.get(uid)
-        if recorded is not None:
-            return recorded
-        return self._trees[uid].name or f"t{uid}"
-
-    def _sync_store(self) -> None:
-        assert self._store is not None
-        engine = self.engine
-        with obs_scope(engine.registry, engine.tracer):
-            self._store.apply(
-                [(uid, self._content_keys[uid]) for uid in self._uids],
-                self._packed,
-                version=self.version,
-                names={uid: self._store_name(uid) for uid in self._uids},
-            )
+        return self._store
 
     # ------------------------------------------------------------------
     # Maintained-state plumbing
     # ------------------------------------------------------------------
-    def _ingest(
-        self,
-        trees: Sequence[Tree],
-        gained: set[PairKey],
-        lost: set[PairKey],
-    ) -> tuple[tuple[TreeRef, ...], int]:
-        """Mine ``trees`` through the engine and enroll their entries.
-
-        Returns the new :class:`TreeRef` records (fresh uids, in input
-        order) and the number of occurrence entries written.  The
-        caller decides where the uids land in ``_uids``.
-        """
+    def _mine(
+        self, trees: Sequence[TreeLike]
+    ) -> tuple[list[TreeRef], list[str], list[PackedCounts]]:
+        """Mine ``trees`` through the engine under fresh uids; returns
+        their refs, display names and packed counts in input order."""
         keys, packed = self.engine.packed_counts(trees, self.params)
         refs = []
-        patched = 0
-        for tree, content_key, counts in zip(trees, keys, packed):
+        names = []
+        for tree, content_key in zip(trees, keys):
             uid = self._next_uid
             self._next_uid += 1
-            self._trees[uid] = tree
-            self._content_keys[uid] = content_key
-            self._packed[uid] = counts
-            patched += self._enroll(uid, counts, gained, lost)
             refs.append(TreeRef(uid, content_key))
-        return tuple(refs), patched
+            names.append(tree.name or f"t{uid}")
+        return refs, names, packed
 
-    def _enroll(
-        self,
-        uid: int,
-        packed: PackedCounts,
-        gained: set[PairKey],
-        lost: set[PairKey],
-    ) -> int:
-        """Decode one tree's packed counts into the occurrence map."""
-        labels = packed.labels
-        items: dict[PairKey, int] = {}
-        occurrences = self._occurrences
-        for packed_key, count in packed.counts.items():
-            key = (
-                labels[(packed_key >> LABEL_BITS) & LABEL_MASK],
-                labels[packed_key & LABEL_MASK],
-                (packed_key >> DIST_SHIFT) / 2.0,
-            )
-            items[key] = count
-            owners = occurrences.get(key)
-            if owners is None:
-                occurrences[key] = {uid: count}
-                # A key lost and regained inside one mutation (replace)
-                # existed before and after: no net existence change.
-                if key in lost:
-                    lost.discard(key)
-                else:
-                    gained.add(key)
-            else:
-                owners[uid] = count
-        self._tree_items[uid] = items
-        return len(items)
-
-    def _retire(self, uid: int, lost: set[PairKey]) -> int:
-        """Remove one tree's entries from the occurrence map."""
-        items = self._tree_items.pop(uid)
-        occurrences = self._occurrences
-        for key in items:
-            owners = occurrences[key]
-            del owners[uid]
-            if not owners:
-                del occurrences[key]
-                lost.add(key)
-        del self._trees[uid]
-        del self._content_keys[uid]
-        del self._packed[uid]
-        return len(items)
-
-    # ------------------------------------------------------------------
-    # Distance-state patching
-    # ------------------------------------------------------------------
-    def _ensure_vectors(self) -> DistanceVectors:
-        if self._vectors is None:
-            self._vectors = DistanceVectors.from_packed(
-                [self._packed[uid] for uid in self._uids],
-                minoccur=self.params.minoccur,
-            )
-        return self._vectors
-
-    def _patch_rows_added(
-        self, positions: Sequence[int], refs: Sequence[TreeRef]
-    ) -> int:
-        if self._vectors is None:
-            return 0
-        self._vectors.append_packed(
-            [self._packed[ref.uid] for ref in refs],
-            minoccur=self.params.minoccur,
-        )
-        rows = len(positions)
-        if self._matrices:
-            size = len(self._uids)
-            for mode, old in list(self._matrices.items()):
-                grown = np.zeros((size, size), dtype=np.float64)
-                grown[: old.shape[0], : old.shape[1]] = old
-                self._write_rows(grown, positions, mode)
-                self._matrices[mode] = grown
-            rows *= len(self._matrices)
-        return rows
-
-    def _patch_rows_removed(self, drop: Sequence[int]) -> int:
-        if self._vectors is None:
-            return 0
-        self._vectors.remove_rows(drop)
-        rows = len(drop)
-        if self._matrices:
-            gone = np.asarray(drop, dtype=np.int64)
-            for mode, old in list(self._matrices.items()):
-                self._matrices[mode] = np.delete(
-                    np.delete(old, gone, axis=0), gone, axis=1
-                )
-            rows *= len(self._matrices)
-        return rows
-
-    def _patch_rows_replaced(
-        self, positions: Sequence[int], refs: Sequence[TreeRef]
-    ) -> int:
-        if self._vectors is None:
-            return 0
-        self._vectors.replace_rows(
-            {
-                index: self._packed[ref.uid]
-                for index, ref in zip(positions, refs)
-            },
-            minoccur=self.params.minoccur,
-        )
-        rows = len(positions)
-        if self._matrices:
-            for mode, matrix in self._matrices.items():
-                self._write_rows(matrix, positions, mode)
-            rows *= len(self._matrices)
-        return rows
-
-    def _write_rows(
-        self,
-        matrix: np.ndarray,
-        positions: Sequence[int],
-        mode: DistanceMode,
-    ) -> None:
-        """Recompute and mirror one matrix row per affected position.
-
-        Rows are computed against the fully patched vectors, so when a
-        mutation touches several trees their mutual entries are written
-        twice with the same (symmetric, bit-identical) value.
-        """
-        assert self._vectors is not None
+    def _check_positions(self, positions: Sequence[int]) -> None:
+        size = len(self._refs)
         for index in positions:
-            row, _computed, _pruned = self._vectors.row(index, mode)
-            values = np.asarray(row, dtype=np.float64)
-            matrix[index, :] = values
-            matrix[:, index] = values
+            if not 0 <= index < size:
+                raise EngineError(
+                    f"tree index {index} out of range for {size} trees"
+                )
+
+    def _grow_labels(self, packed: Sequence[PackedCounts]) -> None:
+        """Grow the rows' label table; the census follows the remap."""
+        remap = self._rows._grow_labels(packed)
+        if remap is not None:
+            self._census_keys = _remap_full_keys(self._census_keys, remap)
+
+    def _count_keys(
+        self, arrived: Sequence[np.ndarray], departed: Sequence[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Patch the key census; returns the keys gained and lost.
+
+        Each row holds a key at most once, so a key's tree count moves
+        by one per arriving row holding it and back by one per
+        departing row.  The changed keys are merged into the sorted
+        census with ``searchsorted``: counts are patched in place,
+        emptied keys (lost) dropped and new keys (gained) inserted — a
+        key departing and arriving in one commit is neither.
+        """
+        parts = [*arrived, *departed]
+        sizes = [len(keys) for keys in parts]
+        if not sum(sizes):
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty
+        signs = np.repeat(
+            np.asarray(
+                [1] * len(arrived) + [-1] * len(departed), dtype=np.int64
+            ),
+            sizes,
+        )
+        changed, inverse = np.unique(
+            np.concatenate(parts), return_inverse=True
+        )
+        change = np.zeros(changed.size, dtype=np.int64)
+        np.add.at(change, inverse, signs)
+        census = self._census_keys
+        trees = self._census_trees
+        at = np.searchsorted(census, changed)
+        known = at < census.size
+        known[known] = census[at[known]] == changed[known]
+        hits = at[known]
+        trees[hits] += change[known]
+        emptied = hits[trees[hits] == 0]
+        lost = census[emptied]
+        gained = changed[~known]
+        if emptied.size:
+            keep = np.ones(census.size, dtype=bool)
+            keep[emptied] = False
+            census = census[keep]
+            trees = trees[keep]
+        if gained.size:
+            slots = np.searchsorted(census, gained)
+            census = np.insert(census, slots, gained)
+            trees = np.insert(trees, slots, change[~known])
+        self._census_keys = census
+        self._census_trees = trees
+        return gained, lost
+
+    def _decode(self, keys: np.ndarray) -> tuple[PairKey, ...]:
+        """Packed keys as sorted ``(label_a, label_b, distance)`` items."""
+        if not keys.size:
+            return ()
+        labels = np.asarray(self._rows.labels, dtype=object)
+        return tuple(
+            sorted(
+                zip(
+                    labels[(keys >> LABEL_BITS) & LABEL_MASK].tolist(),
+                    labels[keys & LABEL_MASK].tolist(),
+                    ((keys >> DIST_SHIFT) / 2.0).tolist(),
+                )
+            )
+        )
+
+    def _query_vectors(self) -> DistanceVectors:
+        """The rows at this corpus's ``minoccur`` (a filtered copy
+        above 1)."""
+        return self._rows.at_minoccur(self.params.minoccur)
+
+    def _patch_matrices(
+        self, written: Sequence[int], dropped: Sequence[int] = ()
+    ) -> int:
+        """Bring materialised matrices up to the patched rows.
+
+        Drops the rows/columns of ``dropped``, grows to the corpus size
+        and recomputes one row/column per ``written`` position against
+        the fully patched vectors (when a mutation touches several
+        trees their mutual entries are written twice with the same
+        bit-identical value).  Returns the matrix rows patched.
+        """
+        if not self._matrices:
+            return 0
+        vectors = self._query_vectors()
+        size = len(self._refs)
+        gone = np.asarray(dropped, dtype=np.int64)
+        for mode, matrix in list(self._matrices.items()):
+            if gone.size:
+                matrix = np.delete(np.delete(matrix, gone, axis=0), gone, axis=1)
+            if matrix.shape[0] < size:
+                grown = np.zeros((size, size), dtype=np.float64)
+                grown[: matrix.shape[0], : matrix.shape[1]] = matrix
+                matrix = grown
+            for index in written:
+                row, _computed, _pruned = vectors.row(index, mode)
+                values = np.asarray(row, dtype=np.float64)
+                matrix[index, :] = values
+                matrix[:, index] = values
+            self._matrices[mode] = matrix
+        return (len(written) + len(dropped)) * len(self._matrices)
 
     def _commit(
         self,
         op: str,
         *,
-        added: tuple[TreeRef, ...],
-        removed: tuple[TreeRef, ...],
-        gained: set[PairKey],
-        lost: set[PairKey],
-        supports_patched: int,
+        added: Sequence[TreeRef],
+        removed: Sequence[TreeRef],
+        arrived: Sequence[np.ndarray],
+        departed: Sequence[np.ndarray],
+        packed: Sequence[PackedCounts],
         rows_patched: int,
     ) -> None:
+        gained, lost = self._count_keys(arrived, departed)
+        supports = sum(len(keys) for keys in (*arrived, *departed))
         self.version += 1
-        self._log.append(
-            CorpusDelta(
-                version=self.version,
-                op=op,
-                added=added,
-                removed=removed,
-                trees_after=len(self._uids),
-                keys_gained=tuple(sorted(gained)),
-                keys_lost=tuple(sorted(lost)),
-                supports_changed=supports_patched,
-            )
+        delta = CorpusDelta(
+            version=self.version,
+            op=op,
+            added=tuple(added),
+            removed=tuple(removed),
+            trees_after=len(self._refs),
+            keys_gained=self._decode(gained),
+            keys_lost=self._decode(lost),
+            supports_changed=supports,
         )
+        self._log.append(delta)
         stats = self.engine.stats
         stats.delta_updates += 1
         stats.delta_trees_added += len(added)
         stats.delta_trees_removed += len(removed)
         stats.delta_rows_patched += rows_patched
-        stats.delta_supports_patched += supports_patched
+        stats.delta_supports_patched += supports
         # The engine's frequent-pair memo is fingerprinted over a
         # specific tree sequence; this corpus's sequence just changed.
         self.engine.invalidate_distance_memos()
         # An attached pair store follows every version bump: new trees
         # land as an appended generation (or a compaction), departures
-        # leave the row map.  The manifest replace commits the sync.
+        # leave the row map, and the log gains this delta.  The
+        # manifest replace commits the sync.
         if self._store is not None:
-            self._sync_store()
+            self._store.apply(
+                [(ref.uid, ref.content_key) for ref in self._refs],
+                {ref.uid: counts for ref, counts in zip(added, packed)},
+                version=self.version,
+                names={
+                    ref.uid: name for ref, name in zip(self._refs, self._names)
+                },
+                log=delta.as_dict(),
+            )

@@ -14,9 +14,8 @@ cacheable by content.
   interned kernel directly;
 - per-tree :class:`repro.core.fastmine.PackedCounts` are looked up in
   a content-addressed :class:`repro.engine.cache.PairSetCache`
-  (in-process LRU plus an optional persistent directory) and
-  materialised into string-keyed counters / item lists only at the
-  public boundary;
+  (an in-process LRU) and materialised into string-keyed counters /
+  item lists only at the public boundary;
 - cache misses are mined in-process, one ``mine_arena`` call each;
 - duplicate trees inside one batch are mined once and re-served;
 - every batch updates an :class:`repro.engine.stats.EngineStats`.
@@ -39,7 +38,6 @@ from repro.core.distvec import DistanceVectors, assemble_matrix
 from repro.core.fastmine import PackedCounts, mine_arena
 from repro.core.multi_tree import FrequentCousinPair, aggregate_packed
 from repro.core.params import MiningParams, validate_minoccur, validate_mode
-from repro.core.topk import TopKResult, query_vector, topk_search
 from repro.engine.cache import PairSetCache, arena_cache_key
 from repro.engine.stats import EngineStats
 from repro.errors import EngineError
@@ -49,6 +47,7 @@ from repro.obs.trace import Tracer
 from repro.trees.arena import TreeArena, TreeLike, as_arena
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.core.topk import TopKResult
     from repro.store import PairStore
 
 __all__ = ["MiningEngine"]
@@ -80,12 +79,10 @@ class MiningEngine:
         included) still raises :class:`~repro.errors.EngineError`.
     cache:
         An explicit :class:`PairSetCache` to share between engines;
-        mutually exclusive with ``cache_size``/``cache_dir``.
+        mutually exclusive with ``cache_size``.
     cache_size:
-        Capacity of the in-process LRU layer (``0`` disables it,
+        Capacity of the in-process LRU cache (``0`` disables it,
         ``None`` unbounded).
-    cache_dir:
-        Optional directory for the persistent cache layer.
     registry:
         The :class:`repro.obs.metrics.MetricsRegistry` backing
         ``engine.stats`` and every kernel metric counted during this
@@ -104,7 +101,6 @@ class MiningEngine:
         jobs: int | None = None,
         cache: PairSetCache | None = None,
         cache_size: int | None = 4096,
-        cache_dir: str | None = None,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -112,14 +108,12 @@ class MiningEngine:
             not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1
         ):
             raise EngineError(f"jobs must be an integer >= 1, got {jobs!r}")
-        if cache is not None and (cache_size != 4096 or cache_dir is not None):
+        if cache is not None and cache_size != 4096:
             raise EngineError(
-                "pass either an explicit cache or cache_size/cache_dir, not both"
+                "pass either an explicit cache or cache_size, not both"
             )
         self.cache = (
-            cache
-            if cache is not None
-            else PairSetCache(max_entries=cache_size, cache_dir=cache_dir)
+            cache if cache is not None else PairSetCache(max_entries=cache_size)
         )
         if registry is None:
             registry = tracer.registry if tracer is not None else MetricsRegistry()
@@ -236,13 +230,13 @@ class MiningEngine:
                         continue
                     found = self.cache.lookup(key)
                     if found is not None and not self._admissible(
-                        found[1], arena
+                        found, arena
                     ):
                         # A payload that is not interned packed counts, or
                         # whose label table disagrees with the arena it is
-                        # being served for (poisoned disk entry, stale
-                        # scheme, hash collision): reject it and re-mine
-                        # rather than decode garbage.
+                        # being served for (a poisoned shared cache, hash
+                        # collision): reject it and re-mine rather than
+                        # decode garbage.
                         stats.rejected += 1
                         found = None
                     if found is None:
@@ -250,12 +244,8 @@ class MiningEngine:
                         resolved[key] = _PENDING
                         to_mine.append((key, arena))
                     else:
-                        layer, packed = found
-                        if layer == "memory":
-                            stats.memory_hits += 1
-                        else:
-                            stats.disk_hits += 1
-                        resolved[key] = packed
+                        stats.memory_hits += 1
+                        resolved[key] = found
 
             if to_mine:
                 with tracer.span(
@@ -410,6 +400,8 @@ class MiningEngine:
         match the values the corpus vectors were built with, or the
         distances stop matching the all-pairs reference.
         """
+        from repro.core.topk import query_vector, topk_search
+
         mode = validate_mode(mode)
         params = self._resolve(
             params, maxdist, minoccur, max_generation_gap, max_height
@@ -555,7 +547,7 @@ class MiningEngine:
         canonical form, but the payload itself must be interned packed
         counts whose label universe matches the arena's — isomorphic
         trees share a label set, so any disagreement means the entry is
-        corrupt or from a foreign scheme.
+        corrupt.
         """
         return (
             isinstance(payload, PackedCounts)

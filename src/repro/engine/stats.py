@@ -32,7 +32,6 @@ __all__ = ["EngineStats"]
 _COUNTER_FIELDS: dict[str, str] = {
     "trees_seen": "engine.lookups",
     "memory_hits": "engine.cache.memory_hits",
-    "disk_hits": "engine.cache.disk_hits",
     "misses": "engine.cache.misses",
     "rejected": "engine.cache.rejected",
     "batches": "engine.batches",
@@ -64,7 +63,6 @@ DISTANCE_BUILDS_METRIC = "engine.distance.builds"
 _FIELD_ORDER: tuple[str, ...] = (
     "trees_seen",
     "memory_hits",
-    "disk_hits",
     "misses",
     "rejected",
     "batches",
@@ -113,10 +111,8 @@ class EngineStats:
     trees_seen:
         Total per-tree lookups (one per input tree per batch).
     memory_hits:
-        Lookups served from the in-process LRU layer — including
+        Lookups served from the in-process LRU cache — including
         repeats of a tree already resolved earlier in the same batch.
-    disk_hits:
-        Lookups served from the on-disk cache layer.
     misses:
         Lookups that found nothing cached; exactly one per distinct
         (canonical form, parameters) pair actually mined.
@@ -152,13 +148,12 @@ class EngineStats:
         Trees removed from versioned corpora (removals plus the old
         side of replacements).
     delta_rows_patched:
-        Distance-matrix rows recomputed or structurally patched by
+        Rows of materialised distance matrices recomputed or dropped by
         delta updates — the work a full rebuild would have multiplied
         by the corpus size.
     delta_supports_patched:
-        Aggregate support entries touched (added, retired or
-        re-pointed) while maintaining the pair-key → tree occurrence
-        map across delta updates.
+        (pair key, tree) entries that arrived or departed with the
+        rows delta updates added, removed or replaced.
     """
 
     registry: MetricsRegistry
@@ -175,7 +170,6 @@ class EngineStats:
 
     trees_seen = _counter_property(_COUNTER_FIELDS["trees_seen"])
     memory_hits = _counter_property(_COUNTER_FIELDS["memory_hits"])
-    disk_hits = _counter_property(_COUNTER_FIELDS["disk_hits"])
     misses = _counter_property(_COUNTER_FIELDS["misses"])
     rejected = _counter_property(_COUNTER_FIELDS["rejected"])
     batches = _counter_property(_COUNTER_FIELDS["batches"])
@@ -202,15 +196,12 @@ class EngineStats:
 
     @property
     def hits(self) -> int:
-        """Lookups served without mining (memory + disk)."""
-        return (
-            self.registry.counter(_COUNTER_FIELDS["memory_hits"]).value
-            + self.registry.counter(_COUNTER_FIELDS["disk_hits"]).value
-        )
+        """Lookups served without mining."""
+        return self.registry.counter(_COUNTER_FIELDS["memory_hits"]).value
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups served from a cache layer (0 when idle)."""
+        """Fraction of lookups served from the cache (0 when idle)."""
         seen = self.registry.counter(_COUNTER_FIELDS["trees_seen"]).value
         if seen == 0:
             return 0.0
@@ -244,7 +235,7 @@ class EngineStats:
         """One-line human rendering used by ``--engine-stats``."""
         line = (
             f"engine: {self.trees_seen} tree lookup(s), "
-            f"{self.memory_hits} memory hit(s), {self.disk_hits} disk hit(s), "
+            f"{self.memory_hits} memory hit(s), "
             f"{self.misses} miss(es) mined in {self.mine_seconds:.3f}s "
             f"({self.batches} batch(es), hit rate {self.hit_rate:.0%})"
         )

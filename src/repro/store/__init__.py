@@ -2,26 +2,29 @@
 
 Public surface:
 
-- :class:`~repro.store.pairstore.PairStore` — pack, open, query and
-  incrementally update one stored corpus (``store.json`` manifest
-  plus generation directories of array shards).
+- :class:`~repro.store.pairstore.PairStore` — open, query and
+  incrementally update one stored corpus (``store.json`` manifest,
+  generation directories of array shards and the ``log.jsonl`` delta
+  log); :meth:`repro.engine.delta.VersionedCorpus.pack_store` writes
+  one.
 - :func:`~repro.store.shards.write_array` /
   :func:`~repro.store.shards.load_array` — atomic ``.npy`` column
   writes and checked memmap reads of one shard.
 
-The store is the only on-disk form of a whole corpus; the engine
-cache's disk layer holds per-tree payloads only.
+The store is the only on-disk form of mining results: a
+``repro-mine corpus`` directory is a pair store, and the engine cache
+is in-process only.
 
-See ``docs/perf.md`` for the shard layout, the generation /
-compaction model, and when to pack a store versus relying on the
-engine cache.
+See ``docs/perf.md`` for the shard layout and the generation /
+compaction model.
 """
 
-from repro.store.pairstore import STORE_FILE, STORE_FORMAT, PairStore
+from repro.store.pairstore import LOG_FILE, STORE_FILE, STORE_FORMAT, PairStore
 from repro.store.shards import load_array, write_array
 
 __all__ = [
     "PairStore",
+    "LOG_FILE",
     "STORE_FILE",
     "STORE_FORMAT",
     "load_array",

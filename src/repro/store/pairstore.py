@@ -1,9 +1,14 @@
 """The on-disk pair store: memmappable corpus shards behind a manifest.
 
-A packed corpus lives in one directory::
+A packed corpus — the directory ``repro-mine corpus`` maintains —
+lives in one directory::
 
     store.json            manifest (format, scheme, params, version,
                           label table, generations, row map)
+    log.jsonl             the delta log, one compact JSON line per
+                          version (read by
+                          :meth:`~repro.engine.delta.VersionedCorpus
+                          .open`, never by :meth:`PairStore.open`)
     gen-000000/           one *generation* of row shards
         full_keys.npy     concatenated per-tree sorted packed keys
         full_counts.npy   parallel occurrence counts
@@ -18,11 +23,14 @@ Rows are persisted at the ``minoccur=1`` level — the same raw state
 :class:`~repro.engine.delta.VersionedCorpus` maintains — so any
 occurrence threshold can be re-derived at load time, and the manifest
 maps each corpus position to ``(generation, row)`` plus its stable
-uid, engine content address and display name.  Every file is written
-through :func:`repro.io.atomic_write`; the manifest replace is the
-commit point, so a crash mid-write leaves either the old complete
-store or the new complete store (an orphaned generation directory is
-ignored by :meth:`PairStore.open` and swept by the next write).
+uid, engine content address and display name.  Shards and the
+manifest are written through :func:`repro.io.atomic_write`; a
+commit's log line is appended before its manifest, and the manifest
+replace is the commit point, so a crash mid-write leaves either the
+old complete store or the new complete store (an orphaned generation
+directory is ignored by :meth:`PairStore.open` and swept by the next
+write; log lines past the manifest's version are ignored and cut off
+by the next append).
 
 Mutations append: new trees land in a fresh generation, removals and
 replacements only rewrite the manifest's row map.  When the dead
@@ -45,7 +53,7 @@ import hashlib
 import json
 import os
 import shutil
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -64,16 +72,19 @@ from repro.obs.context import get_registry, get_tracer
 from repro.store.shards import load_array, write_array
 from repro.trees.arena import LabelTable
 from repro.trees.packing import PACKED_KEY_SCHEME
-from repro.trees.tree import Tree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.fastmine import PackedCounts
-    from repro.engine.engine import MiningEngine
 
-__all__ = ["PairStore", "STORE_FILE", "STORE_FORMAT"]
+__all__ = ["PairStore", "LOG_FILE", "STORE_FILE", "STORE_FORMAT"]
 
 STORE_FILE = "store.json"
 STORE_FORMAT = 1
+LOG_FILE = "log.jsonl"
+# The file an older release kept a whole corpus in (trees as Newick).
+_OLD_CORPUS_FILE = "corpus.json"
+
+_Record = TypeVar("_Record")
 
 # One store generation is these eight .npy columns, nothing else.
 _GEN_STEMS = (
@@ -119,6 +130,11 @@ def _manifest_failure(path: str, detail: str) -> StoreError:
     """Count one manifest-read degradation and build the error."""
     get_registry().counter("store.read_errors").add(1)
     return StoreError(f"corrupt pair store manifest {path!r}: {detail}")
+
+
+def _log_line(entry: Mapping) -> bytes:
+    """One delta-log record as a compact JSON line."""
+    return (json.dumps(entry, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def _generation_name(serial: int) -> str:
@@ -264,8 +280,9 @@ def _write_generation(
 class PairStore:
     """One packed corpus on disk; open it, query it, keep it in sync.
 
-    Build with :meth:`pack` (mines the trees through an engine and
-    writes generation zero) and reload with :meth:`open`.  Queries —
+    Written by :meth:`build` (through
+    :meth:`repro.engine.delta.VersionedCorpus.pack_store`) and reloaded
+    with :meth:`open`.  Queries —
     :meth:`as_vectors`, :meth:`frequent_pairs` — are byte-identical to
     their in-RAM references over the same tree sequence; mutations
     arrive through :meth:`apply`, which a store-attached
@@ -285,6 +302,9 @@ class PairStore:
         self.params = _params_from_dict(manifest["params"])
         self.labels: tuple[str, ...] = tuple(manifest["labels"])
         self.version = int(manifest["version"])
+        # Byte length of the log's first version + 1 lines, once known;
+        # anything past it is a torn tail the next append cuts off.
+        self._log_end: int | None = None
 
     def __len__(self) -> int:
         return len(self._manifest["rows"])
@@ -339,106 +359,59 @@ class PairStore:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def pack(
-        cls,
-        directory: str,
-        trees: Sequence[Tree],
-        params: MiningParams | None = None,
-        *,
-        engine: "MiningEngine | None" = None,
-        names: Sequence[str] | None = None,
-        version: int = 0,
-    ) -> "PairStore":
-        """Mine ``trees`` and write them as a fresh store in ``directory``.
-
-        Per-tree mining goes through ``engine`` (a private one when
-        omitted) so warm caches are reused; uids are positional.  An
-        existing store in the directory is replaced — the new manifest
-        commits atomically and stale generation directories are swept.
-        """
-        from repro.engine.engine import MiningEngine
-
-        if engine is None:
-            engine = MiningEngine()
-        if params is None:
-            params = MiningParams(
-                maxdist=1.5,
-                minoccur=1,
-                minsup=1,
-                max_generation_gap=1,
-                max_height=None,
-            )
-        trees = list(trees)
-        if names is not None and len(names) != len(trees):
-            raise StoreError(
-                f"got {len(names)} names for {len(trees)} trees"
-            )
-        keys, packed = engine.packed_counts(trees, params)
-        members = [(index, key) for index, key in enumerate(keys)]
-        name_map = {
-            index: (
-                names[index]
-                if names is not None
-                else (tree.name or f"t{index}")
-            )
-            for index, tree in enumerate(trees)
-        }
-        return cls.build(
-            directory,
-            members,
-            dict(enumerate(packed)),
-            params,
-            version=version,
-            names=name_map,
-        )
-
-    @classmethod
     def build(
         cls,
         directory: str,
         members: Sequence[Member],
-        packed: Mapping[int, "PackedCounts"],
+        labels: Sequence[str],
+        rows: Sequence[tuple[np.ndarray, np.ndarray]],
         params: MiningParams,
         *,
-        version: int = 0,
-        names: Mapping[int, str] | None = None,
+        version: int,
+        names: Sequence[str],
+        log: Sequence[Mapping],
     ) -> "PairStore":
-        """Write a fresh single-generation store from mined contributions.
+        """Write a fresh single-generation store; returns it open.
 
         ``members`` fixes the corpus order and stable uids (the
-        :class:`~repro.engine.delta.VersionedCorpus` form); ``packed``
-        must cover every uid with its ``minoccur=1``-level
-        :class:`~repro.core.fastmine.PackedCounts`.
+        :class:`~repro.engine.delta.VersionedCorpus` form); ``rows``,
+        ``names`` and the members align by position, each row a tree's
+        sorted ``minoccur=1``-level ``(keys, counts)`` on the sorted
+        label table ``labels``.  ``log`` is the delta log through
+        ``version``, one record per version.  An existing store in the
+        directory is replaced: the manifest commits last and stale
+        generation directories are swept.
         """
         registry = get_registry()
         with get_tracer().span(
             "store.pack", metric="store.pack.seconds", trees=len(members)
         ):
             os.makedirs(directory, exist_ok=True)
-            missing = [uid for uid, _ in members if uid not in packed]
-            if missing:
+            if not len(rows) == len(names) == len(members):
                 raise StoreError(
-                    f"no packed counts supplied for uids {missing!r}"
+                    f"got {len(rows)} rows and {len(names)} names for "
+                    f"{len(members)} trees"
                 )
-            table = LabelTable(
-                label
-                for uid, _ in members
-                for label in packed[uid].labels
-            )
-            rows = [
-                _remap_packed(packed[uid], table, 1) for uid, _ in members
-            ]
+            if len(log) != version + 1:
+                raise StoreError(
+                    f"got {len(log)} log records for version {version}"
+                )
             serial = _fresh_serial(directory)
             record = _write_generation(
                 directory, _generation_name(serial), rows
             )
+            lines = b"".join(_log_line(entry) for entry in log)
+            with atomic_write(
+                os.path.join(directory, LOG_FILE), "wb"
+            ) as stream:
+                stream.write(lines)
             manifest = {
                 "format": STORE_FORMAT,
                 "scheme": PACKED_KEY_SCHEME,
                 "params": _params_to_dict(params),
                 "version": int(version),
                 "serial": serial + 1,
-                "labels": list(table.labels),
+                "labels": list(labels),
                 "generations": [record],
                 "rows": [
                     {
@@ -446,21 +419,21 @@ class PairStore:
                         "row": index,
                         "uid": int(uid),
                         "content_key": str(content_key),
-                        "name": (
-                            names[uid]
-                            if names is not None and uid in names
-                            else f"t{uid}"
-                        ),
+                        "name": str(name),
                     }
-                    for index, (uid, content_key) in enumerate(members)
+                    for index, ((uid, content_key), name) in enumerate(
+                        zip(members, names)
+                    )
                 ],
             }
             _write_manifest(directory, manifest)
             _sweep_orphans(directory, manifest)
             registry.counter("store.packs").add(1)
-            return cls(
+            store = cls(
                 directory, manifest, [_Generation(directory, record)]
             )
+            store._log_end = len(lines)
+            return store
 
     @classmethod
     def open(cls, directory: str) -> "PairStore":
@@ -480,9 +453,14 @@ class PairStore:
                 with open(path, encoding="utf-8") as handle:
                     manifest = json.load(handle)
             except FileNotFoundError:
+                if os.path.exists(os.path.join(directory, _OLD_CORPUS_FILE)):
+                    raise StoreError(
+                        f"{directory!r} holds a corpus.json from an older "
+                        "release; run 'corpus init' again on its trees"
+                    ) from None
                 raise StoreError(
                     f"no pair store at {directory!r} "
-                    "(run 'corpus pack' first)"
+                    "(run 'corpus init' first)"
                 ) from None
             except (OSError, json.JSONDecodeError) as error:
                 raise _manifest_failure(path, str(error)) from error
@@ -504,52 +482,36 @@ class PairStore:
         fresh :meth:`DistanceVectors.from_packed` at that threshold.
         """
         minoccur = 1 if minoccur is None else validate_minoccur(minoccur)
-        registry = get_registry()
         with get_tracer().span(
             "store.vectors", trees=len(self), minoccur=minoccur
         ):
-            rows = self._manifest["rows"]
             full_keys = []
             full_counts = []
-            for row in rows:
-                keys, counts = self._generations[row["gen"]].row(
-                    row["row"], "full"
-                )
+            pair_keys = []
+            pair_counts = []
+            full_totals = []
+            pair_totals = []
+            for row in self._manifest["rows"]:
+                generation = self._generations[row["gen"]]
+                keys, counts = generation.row(row["row"], "full")
                 full_keys.append(keys)
                 full_counts.append(counts)
-            if minoccur == 1:
-                pair_keys = []
-                pair_counts = []
-                full_totals = []
-                pair_totals = []
-                for row in rows:
-                    generation = self._generations[row["gen"]]
-                    keys, counts = generation.row(row["row"], "pair")
-                    pair_keys.append(keys)
-                    pair_counts.append(counts)
-                    full_totals.append(generation.total(row["row"], "full"))
-                    pair_totals.append(generation.total(row["row"], "pair"))
-                vectors = DistanceVectors._from_columns(
-                    self.labels,
-                    full_keys,
-                    full_counts,
-                    pair_keys,
-                    pair_counts,
-                    full_totals,
-                    pair_totals,
-                )
-            else:
-                filtered_keys = []
-                filtered_counts = []
-                for keys, counts in zip(full_keys, full_counts):
-                    keep = np.asarray(counts) >= minoccur
-                    filtered_keys.append(np.asarray(keys)[keep])
-                    filtered_counts.append(np.asarray(counts)[keep])
-                vectors = DistanceVectors(
-                    self.labels, filtered_keys, filtered_counts
-                )
-            registry.counter("store.vectors").add(1)
-            return vectors
+                keys, counts = generation.row(row["row"], "pair")
+                pair_keys.append(keys)
+                pair_counts.append(counts)
+                full_totals.append(generation.total(row["row"], "full"))
+                pair_totals.append(generation.total(row["row"], "pair"))
+            vectors = DistanceVectors._from_columns(
+                self.labels,
+                full_keys,
+                full_counts,
+                pair_keys,
+                pair_counts,
+                full_totals,
+                pair_totals,
+            )
+            get_registry().counter("store.vectors").add(1)
+            return vectors.at_minoccur(minoccur)
 
     def frequent_pairs(
         self, minsup: int = 2, ignore_distance: bool = False
@@ -586,6 +548,72 @@ class PairStore:
             )
 
     # ------------------------------------------------------------------
+    # Delta log (the log.jsonl sidecar; never read by open)
+    # ------------------------------------------------------------------
+    def read_log(
+        self, decode: Callable[[dict], _Record]
+    ) -> list[_Record]:
+        """The delta log through :attr:`version`, one record per version.
+
+        Each of the first ``version + 1`` lines must be a JSON object
+        whose ``version`` is its line number, and must pass ``decode``;
+        later lines are the torn tail of an append whose manifest
+        never committed, and are ignored.  A shorter log or a bad line
+        counts one ``store.read_errors`` and raises :class:`StoreError`.
+        """
+        path = os.path.join(self.directory, LOG_FILE)
+        lines = self._log_lines(path)
+        records = []
+        try:
+            for number, line in enumerate(lines):
+                entry = json.loads(line)
+                if entry["version"] != number:
+                    raise ValueError(
+                        f"line {number + 1} records version "
+                        f"{entry['version']!r}"
+                    )
+                records.append(decode(entry))
+        except (KeyError, TypeError, ValueError) as error:
+            get_registry().counter("store.read_errors").add(1)
+            raise StoreError(
+                f"corrupt corpus log {path!r}: {error}"
+            ) from error
+        return records
+
+    def _log_lines(self, path: str) -> list[bytes]:
+        """The log's first ``version + 1`` lines; records their length."""
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            data = b""
+        records = data.count(b"\n")
+        if records <= self.version:
+            get_registry().counter("store.read_errors").add(1)
+            raise StoreError(
+                f"corpus log {path!r} is shorter than the store: "
+                f"{records} record(s) for version {self.version}"
+            )
+        lines = data.split(b"\n", self.version + 1)[: self.version + 1]
+        self._log_end = sum(len(line) + 1 for line in lines)
+        return lines
+
+    def _append_log(self, entry: Mapping) -> int:
+        """Write one record after the committed lines, cutting any torn
+        tail; returns the log's length once the caller's manifest
+        commits."""
+        path = os.path.join(self.directory, LOG_FILE)
+        if self._log_end is None:
+            self._log_lines(path)
+        assert self._log_end is not None
+        line = _log_line(entry)
+        with open(path, "r+b") as handle:
+            handle.seek(self._log_end)
+            handle.truncate()
+            handle.write(line)
+        return self._log_end + len(line)
+
+    # ------------------------------------------------------------------
     # Mutation (generation append + compaction)
     # ------------------------------------------------------------------
     def apply(
@@ -595,6 +623,7 @@ class PairStore:
         *,
         version: int,
         names: Mapping[int, str] | None = None,
+        log: Mapping,
     ) -> None:
         """Bring the store to ``members`` at ``version``.
 
@@ -604,8 +633,9 @@ class PairStore:
         rewritten outside compaction).  New trees whose labels fit the
         store's table land in one appended generation; label growth or
         a dead-row fraction of one half triggers compaction into a
-        single fresh generation.  The manifest replace is the commit
-        point either way.
+        single fresh generation.  ``log`` is the record of ``version``,
+        appended to the delta log before the manifest replace, which is
+        the commit point either way.
         """
         packed = {} if packed is None else packed
         registry = get_registry()
@@ -652,10 +682,12 @@ class PairStore:
             stored = sum(g.trees for g in self._generations)
             reused = len(members) - len(fresh)
             dead = stored - reused
+            log_end = self._append_log(log)
             if grown or (stored and dead * 2 >= stored + len(fresh)):
                 self._compact(members, packed, version, names, incoming)
             else:
                 self._append(members, packed, version, names, fresh)
+            self._log_end = log_end
             registry.counter("store.applies").add(1)
 
     def _append(
@@ -824,7 +856,7 @@ def _fresh_serial(directory: str) -> int:
     """First unused generation serial in ``directory``.
 
     Scanned from the directory names rather than any manifest, so a
-    rebuild over a half-written store never reuses — and therefore
+    build over a half-written store never reuses — and therefore
     never clobbers — shards an existing manifest still references
     before the new manifest commits.
     """
@@ -853,7 +885,7 @@ def _sweep_orphans(directory: str, manifest: Mapping) -> None:
     """Remove generation directories the manifest no longer references.
 
     Runs after every successful manifest commit; an orphan is the
-    debris of a compaction (or rebuild) that crashed between writing
+    debris of a compaction (or build) that crashed between writing
     its shards and committing — harmless to readers, reclaimed here.
     """
     referenced = {
@@ -874,8 +906,7 @@ def _validate_manifest(
     """Structure-check a parsed manifest; returns its generations.
 
     Every failure counts one ``store.read_errors`` and raises
-    :class:`StoreError` — the caller's cue to re-pack from the source
-    corpus.
+    :class:`StoreError`.
     """
     if not isinstance(manifest, dict):
         raise _manifest_failure(path, "not a JSON object")

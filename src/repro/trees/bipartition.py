@@ -195,8 +195,12 @@ def tree_from_clusters(
     if not all_compatible(nontrivial):
         raise ConsensusError("cluster family is not laminar")
 
-    # Sort big-to-small so each cluster's parent is already in the tree.
-    ordered = sorted(nontrivial, key=len, reverse=True)
+    # Sort big-to-small so each cluster's parent is already in the tree;
+    # equal sizes go by their sorted taxa, so siblings come out in one
+    # canonical order rather than the set's (string-hash) order.
+    ordered = sorted(
+        nontrivial, key=lambda cluster: (-len(cluster), sorted(cluster))
+    )
     tree = Tree(name=name)
     root = tree.add_root()
     node_cluster: dict[int, frozenset[str]] = {root.node_id: taxa_set}

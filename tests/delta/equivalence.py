@@ -37,9 +37,23 @@ def pattern_tuples(patterns):
     ]
 
 
-def assert_corpus_matches_remine(corpus, context=""):
+def mirror(trees, op, payload):
+    """Apply one corpus mutation to a plain tree list, in place."""
+    if op == "add":
+        trees.extend(payload)
+    elif op == "remove":
+        for index in sorted(set(payload), reverse=True):
+            del trees[index]
+    else:
+        for index, tree in payload.items():
+            trees[index] = tree
+
+
+def assert_corpus_matches_remine(corpus, trees, context=""):
     """Assert byte identity of frequent pairs, supports and matrices.
 
+    ``trees`` is the tree sequence the caller mirrored alongside every
+    mutation — the corpus itself keeps no trees, only their rows.
     ``frequent_pairs(minsup=1)`` enumerates every pair item with its
     support, so comparing it (plus the ignore-distance view) checks
     the maintained support state exhaustively (a ``minsup`` above the
@@ -48,7 +62,8 @@ def assert_corpus_matches_remine(corpus, context=""):
     :meth:`DistanceVectors.from_trees` build with ``==`` — exact
     float equality, no tolerance.
     """
-    trees = list(corpus.trees)
+    trees = list(trees)
+    assert len(corpus) == len(trees), context
     minoccur = corpus.params.minoccur
     for minsup in minsups(trees):
         for ignore_distance in (False, True):

@@ -30,12 +30,15 @@ class CorpusChurnMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.corpus = VersionedCorpus(minoccur=1)
+        # The tree sequence, mirrored: the corpus keeps only rows.
+        self.trees = []
         self.versions_seen = [self.corpus.version]
 
     @rule(new=st.lists(trees(max_size=10), min_size=1, max_size=3))
     def add(self, new):
         before = len(self.corpus)
         positions = self.corpus.add_trees(new)
+        self.trees.extend(new)
         assert positions == list(range(before, before + len(new)))
         self.versions_seen.append(self.corpus.version)
 
@@ -53,6 +56,8 @@ class CorpusChurnMachine(RuleBasedStateMachine):
             label="remove_indexes",
         )
         self.corpus.remove_trees(indexes)
+        for index in sorted(indexes, reverse=True):
+            del self.trees[index]
         assert len(self.corpus) == size - len(indexes)
         self.versions_seen.append(self.corpus.version)
 
@@ -65,13 +70,14 @@ class CorpusChurnMachine(RuleBasedStateMachine):
             label="replace_position",
         )
         self.corpus.replace_trees({position: replacement})
+        self.trees[position] = replacement
         assert len(self.corpus) == size
         self.versions_seen.append(self.corpus.version)
 
     @invariant()
     def byte_identical_to_remine(self):
         assert_corpus_matches_remine(
-            self.corpus, context=f"v{self.corpus.version}"
+            self.corpus, self.trees, context=f"v{self.corpus.version}"
         )
 
     @invariant()

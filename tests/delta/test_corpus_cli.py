@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from repro.apps.corpus import CORPUS_FILE, CorpusStore
 from repro.cli import main
+from repro.engine.delta import VersionedCorpus
+from repro.store import LOG_FILE, STORE_FILE
 
 
 @pytest.fixture
@@ -39,10 +40,13 @@ class TestInit:
         ) == 0
         out = capsys.readouterr().out
         assert "initialised corpus" in out and "2 tree(s), v0" in out
-        with open(f"{directory}/{CORPUS_FILE}", encoding="utf-8") as handle:
+        with open(f"{directory}/{STORE_FILE}", encoding="utf-8") as handle:
             payload = json.load(handle)
         assert payload["version"] == 0
-        assert len(payload["trees"]) == 2
+        assert len(payload["rows"]) == 2
+        with open(f"{directory}/{LOG_FILE}", encoding="utf-8") as handle:
+            (record,) = [json.loads(line) for line in handle]
+        assert record["op"] == "init"
 
     def test_empty_corpus_without_trees(self, tmp_path, capsys):
         directory = str(tmp_path / "empty")
@@ -66,23 +70,23 @@ class TestAddRemove:
         out = capsys.readouterr().out
         assert "v1" in out
         assert "at #2" in out and "at #3" in out
-        store = CorpusStore.open(corpus_dir)
-        assert store.corpus.version == 1
-        assert len(store.corpus) == 4
+        corpus = VersionedCorpus.open(corpus_dir)
+        assert corpus.version == 1
+        assert len(corpus) == 4
 
     def test_remove_names_the_departed(self, corpus_dir, capsys):
         capsys.readouterr()
         assert main(["corpus", "remove", corpus_dir, "0"]) == 0
         out = capsys.readouterr().out
         assert "v1" in out and "removed" in out
-        assert len(CorpusStore.open(corpus_dir).corpus) == 1
+        assert len(VersionedCorpus.open(corpus_dir)) == 1
 
     def test_remove_out_of_range_is_a_clean_error(self, corpus_dir, capsys):
         capsys.readouterr()
         assert main(["corpus", "remove", corpus_dir, "99"]) == 1
         assert "out of range" in capsys.readouterr().err
         # No partial mutation was persisted.
-        assert CorpusStore.open(corpus_dir).corpus.version == 0
+        assert VersionedCorpus.open(corpus_dir).version == 0
 
 
 class TestLogAndDiff:
@@ -145,10 +149,10 @@ class TestPersistence:
         self, corpus_dir, more_file, capsys
     ):
         main(["corpus", "add", corpus_dir, more_file])
-        store = CorpusStore.open(corpus_dir)
-        assert store.corpus.version == 1
-        assert [d.version for d in store.corpus.log()] == [0, 1]
-        pairs = store.corpus.frequent_pairs(minsup=2)
+        corpus = VersionedCorpus.open(corpus_dir)
+        assert corpus.version == 1
+        assert [d.version for d in corpus.log()] == [0, 1]
+        pairs = corpus.frequent_pairs(minsup=2)
         assert any(
             (p.label_a, p.label_b) == ("a", "b") for p in pairs
         )

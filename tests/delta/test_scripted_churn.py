@@ -15,7 +15,7 @@ from repro.core.distance import DistanceMode
 from repro.engine import MiningEngine, VersionedCorpus
 from repro.generate import SyntheticTreeParams, synthetic_forest
 
-from tests.delta.equivalence import assert_corpus_matches_remine
+from tests.delta.equivalence import assert_corpus_matches_remine, mirror
 
 
 def forest(count, seed, treesize=14, alphabetsize=8):
@@ -28,7 +28,8 @@ def forest(count, seed, treesize=14, alphabetsize=8):
 
 
 def test_long_interleaved_churn_stays_byte_identical():
-    corpus = VersionedCorpus(forest(10, 1), minoccur=1)
+    trees = forest(10, 1)
+    corpus = VersionedCorpus(trees, minoccur=1)
     # Materialise every mode up front so each later step patches all
     # four matrices rather than rebuilding them lazily.
     for mode in DistanceMode:
@@ -49,8 +50,11 @@ def test_long_interleaved_churn_stays_byte_identical():
             corpus.remove_trees(payload)
         else:
             corpus.replace_trees(payload)
+        mirror(trees, op, payload)
         assert corpus.version == index + 1
-        assert_corpus_matches_remine(corpus, context=f"step {index} {op}")
+        assert_corpus_matches_remine(
+            corpus, trees, context=f"step {index} {op}"
+        )
 
 
 def test_churn_to_empty_and_back():
@@ -59,18 +63,23 @@ def test_churn_to_empty_and_back():
         corpus.distance_matrix(mode)
     corpus.remove_trees([0, 1, 2])
     assert len(corpus) == 0
-    assert_corpus_matches_remine(corpus, context="emptied")
+    assert_corpus_matches_remine(corpus, [], context="emptied")
     assert corpus.frequent_pairs(minsup=1) == []
     corpus.add_trees(forest(4, 10))
-    assert_corpus_matches_remine(corpus, context="refilled")
+    assert_corpus_matches_remine(corpus, forest(4, 10), context="refilled")
 
 
 def test_minoccur_threshold_survives_churn():
-    corpus = VersionedCorpus(forest(8, 11), minoccur=2)
-    corpus.add_trees(forest(3, 12))
-    corpus.remove_trees([2, 6])
-    corpus.replace_trees({1: forest(1, 13)[0]})
-    assert_corpus_matches_remine(corpus, context="minoccur=2")
+    trees = forest(8, 11)
+    corpus = VersionedCorpus(trees, minoccur=2)
+    for op, payload in [
+        ("add", forest(3, 12)),
+        ("remove", [2, 6]),
+        ("replace", {1: forest(1, 13)[0]}),
+    ]:
+        getattr(corpus, f"{op}_trees")(payload)
+        mirror(trees, op, payload)
+    assert_corpus_matches_remine(corpus, trees, context="minoccur=2")
 
 
 def test_delta_stats_account_for_mutations():
@@ -110,13 +119,16 @@ def test_warm_engine_cache_never_remines_known_trees():
     # Re-adding isomorphic trees is served entirely from the cache.
     corpus.add_trees(shared[:3])
     assert engine.stats.misses == mined
-    assert_corpus_matches_remine(corpus, context="warm re-add")
+    assert_corpus_matches_remine(
+        corpus, shared + shared[:3], context="warm re-add"
+    )
 
 
 def test_mutation_rejects_bad_indexes_without_side_effects():
     from repro.errors import EngineError
 
-    corpus = VersionedCorpus(forest(4, 40), minoccur=1)
+    trees = forest(4, 40)
+    corpus = VersionedCorpus(trees, minoccur=1)
     version = corpus.version
     with pytest.raises(EngineError):
         corpus.remove_trees([0, 4])
@@ -124,7 +136,9 @@ def test_mutation_rejects_bad_indexes_without_side_effects():
         corpus.replace_trees({-1: forest(1, 41)[0]})
     assert corpus.version == version
     assert len(corpus) == 4
-    assert_corpus_matches_remine(corpus, context="after rejected mutations")
+    assert_corpus_matches_remine(
+        corpus, trees, context="after rejected mutations"
+    )
 
 
 def test_noop_mutations_do_not_bump_version():

@@ -3,8 +3,9 @@
 Extends the delta equivalence contract to :mod:`repro.store`: a
 corpus with an attached :class:`PairStore` must, after every add /
 remove / replace, leave the on-disk store byte-identical to a
-from-scratch re-mine of the current tree sequence — checked both
-through the live store object and through a cold reopen.
+from-scratch re-mine of the current tree sequence — checked through
+the live store object, a cold store reopen and a cold
+:meth:`VersionedCorpus.open`, whose log must equal the live one.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.store import PairStore
 from tests.delta.equivalence import (
     assert_corpus_matches_remine,
     minsups,
+    mirror,
     pattern_tuples,
 )
 
@@ -64,9 +66,8 @@ def assert_store_matches_remine(store, trees, context=""):
         ), f"{context}: store {mode.value} matrix diverged"
 
 
-def assert_in_sync(corpus, directory, context=""):
-    trees = list(corpus.trees)
-    assert_corpus_matches_remine(corpus, context)
+def assert_in_sync(corpus, trees, directory, context=""):
+    assert_corpus_matches_remine(corpus, trees, context)
     live = corpus.store
     assert live is not None
     assert live.version == corpus.version, context
@@ -74,68 +75,90 @@ def assert_in_sync(corpus, directory, context=""):
     assert_store_matches_remine(live, trees, f"{context} (live)")
     reopened = PairStore.open(directory)
     assert_store_matches_remine(reopened, trees, f"{context} (reopened)")
+    cold = VersionedCorpus.open(directory)
+    assert cold.snapshot() == corpus.snapshot(), context
+    assert cold.names == corpus.names, context
+    assert cold.log() == corpus.log(), context
+    assert_corpus_matches_remine(cold, trees, f"{context} (cold open)")
 
 
 @pytest.fixture
-def engine(tmp_path):
-    return MiningEngine(cache_dir=str(tmp_path / "cache"))
+def engine():
+    return MiningEngine()
+
+
+def churn(corpus, trees, directory, steps):
+    """Apply ``(op, payload)`` steps, mirrored, checking each commit."""
+    for op, payload in steps:
+        getattr(corpus, f"{op}_trees")(payload)
+        mirror(trees, op, payload)
+        assert_in_sync(corpus, trees, directory, f"after {op} v{corpus.version}")
 
 
 def test_churn_against_attached_store(engine, tmp_path):
     directory = str(tmp_path / "store")
-    corpus = VersionedCorpus(forest(6, 1), engine=engine)
+    trees = forest(6, 1)
+    corpus = VersionedCorpus(trees, engine=engine)
     corpus.pack_store(directory)
-    assert_in_sync(corpus, directory, "after pack")
-
-    corpus.add_trees(forest(3, 2))
-    assert_in_sync(corpus, directory, "after add")
-
-    corpus.remove_trees([1, 4])
-    assert_in_sync(corpus, directory, "after remove")
-
-    corpus.replace_trees({0: forest(1, 3)[0], 5: forest(1, 4)[0]})
-    assert_in_sync(corpus, directory, "after replace")
-
-    # Heavy removal forces a compaction; identity must survive it.
-    corpus.remove_trees(list(range(4)))
-    assert_in_sync(corpus, directory, "after compacting remove")
-
-    # Down to an empty forest, then back up from nothing.
-    corpus.remove_trees(list(range(len(corpus))))
-    assert_in_sync(corpus, directory, "after removing every tree")
-    corpus.add_trees(forest(2, 11))
-    assert_in_sync(corpus, directory, "after refilling")
-
-
-def test_attach_syncs_a_stale_store(engine, tmp_path):
-    directory = str(tmp_path / "store")
-    corpus = VersionedCorpus(forest(5, 5), engine=engine)
-    corpus.pack_store(directory)
-    # Mutate with no store attached, then attach the stale snapshot.
-    detached = VersionedCorpus.restore(
-        list(corpus.trees),
-        corpus.params,
-        engine=engine,
-        version=corpus.version,
-        history=[delta.as_dict() for delta in corpus.log()],
-        uids=[ref.uid for ref in corpus.snapshot().refs],
+    assert_in_sync(corpus, trees, directory, "after pack")
+    churn(
+        corpus,
+        trees,
+        directory,
+        [
+            ("add", forest(3, 2)),
+            ("remove", [1, 4]),
+            ("replace", {0: forest(1, 3)[0], 5: forest(1, 4)[0]}),
+            # Heavy removal forces a compaction.
+            ("remove", list(range(4))),
+            # Down to an empty forest, then back up from nothing.
+            ("remove", list(range(3))),
+            ("add", forest(2, 11)),
+        ],
     )
-    detached.add_trees(forest(2, 6))
-    detached.attach_store(PairStore.open(directory))
-    assert_in_sync(detached, directory, "after stale attach")
+
+
+def test_churn_open_churn_stays_in_sync(engine, tmp_path):
+    directory = str(tmp_path / "store")
+    trees = forest(5, 5)
+    corpus = VersionedCorpus(trees, engine=engine)
+    corpus.pack_store(directory)
+    churn(corpus, trees, directory, [("add", forest(2, 6)), ("remove", [6, 0])])
+    # A fresh process's view: rows off the store, no tree re-mined.
+    reopened = VersionedCorpus.open(directory, engine=MiningEngine())
+    assert reopened.engine.stats.misses == 0
+    assert_in_sync(reopened, trees, directory, "after open")
+    grown = synthetic_forest(
+        SyntheticTreeParams(treesize=12, databasesize=2, alphabetsize=30),
+        rng=7,
+    )
+    churn(
+        reopened,
+        trees,
+        directory,
+        [
+            ("add", grown),
+            ("replace", {1: forest(1, 8)[0]}),
+            ("remove", [5]),
+            ("add", forest(1, 9)),
+        ],
+    )
+    # Uids stay unique across the reopen, removed trees included.
+    added = [ref.uid for delta in reopened.log() for ref in delta.added]
+    assert len(added) == len(set(added))
 
 
 def test_label_growth_forces_compaction(engine, tmp_path):
     directory = str(tmp_path / "store")
-    corpus = VersionedCorpus(forest(4, 7), engine=engine)
+    trees = forest(4, 7)
+    corpus = VersionedCorpus(trees, engine=engine)
     corpus.pack_store(directory)
     # A bigger alphabet introduces labels the store has never interned.
     grown = synthetic_forest(
         SyntheticTreeParams(treesize=12, databasesize=3, alphabetsize=30),
         rng=8,
     )
-    corpus.add_trees(grown)
-    assert_in_sync(corpus, directory, "after label growth")
+    churn(corpus, trees, directory, [("add", grown)])
 
 
 def test_store_version_tracks_every_commit(engine, tmp_path):

@@ -16,30 +16,31 @@ from repro.core.topk import topk_similar
 from repro.engine import MiningEngine, VersionedCorpus
 from repro.trees.newick import parse_newick
 
+from tests.delta.equivalence import mirror
+
 
 def tree(newick):
     return parse_newick(newick)
 
 
+BASE = ("((a,b),(c,d));", "((a,b),(c,e));", "((x,y),(z,w));")
+
+
 @pytest.fixture
 def corpus():
     return VersionedCorpus(
-        [
-            tree("((a,b),(c,d));"),
-            tree("((a,b),(c,e));"),
-            tree("((x,y),(z,w));"),
-        ],
-        engine=MiningEngine(jobs=1),
+        [tree(text) for text in BASE], engine=MiningEngine(jobs=1)
     )
 
 
 QUERY = "((a,b),(c,(d,e)));"
 
 
-def fresh_answer(corpus, k=2, mode=DistanceMode.DIST_OCCUR):
-    """What a brand-new engine says about the corpus's current trees."""
+def fresh_answer(corpus, newicks, k=2, mode=DistanceMode.DIST_OCCUR):
+    """What a brand-new engine says about the corpus's current trees,
+    given as the Newick sequence the test mirrored."""
     vectors = DistanceVectors.from_trees(
-        list(corpus.trees), minoccur=corpus.params.minoccur
+        [tree(text) for text in newicks], minoccur=corpus.params.minoccur
     )
     return topk_similar(
         vectors, tree(QUERY), k, mode, params=corpus.params
@@ -54,7 +55,9 @@ class TestDifferentialAfterChurn:
         # neighbour.
         corpus.add_trees([tree(QUERY)])
         after = corpus.topk_similar(tree(QUERY), 2, mode)
-        assert after.neighbors == fresh_answer(corpus, 2, mode)
+        assert after.neighbors == fresh_answer(
+            corpus, [*BASE, QUERY], 2, mode
+        )
         assert after.neighbors[0] == (3, 0.0)
         assert before.neighbors[0][1] > 0.0
 
@@ -66,7 +69,7 @@ class TestDifferentialAfterChurn:
         # Remove the exact match; it must vanish from the ranking.
         corpus.remove_trees([3])
         after = corpus.topk_similar(tree(QUERY), 2, mode)
-        assert after.neighbors == fresh_answer(corpus, 2, mode)
+        assert after.neighbors == fresh_answer(corpus, BASE, 2, mode)
         assert all(distance > 0.0 for _idx, distance in after.neighbors)
 
     @pytest.mark.parametrize("mode", list(DistanceMode))
@@ -74,19 +77,30 @@ class TestDifferentialAfterChurn:
         before = corpus.topk_similar(tree(QUERY), 1, mode)
         corpus.replace_trees({2: tree(QUERY)})
         after = corpus.topk_similar(tree(QUERY), 1, mode)
-        assert after.neighbors == fresh_answer(corpus, 1, mode)
+        assert after.neighbors == fresh_answer(
+            corpus, [*BASE[:2], QUERY], 1, mode
+        )
         assert after.neighbors[0] == (2, 0.0)
         assert before.neighbors[0] != after.neighbors[0]
 
     def test_churn_sequence_stays_differential(self, corpus):
+        newicks = list(BASE)
         script = [
-            lambda: corpus.add_trees([tree("((a,d),(b,c));")]),
-            lambda: corpus.replace_trees({1: tree("((z,w),(x,v));")}),
-            lambda: corpus.remove_trees([0]),
-            lambda: corpus.add_trees([tree(QUERY), tree("(m,(n,o));")]),
+            ("add", ["((a,d),(b,c));"]),
+            ("replace", {1: "((z,w),(x,v));"}),
+            ("remove", [0]),
+            ("add", [QUERY, "(m,(n,o));"]),
         ]
-        for step in script:
-            step()
+        for op, payload in script:
+            if op == "add":
+                corpus.add_trees([tree(text) for text in payload])
+            elif op == "replace":
+                corpus.replace_trees(
+                    {index: tree(text) for index, text in payload.items()}
+                )
+            else:
+                corpus.remove_trees(payload)
+            mirror(newicks, op, payload)
             for k in (1, 3):
                 got = corpus.topk_similar(tree(QUERY), k).neighbors
-                assert got == fresh_answer(corpus, k)
+                assert got == fresh_answer(corpus, newicks, k)

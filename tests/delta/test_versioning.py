@@ -1,4 +1,4 @@
-"""Unit tests: versions, the delta log, diff composition, restore."""
+"""Unit tests: versions, the delta log, diff composition, reopening."""
 
 from __future__ import annotations
 
@@ -132,51 +132,60 @@ class TestDiff:
 
 
 class TestRestore:
-    def test_round_trip_preserves_queries_log_and_diff(self, corpus):
+    """Round trips through the pair store (:meth:`VersionedCorpus.open`)."""
+
+    def test_round_trip_preserves_queries_log_and_diff(
+        self, corpus, tmp_path
+    ):
         corpus.add_trees([tree("((a,b),(a,b));")])
+        corpus.pack_store(str(tmp_path / "corpus"))
         corpus.replace_trees({1: tree("(c,(d,e));")})
         snapshot = corpus.snapshot()
-        restored = VersionedCorpus.restore(
-            list(corpus.trees),
-            corpus.params,
-            version=corpus.version,
-            history=[delta.as_dict() for delta in corpus.log()],
-            uids=[ref.uid for ref in snapshot.refs],
-        )
+        restored = VersionedCorpus.open(str(tmp_path / "corpus"))
         assert restored.snapshot() == snapshot
+        assert restored.names == corpus.names
         assert restored.log() == corpus.log()
         assert restored.diff(0, 2) == corpus.diff(0, 2)
         assert pattern_tuples(
             restored.frequent_pairs(minsup=1)
         ) == pattern_tuples(corpus.frequent_pairs(minsup=1))
+        for label_a, label_b, distance in corpus.log()[0].keys_gained:
+            for at in (distance, None):
+                assert restored.support(label_a, label_b, at) == (
+                    corpus.support(label_a, label_b, at)
+                )
 
-    def test_restored_corpus_keeps_mutating(self, corpus):
-        restored = VersionedCorpus.restore(
-            list(corpus.trees),
-            corpus.params,
-            version=corpus.version,
-            history=corpus.log(),
-        )
+    def test_restored_corpus_keeps_mutating(self, corpus, tmp_path):
+        corpus.add_trees([tree("(q,(r,s));")])
+        corpus.pack_store(str(tmp_path / "corpus"))
+        # The newest tree leaves before the reopen: its uid stays taken.
+        corpus.remove_trees([2])
+        restored = VersionedCorpus.open(str(tmp_path / "corpus"))
         restored.add_trees([tree("(z,(z,z));")])
-        assert restored.version == 1
-        # Fresh uids start above the restored ones.
+        assert restored.version == 3
         new_uid = restored.log()[-1].added[0].uid
-        assert new_uid >= len(corpus.trees)
+        assert new_uid == 3
+        assert VersionedCorpus.open(str(tmp_path / "corpus")).log() == (
+            restored.log()
+        )
 
-    def test_restore_validates_uids_and_version(self, corpus):
-        trees = list(corpus.trees)
-        with pytest.raises(EngineError):
-            VersionedCorpus.restore(
-                trees, corpus.params, version=-1, history=[]
-            )
-        with pytest.raises(EngineError):
-            VersionedCorpus.restore(
-                trees, corpus.params, version=0, history=[], uids=[1]
-            )
-        with pytest.raises(EngineError):
-            VersionedCorpus.restore(
-                trees, corpus.params, version=0, history=[], uids=[1, 1]
-            )
+    def test_open_validates_the_log_against_the_version(
+        self, corpus, tmp_path
+    ):
+        from repro.errors import StoreError
+        from repro.store import LOG_FILE
+
+        directory = tmp_path / "corpus"
+        corpus.pack_store(str(directory))
+        corpus.add_trees([tree("(a,(b,c));")])
+        path = directory / LOG_FILE
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0])
+        with pytest.raises(StoreError, match="shorter"):
+            VersionedCorpus.open(str(directory))
+        path.write_bytes(lines[0] + lines[0])
+        with pytest.raises(StoreError, match="version"):
+            VersionedCorpus.open(str(directory))
 
 
 class TestDeltaSerialisation:

@@ -1,4 +1,4 @@
-"""Cache-correctness tests: content addressing, staleness, layers.
+"""Cache-correctness tests: content addressing, staleness, the LRU.
 
 The dangerous failure mode of a cached engine is the *stale hit* — a
 counter mined under one parameter set served for another, or kept
@@ -10,8 +10,6 @@ not.
 
 from __future__ import annotations
 
-import os
-import pickle
 
 import pytest
 
@@ -169,51 +167,6 @@ class TestLRULayer:
             PairSetCache(max_entries=-1)
 
 
-class TestDiskLayer:
-    def test_second_engine_hits_disk(self, forest, tmp_path, jobs):
-        cache_dir = str(tmp_path / "cache")
-        first = MiningEngine(jobs=jobs, cache_dir=cache_dir)
-        reference = first.mine_forest(forest)
-        # Fresh engine, fresh memory layer, same directory: all lookups
-        # must come back from disk with identical results.
-        second = MiningEngine(cache_dir=cache_dir)
-        assert second.mine_forest(forest) == reference
-        assert second.stats.misses == 0
-        assert second.stats.disk_hits == first.stats.misses
-
-    def test_corrupt_entry_degrades_to_miss(self, tree, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        engine = MiningEngine(cache_dir=cache_dir)
-        engine.items([tree])
-        (entry,) = [
-            os.path.join(root, name)
-            for root, _dirs, names in os.walk(cache_dir)
-            for name in names
-        ]
-        with open(entry, "wb") as handle:
-            handle.write(b"not a pickle")
-        fresh = MiningEngine(cache_dir=cache_dir)
-        from repro.core.single_tree import mine_tree
-
-        assert fresh.items([tree]) == [mine_tree(tree)]
-        assert fresh.stats.misses == 1
-
-    def test_non_counter_payload_rejected(self, tree, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        engine = MiningEngine(cache_dir=cache_dir)
-        engine.items([tree])
-        (entry,) = [
-            os.path.join(root, name)
-            for root, _dirs, names in os.walk(cache_dir)
-            for name in names
-        ]
-        with open(entry, "wb") as handle:
-            pickle.dump({"not": "a counter"}, handle)
-        fresh = MiningEngine(cache_dir=cache_dir)
-        fresh.items([tree])
-        assert fresh.stats.misses == 1
-
-
 class TestKernelMissAccounting:
     def test_exactly_one_miss_per_distinct_tree(self):
         # Two groups sharing trees and containing internal duplicates:
@@ -267,7 +220,7 @@ class TestPayloadRejection:
         assert engine.stats.misses == 1
         assert engine.stats.hits == 0
         # The re-mined result replaced the poisoned entry.
-        layer, healed = engine.cache.lookup(key)
+        healed = engine.cache.lookup(key)
         assert healed.labels == ("a", "b", "c", "d")
 
     def test_fingerprint_matched_payload_is_served(self, tree):

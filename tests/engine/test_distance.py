@@ -9,8 +9,7 @@ import pytest
 from repro.core.distance import DistanceMode, distance_matrix
 from repro.core.distvec import DistanceVectors
 from repro.core.kernel import find_kernel_trees
-from repro.engine import MiningEngine
-from repro.store import PairStore
+from repro.engine import MiningEngine, VersionedCorpus
 
 
 class TestDistanceVectors:
@@ -37,7 +36,7 @@ class TestDistanceVectors:
         engine = MiningEngine(jobs=1)
         build = functools.partial(engine.distance_vectors, forest)
         if source == "store":
-            PairStore.pack(str(tmp_path / "store"), forest)
+            VersionedCorpus(forest).pack_store(str(tmp_path / "store"))
             engine.open_store(str(tmp_path / "store"))
             build = engine.store_vectors
         vectors = build()

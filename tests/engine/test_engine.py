@@ -147,9 +147,7 @@ class TestStatsAccounting:
         engine.items(forest)
         stats = engine.stats
         assert stats.trees_seen == len(forest)
-        assert stats.memory_hits + stats.disk_hits + stats.misses == (
-            stats.trees_seen
-        )
+        assert stats.memory_hits + stats.misses == stats.trees_seen
         # The forest holds one isomorphic duplicate -> one in-batch hit.
         assert stats.misses == len(forest) - 1
         assert stats.memory_hits == 1
@@ -204,12 +202,12 @@ class TestConfigValidation:
         with pytest.raises(EngineError, match="jobs"):
             MiningEngine(jobs=bad)
 
-    def test_explicit_cache_excludes_cache_knobs(self, tmp_path):
+    def test_explicit_cache_excludes_cache_knobs(self):
         from repro.engine import PairSetCache
 
         cache = PairSetCache()
         with pytest.raises(EngineError, match="not both"):
-            MiningEngine(cache=cache, cache_dir=str(tmp_path))
+            MiningEngine(cache=cache, cache_size=8)
 
     def test_returned_counters_are_copies(self):
         tree = parse_newick("((a,b),(c,d));")

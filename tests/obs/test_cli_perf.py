@@ -205,14 +205,12 @@ class TestSpanCoverage:
     def test_corpus_pack_trace_covers_store_spans(
         self, tmp_path, newick, capsys
     ):
+        # corpus init packs the directory's pair store.
         corpus = tmp_path / "corpus"
-        assert main(
-            ["corpus", "init", str(corpus), "--trees", str(newick)]
-        ) == 0
         trace = tmp_path / "pack_trace.jsonl"
         assert main(
-            ["corpus", "pack", str(corpus),
-             "--store", str(tmp_path / "pairs"), "--trace", str(trace)]
+            ["corpus", "init", str(corpus), "--trees", str(newick),
+             "--trace", str(trace)]
         ) == 0
         capsys.readouterr()
         names = {
@@ -225,14 +223,13 @@ class TestSpanCoverage:
         }
         assert "store.pack" in names
 
-        # Appending through the attached store is the other write path;
-        # its trace carries the store.append span.
+        # Appending to the store is the other write path; its trace
+        # carries the store.append span.
         more = tmp_path / "more.nwk"
         more.write_text("((a,e),(b,(c,d)));\n", encoding="utf-8")
         append_trace = tmp_path / "append_trace.jsonl"
         assert main(
             ["corpus", "add", str(corpus), str(more),
-             "--store", str(tmp_path / "pairs"),
              "--trace", str(append_trace)]
         ) == 0
         capsys.readouterr()

@@ -87,4 +87,4 @@ def test_stats_partition_invariant(forest, maxdist, gap):
     engine.counters(forest, maxdist=maxdist, max_generation_gap=gap)
     stats = engine.stats
     assert stats.trees_seen == len(forest)
-    assert stats.memory_hits + stats.disk_hits + stats.misses == len(forest)
+    assert stats.memory_hits + stats.misses == len(forest)

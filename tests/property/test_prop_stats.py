@@ -18,7 +18,6 @@ from repro.engine.stats import EngineStats
 COUNTER_FIELDS = (
     "trees_seen",
     "memory_hits",
-    "disk_hits",
     "misses",
     "rejected",
     "batches",
@@ -62,7 +61,7 @@ def test_as_dict_round_trips_with_the_legacy_key_set(counters, timings):
     for name, value in timings.items():
         assert math.isclose(payload[name], value, rel_tol=1e-12, abs_tol=0.0)
 
-    hits = counters["memory_hits"] + counters["disk_hits"]
+    hits = counters["memory_hits"]
     assert payload["hits"] == hits
     if counters["trees_seen"]:
         assert math.isclose(

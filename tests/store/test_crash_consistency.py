@@ -4,9 +4,9 @@ Every failure mode a crashed or interrupted writer can leave behind —
 truncated shard, corrupt manifest, a half-written generation from a
 mid-compaction kill, a manifest referencing a swept generation — must
 surface as a :class:`repro.errors.StoreError` with a
-``store.read_errors`` count, never as silent wrong answers; and the
-CLI attach path must degrade further to a counted rebuild
-(``store.rebuilds``) from the corpus itself.
+``store.read_errors`` count, never as silent wrong answers.  The store
+is the corpus's only copy, so there is nothing to rebuild from:
+:meth:`VersionedCorpus.open` fails the same way.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import shutil
 
 import pytest
 
-from repro.cli import _attach_pair_store
 from repro.engine import MiningEngine, VersionedCorpus
 from repro.errors import StoreError
 from repro.generate import SyntheticTreeParams, synthetic_forest
@@ -48,7 +47,7 @@ def read_errors(registry):
 
 def packed(tmp_path):
     trees = forest()
-    PairStore.pack(str(tmp_path / "store"), trees)
+    VersionedCorpus(trees).pack_store(str(tmp_path / "store"))
     return trees, str(tmp_path / "store")
 
 
@@ -121,7 +120,7 @@ class TestCorruptManifest:
 
     def test_missing_store_is_a_plain_error(self, tmp_path, registry):
         before = read_errors(registry)
-        with pytest.raises(StoreError, match="corpus pack"):
+        with pytest.raises(StoreError, match="corpus init"):
             PairStore.open(str(tmp_path / "nowhere"))
         # Absence is not damage: no read error counted.
         assert read_errors(registry) == before
@@ -147,6 +146,7 @@ class TestMidCompactionKill:
             [(index, key) for index, key in enumerate(keys)],
             dict(enumerate(packs)),
             version=1,
+            log={"version": 1},
         )
         assert not os.path.exists(orphan)
         reopened = PairStore.open(directory)
@@ -164,6 +164,7 @@ class TestMidCompactionKill:
             [(index, key) for index, key in enumerate(keys)],
             dict(enumerate(packs)),
             version=1,
+            log={"version": 1},
         )
         # Fresh serials are allocated past any directory on disk, so
         # the append never reused the orphan's name.
@@ -192,48 +193,34 @@ class TestApplyGuards:
         members = list(store.members)
         members[0] = (members[0][0], "sha256:not-the-same-tree")
         with pytest.raises(StoreError, match="content"):
-            store.apply(members, {}, version=1)
+            store.apply(members, {}, version=1, log={"version": 1})
 
     def test_missing_packed_rows_are_rejected(self, tmp_path, registry):
         _, directory = packed(tmp_path)
         store = PairStore.open(directory)
         members = list(store.members) + [(999, "sha256:new-tree")]
         with pytest.raises(StoreError):
-            store.apply(members, {}, version=1)
+            store.apply(members, {}, version=1, log={"version": 1})
 
 
-class TestCliRebuild:
-    def test_damaged_store_rebuilds_counted(self, tmp_path, registry):
-        trees = forest()
-        engine = MiningEngine()
-        corpus = VersionedCorpus(trees, engine=engine)
-        directory = str(tmp_path / "store")
-        corpus.pack_store(directory)
-        path = shard_path(directory)
-        with open(path, "r+b") as handle:
+class TestCorpusOpen:
+    def test_damaged_store_fails_counted(self, tmp_path, registry):
+        _, directory = packed(tmp_path)
+        with open(shard_path(directory), "r+b") as handle:
             handle.truncate(4)
+        before = read_errors(registry)
+        with pytest.raises(StoreError, match="truncated"):
+            VersionedCorpus.open(
+                directory, engine=MiningEngine(registry=registry)
+            )
+        assert read_errors(registry) == before + 1
 
-        fresh = VersionedCorpus(trees, engine=engine)
-        store = _attach_pair_store(fresh, directory)
-        # The helper counts on the ambient registry (the CLI installs
-        # the engine's registry as the ambient scope; here it is the
-        # fixture's).
-        rebuilds = registry.snapshot()["counters"]["store.rebuilds"]
-        assert rebuilds == 1
-        assert store is fresh.store
-        reopened = PairStore.open(directory)
-        assert pattern_tuples(reopened.frequent_pairs(minsup=2)) == (
-            pattern_tuples(fresh.frequent_pairs(minsup=2))
-        )
-
-    def test_intact_store_attaches_without_rebuild(self, tmp_path, registry):
-        trees = forest()
+    def test_intact_store_opens_without_mining(self, tmp_path, registry):
+        trees, directory = packed(tmp_path)
         engine = MiningEngine()
-        corpus = VersionedCorpus(trees, engine=engine)
-        directory = str(tmp_path / "store")
-        corpus.pack_store(directory)
-
-        fresh = VersionedCorpus(trees, engine=engine)
-        _attach_pair_store(fresh, directory)
-        counters = registry.snapshot()["counters"]
-        assert counters.get("store.rebuilds", 0) == 0
+        corpus = VersionedCorpus.open(directory, engine=engine)
+        assert engine.stats.trees_seen == 0
+        assert read_errors(registry) == 0
+        assert pattern_tuples(corpus.frequent_pairs(minsup=2)) == (
+            pattern_tuples(VersionedCorpus(trees).frequent_pairs(minsup=2))
+        )

@@ -16,6 +16,7 @@ from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors
 from repro.core.reference import mine_forest_reference
 from repro.core.topk import topk_similar
+from repro.engine import VersionedCorpus
 from repro.store import PairStore
 
 from tests.delta.equivalence import MINSUPS, pattern_tuples
@@ -30,7 +31,7 @@ def forests(min_trees=2, max_trees=5):
 @given(forest=forests(), data=st.data())
 def test_pack_reopen_round_trip(forest, data, tmp_path_factory):
     directory = str(tmp_path_factory.mktemp("store"))
-    PairStore.pack(directory, forest)
+    VersionedCorpus(forest).pack_store(directory)
     store = PairStore.open(directory)
 
     for minsup in MINSUPS:

@@ -22,8 +22,9 @@ from repro.core.params import MiningParams
 from repro.core.reference import mine_forest_reference
 from repro.core.params import MiningParams
 from repro.core.topk import topk_similar
+from repro.engine import MiningEngine, VersionedCorpus
 from repro.generate import SyntheticTreeParams, synthetic_forest
-from repro.obs.context import scope as obs_scope
+from repro.obs.context import get_registry, scope as obs_scope
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import validate
 from repro.store import STORE_FILE, PairStore
@@ -51,10 +52,17 @@ def registry():
         yield reg
 
 
+def pack(directory, trees, params=None):
+    """Write ``trees`` as a fresh corpus store in ``directory``,
+    counting on the ambient registry."""
+    engine = MiningEngine(registry=get_registry())
+    return VersionedCorpus(trees, params, engine=engine).pack_store(directory)
+
+
 @pytest.fixture
 def packed_store(tmp_path, registry):
     trees = forest()
-    PairStore.pack(str(tmp_path / "store"), trees)
+    pack(str(tmp_path / "store"), trees)
     store = PairStore.open(str(tmp_path / "store"))
     return trees, store
 
@@ -75,7 +83,7 @@ class TestFrequentPairs:
         # distances when they are ignored; 10**6 masks every count.
         for minoccur in (2, 10**6):
             directory = str(tmp_path / f"minoccur{minoccur}")
-            PairStore.pack(directory, trees, MiningParams(minoccur=minoccur))
+            pack(directory, trees, MiningParams(minoccur=minoccur))
             strict = PairStore.open(directory)
             for minsup in (1, 2, len(trees) + 1):
                 for ignore_distance in (False, True):
@@ -174,7 +182,9 @@ class TestManifest:
     def test_names_and_members_round_trip(self, tmp_path, registry):
         trees = forest(count=4)
         names = [f"taxon-{index}" for index in range(len(trees))]
-        PairStore.pack(str(tmp_path / "s"), trees, names=names)
+        for tree, name in zip(trees, names):
+            tree.name = name
+        pack(str(tmp_path / "s"), trees)
         store = PairStore.open(str(tmp_path / "s"))
         assert store.names == names
         assert [uid for uid, _ in store.members] == [0, 1, 2, 3]
@@ -198,14 +208,16 @@ class TestVersioning:
     def test_append_then_reopen_matches_remine(self, tmp_path, registry):
         trees = forest(count=8, seed=5)
         extra = forest(count=3, seed=6)
-        store = PairStore.pack(str(tmp_path / "s"), trees)
+        store = pack(str(tmp_path / "s"), trees)
         from repro.engine import MiningEngine
 
         keys, packed = MiningEngine().packed_counts(
             list(trees) + list(extra), store.params
         )
         members = [(index, key) for index, key in enumerate(keys)]
-        store.apply(members, dict(enumerate(packed)), version=1)
+        store.apply(
+            members, dict(enumerate(packed)), version=1, log={"version": 1}
+        )
         reopened = PairStore.open(str(tmp_path / "s"))
         assert reopened.version == 1
         combined = list(trees) + list(extra)

@@ -392,21 +392,6 @@ class TestEngineFlags:
         assert "miss" in captured.err
         assert "engine:" not in captured.out
 
-    def test_cache_dir_persists_and_hits(self, forest_file, tmp_path, capsys):
-        cache_dir = tmp_path / "pair-cache"
-        args = ["frequent", forest_file, "--cache-dir", str(cache_dir),
-                "--engine-stats"]
-        assert main(args) == 0
-        cold = capsys.readouterr()
-        assert "2 miss(es)" in cold.err
-        assert any(cache_dir.rglob("*.pkl"))
-        # Second run, fresh process-level state: served from disk.
-        assert main(args) == 0
-        warm = capsys.readouterr()
-        assert "2 disk hit(s)" in warm.err
-        assert "0 miss(es)" in warm.err
-        assert warm.out == cold.out
-
     def test_kernel_accepts_engine_flags(self, tmp_path, capsys):
         first = tmp_path / "g1.nwk"
         second = tmp_path / "g2.nwk"

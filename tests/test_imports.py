@@ -106,6 +106,20 @@ class TestMiningImports:
         ]
         assert loaded == []
 
+    @pytest.mark.parametrize(
+        "argv, loads_topk",
+        [
+            (["frequent", "{forest}", "--minsup", "2"], False),
+            (["kernel", "{forest}", "{group}"], False),
+            (["similar", "{query}", "{forest}", "--k", "2"], True),
+        ],
+        ids=["frequent", "kernel", "similar"],
+    )
+    def test_topk_loads_only_for_top_k_queries(self, inputs, argv, loads_topk):
+        run = run_cli([arg.format(**inputs) for arg in argv])
+        assert run["code"] == 0
+        assert ("repro.core.topk" in run["modules"]) == loads_topk
+
     def test_nelson_consensus_still_runs(self, inputs):
         run = run_cli(["consensus", inputs["profile"], "--method", "nelson"])
         assert run["code"] == 0
