@@ -357,9 +357,10 @@ def _engine_session(args: argparse.Namespace) -> Iterator[MiningEngine]:
     While the scope is active, ambient metrics and spans (kernel
     search, clustering, diff phases, cache internals) land in the
     engine's registry, so ``--engine-stats`` and ``--trace`` see the
-    whole run.  On exit ``--trace PATH`` writes the JSON-lines trace
-    (also for failed runs — a partial trace aids debugging) and
-    ``--profile`` prints the top self-time table to stderr —
+    whole run.  On exit — also for failed runs, whose counters (say,
+    ``store.read_errors``) explain the failure — ``--engine-stats``
+    prints the stats to stderr, ``--trace PATH`` writes the JSON-lines
+    trace and ``--profile`` prints the top self-time table to stderr —
     ``--profile`` reuses the same ambient tracer, so its overhead is
     exactly the tracing overhead already gated at <5%.
     """
@@ -377,6 +378,12 @@ def _engine_session(args: argparse.Namespace) -> Iterator[MiningEngine]:
         with scope(registry, tracer):
             yield engine
     finally:
+        if getattr(args, "engine_stats", False):
+            from repro.obs.export import render_stats
+
+            print(engine.stats.describe(), file=sys.stderr)
+            for line in render_stats(registry):
+                print(line, file=sys.stderr)
         if trace_path is not None:
             from repro.obs.export import write_trace
 
@@ -386,15 +393,6 @@ def _engine_session(args: argparse.Namespace) -> Iterator[MiningEngine]:
 
             for line in render_profile(build_profile(tracer.records), top=12):
                 print(line, file=sys.stderr)
-
-
-def _report_engine_stats(engine: MiningEngine, args: argparse.Namespace) -> None:
-    if args.engine_stats:
-        from repro.obs.export import render_stats
-
-        print(engine.stats.describe(), file=sys.stderr)
-        for line in render_stats(engine.registry):
-            print(line, file=sys.stderr)
 
 
 def _store_position(store, token: str) -> int:
@@ -477,7 +475,6 @@ def _cmd_frequent(args: argparse.Namespace) -> int:
             max_height=args.max_height,
             engine=engine,
         )
-        _report_engine_stats(engine, args)
     if args.format == "json":
         from repro.io import patterns_to_json
 
@@ -529,7 +526,6 @@ def _cmd_distance(args: argparse.Namespace) -> int:
             value = engine.store_vectors().distance(
                 first, second, args.mode
             )
-            _report_engine_stats(engine, args)
         print(f"{value:.6f}")
         return 0
     first = read_arenas(args.first)
@@ -547,7 +543,6 @@ def _cmd_distance(args: argparse.Namespace) -> int:
             max_generation_gap=args.gap,
             engine=engine,
         )
-        _report_engine_stats(engine, args)
     print(f"{value:.6f}")
     return 0
 
@@ -568,7 +563,6 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
             max_generation_gap=args.gap,
             engine=engine,
         )
-        _report_engine_stats(engine, args)
     print(f"# average pairwise distance: {result.average_distance:.6f}")
     for path, index, tree in zip(args.files, result.indexes, result.trees):
         name = tree.name or f"tree {index}"
@@ -601,7 +595,6 @@ def _cmd_similar(args: argparse.Namespace) -> int:
             store = engine.open_store(args.store)
             result = engine.store_topk(queries[0], args.k, mode=args.mode)
             names = store.names
-            _report_engine_stats(engine, args)
         print(f"# {result.describe()}")
         for index, distance in result.neighbors:
             print(f"{distance:.6f}  {names[index]} (#{index})")
@@ -629,7 +622,6 @@ def _cmd_similar(args: argparse.Namespace) -> int:
             max_generation_gap=args.gap,
             max_height=args.max_height,
         )
-        _report_engine_stats(engine, args)
     print(f"# {result.describe()}")
     for index, distance in result.neighbors:
         name = database[index].name or f"tree {index}"
@@ -645,7 +637,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         result = cluster_trees(
             trees, args.k, mode=args.mode, linkage=args.linkage, engine=engine
         )
-        _report_engine_stats(engine, args)
     for index, (cluster, medoid) in enumerate(
         zip(result.clusters, result.medoids)
     ):
@@ -686,7 +677,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             mode=args.mode,
             engine=engine,
         )
-        _report_engine_stats(engine, args)
     print(delta.describe())
     return 0
 
@@ -705,7 +695,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             max_generation_gap=args.gap,
             engine=engine,
         )
-        _report_engine_stats(engine, args)
     print(render_pattern_report(report, max_patterns=args.patterns))
     return 0
 
@@ -738,7 +727,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             corpus = VersionedCorpus.open(args.dir, engine=engine)
             if args.action == "add":
                 positions = corpus.add_trees(read_arenas(args.file))
-                print(corpus.log()[-1].describe())
+                print(corpus.latest().describe())
                 for position in positions:
                     print(f"  added {corpus.names[position]} at #{position}")
             elif args.action == "remove":
@@ -750,7 +739,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
                     if 0 <= index < len(corpus)
                 ]
                 corpus.remove_trees(args.indexes)
-                print(corpus.log()[-1].describe())
+                print(corpus.latest().describe())
                 for name in gone:
                     print(f"  removed {name}")
             elif args.action == "log":
@@ -763,7 +752,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
                     print(f"  + {ref.describe()}")
                 for ref in diff.removed:
                     print(f"  - {ref.describe()}")
-        _report_engine_stats(engine, args)
     return 0
 
 

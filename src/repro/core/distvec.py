@@ -66,8 +66,9 @@ import numpy as np
 from repro.core.distance import DistanceMode
 from repro.core.fastmine import PackedCounts, mine_arena
 from repro.core.params import MiningParams, validate_minoccur, validate_mode
+from repro.errors import ArenaError
 from repro.obs.context import get_registry, get_tracer
-from repro.trees.arena import LabelTable, TreeLike, forest_arenas
+from repro.trees.arena import LabelTable, TreeLike, find_label, forest_arenas
 from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK, PAIR_MASK, pack_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -83,7 +84,9 @@ _MULTISET_MODES = frozenset({DistanceMode.OCCUR, DistanceMode.DIST_OCCUR})
 _FULL_MODES = frozenset({DistanceMode.DIST, DistanceMode.DIST_OCCUR})
 
 def _remap_packed(
-    packed: PackedCounts, table: LabelTable, minoccur: int
+    packed: PackedCounts,
+    table: LabelTable | tuple[str, ...],
+    minoccur: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One tree's sorted key/count arrays in ``table``'s id space.
 
@@ -94,6 +97,11 @@ def _remap_packed(
     ordering of every key survives untouched.  Counts below
     ``minoccur`` are dropped *before* any projection, matching the
     reference's per-tree filter.
+
+    ``table`` may also be a bare sorted label tuple: the tree's few
+    labels are then found by binary search, which is what a commit of
+    a handful of trees against a large universe wants (no id dict over
+    every label is built).
     """
     minoccur = validate_minoccur(minoccur)
     size = len(packed.counts)
@@ -103,12 +111,18 @@ def _remap_packed(
         keep = counts >= minoccur
         keys = keys[keep]
         counts = counts[keep]
-    if packed.labels != table.labels:
-        remap = np.fromiter(
-            (table.intern(label) for label in packed.labels),
-            dtype=np.int64,
-            count=len(packed.labels),
-        )
+    labels = table.labels if isinstance(table, LabelTable) else table
+    if packed.labels != labels:
+        if isinstance(table, LabelTable):
+            ids = map(table.intern, packed.labels)
+        else:
+            ids = (find_label(table, label) for label in packed.labels)
+        remap = np.fromiter(ids, dtype=np.int64, count=len(packed.labels))
+        if remap.size and remap.min() < 0:
+            label = packed.labels[int(np.argmin(remap))]
+            raise ArenaError(
+                f"label {label!r} is not in this table ({len(labels)} labels)"
+            )
         keys = (
             ((keys >> DIST_SHIFT) << DIST_SHIFT)
             | (remap[(keys >> LABEL_BITS) & LABEL_MASK] << LABEL_BITS)
@@ -441,12 +455,16 @@ class DistanceVectors:
         inverted index only needs its unique-key array remapped — the
         slot layout and the owner runs are untouched.
         """
-        incoming = {
-            label for counts in packed for label in counts.labels
+        labels = self.labels
+        missing = {
+            label
+            for counts in packed
+            for label in counts.labels
+            if find_label(labels, label) < 0
         }
-        if incoming.issubset(self.labels):
+        if not missing:
             return None
-        new_labels = tuple(sorted(incoming.union(self.labels)))
+        new_labels = tuple(sorted((*labels, *missing)))
         remap = _monotone_remap(self.labels, new_labels)
         self._full_keys = [
             _remap_full_keys(keys, remap) for keys in self._full_keys
@@ -530,11 +548,10 @@ class DistanceVectors:
             "distvec.append", trees=len(packed)
         ):
             self._grow_labels(packed)
-            table = LabelTable(self.labels)
             start = len(self)
             new_pair_keys: list[np.ndarray] = []
             for counts in packed:
-                keys, values = _remap_packed(counts, table, minoccur)
+                keys, values = _remap_packed(counts, self.labels, minoccur)
                 self._append_one(keys, values)
                 new_pair_keys.append(self._pair_keys[-1])
             if self._index is not None and new_pair_keys:
@@ -613,12 +630,11 @@ class DistanceVectors:
         ):
             packed = [replacements[index] for index in sorted(replacements)]
             self._grow_labels(packed)
-            table = LabelTable(self.labels)
             if self._index is not None:
                 self._drop_index_owners(sorted(replacements))
             new_entries: list[tuple[int, np.ndarray]] = []
             for index, counts in zip(sorted(replacements), packed):
-                keys, values = _remap_packed(counts, table, minoccur)
+                keys, values = _remap_packed(counts, self.labels, minoccur)
                 pair_keys, pair_counts = _collapse_pairs(keys, values)
                 self._full_keys[index] = keys
                 self._full_counts[index] = values

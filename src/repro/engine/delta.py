@@ -51,7 +51,6 @@ rows back without parsing or mining a tree.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -66,7 +65,7 @@ from repro.core.params import MiningParams, validate_mode
 from repro.engine.engine import MiningEngine
 from repro.errors import EngineError
 from repro.obs.context import scope as obs_scope
-from repro.trees.arena import TreeLike
+from repro.trees.arena import TreeLike, find_label
 from repro.trees.packing import (
     DIST_SHIFT,
     LABEL_BITS,
@@ -293,18 +292,21 @@ class VersionedCorpus:
         gained, _lost = self._count_keys(rows, ())
         self._matrices: dict[DistanceMode, np.ndarray] = {}
         self._store: "PairStore | None" = None
-        self._log = [
-            CorpusDelta(
-                version=0,
-                op="init",
-                added=tuple(refs),
-                removed=(),
-                trees_after=len(refs),
-                keys_gained=self._decode(gained),
-                keys_lost=(),
-                supports_changed=sum(len(keys) for keys in rows),
-            )
-        ]
+        init = CorpusDelta(
+            version=0,
+            op="init",
+            added=tuple(refs),
+            removed=(),
+            trees_after=len(refs),
+            keys_gained=self._decode(gained),
+            keys_lost=(),
+            supports_changed=sum(len(keys) for keys in rows),
+        )
+        # The delta log and its newest record; on a reopened corpus
+        # both are None until first needed, the log staying in the
+        # store's sidecar until then.
+        self._log: list[CorpusDelta] | None = [init]
+        self._latest: CorpusDelta | None = init
 
     @classmethod
     def open(
@@ -313,32 +315,30 @@ class VersionedCorpus:
         """Reopen the corpus persisted at ``directory`` (a pair store).
 
         Rows, members and names come straight off the store
-        (:meth:`repro.store.PairStore.as_vectors`) and the log from its
-        sidecar — no tree is parsed or mined.  The store stays
-        attached, so every later commit syncs it.  A damaged store, or
-        a log shorter than the store's version, raises
-        :class:`~repro.errors.StoreError` after counting
-        ``store.read_errors``.
+        (:meth:`repro.store.PairStore.as_vectors`) — no tree is parsed
+        or mined.  The log is decoded from the store's sidecar only
+        when :meth:`log`, :meth:`diff` or (before the first commit)
+        :meth:`latest` asks for it.  The store
+        stays attached, so every later commit syncs it.  A damaged
+        store (or, when it is read, a log shorter than the store's
+        version) raises :class:`~repro.errors.StoreError` after
+        counting ``store.read_errors``.
         """
         from repro.store import PairStore
 
         engine = engine if engine is not None else MiningEngine()
         with obs_scope(engine.registry, engine.tracer):
             store = PairStore.open(directory)
-            log = store.read_log(CorpusDelta.from_dict)
             rows = store.as_vectors()
         corpus = cls((), store.params, engine=engine)
         corpus.version = store.version
         corpus._refs = [TreeRef(uid, key) for uid, key in store.members]
         corpus._names = store.names
-        corpus._next_uid = 1 + max(
-            [ref.uid for delta in log for ref in delta.added]
-            + [ref.uid for ref in corpus._refs],
-            default=-1,
-        )
+        corpus._next_uid = store.next_uid
         corpus._rows = rows
         corpus._count_keys(rows.full_rows[0], ())
-        corpus._log = log
+        corpus._log = None
+        corpus._latest = None
         corpus._store = store
         return corpus
 
@@ -380,7 +380,18 @@ class VersionedCorpus:
 
     def log(self) -> tuple[CorpusDelta, ...]:
         """Every delta applied so far, the version-0 init load included."""
-        return tuple(self._log)
+        return tuple(self._history())
+
+    def latest(self) -> CorpusDelta:
+        """The delta that made the current version (``log()[-1]``).
+
+        After a commit this decodes no log record, so a reopened
+        corpus can report the commit it just made without reading its
+        whole log.
+        """
+        if self._latest is None:
+            self._latest = self._history()[-1]
+        return self._latest
 
     def diff(self, old: int, new: int) -> CorpusDiff:
         """The net change between two versions (``old <= new``).
@@ -400,7 +411,7 @@ class VersionedCorpus:
         lost: set[PairKey] = set()
         supports = 0
         updates = 0
-        for delta in self._log:
+        for delta in self._history():
             if not old < delta.version <= new:
                 continue
             updates += 1
@@ -565,12 +576,9 @@ class VersionedCorpus:
         if label_a > label_b:
             label_a, label_b = label_b, label_a
         labels = self._rows.labels
-        ids = []
-        for label in (label_a, label_b):
-            at = bisect.bisect_left(labels, label)
-            if at == len(labels) or labels[at] != label:
-                return 0
-            ids.append(at)
+        ids = [find_label(labels, label_a), find_label(labels, label_b)]
+        if min(ids) < 0:
+            return 0
         if distance is None:
             mode = DistanceMode.OCCUR
             key = (ids[0] << LABEL_BITS) | ids[1]
@@ -664,7 +672,8 @@ class VersionedCorpus:
                 self.params,
                 version=self.version,
                 names=self._names,
-                log=[delta.as_dict() for delta in self._log],
+                log=[delta.as_dict() for delta in self._history()],
+                next_uid=self._next_uid,
             )
         return self._store
 
@@ -685,6 +694,14 @@ class VersionedCorpus:
             refs.append(TreeRef(uid, content_key))
             names.append(tree.name or f"t{uid}")
         return refs, names, packed
+
+    def _history(self) -> list[CorpusDelta]:
+        """The delta log, decoded from the attached store on first use."""
+        if self._log is None:
+            assert self._store is not None
+            with obs_scope(self.engine.registry, self.engine.tracer):
+                self._log = self._store.read_log(CorpusDelta.from_dict)
+        return self._log
 
     def _check_positions(self, positions: Sequence[int]) -> None:
         size = len(self._refs)
@@ -826,7 +843,9 @@ class VersionedCorpus:
             keys_lost=self._decode(lost),
             supports_changed=supports,
         )
-        self._log.append(delta)
+        if self._log is not None:
+            self._log.append(delta)
+        self._latest = delta
         stats = self.engine.stats
         stats.delta_updates += 1
         stats.delta_trees_added += len(added)

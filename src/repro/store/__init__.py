@@ -4,9 +4,9 @@ Public surface:
 
 - :class:`~repro.store.pairstore.PairStore` — open, query and
   incrementally update one stored corpus (``store.json`` manifest,
-  generation directories of array shards and the ``log.jsonl`` delta
-  log); :meth:`repro.engine.delta.VersionedCorpus.pack_store` writes
-  one.
+  generation directories of array shards plus the ``labels.json``
+  label table, and the ``log.jsonl`` delta log);
+  :meth:`repro.engine.delta.VersionedCorpus.pack_store` writes one.
 - :func:`~repro.store.shards.write_array` /
   :func:`~repro.store.shards.load_array` — atomic ``.npy`` column
   writes and checked memmap reads of one shard.
@@ -19,11 +19,18 @@ See ``docs/perf.md`` for the shard layout and the generation /
 compaction model.
 """
 
-from repro.store.pairstore import LOG_FILE, STORE_FILE, STORE_FORMAT, PairStore
+from repro.store.pairstore import (
+    LABELS_FILE,
+    LOG_FILE,
+    STORE_FILE,
+    STORE_FORMAT,
+    PairStore,
+)
 from repro.store.shards import load_array, write_array
 
 __all__ = [
     "PairStore",
+    "LABELS_FILE",
     "LOG_FILE",
     "STORE_FILE",
     "STORE_FORMAT",

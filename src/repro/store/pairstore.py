@@ -4,12 +4,17 @@ A packed corpus — the directory ``repro-mine corpus`` maintains —
 lives in one directory::
 
     store.json            manifest (format, scheme, params, version,
-                          label table, generations, row map)
+                          generation serial, label count, next uid,
+                          generations, row map), compact JSON
     log.jsonl             the delta log, one compact JSON line per
-                          version (read by
-                          :meth:`~repro.engine.delta.VersionedCorpus
-                          .open`, never by :meth:`PairStore.open`)
+                          version (decoded only when
+                          :class:`~repro.engine.delta.VersionedCorpus`
+                          lists or diffs it, never by
+                          :meth:`PairStore.open`)
     gen-000000/           one *generation* of row shards
+        labels.json       the sorted label table, in the first (*base*)
+                          generation only: written at build and
+                          compaction, the only times labels change
         full_keys.npy     concatenated per-tree sorted packed keys
         full_counts.npy   parallel occurrence counts
         full_offsets.npy  row boundaries (``trees + 1`` entries)
@@ -23,7 +28,9 @@ Rows are persisted at the ``minoccur=1`` level — the same raw state
 :class:`~repro.engine.delta.VersionedCorpus` maintains — so any
 occurrence threshold can be re-derived at load time, and the manifest
 maps each corpus position to ``(generation, row)`` plus its stable
-uid, engine content address and display name.  Shards and the
+uid, engine content address and display name.  A commit that appends
+a generation rewrites only the manifest, whose size is the row map's:
+the label table stays in its immutable shard.  Shards and the
 manifest are written through :func:`repro.io.atomic_write`; a
 commit's log line is appended before its manifest, and the manifest
 replace is the commit point, so a crash mid-write leaves either the
@@ -38,9 +45,10 @@ fraction reaches one half — or new trees grow the label universe, a
 monotone re-intern of every surviving key — the store *compacts* into
 a single fresh generation and drops the old directories.
 
-Reads are lazy: :meth:`PairStore.open` touches only the manifest and
-the shard file sizes (truncation is detected before any memmap is
-handed out), and :meth:`PairStore.as_vectors` slices
+Reads are lazy: :meth:`PairStore.open` reads only the manifest and
+the label table and checks the shard file sizes (truncation is
+detected before any memmap is handed out), and
+:meth:`PairStore.as_vectors` slices
 ``np.load(..., mmap_mode="r")`` views per tree into a
 :class:`~repro.core.distvec.DistanceVectors` — byte-identical in
 every query to an in-RAM build over the same trees, without loading a
@@ -70,17 +78,18 @@ from repro.errors import StoreError
 from repro.io import atomic_write
 from repro.obs.context import get_registry, get_tracer
 from repro.store.shards import load_array, write_array
-from repro.trees.arena import LabelTable
+from repro.trees.arena import find_label
 from repro.trees.packing import PACKED_KEY_SCHEME
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.fastmine import PackedCounts
 
-__all__ = ["PairStore", "LOG_FILE", "STORE_FILE", "STORE_FORMAT"]
+__all__ = ["PairStore", "LABELS_FILE", "LOG_FILE", "STORE_FILE", "STORE_FORMAT"]
 
 STORE_FILE = "store.json"
-STORE_FORMAT = 1
+STORE_FORMAT = 2
 LOG_FILE = "log.jsonl"
+LABELS_FILE = "labels.json"
 # The file an older release kept a whole corpus in (trees as Newick).
 _OLD_CORPUS_FILE = "corpus.json"
 
@@ -185,6 +194,46 @@ class _Generation:
                     f"{expected} bytes, found {actual}"
                 )
 
+    def read_labels(self, count: int) -> tuple[str, ...]:
+        """The label table of a base generation, checked like a shard.
+
+        It must exist at its recorded byte size and hold ``count``
+        strings; any failure counts one ``store.read_errors`` and
+        raises :class:`StoreError`.
+        """
+        path = os.path.join(self.directory, LABELS_FILE)
+        expected = self.files.get(LABELS_FILE)
+        if expected is None:
+            raise _manifest_failure(
+                os.path.join(os.path.dirname(self.directory), STORE_FILE),
+                f"generation {self.name!r} records no label table",
+            )
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            get_registry().counter("store.read_errors").add(1)
+            raise StoreError(f"missing store label table {path!r}") from None
+        if len(data) != expected:
+            get_registry().counter("store.read_errors").add(1)
+            raise StoreError(
+                f"truncated store label table {path!r}: expected "
+                f"{expected} bytes, found {len(data)}"
+            )
+        try:
+            labels = json.loads(data)
+            if not isinstance(labels, list) or len(labels) != count:
+                raise ValueError(f"expected a list of {count} labels")
+            for label in labels:
+                if not isinstance(label, str):
+                    raise ValueError(f"non-string label {label!r}")
+        except ValueError as error:
+            get_registry().counter("store.read_errors").add(1)
+            raise StoreError(
+                f"corrupt store label table {path!r}: {error}"
+            ) from error
+        return tuple(labels)
+
     def array(self, stem: str) -> np.ndarray:
         column = self._arrays.get(stem)
         if column is None:
@@ -229,6 +278,7 @@ def _write_generation(
     directory: str,
     name: str,
     rows: Sequence[tuple[np.ndarray, np.ndarray]],
+    labels: Sequence[str] | None = None,
 ) -> dict:
     """Write one generation's eight columns; returns its manifest record.
 
@@ -236,12 +286,19 @@ def _write_generation(
     re-interned (sorted, ``minoccur=1`` level); the pair projection is
     derived here with the exact :func:`~repro.core.distvec
     ._collapse_pairs` the in-RAM vectors use, so a reopened store and a
-    fresh build disagree on nothing.
+    fresh build disagree on nothing.  A base generation also gets the
+    label table (``labels``) as ``labels.json``.
     """
     gen_dir = os.path.join(directory, name)
     os.makedirs(gen_dir, exist_ok=True)
     collapsed = [_collapse_pairs(keys, counts) for keys, counts in rows]
     files: dict[str, int] = {}
+    if labels is not None:
+        data = json.dumps(list(labels), separators=(",", ":")).encode()
+        path = os.path.join(gen_dir, LABELS_FILE)
+        with atomic_write(path, "wb") as stream:
+            stream.write(data)
+        files[LABELS_FILE] = len(data)
 
     def column(stem: str, parts: Sequence[np.ndarray]) -> None:
         flat = (
@@ -295,12 +352,13 @@ class PairStore:
         directory: str,
         manifest: dict,
         generations: list[_Generation],
+        labels: tuple[str, ...],
     ) -> None:
         self.directory = directory
         self._manifest = manifest
         self._generations = generations
         self.params = _params_from_dict(manifest["params"])
-        self.labels: tuple[str, ...] = tuple(manifest["labels"])
+        self.labels = labels
         self.version = int(manifest["version"])
         # Byte length of the log's first version + 1 lines, once known;
         # anything past it is a torn tail the next append cuts off.
@@ -342,18 +400,11 @@ class PairStore:
             for row in self._manifest["rows"]
         ]
 
-    def check_params(self, params: MiningParams) -> None:
-        """Raise :class:`StoreError` unless ``params`` match the store's.
-
-        Packed rows are a function of the mining parameters; serving
-        them under different knobs would be silently wrong.
-        """
-        if _params_to_dict(params) != _params_to_dict(self.params):
-            raise StoreError(
-                f"mining parameters {_params_to_dict(params)!r} do not "
-                f"match the store's {_params_to_dict(self.params)!r}; "
-                "re-pack the store to change them"
-            )
+    @property
+    def next_uid(self) -> int:
+        """One past the largest uid the corpus ever issued, so a
+        removed tree's uid is never reissued after a reopen."""
+        return int(self._manifest["next_uid"])
 
     # ------------------------------------------------------------------
     # Construction
@@ -370,6 +421,7 @@ class PairStore:
         version: int,
         names: Sequence[str],
         log: Sequence[Mapping],
+        next_uid: int,
     ) -> "PairStore":
         """Write a fresh single-generation store; returns it open.
 
@@ -378,7 +430,8 @@ class PairStore:
         ``names`` and the members align by position, each row a tree's
         sorted ``minoccur=1``-level ``(keys, counts)`` on the sorted
         label table ``labels``.  ``log`` is the delta log through
-        ``version``, one record per version.  An existing store in the
+        ``version``, one record per version; ``next_uid`` is the first
+        uid the corpus has not issued.  An existing store in the
         directory is replaced: the manifest commits last and stale
         generation directories are swept.
         """
@@ -397,8 +450,9 @@ class PairStore:
                     f"got {len(log)} log records for version {version}"
                 )
             serial = _fresh_serial(directory)
+            labels = tuple(labels)
             record = _write_generation(
-                directory, _generation_name(serial), rows
+                directory, _generation_name(serial), rows, labels
             )
             lines = b"".join(_log_line(entry) for entry in log)
             with atomic_write(
@@ -411,7 +465,8 @@ class PairStore:
                 "params": _params_to_dict(params),
                 "version": int(version),
                 "serial": serial + 1,
-                "labels": list(labels),
+                "label_count": len(labels),
+                "next_uid": int(next_uid),
                 "generations": [record],
                 "rows": [
                     {
@@ -430,7 +485,7 @@ class PairStore:
             _sweep_orphans(directory, manifest)
             registry.counter("store.packs").add(1)
             store = cls(
-                directory, manifest, [_Generation(directory, record)]
+                directory, manifest, [_Generation(directory, record)], labels
             )
             store._log_end = len(lines)
             return store
@@ -439,12 +494,13 @@ class PairStore:
     def open(cls, directory: str) -> "PairStore":
         """Load the store in ``directory``, validating before serving.
 
-        Only the manifest is parsed and the shard byte sizes checked —
-        no key or count page is read, which is what keeps a warm
-        reopen fast.  A missing manifest raises a plain
-        :class:`StoreError`; a corrupt manifest, a stale generation
-        (missing or truncated shard) or a foreign packed-key scheme
-        additionally counts one ``store.read_errors``.
+        Only the manifest and the label table are parsed and the shard
+        byte sizes checked — no key or count page is read, which is
+        what keeps a warm reopen fast.  A missing manifest raises a
+        plain :class:`StoreError`; a corrupt manifest or label table, a
+        store of another format, a stale generation (missing or
+        truncated shard) or a foreign packed-key scheme additionally
+        counts one ``store.read_errors``.
         """
         registry = get_registry()
         with get_tracer().span("store.open", metric="store.open.seconds"):
@@ -465,8 +521,9 @@ class PairStore:
             except (OSError, json.JSONDecodeError) as error:
                 raise _manifest_failure(path, str(error)) from error
             generations = _validate_manifest(directory, path, manifest)
+            labels = generations[0].read_labels(int(manifest["label_count"]))
             registry.counter("store.opens").add(1)
-            return cls(directory, manifest, generations)
+            return cls(directory, manifest, generations, labels)
 
     # ------------------------------------------------------------------
     # Queries
@@ -562,7 +619,7 @@ class PairStore:
         counts one ``store.read_errors`` and raises :class:`StoreError`.
         """
         path = os.path.join(self.directory, LOG_FILE)
-        lines = self._log_lines(path)
+        lines = self._committed_log(path).split(b"\n")[:-1]
         records = []
         try:
             for number, line in enumerate(lines):
@@ -580,23 +637,26 @@ class PairStore:
             ) from error
         return records
 
-    def _log_lines(self, path: str) -> list[bytes]:
-        """The log's first ``version + 1`` lines; records their length."""
+    def _committed_log(self, path: str) -> bytes:
+        """The log's first ``version + 1`` lines, undecoded; records
+        their byte length."""
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
         except FileNotFoundError:
             data = b""
-        records = data.count(b"\n")
-        if records <= self.version:
-            get_registry().counter("store.read_errors").add(1)
-            raise StoreError(
-                f"corpus log {path!r} is shorter than the store: "
-                f"{records} record(s) for version {self.version}"
-            )
-        lines = data.split(b"\n", self.version + 1)[: self.version + 1]
-        self._log_end = sum(len(line) + 1 for line in lines)
-        return lines
+        end = 0
+        for _ in range(self.version + 1):
+            end = data.find(b"\n", end) + 1
+            if not end:
+                get_registry().counter("store.read_errors").add(1)
+                records = data.count(b"\n")
+                raise StoreError(
+                    f"corpus log {path!r} is shorter than the store: "
+                    f"{records} record(s) for version {self.version}"
+                )
+        self._log_end = end
+        return data[:end]
 
     def _append_log(self, entry: Mapping) -> int:
         """Write one record after the committed lines, cutting any torn
@@ -604,7 +664,7 @@ class PairStore:
         commits."""
         path = os.path.join(self.directory, LOG_FILE)
         if self._log_end is None:
-            self._log_lines(path)
+            self._committed_log(path)
         assert self._log_end is not None
         line = _log_line(entry)
         with open(path, "r+b") as handle:
@@ -673,18 +733,18 @@ class PairStore:
                 == [(uid, key) for uid, key in members]
             ):
                 return
-            incoming = {
+            unknown = {
                 label
                 for uid, _ in fresh
                 for label in packed[uid].labels
+                if find_label(self.labels, label) < 0
             }
-            grown = not incoming.issubset(self.labels)
             stored = sum(g.trees for g in self._generations)
             reused = len(members) - len(fresh)
             dead = stored - reused
             log_end = self._append_log(log)
-            if grown or (stored and dead * 2 >= stored + len(fresh)):
-                self._compact(members, packed, version, names, incoming)
+            if unknown or (stored and dead * 2 >= stored + len(fresh)):
+                self._compact(members, packed, version, names, unknown)
             else:
                 self._append(members, packed, version, names, fresh)
             self._log_end = log_end
@@ -721,9 +781,8 @@ class PairStore:
         serial = int(manifest["serial"])
         placed: dict[int, tuple[int, int]] = {}
         if fresh:
-            table = LabelTable(self.labels)
             rows = [
-                _remap_packed(packed[uid], table, 1) for uid, _ in fresh
+                _remap_packed(packed[uid], self.labels, 1) for uid, _ in fresh
             ]
             record = _write_generation(
                 self.directory, _generation_name(serial), rows
@@ -763,6 +822,7 @@ class PairStore:
         manifest = dict(manifest)
         manifest["version"] = int(version)
         manifest["serial"] = serial
+        manifest["next_uid"] = _next_uid(manifest, fresh)
         manifest["generations"] = gen_records
         manifest["rows"] = new_rows
         _write_manifest(self.directory, manifest)
@@ -777,13 +837,14 @@ class PairStore:
         packed: Mapping[int, "PackedCounts"],
         version: int,
         names: Mapping[int, str] | None,
-        incoming: set[str],
+        unknown: set[str],
     ) -> None:
-        """Rewrite every live row into one fresh generation.
+        """Rewrite every live row into one fresh base generation.
 
         Existing rows come straight off the current shards (memmap
-        slices, re-interned through the monotone remap when the label
-        universe grew); new rows come from their packed counts.  The
+        slices, re-interned through the monotone remap when the
+        ``unknown`` labels grow the universe); new rows come from their
+        packed counts; the label table is written beside them.  The
         old generation directories are removed only after the new
         manifest has committed, so a crash at any point leaves a
         consistent store — at worst with an orphaned directory the
@@ -795,19 +856,17 @@ class PairStore:
             trees=len(members),
         ):
             manifest = self._manifest
-            new_labels = tuple(sorted(set(self.labels) | incoming))
-            remap = (
-                _monotone_remap(self.labels, new_labels)
-                if new_labels != self.labels
-                else None
-            )
-            table = LabelTable(new_labels)
+            new_labels = self.labels
+            remap = None
+            if unknown:
+                new_labels = tuple(sorted((*self.labels, *unknown)))
+                remap = _monotone_remap(self.labels, new_labels)
             current = {int(row["uid"]): row for row in manifest["rows"]}
             rows = []
             for uid, _ in members:
                 old = current.get(uid)
                 if old is None:
-                    rows.append(_remap_packed(packed[uid], table, 1))
+                    rows.append(_remap_packed(packed[uid], new_labels, 1))
                     continue
                 keys, counts = self._generations[old["gen"]].row(
                     old["row"], "full"
@@ -818,12 +877,13 @@ class PairStore:
                 rows.append((keys, np.asarray(counts, dtype=np.int64)))
             serial = int(manifest["serial"])
             record = _write_generation(
-                self.directory, _generation_name(serial), rows
+                self.directory, _generation_name(serial), rows, new_labels
             )
             new_manifest = dict(manifest)
             new_manifest["version"] = int(version)
             new_manifest["serial"] = serial + 1
-            new_manifest["labels"] = list(new_labels)
+            new_manifest["label_count"] = len(new_labels)
+            new_manifest["next_uid"] = _next_uid(manifest, members)
             new_manifest["generations"] = [record]
             new_manifest["rows"] = [
                 {
@@ -874,11 +934,19 @@ def _fresh_serial(directory: str) -> int:
     return serial
 
 
+def _next_uid(manifest: Mapping, members: Sequence[Member]) -> int:
+    """The manifest's next uid, moved past every uid in ``members``."""
+    return max([int(manifest["next_uid"])] + [uid + 1 for uid, _ in members])
+
+
 def _write_manifest(directory: str, manifest: Mapping) -> None:
-    """The manifest commit point: one atomic ``store.json`` replace."""
+    """The manifest commit point: one atomic ``store.json`` replace.
+
+    Compact JSON, so ``json`` runs its C encoder (an ``indent`` forces
+    the pure-Python one).
+    """
     with atomic_write(os.path.join(directory, STORE_FILE)) as stream:
-        json.dump(manifest, stream, indent=1)
-        stream.write("\n")
+        stream.write(json.dumps(manifest, separators=(",", ":")) + "\n")
 
 
 def _sweep_orphans(directory: str, manifest: Mapping) -> None:
@@ -914,7 +982,8 @@ def _validate_manifest(
         raise _manifest_failure(
             path,
             f"unsupported format {manifest.get('format')!r} "
-            f"(expected {STORE_FORMAT})",
+            f"(expected {STORE_FORMAT}); run 'corpus init' again on its "
+            "trees",
         )
     if manifest.get("scheme") != PACKED_KEY_SCHEME:
         raise _manifest_failure(
@@ -926,11 +995,14 @@ def _validate_manifest(
         _params_from_dict(manifest["params"])
         int(manifest["version"])
         int(manifest["serial"])
-        labels = list(manifest["labels"])
+        int(manifest["label_count"])
+        int(manifest["next_uid"])
         generations = [
             _Generation(directory, record)
             for record in manifest["generations"]
         ]
+        if not generations:
+            raise ValueError("no generations")
         rows = manifest["rows"]
         for row in rows:
             gen = int(row["gen"])
@@ -945,9 +1017,6 @@ def _validate_manifest(
             int(row["uid"])
             str(row["content_key"])
             str(row["name"])
-        for label in labels:
-            if not isinstance(label, str):
-                raise ValueError(f"non-string label {label!r}")
     except (KeyError, TypeError, ValueError) as error:
         raise _manifest_failure(path, str(error)) from error
     for generation in generations:

@@ -47,6 +47,7 @@ on-disk cache serves them across runs).
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import ClassVar, Iterable, Iterator, Sequence
 
 from repro.errors import ArenaError
@@ -60,8 +61,20 @@ __all__ = [
     "TreeArena",
     "TreeLike",
     "as_arena",
+    "find_label",
     "forest_arenas",
 ]
+
+
+def find_label(labels: Sequence[str], label: str) -> int:
+    """``label``'s id in the sorted, distinct ``labels``, or ``-1``.
+
+    The id is the one a :class:`LabelTable` over ``labels`` assigns,
+    found by binary search: a caller looking up a few labels against
+    a large universe (a store commit) builds no id dict over it.
+    """
+    at = bisect_left(labels, label)
+    return at if at < len(labels) and labels[at] == label else -1
 
 
 class LabelTable:

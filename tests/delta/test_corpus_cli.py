@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -136,6 +137,20 @@ class TestEngineFlags:
         ) == 0
         assert "delta.update" in trace.read_text(encoding="utf-8")
 
+    def test_engine_stats_are_reported_on_failure(self, corpus_dir, capsys):
+        generation = sorted(
+            name for name in os.listdir(corpus_dir) if name.startswith("gen-")
+        )[-1]
+        with open(
+            os.path.join(corpus_dir, generation, "full_keys.npy"), "r+b"
+        ) as handle:
+            handle.truncate(16)
+        capsys.readouterr()
+        assert main(["corpus", "log", corpus_dir, "--engine-stats"]) == 1
+        err = capsys.readouterr().err
+        assert "truncated store shard" in err
+        assert "obs: store.read_errors = 1" in err
+
     def test_jobs_flag_is_accepted(self, corpus_dir, more_file, capsys):
         capsys.readouterr()
         assert main(
@@ -156,6 +171,20 @@ class TestPersistence:
         assert any(
             (p.label_a, p.label_b) == ("a", "b") for p in pairs
         )
+
+    def test_format_1_store_names_the_fix(self, corpus_dir, capsys):
+        path = os.path.join(corpus_dir, STORE_FILE)
+        with open(path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["format"] = 1
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        capsys.readouterr()
+        assert main(["corpus", "log", corpus_dir, "--engine-stats"]) == 1
+        err = capsys.readouterr().err
+        assert "unsupported format 1" in err
+        assert "run 'corpus init' again" in err
+        assert "obs: store.read_errors = 1" in err
 
     def test_open_missing_directory_is_a_clean_error(self, tmp_path, capsys):
         assert main(["corpus", "log", str(tmp_path / "absent")]) == 1

@@ -145,6 +145,7 @@ class TestRestore:
         assert restored.snapshot() == snapshot
         assert restored.names == corpus.names
         assert restored.log() == corpus.log()
+        assert restored.latest() == corpus.latest() == corpus.log()[-1]
         assert restored.diff(0, 2) == corpus.diff(0, 2)
         assert pattern_tuples(
             restored.frequent_pairs(minsup=1)
@@ -169,7 +170,7 @@ class TestRestore:
             restored.log()
         )
 
-    def test_open_validates_the_log_against_the_version(
+    def test_log_is_validated_against_the_version_when_read(
         self, corpus, tmp_path
     ):
         from repro.errors import StoreError
@@ -181,11 +182,30 @@ class TestRestore:
         path = directory / LOG_FILE
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(lines[0])
+        # Opening reads no log; the first query of it fails.
+        reopened = VersionedCorpus.open(str(directory))
         with pytest.raises(StoreError, match="shorter"):
-            VersionedCorpus.open(str(directory))
+            reopened.log()
         path.write_bytes(lines[0] + lines[0])
         with pytest.raises(StoreError, match="version"):
-            VersionedCorpus.open(str(directory))
+            VersionedCorpus.open(str(directory)).diff(0, 1)
+
+    def test_commits_decode_no_log_record(self, corpus, tmp_path):
+        from repro.errors import StoreError
+        from repro.store import LOG_FILE
+
+        directory = tmp_path / "corpus"
+        corpus.pack_store(str(directory))
+        path = directory / LOG_FILE
+        path.write_bytes(b"not json\n")
+        reopened = VersionedCorpus.open(str(directory))
+        reopened.add_trees([tree("(a,(b,c));")])
+        assert reopened.latest().op == "add"
+        reopened.remove_trees([0])
+        assert (reopened.version, reopened.latest().version) == (2, 2)
+        assert path.read_bytes().startswith(b"not json\n")
+        with pytest.raises(StoreError, match="corrupt corpus log"):
+            reopened.log()
 
 
 class TestDeltaSerialisation:

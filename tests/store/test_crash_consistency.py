@@ -22,7 +22,7 @@ from repro.errors import StoreError
 from repro.generate import SyntheticTreeParams, synthetic_forest
 from repro.obs.context import scope as obs_scope
 from repro.obs.metrics import MetricsRegistry
-from repro.store import STORE_FILE, PairStore
+from repro.store import LABELS_FILE, STORE_FILE, PairStore
 
 from tests.delta.equivalence import pattern_tuples
 
@@ -51,10 +51,10 @@ def packed(tmp_path):
     return trees, str(tmp_path / "store")
 
 
-def shard_path(directory, stem="full_keys"):
+def shard_path(directory, filename="full_keys.npy"):
     for name in sorted(os.listdir(directory)):
         if name.startswith("gen-"):
-            return os.path.join(directory, name, f"{stem}.npy")
+            return os.path.join(directory, name, filename)
     raise AssertionError("no generation directory")
 
 
@@ -80,6 +80,62 @@ class TestTruncatedShard:
         with pytest.raises(StoreError):
             store.as_vectors()
         assert read_errors(registry) > before
+
+
+class TestDamagedLabelTable:
+    def test_missing_label_table_fails_counted(self, tmp_path, registry):
+        _, directory = packed(tmp_path)
+        os.remove(shard_path(directory, LABELS_FILE))
+        before = read_errors(registry)
+        with pytest.raises(StoreError, match="missing store label table"):
+            PairStore.open(directory)
+        assert read_errors(registry) == before + 1
+
+    def test_truncated_label_table_fails_counted(self, tmp_path, registry):
+        _, directory = packed(tmp_path)
+        with open(shard_path(directory, LABELS_FILE), "r+b") as handle:
+            handle.truncate(5)
+        before = read_errors(registry)
+        with pytest.raises(StoreError, match="truncated store label table"):
+            PairStore.open(directory)
+        assert read_errors(registry) == before + 1
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda labels: json.dumps(labels)[:-1],
+            lambda labels: json.dumps(labels[:-1] + [7]),
+            lambda labels: json.dumps(dict.fromkeys(labels, 1)),
+            lambda labels: json.dumps(labels[:-1]),
+        ],
+        ids=["torn", "non-string", "not-a-list", "short"],
+    )
+    def test_bad_label_table_fails_counted(self, tmp_path, registry, damage):
+        _, directory = packed(tmp_path)
+        path = shard_path(directory, LABELS_FILE)
+        with open(path) as handle:
+            payload = damage(json.load(handle)).encode()
+        with open(path, "wb") as handle:
+            handle.write(payload)
+        # Record the damaged file's size, so only its content is wrong.
+        manifest_path = os.path.join(directory, STORE_FILE)
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest["generations"][0]["files"][LABELS_FILE] = len(payload)
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        before = read_errors(registry)
+        with pytest.raises(StoreError, match="corrupt store label table"):
+            PairStore.open(directory)
+        assert read_errors(registry) == before + 1
+
+    def test_corpus_open_fails_counted(self, tmp_path, registry):
+        _, directory = packed(tmp_path)
+        os.remove(shard_path(directory, LABELS_FILE))
+        engine = MiningEngine(registry=registry)
+        with pytest.raises(StoreError, match="label table"):
+            VersionedCorpus.open(directory, engine=engine)
+        assert read_errors(registry) == 1
 
 
 class TestCorruptManifest:

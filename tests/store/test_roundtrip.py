@@ -20,14 +20,15 @@ from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors
 from repro.core.params import MiningParams
 from repro.core.reference import mine_forest_reference
-from repro.core.params import MiningParams
 from repro.core.topk import topk_similar
 from repro.engine import MiningEngine, VersionedCorpus
 from repro.generate import SyntheticTreeParams, synthetic_forest
+from repro.generate.phylo import random_nni
 from repro.obs.context import get_registry, scope as obs_scope
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import validate
-from repro.store import STORE_FILE, PairStore
+from repro.store import LABELS_FILE, STORE_FILE, PairStore
+from repro.trees.arena import LabelTable
 
 from tests.delta.equivalence import MINSUPS, pattern_tuples
 
@@ -189,20 +190,6 @@ class TestManifest:
         assert store.names == names
         assert [uid for uid, _ in store.members] == [0, 1, 2, 3]
 
-    def test_params_mismatch_is_rejected(self, packed_store):
-        _, store = packed_store
-        other = MiningParams(
-            maxdist=2.5,
-            minoccur=1,
-            minsup=1,
-            max_generation_gap=1,
-            max_height=None,
-        )
-        from repro.errors import StoreError
-
-        with pytest.raises(StoreError, match="parameters"):
-            store.check_params(other)
-
 
 class TestVersioning:
     def test_append_then_reopen_matches_remine(self, tmp_path, registry):
@@ -225,3 +212,51 @@ class TestVersioning:
             got = reopened.frequent_pairs(minsup=minsup)
             want = mine_forest_reference(combined, minsup=minsup)
             assert pattern_tuples(got) == pattern_tuples(want)
+
+
+class TestCommitCost:
+    """A commit costs the size of the change, not of the label universe."""
+
+    def test_fitting_append_leaves_the_label_table_alone(
+        self, tmp_path, registry, monkeypatch
+    ):
+        trees = forest(count=12, seed=7, alphabetsize=40)
+        corpus = VersionedCorpus(trees)
+        store = corpus.pack_store(str(tmp_path / "s"))
+        path = os.path.join(store.directory, "gen-000000", LABELS_FILE)
+        before = os.stat(path)
+        with open(path, "rb") as handle:
+            content = handle.read()
+        universe = len(store.labels)
+        variants = [
+            random_nni(tree, seed) for seed, tree in enumerate(trees[:3])
+        ]
+        assert all(
+            set(tree.labels()) <= set(store.labels) for tree in variants
+        )
+        built = []
+        init = LabelTable.__init__
+
+        def spy(self, labels):
+            init(self, labels)
+            built.append(len(self))
+
+        monkeypatch.setattr(LabelTable, "__init__", spy)
+        corpus.add_trees(variants)
+        corpus.remove_trees([0])
+        assert store.version == 2
+        # Both commits appended: no compaction rewrote the base.
+        assert len(store._manifest["generations"]) == 2
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mtime_ns) == (
+            before.st_ino,
+            before.st_mtime_ns,
+        )
+        with open(path, "rb") as handle:
+            assert handle.read() == content
+        # Only per-tree tables were built (mining the variants).
+        assert built and max(built) < universe
+        reopened = VersionedCorpus.open(store.directory)
+        assert pattern_tuples(reopened.frequent_pairs(minsup=2)) == (
+            pattern_tuples(corpus.frequent_pairs(minsup=2))
+        )
