@@ -45,7 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.engine import MiningEngine
 
 from repro.consensus.base import CONSENSUS_METHODS
-from repro.core.distance import DistanceMode
 from repro.core.multi_tree import mine_forest, support
 from repro.core.fastmine import mine_tree
 from repro.core.params import validate_mode
@@ -92,9 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
         # validate_mode as the type callable: bad values raise
         # MiningParameterError (a ValueError), which argparse turns
         # into a clean usage message; good ones arrive as members.
+        # The choices spell DistanceMode's values, so building the
+        # parser imports no distance code.
         p.add_argument("--mode", default="dist_occur",
                        type=validate_mode,
-                       choices=[mode.value for mode in DistanceMode],
+                       choices=["plain", "dist", "occur", "dist_occur"],
                        help="distance variant (default dist_occur)")
 
     def add_store_arg(p: argparse.ArgumentParser) -> None:
@@ -463,8 +464,9 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_frequent(args: argparse.Namespace) -> int:
-    trees = read_arenas(args.file)
     with _engine_session(args) as engine:
+        with engine.tracer.span("trees.read"):
+            trees = read_arenas(args.file)
         patterns = mine_forest(
             trees,
             maxdist=args.maxdist,
@@ -475,14 +477,15 @@ def _cmd_frequent(args: argparse.Namespace) -> int:
             max_height=args.max_height,
             engine=engine,
         )
-    if args.format == "json":
-        from repro.io import patterns_to_json
+        with engine.tracer.span("cli.format"):
+            if args.format == "json":
+                from repro.io import patterns_to_json
 
-        print(patterns_to_json(patterns))
-        return 0
-    print(f"# {len(patterns)} frequent pair(s) in {len(trees)} tree(s)")
-    for pattern in patterns:
-        print(f"  {pattern.describe()}")
+                print(patterns_to_json(patterns))
+                return 0
+            print(f"# {len(patterns)} frequent pair(s) in {len(trees)} tree(s)")
+            for pattern in patterns:
+                print(f"  {pattern.describe()}")
     return 0
 
 
@@ -553,8 +556,9 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     if len(args.files) < 2:
         print("kernel needs at least two group files", file=sys.stderr)
         return 2
-    groups = [read_arenas(path) for path in args.files]
     with _engine_session(args) as engine:
+        with engine.tracer.span("trees.read"):
+            groups = [read_arenas(path) for path in args.files]
         result = find_kernel_trees(
             groups,
             mode=args.mode,
@@ -563,10 +567,11 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
             max_generation_gap=args.gap,
             engine=engine,
         )
-    print(f"# average pairwise distance: {result.average_distance:.6f}")
-    for path, index, tree in zip(args.files, result.indexes, result.trees):
-        name = tree.name or f"tree {index}"
-        print(f"{path}: {name} (#{index})")
+        with engine.tracer.span("cli.format"):
+            print(f"# average pairwise distance: {result.average_distance:.6f}")
+            for path, index, tree in zip(args.files, result.indexes, result.trees):
+                name = tree.name or f"tree {index}"
+                print(f"{path}: {name} (#{index})")
     return 0
 
 

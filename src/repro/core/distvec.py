@@ -64,12 +64,17 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.distance import DistanceMode
-from repro.core.fastmine import PackedCounts, mine_arena
+from repro.core.fastmine import (
+    PackedCounts,
+    _collapse_pairs,
+    _remap_packed,
+    mine_arena,
+    shared_labels,
+)
 from repro.core.params import MiningParams, validate_minoccur, validate_mode
-from repro.errors import ArenaError
 from repro.obs.context import get_registry, get_tracer
 from repro.trees.arena import LabelTable, TreeLike, find_label, forest_arenas
-from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK, PAIR_MASK, pack_key
+from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK, pack_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.engine import MiningEngine
@@ -82,66 +87,6 @@ __all__ = [
 
 _MULTISET_MODES = frozenset({DistanceMode.OCCUR, DistanceMode.DIST_OCCUR})
 _FULL_MODES = frozenset({DistanceMode.DIST, DistanceMode.DIST_OCCUR})
-
-def _remap_packed(
-    packed: PackedCounts,
-    table: LabelTable | tuple[str, ...],
-    minoccur: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One tree's sorted key/count arrays in ``table``'s id space.
-
-    ``packed`` may carry its own per-tree label table (the engine's
-    content-addressed form); its local ids are re-interned onto the
-    shared forest ``table``.  Both tables assign ids in sorted label
-    order, so the remap is monotonic and the canonical ``la <= lb``
-    ordering of every key survives untouched.  Counts below
-    ``minoccur`` are dropped *before* any projection, matching the
-    reference's per-tree filter.
-
-    ``table`` may also be a bare sorted label tuple: the tree's few
-    labels are then found by binary search, which is what a commit of
-    a handful of trees against a large universe wants (no id dict over
-    every label is built).
-    """
-    minoccur = validate_minoccur(minoccur)
-    size = len(packed.counts)
-    keys = np.fromiter(packed.counts.keys(), dtype=np.int64, count=size)
-    counts = np.fromiter(packed.counts.values(), dtype=np.int64, count=size)
-    if minoccur > 1:
-        keep = counts >= minoccur
-        keys = keys[keep]
-        counts = counts[keep]
-    labels = table.labels if isinstance(table, LabelTable) else table
-    if packed.labels != labels:
-        if isinstance(table, LabelTable):
-            ids = map(table.intern, packed.labels)
-        else:
-            ids = (find_label(table, label) for label in packed.labels)
-        remap = np.fromiter(ids, dtype=np.int64, count=len(packed.labels))
-        if remap.size and remap.min() < 0:
-            label = packed.labels[int(np.argmin(remap))]
-            raise ArenaError(
-                f"label {label!r} is not in this table ({len(labels)} labels)"
-            )
-        keys = (
-            ((keys >> DIST_SHIFT) << DIST_SHIFT)
-            | (remap[(keys >> LABEL_BITS) & LABEL_MASK] << LABEL_BITS)
-            | remap[keys & LABEL_MASK]
-        )
-    order = np.argsort(keys)
-    return keys[order], counts[order]
-
-
-def _collapse_pairs(
-    keys: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse full keys onto unordered label pairs, summing counts."""
-    pairs = keys & PAIR_MASK
-    unique, inverse = np.unique(pairs, return_inverse=True)
-    summed = np.zeros(unique.size, dtype=np.int64)
-    np.add.at(summed, inverse, counts)
-    return unique, summed
-
 
 def _monotone_remap(
     old_labels: Sequence[str], new_labels: Sequence[str]
@@ -287,24 +232,23 @@ class DistanceVectors:
     ) -> "DistanceVectors":
         """Vectors from per-tree kernel output, re-interned if needed.
 
-        The inputs may share one label table (the
-        :func:`~repro.trees.arena.forest_arenas` form — no remap
-        happens) or carry per-tree tables (the engine's cached form —
-        each is re-interned onto the merged universe).
+        The inputs may share one label tuple (the slices of one forest
+        arena, or the :func:`~repro.trees.arena.forest_arenas` form —
+        no remap happens) or carry several (per-tree tables, or the
+        forests of several files), which are re-interned onto their
+        merged universe (:func:`~repro.core.fastmine.shared_labels`).
         """
         minoccur = validate_minoccur(minoccur)
         packed = list(packed)
         with get_tracer().span(
             "distvec.build", metric="distvec.build.seconds", trees=len(packed)
         ):
-            table = LabelTable(
-                label for counts in packed for label in counts.labels
-            )
+            table = shared_labels(packed)
             remapped = [
                 _remap_packed(counts, table, minoccur) for counts in packed
             ]
             return cls(
-                table.labels,
+                table.labels if isinstance(table, LabelTable) else table,
                 [keys for keys, _ in remapped],
                 [counts for _, counts in remapped],
             )
@@ -459,7 +403,7 @@ class DistanceVectors:
         missing = {
             label
             for counts in packed
-            for label in counts.labels
+            for label in counts.labels_used()
             if find_label(labels, label) < 0
         }
         if not missing:

@@ -52,11 +52,14 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from repro.core.cousins import CousinPair, CousinPairItem, distance_from_heights
 from repro.core.params import MiningParams, validate_minoccur
+from repro.errors import ArenaError
 from repro.obs.context import get_registry, get_tracer
-from repro.trees.arena import TreeArena
-from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK
+from repro.trees.arena import LabelTable, TreeArena, find_label
+from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK, PAIR_MASK
 from repro.trees.tree import Tree
 
 __all__ = [
@@ -292,6 +295,20 @@ class PackedCounts:
     def __reduce__(self):
         return (PackedCounts, (self.labels, self.counts))
 
+    def label_ids(self) -> np.ndarray:
+        """The sorted distinct label ids that the keys use.
+
+        No Python work per entry of ``labels``: a tree read from a
+        forest carries the whole forest's label tuple.
+        """
+        keys = np.fromiter(self.counts, np.int64, len(self.counts))
+        return _used_ids(keys, len(self.labels))
+
+    def labels_used(self) -> list[str]:
+        """The labels that the keys use, in sorted order."""
+        labels = self.labels
+        return [labels[index] for index in self.label_ids().tolist()]
+
     def total_occurrences(self) -> int:
         """Sum of all occurrence counts."""
         return sum(self.counts.values())
@@ -360,6 +377,99 @@ class PackedCounts:
             f"PackedCounts({len(self.counts)} keys, "
             f"{len(self.labels)} labels)"
         )
+
+
+def shared_labels(packed: Sequence[PackedCounts]) -> LabelTable | tuple[str, ...]:
+    """The label universe of ``packed``, for :func:`_remap_packed`.
+
+    The one label tuple that every input carries (the trees of one
+    forest arena), found by identity — comparing two forest-sized
+    tuples costs as much as the remap it would save — or else one
+    table over the distinct tuples, each read once.
+    """
+    distinct = {id(counts.labels): counts.labels for counts in packed}
+    if len(distinct) == 1:
+        return packed[0].labels
+    return LabelTable(label for labels in distinct.values() for label in labels)
+
+
+def _remap_packed(
+    packed: PackedCounts,
+    table: LabelTable | tuple[str, ...],
+    minoccur: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One tree's sorted key/count arrays in ``table``'s id space.
+
+    Counts below ``minoccur`` are dropped *before* any projection,
+    matching the reference's per-tree filter.  Keys already interned
+    on ``table`` keep their ids; others are re-interned by
+    :func:`_remap_keys`.  ``table`` may be a bare sorted label tuple.
+    """
+    minoccur = validate_minoccur(minoccur)
+    size = len(packed.counts)
+    keys = np.fromiter(packed.counts.keys(), dtype=np.int64, count=size)
+    counts = np.fromiter(packed.counts.values(), dtype=np.int64, count=size)
+    if minoccur > 1:
+        keep = counts >= minoccur
+        keys = keys[keep]
+        counts = counts[keep]
+    order = np.argsort(keys)
+    keys = keys[order]
+    labels = table.labels if isinstance(table, LabelTable) else table
+    if labels is not packed.labels and keys.size:
+        keys = _remap_keys(keys, packed.labels, table)
+    return keys, counts[order]
+
+
+def _remap_keys(
+    keys: np.ndarray, labels: Sequence[str], table: LabelTable | tuple[str, ...]
+) -> np.ndarray:
+    """Re-intern packed keys from ``labels`` ids onto ``table``.
+
+    Only the labels the keys use are looked up: by the table's id dict,
+    or by binary search in a bare sorted tuple, so a commit of a few
+    trees builds no id dict over a large universe.  Both sides assign
+    ids in sorted label order, so the remap is monotone: the canonical
+    ``la <= lb`` order of every key and the order of the array survive.
+    """
+    used = _used_ids(keys, len(labels))
+    texts = [labels[index] for index in used.tolist()]
+    if isinstance(table, LabelTable):
+        ids = table.find_many(texts)
+        table = table.labels
+    else:
+        ids = np.fromiter(
+            (find_label(table, text) for text in texts), np.int64, len(texts)
+        )
+    if ids.min() < 0:
+        label = texts[int(np.argmin(ids))]
+        raise ArenaError(f"label {label!r} is not in this table ({len(table)} labels)")
+    remap = np.zeros(len(labels), np.int64)
+    remap[used] = ids
+    return (
+        ((keys >> _DIST_SHIFT) << _DIST_SHIFT)
+        | (remap[(keys >> LABEL_BITS) & _LABEL_MASK] << LABEL_BITS)
+        | remap[keys & _LABEL_MASK]
+    )
+
+
+def _used_ids(keys: np.ndarray, count: int) -> np.ndarray:
+    """The sorted distinct label ids in packed ``keys``, ids < ``count``."""
+    used = np.zeros(count, bool)
+    used[(keys >> LABEL_BITS) & _LABEL_MASK] = True
+    used[keys & _LABEL_MASK] = True
+    return used.nonzero()[0]
+
+
+def _collapse_pairs(
+    keys: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse full keys onto unordered label pairs, summing counts."""
+    pairs = keys & PAIR_MASK
+    unique, inverse = np.unique(pairs, return_inverse=True)
+    summed = np.zeros(unique.size, dtype=np.int64)
+    np.add.at(summed, inverse, counts)
+    return unique, summed
 
 
 def mine_arena(arena: TreeArena, params: MiningParams) -> PackedCounts:

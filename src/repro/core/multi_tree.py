@@ -29,8 +29,14 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.distvec import _collapse_pairs, _remap_packed
-from repro.core.fastmine import PackedCounts, mine_arena, mine_tree
+from repro.core.fastmine import (
+    PackedCounts,
+    _collapse_pairs,
+    _remap_packed,
+    mine_arena,
+    mine_tree,
+    shared_labels,
+)
 from repro.core.params import MiningParams, validate_minoccur, validate_minsup
 from repro.trees.arena import LabelTable, TreeLike, forest_arenas
 from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK
@@ -192,16 +198,17 @@ def aggregate_packed(
 ) -> list[FrequentCousinPair]:
     """:func:`aggregate_rows` over per-tree kernel output.
 
-    ``packed`` may share one label table (pass it as ``table``: the
-    :func:`~repro.trees.arena.forest_arenas` form) or carry per-tree
-    tables (the engine's cached form), which are re-interned onto
-    their merged, sorted universe.
+    ``packed`` may share one label tuple (the slices of one forest
+    arena; ``table``, when given, is its table) — then ids pass
+    through with no table built and no remap — or carry several (the
+    engine's per-tree cached form), which are re-interned onto their
+    merged, sorted universe.
     """
     if table is None:
-        table = LabelTable(label for counts in packed for label in counts.labels)
+        table = shared_labels(packed)
     rows = [_remap_packed(counts, table, 1) for counts in packed]
     return aggregate_rows(
-        table.labels,
+        table.labels if isinstance(table, LabelTable) else table,
         [keys for keys, _ in rows],
         [counts for _, counts in rows],
         minoccur=minoccur,

@@ -47,15 +47,14 @@ from repro.core.distance import DistanceMode
 from repro.core.distvec import (
     _FULL_MODES,
     _MULTISET_MODES,
-    _collapse_pairs,
     _remap_full_keys,
     DistanceVectors,
 )
-from repro.core.fastmine import PackedCounts, mine_arena
+from repro.core.fastmine import PackedCounts, _collapse_pairs, mine_arena
 from repro.core.params import MiningParams, validate_minoccur, validate_mode
 from repro.errors import ArenaError, MiningParameterError
 from repro.obs.context import get_registry, get_tracer
-from repro.trees.arena import TreeLike, as_arena
+from repro.trees.arena import TreeLike, as_arena, find_label
 from repro.trees.packing import MAX_LABELS
 
 __all__ = [
@@ -119,35 +118,39 @@ class QueryVector:
 
 
 def _foreign_remap(
-    query_labels: tuple[str, ...], corpus_labels: tuple[str, ...]
+    packed: PackedCounts, corpus_labels: tuple[str, ...]
 ) -> np.ndarray:
     """Query label id -> corpus-compatible id, without growing the table.
 
-    Known labels take their corpus ids; unknown labels take fresh ids
-    past the corpus universe (``len(corpus_labels)`` onward, in query
-    table order).  Injective, so distinct query keys stay distinct.
-    Both tables intern in sorted label order, so on the *known* subset
-    the remap is monotone and canonical ``la <= lb`` key ordering
-    survives; a key touching an unknown label may come out
-    non-canonical, which is harmless — no corpus key contains an id
-    ``>= len(corpus_labels)``, so such keys match nothing, exactly as
-    an unknown label should.
+    Only the labels the query's keys use are looked up, by binary
+    search, so a query costs the size of its tree whatever the size
+    of either label universe.  Known labels take their corpus ids;
+    unknown labels take fresh ids past the corpus universe
+    (``len(corpus_labels)`` onward, in sorted order).  Injective, so
+    distinct query keys stay distinct.  Both tables intern in sorted
+    label order, so on the *known* subset the remap is monotone and
+    canonical ``la <= lb`` key ordering survives; a key touching an
+    unknown label may come out non-canonical, which is harmless — no
+    corpus key contains an id ``>= len(corpus_labels)``, so such keys
+    match nothing, exactly as an unknown label should.
     """
-    positions = {label: index for index, label in enumerate(corpus_labels)}
+    used = packed.label_ids()
+    slots = np.fromiter(
+        (find_label(corpus_labels, packed.labels[index]) for index in used.tolist()),
+        np.int64,
+        used.size,
+    )
+    unknown = slots < 0
+    fresh = int(np.count_nonzero(unknown))
     base = len(corpus_labels)
-    fresh = 0
-    remap = np.empty(len(query_labels), dtype=np.int64)
-    for index, label in enumerate(query_labels):
-        slot = positions.get(label)
-        if slot is None:
-            slot = base + fresh
-            fresh += 1
-        remap[index] = slot
     if base + fresh > MAX_LABELS:
         raise ArenaError(
             f"query labels push the universe to {base + fresh} distinct "
             f"labels; the packed-key encoding addresses at most {MAX_LABELS}"
         )
+    slots[unknown] = np.arange(base, base + fresh)
+    remap = np.zeros(len(packed.labels), dtype=np.int64)
+    remap[used] = slots
     return remap
 
 
@@ -168,8 +171,7 @@ def query_vector(
         keep = counts >= minoccur
         keys = keys[keep]
         counts = counts[keep]
-    remap = _foreign_remap(tuple(packed.labels), vectors.labels)
-    keys = _remap_full_keys(keys, remap)
+    keys = _remap_full_keys(keys, _foreign_remap(packed, vectors.labels))
     order = np.argsort(keys)
     return QueryVector(keys[order], counts[order])
 

@@ -3,10 +3,10 @@
 The unit of work the engine memoises is one kernel pass over a tree —
 :func:`repro.core.fastmine.mine_arena` — whose product is an interned
 :class:`repro.core.fastmine.PackedCounts` (packed-int keys plus the
-tree's sorted label table).  Everything downstream (``mine_tree``
-items, string-keyed counters, :class:`CousinPairSet` algebra, forest
-support counting) is a cheap projection of that record, so caching at
-this level serves every consumer at once.
+sorted label table the tree was interned on).  Everything downstream
+(``mine_tree`` items, string-keyed counters, :class:`CousinPairSet`
+algebra, forest support counting) is a cheap projection of that
+record, so caching at this level serves every consumer at once.
 
 Cache keys are *content addresses*: a SHA-256 over
 
@@ -21,10 +21,14 @@ Cache keys are *content addresses*: a SHA-256 over
   .fingerprint`: :meth:`repro.trees.tree.Tree.canonical_form`
   semantics, serialised iteratively so arbitrarily deep trees are safe).
 
-Because interning is deterministic (sorted label order — see
-:class:`repro.trees.arena.LabelTable`) and the canonical form ignores
-node ids, a packed payload is a pure function of the content address:
-isomorphic trees resolve to the same interned result.
+The canonical form ignores node ids and label ids, so isomorphic
+trees share one address whichever table interned them.  A payload
+carries the label tuple its ids index (a tree's own table, or the
+shared table of the forest it was read with), and every consumer
+decodes or re-interns ids through that tuple; the engine serves a
+payload for an arena only when the labels its keys use are the
+arena's (:meth:`repro.engine.engine.MiningEngine._admissible`).
+
 :func:`arena_cache_key` is the only address function: the engine
 computes it from the arenas the readers produce (or flattens a pointer
 tree first), and :class:`repro.store.PairStore` records it per tree.

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -92,6 +92,44 @@ __all__ = [
 PairKey = tuple[str, str, float]
 
 
+class _LoggedKeys(Sequence[PairKey]):
+    """Pair keys as a log record holds them, decoded on first read.
+
+    ``len`` needs no decoding, so describing a logged delta (``corpus
+    log``) builds none of its ``(label_a, label_b, distance)`` items.
+    """
+
+    __slots__ = ("_raw", "_keys")
+
+    def __init__(self, raw: Sequence[Sequence]) -> None:
+        self._raw = raw
+        self._keys: tuple[PairKey, ...] | None = None
+
+    def _decoded(self) -> tuple[PairKey, ...]:
+        if self._keys is None:
+            self._keys = tuple(
+                (str(la), str(lb), float(d)) for la, lb, d in self._raw
+            )
+        return self._keys
+
+    def __len__(self) -> int:
+        return len(self._raw)
+
+    def __getitem__(self, index: int | slice) -> Any:
+        return self._decoded()[index]
+
+    def __iter__(self) -> Iterator[PairKey]:
+        return iter(self._decoded())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._decoded() == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(self._decoded())
+
+
 @dataclass(frozen=True)
 class TreeRef:
     """A corpus member: stable uid plus its mining content address.
@@ -121,7 +159,8 @@ class CorpusDelta:
     list went empty → occupied (or back) in this step — existence-level
     changes, independent of any ``minsup``/``minoccur`` threshold —
     and ``supports_changed`` counts the (pair item, tree) occurrence
-    entries touched.
+    entries touched.  A record read back from the log
+    (:meth:`from_dict`) decodes its pair items only when they are read.
     """
 
     version: int
@@ -129,8 +168,8 @@ class CorpusDelta:
     added: tuple[TreeRef, ...]
     removed: tuple[TreeRef, ...]
     trees_after: int
-    keys_gained: tuple[PairKey, ...]
-    keys_lost: tuple[PairKey, ...]
+    keys_gained: Sequence[PairKey]
+    keys_lost: Sequence[PairKey]
     supports_changed: int
 
     def describe(self) -> str:
@@ -169,14 +208,8 @@ class CorpusDelta:
                 for ref in payload["removed"]
             ),
             trees_after=int(payload["trees_after"]),
-            keys_gained=tuple(
-                (str(la), str(lb), float(d))
-                for la, lb, d in payload["keys_gained"]
-            ),
-            keys_lost=tuple(
-                (str(la), str(lb), float(d))
-                for la, lb, d in payload["keys_lost"]
-            ),
+            keys_gained=_LoggedKeys(payload["keys_gained"]),
+            keys_lost=_LoggedKeys(payload["keys_lost"]),
             supports_changed=int(payload["supports_changed"]),
         )
 

@@ -33,8 +33,6 @@ from collections import Counter, OrderedDict
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.cousins import CousinPairItem
-from repro.core.distance import DistanceMode
-from repro.core.distvec import DistanceVectors, assemble_matrix
 from repro.core.fastmine import PackedCounts, mine_arena
 from repro.core.multi_tree import FrequentCousinPair, aggregate_packed
 from repro.core.params import MiningParams, validate_minoccur, validate_mode
@@ -47,6 +45,8 @@ from repro.obs.trace import Tracer
 from repro.trees.arena import TreeArena, TreeLike, as_arena
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.core.distance import DistanceMode
+    from repro.core.distvec import DistanceVectors
     from repro.core.topk import TopKResult
     from repro.store import PairStore
 
@@ -200,8 +200,8 @@ class MiningEngine:
     ) -> tuple[list[str], dict[str, PackedCounts]]:
         """Content addresses per tree plus the address -> counts map.
 
-        Arena inputs are used as they are (re-interned only if they
-        carry a shared label table); pointer trees are flattened once.
+        Arena inputs are used as they are, forest slices with their
+        shared label table included; pointer trees are flattened once.
         The arena both addresses the cache and feeds the kernel on a
         miss.
         The returned :class:`PackedCounts` are the engine's own cached
@@ -300,6 +300,8 @@ class MiningEngine:
         the content-addressed cache.  Every call builds a fresh object,
         which is the caller's to mutate.
         """
+        from repro.core.distvec import DistanceVectors
+
         params = self._resolve(
             params, maxdist, minoccur, max_generation_gap, max_height
         )
@@ -358,7 +360,7 @@ class MiningEngine:
     def distance_matrix(
         self,
         vectors: DistanceVectors,
-        mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
+        mode: DistanceMode | str = "dist_occur",
     ) -> list[list[float]]:
         """Full symmetric distance matrix over prebuilt vectors.
 
@@ -366,6 +368,8 @@ class MiningEngine:
         the ``distance_*`` counters of
         :class:`repro.engine.stats.EngineStats`.
         """
+        from repro.core.distvec import assemble_matrix
+
         mode = validate_mode(mode)
         with obs_scope(self.registry, self.tracer), self.tracer.span(
             "engine.distance.matrix",
@@ -384,7 +388,7 @@ class MiningEngine:
         vectors: DistanceVectors,
         query: TreeLike,
         k: int,
-        mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
+        mode: DistanceMode | str = "dist_occur",
         params: MiningParams | None = None,
         *,
         maxdist: float = 1.5,
@@ -490,7 +494,7 @@ class MiningEngine:
         self,
         query: TreeLike,
         k: int,
-        mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
+        mode: DistanceMode | str = "dist_occur",
     ) -> TopKResult:
         """The k stored trees nearest ``query``, off the memmapped rows.
 
@@ -545,14 +549,18 @@ class MiningEngine:
 
         The content address already binds the payload to the tree's
         canonical form, but the payload itself must be interned packed
-        counts whose label universe matches the arena's — isomorphic
-        trees share a label set, so any disagreement means the entry is
-        corrupt.
+        counts whose keys name only labels of the arena — isomorphic
+        trees share a label set, so any other label means the entry is
+        corrupt.  A payload mined from this arena's table (its forest,
+        or an equal per-tree table) passes without decoding a key; one
+        mined from another forest's table is checked label by label.
         """
-        return (
-            isinstance(payload, PackedCounts)
-            and payload.labels == arena.table.labels
-        )
+        if not isinstance(payload, PackedCounts):
+            return False
+        labels = arena.table.labels
+        if payload.labels is labels or payload.labels == labels:
+            return True
+        return set(payload.labels_used()) <= set(arena.labels_used())
 
     @staticmethod
     def _resolve(

@@ -19,7 +19,7 @@ lives in one directory::
         full_counts.npy   parallel occurrence counts
         full_offsets.npy  row boundaries (``trees + 1`` entries)
         pair_keys.npy     the distance-free pair projection, collapsed
-        pair_counts.npy   exactly as :func:`repro.core.distvec
+        pair_counts.npy   exactly as :func:`repro.core.fastmine
         pair_offsets.npy  ._collapse_pairs` would
         full_totals.npy   per-tree occurrence totals
         pair_totals.npy   per-tree collapsed totals
@@ -61,17 +61,12 @@ import hashlib
 import json
 import os
 import shutil
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from repro.core.distvec import (
-    DistanceVectors,
-    _collapse_pairs,
-    _monotone_remap,
-    _remap_full_keys,
-    _remap_packed,
-)
+from repro.core.distvec import DistanceVectors, _monotone_remap, _remap_full_keys
+from repro.core.fastmine import PackedCounts, _collapse_pairs, _remap_packed
 from repro.core.multi_tree import FrequentCousinPair, aggregate_rows
 from repro.core.params import MiningParams, validate_minoccur, validate_minsup
 from repro.errors import StoreError
@@ -80,9 +75,6 @@ from repro.obs.context import get_registry, get_tracer
 from repro.store.shards import load_array, write_array
 from repro.trees.arena import find_label
 from repro.trees.packing import PACKED_KEY_SCHEME
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.core.fastmine import PackedCounts
 
 __all__ = ["PairStore", "LABELS_FILE", "LOG_FILE", "STORE_FILE", "STORE_FORMAT"]
 
@@ -679,7 +671,7 @@ class PairStore:
     def apply(
         self,
         members: Sequence[Member],
-        packed: Mapping[int, "PackedCounts"] | None = None,
+        packed: Mapping[int, PackedCounts] | None = None,
         *,
         version: int,
         names: Mapping[int, str] | None = None,
@@ -736,7 +728,7 @@ class PairStore:
             unknown = {
                 label
                 for uid, _ in fresh
-                for label in packed[uid].labels
+                for label in packed[uid].labels_used()
                 if find_label(self.labels, label) < 0
             }
             stored = sum(g.trees for g in self._generations)
@@ -753,7 +745,7 @@ class PairStore:
     def _append(
         self,
         members: Sequence[Member],
-        packed: Mapping[int, "PackedCounts"],
+        packed: Mapping[int, PackedCounts],
         version: int,
         names: Mapping[int, str] | None,
         fresh: Sequence[Member],
@@ -770,7 +762,7 @@ class PairStore:
     def _append_locked(
         self,
         members: Sequence[Member],
-        packed: Mapping[int, "PackedCounts"],
+        packed: Mapping[int, PackedCounts],
         version: int,
         names: Mapping[int, str] | None,
         fresh: Sequence[Member],
@@ -834,7 +826,7 @@ class PairStore:
     def _compact(
         self,
         members: Sequence[Member],
-        packed: Mapping[int, "PackedCounts"],
+        packed: Mapping[int, PackedCounts],
         version: int,
         names: Mapping[int, str] | None,
         unknown: set[str],

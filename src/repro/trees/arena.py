@@ -2,19 +2,21 @@
 
 The arena is the mining path's only tree representation: the Newick
 and NEXUS readers (:func:`repro.trees.newick.parse_arenas`,
-:func:`repro.trees.nexus.read_arenas`) fill its columns straight from
-text, and the kernel (:mod:`repro.core.fastmine`) and the engine's
-cache keys consume it without attribute
-lookups, per-node objects, or string hashing.  The pointer-based
+:func:`repro.trees.nexus.read_arenas`) fill one :class:`ForestArena`
+per file straight from text, and the kernel
+(:mod:`repro.core.fastmine`) and the engine's cache keys consume its
+per-tree slices without attribute lookups, per-node objects, or string
+hashing.  The pointer-based
 :class:`~repro.trees.tree.Tree` is for editing and for the consumers
 that walk nodes (consensus, parsimony, rooting, the apps);
 :meth:`TreeArena.to_tree` builds one on demand.  This module provides:
 
-- :class:`LabelTable` interns the distinct labels of a tree (or a
-  whole forest) into dense integer ids, assigned in **sorted label
-  order** so that comparing two ids is the same as comparing the two
-  label strings — the property that lets the kernel canonicalise an
-  unordered label pair with one integer comparison.  The table is
+- :class:`LabelTable` interns the distinct labels of a tree (or of a
+  whole file: the readers build one per forest) into dense integer
+  ids, assigned in **sorted label order** so that comparing two ids is
+  the same as comparing the two label strings — the property that
+  lets the kernel canonicalise an unordered label pair with one
+  integer comparison.  The table is
   capped at ``2^21`` distinct labels because the kernel packs two ids
   plus a distance into one integer key; overflow raises
   :class:`~repro.errors.ArenaError` instead of silently corrupting
@@ -36,6 +38,12 @@ that walk nodes (consensus, parsimony, rooting, the apps);
   ``lengths``           ``d``     branch length (``NaN`` when absent)
   ====================  ========  =======================================
 
+- :class:`ForestArena` holds the trees of one file: the concatenated
+  preorder columns, the tree offsets and one label table, and, as a
+  list, a :class:`TreeArena` slice per tree sharing that table.  A
+  slice equals :meth:`TreeArena.from_tree` of its tree after
+  relabelling (:meth:`TreeArena.interned`).
+
 Arenas pickle as their raw buffers: a few ``memcpy``-like array
 copies instead of a linked node graph.  Because ids are assigned in
 sorted order, interning is a pure function of the label *set* — two
@@ -50,6 +58,8 @@ from array import array
 from bisect import bisect_left
 from typing import ClassVar, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.errors import ArenaError
 from repro.trees.packing import LABEL_BITS, MAX_LABELS
 from repro.trees.tree import Tree
@@ -57,12 +67,14 @@ from repro.trees.tree import Tree
 __all__ = [
     "LABEL_BITS",
     "MAX_LABELS",
+    "ForestArena",
     "LabelTable",
     "TreeArena",
     "TreeLike",
     "as_arena",
     "find_label",
     "forest_arenas",
+    "tree_columns",
 ]
 
 
@@ -138,6 +150,17 @@ class LabelTable:
         except KeyError:
             raise self.missing(label) from None
 
+    def intern_many(self, labels: Sequence[str]) -> np.ndarray:
+        """The ``int32`` ids of ``labels``, which the table must cover."""
+        return np.fromiter(
+            map(self._ids.__getitem__, labels), np.int32, len(labels)
+        )
+
+    def find_many(self, labels: Sequence[str]) -> np.ndarray:
+        """The ``int32`` ids of ``labels``, ``-1`` for each one absent."""
+        get = self._ids.get
+        return np.fromiter((get(label, -1) for label in labels), np.int32, len(labels))
+
     def missing(self, label: str) -> ArenaError:
         """The error describing a lookup of an uncovered ``label``.
 
@@ -181,9 +204,10 @@ class LabelTable:
 class TreeArena:
     """One tree flattened into preorder-indexed array buffers.
 
-    The readers build arenas with :meth:`from_columns`; :meth:`from_tree`
-    flattens a pointer tree.  The constructor takes the raw buffers and
-    is mostly useful to deserialisers and tests.
+    The readers cut arenas out of a :class:`ForestArena`, whose
+    columns they view as memoryviews; :meth:`from_tree` flattens a
+    pointer tree into ``array`` buffers.  The constructor takes the raw
+    buffers and is mostly useful to deserialisers and tests.
     """
 
     __slots__ = (
@@ -264,27 +288,9 @@ class TreeArena:
                 for child in reversed(node._children):
                     stack_append((child, index))
                 index += 1
-        return cls.from_columns(parent, label, lengths, table, tree.name, node_ids)
-
-    @classmethod
-    def from_columns(
-        cls,
-        parent: array,
-        label: array,
-        lengths: array,
-        table: LabelTable,
-        name: str | None = None,
-        node_ids: array | None = None,
-    ) -> "TreeArena":
-        """Wrap preorder ``parent``/``label``/``lengths`` columns.
-
-        Derives the child and sibling links from ``parent``; without
-        ``node_ids`` every node's id is its preorder index, the ids
-        :func:`repro.trees.newick.parse_newick` assigns.
-        """
+        # One pass per tree, as small trees (a commit's few) cost less
+        # this way than in the forest reader's array passes.
         count = len(parent)
-        if node_ids is None:
-            node_ids = array("q", range(count))
         first_child = array("i", [-1]) * count
         next_sibling = array("i", [-1]) * count
         for index in range(count - 1, 0, -1):
@@ -299,7 +305,7 @@ class TreeArena:
             node_ids,
             lengths,
             table,
-            name=name,
+            tree.name,
         )
 
     def labels_used(self) -> list[str]:
@@ -447,13 +453,21 @@ class TreeArena:
         return self.lengths.tobytes() == other.lengths.tobytes()
 
     def __getstate__(self) -> tuple:
+        # A forest slice's columns are memoryviews: pickle them as arrays.
         return (
-            self.parent,
-            self.first_child,
-            self.next_sibling,
-            self.label,
-            self.node_ids,
-            self.lengths,
+            *(
+                array(column.format, column.tobytes())
+                if isinstance(column, memoryview)
+                else column
+                for column in (
+                    self.parent,
+                    self.first_child,
+                    self.next_sibling,
+                    self.label,
+                    self.node_ids,
+                    self.lengths,
+                )
+            ),
             self.table,
             self.name,
         )
@@ -478,18 +492,82 @@ class TreeArena:
         )
 
 
+class ForestArena(list[TreeArena]):
+    """The trees of one file, read into one set of columns.
+
+    The preorder columns of every tree are concatenated, tree after
+    tree, as numpy arrays: ``parent``, ``first_child`` and
+    ``next_sibling`` (tree-local indexes, ``-1`` for none; see
+    :func:`tree_columns`), ``label`` (ids into the one sorted
+    ``table``), ``node_ids`` and ``lengths``; tree ``i`` owns rows
+    ``offsets[i]:offsets[i + 1]``.  The list items are the per-tree
+    :class:`TreeArena` slices of those columns (memoryviews, no copy),
+    named by ``names`` and all sharing ``table``, so forest label ids
+    pass from the reader to the aggregation unchanged.
+    """
+
+    __slots__ = (
+        "table", "offsets", "parent", "first_child", "next_sibling",
+        "label", "node_ids", "lengths",
+    )
+
+    def __init__(
+        self,
+        table: LabelTable,
+        names: Sequence[str | None],
+        *columns: np.ndarray,
+    ) -> None:
+        (self.parent, self.first_child, self.next_sibling, self.label,
+         self.node_ids, self.lengths) = columns
+        self.table = table
+        self.offsets = np.append((self.parent < 0).nonzero()[0], self.parent.size)
+        views = [memoryview(column) for column in columns]
+        bounds = self.offsets.tolist()
+        super().__init__(
+            TreeArena(*[view[start:stop] for view in views], table, name)
+            for start, stop, name in zip(bounds, bounds[1:], names)
+        )
+
+
+def tree_columns(parent: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Tree-local ``parent``, ``first_child``, ``next_sibling`` and
+    ``node_ids`` columns of concatenated preorder trees.
+
+    ``parent`` holds ``int32`` indexes across all the rows, with ``-1``
+    at each tree's root, its first row; it is made tree-local in place.
+    Node ids are preorder positions inside each tree.
+    """
+    roots = (parent < 0).nonzero()[0]
+    # Each row's tree start: indexes across the rows minus it are local.
+    base = np.repeat(roots.astype(np.int32), np.diff(np.append(roots, parent.size)))
+    # One stable sort groups the children of each node in preorder: the
+    # first of a group is its parent's first child, and each member's
+    # next sibling is the member after it.
+    first_child = np.full(parent.size, -1, np.int32)
+    next_sibling = np.full(parent.size, -1, np.int32)
+    children = (parent >= 0).nonzero()[0]
+    order = children[parent[children].argsort(kind="stable")]
+    owners = parent[order]
+    first = np.ones(order.size, bool)
+    np.not_equal(owners[1:], owners[:-1], out=first[1:])
+    first_child[owners[first]] = order[first]
+    later = ~first[1:]
+    next_sibling[order[:-1][later]] = order[1:][later]
+    for links in (parent, first_child, next_sibling):
+        np.subtract(links, base, out=links, where=links >= 0)
+    return parent, first_child, next_sibling, np.arange(parent.size, dtype="q") - base
+
+
 TreeLike = Tree | TreeArena
 """What the mining entry points accept: a pointer tree or an arena."""
 
 
 def as_arena(tree: TreeLike) -> TreeArena:
-    """``tree`` as an arena carrying its own per-tree label table.
-
-    A pointer tree is flattened; an arena passes through unless it
-    carries a shared table, in which case its labels are re-interned.
-    """
+    """``tree`` as an arena: a pointer tree is flattened against its
+    own label table; an arena, forest slices included, passes through
+    as is."""
     if isinstance(tree, TreeArena):
-        return tree.interned()
+        return tree
     return TreeArena.from_tree(tree)
 
 
@@ -498,13 +576,20 @@ def forest_arenas(
 ) -> tuple[LabelTable, list[TreeArena]]:
     """Flatten a forest against one shared label table.
 
-    Interns the whole forest's label universe once (the per-forest
-    interning pass of the mining kernel) and returns the table plus
-    one arena per tree, aligned with the input order.  Arenas already
-    carrying ``table`` pass through; others have their label column
-    re-interned (:meth:`TreeArena.interned`).
+    Arenas that all carry one table object (the slices of one
+    :class:`ForestArena`) pass through with that table.  Otherwise the
+    whole forest's label universe is interned once (the per-forest
+    interning pass of the mining kernel) and the table is returned
+    with one arena per tree, aligned with the input order; arenas
+    already carrying ``table`` pass through, others have their label
+    column re-interned (:meth:`TreeArena.interned`).
     """
     if table is None:
+        tables = {id(tree.table): tree.table for tree in trees
+                  if isinstance(tree, TreeArena)}
+        if len(tables) == 1 and all(isinstance(tree, TreeArena) for tree in trees):
+            (table,) = tables.values()
+            return table, list(trees)
         table = LabelTable.from_forest(trees)
     return table, [
         tree.interned(table)

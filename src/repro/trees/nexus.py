@@ -23,23 +23,25 @@ NEXUS blocks (TAXA, CHARACTERS, ...) are skipped.
 
 The document is split into ``;``-terminated statements by one
 quote- and comment-aware pattern, so a quoted name may hold ``;``,
-``,`` or brackets (``'a;b'``, ``'x, y'``, ``'c[1]'``).  Each TREE body
-goes straight to the Newick token reader of :mod:`repro.trees.newick`
-with the block's TRANSLATE map, which fills one
-:class:`~repro.trees.arena.TreeArena` per tree
-(:func:`parse_nexus_arenas`); :func:`read_arenas` reads either format
-from a file, sniffing the ``#NEXUS`` header.
+``,`` or brackets (``'a;b'``, ``'x, y'``, ``'c[1]'``).  The TREE
+bodies of the whole document, each with the TRANSLATE map in force at
+its statement, go to :func:`repro.trees.newick.read_forest` in one
+call, which fills one :class:`~repro.trees.arena.ForestArena` — one
+label table over every tree's taxa (:func:`parse_nexus_arenas`);
+:func:`read_arenas` reads either format from a file, sniffing the
+``#NEXUS`` header.  Errors are reported in document order: a malformed
+tree before a malformed statement is the one raised.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from itertools import count
+from itertools import count, repeat
 
 from repro.errors import NewickError
-from repro.trees.arena import TreeArena
-from repro.trees.newick import parse_arenas, read_tokens, write_newick
+from repro.trees.arena import ForestArena
+from repro.trees.newick import parse_arenas, read_forest, write_newick
 from repro.trees.tree import Tree
 
 __all__ = [
@@ -71,11 +73,12 @@ _TREE_RE = re.compile(
 )
 
 
-def parse_nexus_arenas(text: str) -> list[TreeArena]:
+def parse_nexus_arenas(text: str) -> ForestArena:
     """Read every tree in the TREES block(s) of a NEXUS document.
 
-    One arena per TREE statement, named after it, with TRANSLATE keys
-    in the Newick body replaced by their taxon names.
+    One forest arena with a tree per TREE statement, named after it,
+    with TRANSLATE keys in the Newick body replaced by their taxon
+    names and one label table over the taxa of every tree.
 
     Raises
     ------
@@ -83,27 +86,44 @@ def parse_nexus_arenas(text: str) -> list[TreeArena]:
         If the document has no ``#NEXUS`` header, no TREES block, an
         unterminated quote, comment or TREES block, or a malformed
         statement or tree.
+    ArenaError
+        If the trees carry more distinct labels in total than a label
+        table holds.
     """
     header = _HEADER_RE.match(text)
     if header is None:
         raise NewickError("missing #NEXUS header")
-    arenas: list[TreeArena] = []
+    bodies: list[tuple[int, int]] = []
+    names: list[str] = []
+    maps: list[dict[str, str]] = []
     translate: dict[str, str] | None = None  # None outside TREES blocks
     seen_block = False
-    for start, stop in _statements(text, header.end()):
-        words = _KEYWORDS_RE.match(text, start, stop)
-        keyword, second = words.group(1, 2) if words else ("", "")
-        keyword = keyword.upper()
-        if translate is None:
-            if keyword == "BEGIN" and second.upper() == "TREES":
-                translate = {}
-                seen_block = True
-        elif keyword in ("END", "ENDBLOCK"):
-            translate = None
-        elif keyword == "TRANSLATE":
-            translate = _translate(text, start, stop)
-        elif keyword in ("TREE", "UTREE"):
-            arenas.append(_tree(text, start, stop, translate))
+    try:
+        for start, stop in _statements(text, header.end()):
+            words = _KEYWORDS_RE.match(text, start, stop)
+            keyword, second = words.group(1, 2) if words else ("", "")
+            keyword = keyword.upper()
+            if translate is None:
+                if keyword == "BEGIN" and second.upper() == "TREES":
+                    translate = {}
+                    seen_block = True
+            elif keyword in ("END", "ENDBLOCK"):
+                translate = None
+            elif keyword == "TRANSLATE":
+                translate = _translate(text, start, stop)
+            elif keyword in ("TREE", "UTREE"):
+                head = _TREE_RE.match(text, start, stop)
+                if head is None:
+                    raise NewickError("malformed TREE statement", start)
+                # The body keeps its ``;``: a bare ``;`` is a one-node tree.
+                bodies.append((head.end(), min(stop + 1, len(text))))
+                names.append(_unquote(head.group(1)))
+                maps.append(translate)
+    except NewickError:
+        # A malformed tree before this statement is the first error.
+        read_forest(text, bodies, names, maps)
+        raise
+    arenas = read_forest(text, bodies, names, maps)
     if translate is not None:
         raise NewickError("unterminated TREES block (no END;)", len(text))
     if not seen_block:
@@ -134,8 +154,8 @@ def read_nexus_file(path: str) -> list[Tree]:
         return parse_nexus(handle.read())
 
 
-def read_arenas(path: str) -> list[TreeArena]:
-    """Read every tree of a Newick or NEXUS file into arenas.
+def read_arenas(path: str) -> ForestArena:
+    """Read every tree of a Newick or NEXUS file into one forest arena.
 
     The format is sniffed by a ``#NEXUS`` header in the first 64
     characters; Newick trees are named ``tree_0``, ``tree_1``, ...
@@ -172,34 +192,28 @@ def _translate(text: str, start: int, stop: int) -> dict[str, str]:
     """The ``key -> taxon`` map of a TRANSLATE statement.
 
     Entries are ``key name`` pairs separated by commas; a name of
-    several unquoted words is kept as written.
+    several unquoted words is kept as written.  A statement with no
+    quote and no comment is split on commas and whitespace; the entry
+    pattern reads the others.
     """
-    table: dict[str, str] = {}
     keyword = _KEYWORDS_RE.match(text, start, stop)
     begin = start if keyword is None else keyword.end(1)
-    for key, name in _ENTRY_RE.findall(text, begin, stop):
-        if not name:
-            raise NewickError(f"malformed TRANSLATE entry {key!r}", start)
-        table[_unquote(key)] = _unquote(name)
+    body = text[begin:stop]
+    table: dict[str, str] = {}
+    if "'" in body or "[" in body:
+        for key, name in _ENTRY_RE.findall(body):
+            if not name:
+                raise NewickError(f"malformed TRANSLATE entry {key!r}", start)
+            table[_unquote(key)] = _unquote(name)
+        return table
+    # Whitespace-only pieces (after a trailing comma) are skipped, as
+    # the entry pattern skips them.
+    for words in map(str.split, body.split(","), repeat(None), repeat(1)):
+        if len(words) == 2:
+            table[words[0]] = words[1].rstrip()
+        elif words:
+            raise NewickError(f"malformed TRANSLATE entry {words[0]!r}", start)
     return table
-
-
-def _tree(
-    text: str, start: int, stop: int, translate: dict[str, str] | None
-) -> TreeArena:
-    """The arena of one ``TREE [*] name = newick`` statement."""
-    head = _TREE_RE.match(text, start, stop)
-    if head is None:
-        raise NewickError("malformed TREE statement", start)
-    # The body keeps its ``;``: a bare ``;`` is a one-node tree.
-    return read_tokens(
-        text,
-        head.end(),
-        min(stop + 1, len(text)),
-        single=True,
-        name=_unquote(head.group(1)),
-        translate=translate,
-    )[0]
 
 
 def write_nexus(trees: list[Tree], translate: bool = True) -> str:

@@ -156,6 +156,14 @@ class TestTreeArena:
         arena = TreeArena.from_tree(parse_newick("((a:0.5,b),c)r;"))
         assert pickle.loads(pickle.dumps(arena)) == arena
 
+    def test_forest_slice_pickles_as_arrays(self):
+        _first, arena = parse_arenas("(x,y);((a:0.5,b),c)r;")
+        clone = pickle.loads(pickle.dumps(arena))
+        assert clone == arena
+        assert clone.interned() == TreeArena.from_tree(
+            parse_newick("((a:0.5,b),c)r;", name="tree_1")
+        )
+
     def test_foreign_label_raises(self):
         table = LabelTable(["a"])
         with pytest.raises(ArenaError, match="not in this table"):
@@ -266,3 +274,59 @@ class TestDropInEquivalence:
             assert mine_tree(tree, maxdist=2.5) == (
                 single_tree.mine_tree(tree, maxdist=2.5)
             )
+
+
+class TestRemapCostsTheTree:
+    """Re-interning a tree's keys looks up only the labels they use."""
+
+    FOREST = tuple(f"L{index:05d}" for index in range(17_000))
+
+    def packed(self):
+        from repro.trees.packing import pack_key
+
+        return PackedCounts(
+            self.FOREST,
+            {pack_key(0, 5, 7): 1, pack_key(2, 7, 9_000): 2, pack_key(1, 5, 5): 3},
+        )
+
+    def test_sorted_tuple_target(self, monkeypatch):
+        from repro.trees.packing import unpack_key
+
+        target = tuple(self.FOREST[index] for index in (1, 5, 7, 9_000, 16_999))
+        looked = []
+        find = fastmine.find_label
+
+        def spy(labels, label):
+            looked.append(label)
+            return find(labels, label)
+
+        monkeypatch.setattr(fastmine, "find_label", spy)
+        keys, counts = fastmine._remap_packed(self.packed(), target, 1)
+        assert sorted(looked) == ["L00005", "L00007", "L09000"]
+        decoded = {
+            (target[a], target[b], half): int(count)
+            for (half, a, b), count in zip(map(unpack_key, keys.tolist()), counts)
+        }
+        assert decoded == {
+            ("L00005", "L00007", 0): 1,
+            ("L00007", "L09000", 2): 2,
+            ("L00005", "L00005", 1): 3,
+        }
+
+    def test_label_table_target(self, monkeypatch):
+        table = LabelTable(["L00005", "L00007", "L09000", "other"])
+        looked = []
+        find_many = LabelTable.find_many
+
+        def spy(self, labels):
+            looked.extend(labels)
+            return find_many(self, labels)
+
+        monkeypatch.setattr(LabelTable, "find_many", spy)
+        keys, _ = fastmine._remap_packed(self.packed(), table, 1)
+        assert looked == ["L00005", "L00007", "L09000"]
+        assert keys.tolist() == sorted(keys.tolist())
+
+    def test_missing_label_raises(self):
+        with pytest.raises(ArenaError, match="not in this table"):
+            fastmine._remap_packed(self.packed(), ("L00005", "L00007"), 1)

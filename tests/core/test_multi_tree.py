@@ -121,3 +121,44 @@ class TestMaxHeightForest:
         capped = mine_forest(trees, minsup=2, max_height=1)
         capped_keys = {(p.label_a, p.label_b, p.distance) for p in capped}
         assert ("a", "d", 1.0) not in capped_keys
+
+
+class TestSharedLabelTable:
+    """Counts mined from one forest arena aggregate on their own ids."""
+
+    def test_shared_table_builds_no_table_and_calls_no_remap(self, monkeypatch):
+        from repro.core import fastmine
+        from repro.core.fastmine import mine_arena
+        from repro.core.multi_tree import aggregate_packed
+        from repro.core.params import MiningParams
+        from repro.trees.arena import LabelTable
+        from repro.trees.newick import parse_arenas
+
+        forest = parse_arenas("((a,b),(c,d));\n((a,c),(b,d));\n((a,b),(c,e));\n")
+        shared = [mine_arena(arena, MiningParams()) for arena in forest]
+        per_tree = [mine_arena(arena.interned(), MiningParams()) for arena in forest]
+        assert len({id(counts.labels) for counts in shared}) == 1
+        expected = aggregate_packed(
+            per_tree, minoccur=1, minsup=2, ignore_distance=False
+        )
+        calls = []
+        init = LabelTable.__init__
+
+        def spy_table(self, labels):
+            calls.append("LabelTable")
+            init(self, labels)
+
+        def spy_remap(*args):
+            calls.append("remap")
+            raise AssertionError("shared-table counts need no remap")
+
+        monkeypatch.setattr(LabelTable, "__init__", spy_table)
+        monkeypatch.setattr(fastmine, "_remap_keys", spy_remap)
+        result = aggregate_packed(
+            shared, minoccur=1, minsup=2, ignore_distance=False
+        )
+        assert calls == []
+        assert result == expected
+        assert [p.tree_indexes for p in result] == [
+            p.tree_indexes for p in expected
+        ]

@@ -214,6 +214,17 @@ class TestDeltaSerialisation:
         for delta in corpus.log():
             assert CorpusDelta.from_dict(delta.as_dict()) == delta
 
+    def test_logged_keys_decode_only_when_read(self):
+        # A distance that is no number shows when the keys are decoded.
+        delta = CorpusDelta.from_dict({
+            "version": 1, "op": "add", "added": [], "removed": [],
+            "trees_after": 0, "keys_gained": [["a", "b", "x"]] * 3,
+            "keys_lost": [], "supports_changed": 0,
+        })
+        assert "3 pair key(s) gained, 0 lost" in delta.describe()
+        with pytest.raises(ValueError):
+            list(delta.keys_gained)
+
     def test_params_validation_routes_through_mining_params(self):
         with pytest.raises(Exception):
             VersionedCorpus(minoccur=0)

@@ -243,6 +243,21 @@ class TestPayloadRejection:
         assert engine.items([tree]) == baseline
         assert engine.stats.rejected == 1
 
+    def test_payload_from_another_forest_is_served(self):
+        # The same tree read from two files: each forest interns its
+        # own table, and the first file's payload serves the second.
+        from repro.trees.newick import parse_arenas
+
+        first = parse_arenas("((a,b),(c,d));\n((x,y),z);\n")
+        second = parse_arenas("(q,r);\n((a,b),(c,d));\n")
+        assert first[0].table.labels != second[1].table.labels
+        engine = MiningEngine()
+        baseline = engine.items([first[0]])
+        engine.stats.reset()
+        assert engine.items([second[1]]) == baseline
+        assert engine.stats.rejected == 0
+        assert engine.stats.memory_hits == 1
+
     def test_rejected_appears_in_stats_dict(self, tree):
         engine = MiningEngine()
         assert engine.stats.as_dict()["rejected"] == 0

@@ -106,3 +106,30 @@ class TestDistanceTrace:
         assert counters["distvec.joins"] == 1
         assert counters["engine.distance.builds"] == 1
         assert counters["engine.lookups"] == 2
+
+
+class TestFrequentTrace:
+    """A ``frequent`` run is spanned from reading the file to printing."""
+
+    def test_spans_cover_read_mine_and_format(self, tmp_path, capsys):
+        forest = tmp_path / "forest.nwk"
+        forest.write_text("((a,b),(c,d));\n((a,b),(c,e));\n", encoding="utf-8")
+        path = tmp_path / "trace.jsonl"
+        assert main(["frequent", str(forest), "--trace", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("# ")
+        lines = [
+            json.loads(raw)
+            for raw in path.read_text(encoding="utf-8").splitlines()
+        ]
+        for line in lines:
+            assert validate(line, TRACE_SCHEMA) == []
+        names = spans_by_name(lines)
+        for required in (
+            "trees.read", "engine.batch", "fastmine.sweep", "cli.format"
+        ):
+            assert required in names, f"missing span {required}"
+        read, = names["trees.read"]
+        formatted, = names["cli.format"]
+        batch, = names["engine.batch"]
+        assert read["parent"] is None and formatted["parent"] is None
+        assert read["start"] < batch["start"] < formatted["start"]

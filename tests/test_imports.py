@@ -7,6 +7,7 @@ because the test process has long since imported everything.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import inspect
 import json
@@ -119,6 +120,27 @@ class TestMiningImports:
         run = run_cli([arg.format(**inputs) for arg in argv])
         assert run["code"] == 0
         assert ("repro.core.topk" in run["modules"]) == loads_topk
+
+    def test_frequent_loads_no_distance_code(self, inputs):
+        run = run_cli(["frequent", inputs["forest"], "--minsup", "2"])
+        assert run["code"] == 0
+        distance = ["repro.core.distvec", "repro.core.distance", "repro.core.pairset"]
+        assert [name for name in distance if name in run["modules"]] == []
+
+    def test_mode_choices_spell_the_distance_modes(self):
+        from repro.cli import build_parser
+        from repro.core.distance import DistanceMode
+
+        parser = build_parser()
+        subparsers = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        mode = next(
+            action for action in subparsers.choices["distance"]._actions
+            if action.dest == "mode"
+        )
+        assert mode.choices == [member.value for member in DistanceMode]
 
     def test_nelson_consensus_still_runs(self, inputs):
         run = run_cli(["consensus", inputs["profile"], "--method", "nelson"])
