@@ -9,10 +9,14 @@ synthetic trees of ~50 nodes, Figure-6 style):
 - ``dropin`` — :func:`repro.core.fastmine.mine_tree_counter`, the
   drop-in replacement *including* the cost of materialising a
   string-keyed ``Counter`` per tree;
-- ``kernel`` — the interned pipeline the engine actually runs:
+- ``kernel`` — the interned pipeline, one tree per call:
   :meth:`TreeArena.from_tree` + :func:`mine_arena`, producing packed
   counts (string materialisation happens once, outside the timed
   region, exactly as the engine defers it to the boundary).
+
+An extra ``batch`` row (no gate) times what the engine runs on a
+batch of cache misses: every tree flattened, then one
+:func:`mine_arenas` call over all of them.
 
 The gate asserts the interned kernel is >= 3x the reference, and that
 both fastmine passes decode to output *byte-identical* to the
@@ -46,7 +50,7 @@ except ImportError:  # script invocation: sys.path[0] is benchmarks/
     from conftest import write_run_manifest
 
 from repro.core import fastmine, single_tree
-from repro.core.fastmine import mine_arena
+from repro.core.fastmine import mine_arena, mine_arenas
 from repro.core.params import MiningParams
 from repro.generate.random_trees import SyntheticTreeParams, synthetic_forest
 from repro.obs.context import scope
@@ -121,6 +125,13 @@ def run(
             lambda t: mine_arena(TreeArena.from_tree(t), params),
             corpus,
         )
+        batch_seconds = float("inf")
+        for _ in range(REPEATS):
+            started = time.perf_counter()
+            batched = mine_arenas(
+                [TreeArena.from_tree(tree) for tree in corpus], params
+            )
+            batch_seconds = min(batch_seconds, time.perf_counter() - started)
         # Boundary materialisation, outside the timed region by design.
         decoded = [p.to_counter() for p in packed]
 
@@ -128,6 +139,7 @@ def run(
     byte_identical = (
         canonical_bytes(dropin) == reference_bytes
         and canonical_bytes(decoded) == reference_bytes
+        and canonical_bytes([p.to_counter() for p in batched]) == reference_bytes
     )
 
     gate = 1.0 if smoke else 3.0
@@ -136,6 +148,7 @@ def run(
         "reference": reference_seconds,
         "dropin": dropin_seconds,
         "kernel": kernel_seconds,
+        "batch": batch_seconds,
     }
     payload = {
         "mode": "smoke" if smoke else "full",
@@ -148,6 +161,8 @@ def run(
         "kernel_seconds": kernel_seconds,
         "dropin_speedup": reference_seconds / dropin_seconds,
         "kernel_speedup": reference_seconds / kernel_seconds,
+        "batch_seconds": batch_seconds,
+        "batch_speedup": reference_seconds / batch_seconds,
         "byte_identical": byte_identical,
         "gate": gate,
         "phases": [
@@ -157,6 +172,8 @@ def run(
         "note": (
             "single-thread; 'kernel' times TreeArena.from_tree + "
             "mine_arena (packed counts, as the engine caches them); "
+            "'batch' times TreeArena.from_tree per tree + one mine_arenas "
+            "call (no gate); "
             "'dropin' adds per-tree Counter materialisation; the gate "
             f"asserts kernel_speedup >= {gate}x with byte-identical "
             "output"
@@ -182,6 +199,8 @@ def report_rows(payload: dict) -> list[str]:
         f"({payload['dropin_speedup']:.2f}x)",
         f"kernel:    {payload['kernel_seconds']:.3f}s "
         f"({payload['kernel_speedup']:.2f}x, gate {payload['gate']:.0f}x)",
+        f"batch:     {payload['batch_seconds']:.3f}s "
+        f"({payload['batch_speedup']:.2f}x, one mine_arenas call)",
         f"byte-identical: {payload['byte_identical']}",
     ]
 

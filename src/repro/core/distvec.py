@@ -68,7 +68,7 @@ from repro.core.fastmine import (
     PackedCounts,
     _collapse_pairs,
     _remap_packed,
-    mine_arena,
+    mine_arenas,
     shared_labels,
 )
 from repro.core.params import MiningParams, validate_minoccur, validate_mode
@@ -103,6 +103,23 @@ def _monotone_remap(
         dtype=np.int64,
         count=len(old_labels),
     )
+
+
+def _counter_packed(
+    table: LabelTable, counter: Mapping[tuple[str, str, float], int]
+) -> PackedCounts:
+    """One string-keyed counter as packed counts over ``table``."""
+    keys = np.fromiter(
+        (
+            pack_key(int(2 * distance), table.intern(label_a), table.intern(label_b))
+            for label_a, label_b, distance in counter
+        ),
+        np.int64,
+        len(counter),
+    )
+    order = keys.argsort()
+    counts = np.fromiter(counter.values(), np.int64, len(counter))
+    return PackedCounts(table.labels, keys[order], counts[order])
 
 
 def _remap_full_keys(keys: np.ndarray, remap: np.ndarray) -> np.ndarray:
@@ -283,7 +300,7 @@ class DistanceVectors:
             return engine.distance_vectors(trees, params)
         _table, arenas = forest_arenas(trees)
         return cls.from_packed(
-            [mine_arena(arena, params) for arena in arenas],
+            mine_arenas(arenas, params),
             minoccur=params.minoccur,
         )
 
@@ -307,20 +324,7 @@ class DistanceVectors:
             for (label_a, label_b, _distance) in counter
             for label in (label_a, label_b)
         )
-        packed = [
-            PackedCounts(
-                table.labels,
-                {
-                    pack_key(
-                        int(2 * distance),
-                        table.intern(label_a),
-                        table.intern(label_b),
-                    ): count
-                    for (label_a, label_b, distance), count in counter.items()
-                },
-            )
-            for counter in counters
-        ]
+        packed = [_counter_packed(table, counter) for counter in counters]
         return cls.from_packed(packed, minoccur=minoccur)
 
     @classmethod

@@ -32,7 +32,7 @@ from collections import Counter
 from typing import Iterator, Sequence
 
 from repro.core.cousins import CousinPairItem
-from repro.core.fastmine import PackedCounts, free_path_counts
+from repro.core.fastmine import free_path_counts
 from repro.core.params import MiningParams
 from repro.errors import FreeTreeError
 from repro.trees.arena import TreeArena
@@ -306,12 +306,12 @@ def mine_free_tree_rooted(
     length, except that paths crossing ``r`` gained one edge (Eq. 10).
     The rooted tree is flattened into a
     :class:`~repro.trees.arena.TreeArena` and handed to
-    :func:`repro.core.fastmine.free_path_counts`, whose single
-    bottom-up sweep covers every ``(i, j)`` combination of Eq. 9 at
-    once: pairs drawn from two distinct child subtrees of a node at
-    depths ``(dl, dr)`` have path length ``dl + dr`` through it (minus
-    1 when that node is the artificial root), and each labeled node
-    also pairs with its own labeled descendants ``m`` levels below.
+    :func:`repro.core.fastmine.free_path_counts`, whose one pair
+    enumeration covers every ``(i, j)`` combination of Eq. 9 at once:
+    pairs drawn from two distinct child subtrees of a node at depths
+    ``(dl, dr)`` have path length ``dl + dr`` through it (minus 1 when
+    that node is the artificial root), and each labeled node also
+    pairs with its own labeled descendants ``m`` levels below.
     """
     params = MiningParams(maxdist=maxdist, minoccur=minoccur, minsup=1)
     graph.validate()
@@ -319,7 +319,7 @@ def mine_free_tree_rooted(
     counts = free_path_counts(
         arena, _edge_limit(params), artificial_root=len(graph) > 1
     )
-    return PackedCounts(arena.table.labels, counts).items(params.minoccur)
+    return counts.items(params.minoccur)
 
 
 def mine_graph_forest(

@@ -33,7 +33,7 @@ from repro.core.fastmine import (
     PackedCounts,
     _collapse_pairs,
     _remap_packed,
-    mine_arena,
+    mine_arenas,
     mine_tree,
     shared_labels,
 )
@@ -274,7 +274,7 @@ def mine_forest(
     # table; phase 2 (the kernel) applies every threshold.
     table, arenas = forest_arenas(trees)
     return aggregate_packed(
-        [mine_arena(arena, params) for arena in arenas],
+        mine_arenas(arenas, params),
         minoccur=params.minoccur,
         minsup=params.minsup,
         ignore_distance=ignore_distance,

@@ -119,8 +119,9 @@ class QueryVector:
 
 def _foreign_remap(
     packed: PackedCounts, corpus_labels: tuple[str, ...]
-) -> np.ndarray:
-    """Query label id -> corpus-compatible id, without growing the table.
+) -> tuple[np.ndarray, int]:
+    """Query label id -> corpus-compatible id, without growing the table,
+    and how many of the query's labels the corpus lacks.
 
     Only the labels the query's keys use are looked up, by binary
     search, so a query costs the size of its tree whatever the size
@@ -151,7 +152,7 @@ def _foreign_remap(
     slots[unknown] = np.arange(base, base + fresh)
     remap = np.zeros(len(packed.labels), dtype=np.int64)
     remap[used] = slots
-    return remap
+    return remap, fresh
 
 
 def query_vector(
@@ -164,16 +165,19 @@ def query_vector(
     and the distances stop matching the all-pairs reference.
     """
     minoccur = validate_minoccur(minoccur)
-    size = len(packed.counts)
-    keys = np.fromiter(packed.counts.keys(), dtype=np.int64, count=size)
-    counts = np.fromiter(packed.counts.values(), dtype=np.int64, count=size)
+    keys, counts = packed.keys, packed.counts
     if minoccur > 1:
         keep = counts >= minoccur
         keys = keys[keep]
         counts = counts[keep]
-    keys = _remap_full_keys(keys, _foreign_remap(packed, vectors.labels))
-    order = np.argsort(keys)
-    return QueryVector(keys[order], counts[order])
+    if packed.labels is not vectors.labels and keys.size:
+        remap, fresh = _foreign_remap(packed, vectors.labels)
+        keys = _remap_full_keys(keys, remap)
+        if fresh:
+            # ids past the corpus universe break the remap's monotony
+            order = keys.argsort()
+            keys, counts = keys[order], counts[order]
+    return QueryVector(keys, counts)
 
 
 @dataclass(frozen=True)

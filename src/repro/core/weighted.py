@@ -23,6 +23,7 @@ pin down).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -104,7 +105,7 @@ def enumerate_weighted_pairs(
     max_span:
         When given, pairs whose span exceeds it are dropped.
 
-    The kernel's node-level sweep already reports each pair's least
+    The kernel's pair enumeration already reports each pair's least
     common ancestor, so the span is two walks up the arena's parent
     array — no per-pair LCA query.
     """
@@ -120,8 +121,8 @@ def enumerate_weighted_pairs(
     node_ids = arena.node_ids
     label = arena.label
     labels = arena.table.labels
-    for index_u, index_v, lca_index, half_steps in iter_pair_indexes(
-        arena, params
+    for index_u, index_v, lca_index, half_steps in zip(
+        *(column.tolist() for column in iter_pair_indexes(arena, params))
     ):
         span = _path_weight(parent, lengths, index_u, lca_index, default_length)
         span += _path_weight(parent, lengths, index_v, lca_index, default_length)
@@ -179,7 +180,8 @@ def mine_tree_weighted(
             distance=distance,
             occurrences=len(values),
             min_span=min(values),
-            mean_span=sum(values) / len(values),
+            # exactly rounded, so independent of the enumeration order
+            mean_span=math.fsum(values) / len(values),
             max_span=max(values),
         )
         for (label_a, label_b, distance), values in spans.items()

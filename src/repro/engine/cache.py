@@ -1,9 +1,9 @@
 """Content-addressed caching of per-tree mining results.
 
-The unit of work the engine memoises is one kernel pass over a tree —
-:func:`repro.core.fastmine.mine_arena` — whose product is an interned
-:class:`repro.core.fastmine.PackedCounts` (packed-int keys plus the
-sorted label table the tree was interned on).  Everything downstream
+The unit the engine memoises is one tree's kernel result — an element
+of :func:`repro.core.fastmine.mine_arenas`' output — an interned
+:class:`repro.core.fastmine.PackedCounts` (sorted packed-int keys and
+counts plus the sorted label table the tree was interned on).  Everything downstream
 (``mine_tree`` items, string-keyed counters, :class:`CousinPairSet`
 algebra, forest support counting) is a cheap projection of that
 record, so caching at this level serves every consumer at once.

@@ -502,7 +502,7 @@ class VersionedCorpus:
                 removed=(),
                 arrived=self._rows.full_rows[0][start:],
                 departed=(),
-                packed=packed,
+                packed=self._row_counts(positions),
                 rows_patched=self._patch_matrices(positions),
             )
             return positions
@@ -566,7 +566,7 @@ class VersionedCorpus:
                 removed=removed,
                 arrived=[self._rows.full_rows[0][index] for index in positions],
                 departed=departed,
-                packed=packed,
+                packed=self._row_counts(positions),
                 rows_patched=self._patch_matrices(positions),
             )
 
@@ -735,6 +735,14 @@ class VersionedCorpus:
             with obs_scope(self.engine.registry, self.engine.tracer):
                 self._log = self._store.read_log(CorpusDelta.from_dict)
         return self._log
+
+    def _row_counts(self, positions: Sequence[int]) -> list[PackedCounts]:
+        """The rows at ``positions`` as packed counts on the rows' label
+        tuple — the one an attached store shares, so it takes them as
+        they are instead of re-interning the trees' own counts."""
+        keys, counts = self._rows.full_rows
+        labels = self._rows.labels
+        return [PackedCounts(labels, keys[index], counts[index]) for index in positions]
 
     def _check_positions(self, positions: Sequence[int]) -> None:
         size = len(self._refs)

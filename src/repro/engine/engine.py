@@ -1,8 +1,8 @@
 """The cached mining engine.
 
 ``Multiple_Tree_Mining`` and every Section 5 application reduce to the
-same hot inner step: one kernel pass over one tree
-(:func:`repro.core.fastmine.mine_arena`).  A tree's pair counts depend
+same hot inner step: the kernel's pair enumeration
+(:func:`repro.core.fastmine.mine_arenas`).  A tree's pair counts depend
 only on its shape, labels and the mining parameters, which makes them
 cacheable by content.
 
@@ -16,7 +16,8 @@ cacheable by content.
   a content-addressed :class:`repro.engine.cache.PairSetCache`
   (an in-process LRU) and materialised into string-keyed counters /
   item lists only at the public boundary;
-- cache misses are mined in-process, one ``mine_arena`` call each;
+- a batch's cache misses are mined in-process, in one ``mine_arenas``
+  call;
 - duplicate trees inside one batch are mined once and re-served;
 - every batch updates an :class:`repro.engine.stats.EngineStats`.
 
@@ -33,7 +34,7 @@ from collections import Counter, OrderedDict
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.cousins import CousinPairItem
-from repro.core.fastmine import PackedCounts, mine_arena
+from repro.core.fastmine import PackedCounts, mine_arenas
 from repro.core.multi_tree import FrequentCousinPair, aggregate_packed
 from repro.core.params import MiningParams, validate_minoccur, validate_mode
 from repro.engine.cache import PairSetCache, arena_cache_key
@@ -253,8 +254,8 @@ class MiningEngine:
                     metric="engine.mine.seconds",
                     misses=len(to_mine),
                 ):
-                    for key, arena in to_mine:
-                        packed = mine_arena(arena, params)
+                    mined = mine_arenas([arena for _, arena in to_mine], params)
+                    for (key, _arena), packed in zip(to_mine, mined):
                         resolved[key] = packed
                         self.cache.put(key, packed)
 

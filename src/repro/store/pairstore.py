@@ -725,9 +725,12 @@ class PairStore:
                 == [(uid, key) for uid, key in members]
             ):
                 return
+            # Rows on this store's own label tuple (a corpus commit's)
+            # need no lookup: identity, never a tuple comparison.
             unknown = {
                 label
                 for uid, _ in fresh
+                if packed[uid].labels is not self.labels
                 for label in packed[uid].labels_used()
                 if find_label(self.labels, label) < 0
             }
@@ -853,6 +856,13 @@ class PairStore:
             if unknown:
                 new_labels = tuple(sorted((*self.labels, *unknown)))
                 remap = _monotone_remap(self.labels, new_labels)
+                # Adopt the commit's grown tuple when it is this table,
+                # so the next commit's rows pass by identity.
+                tuples = {id(row.labels): row.labels for row in packed.values()}
+                if len(tuples) == 1:
+                    (labels,) = tuples.values()
+                    if labels == new_labels:
+                        new_labels = labels
             current = {int(row["uid"]): row for row in manifest["rows"]}
             rows = []
             for uid, _ in members:

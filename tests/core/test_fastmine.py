@@ -185,7 +185,7 @@ class TestPackedFormat:
         arena = TreeArena.from_tree(_sample_tree())
         packed = mine_arena(arena, params)
         assert packed.labels == arena.table.labels
-        for key, occurrences in packed.counts.items():
+        for key, occurrences in zip(packed.keys.tolist(), packed.counts.tolist()):
             label_b = key & _LABEL_MASK
             label_a = (key >> LABEL_BITS) & _LABEL_MASK
             half_steps = key >> (2 * LABEL_BITS)
@@ -286,7 +286,8 @@ class TestRemapCostsTheTree:
 
         return PackedCounts(
             self.FOREST,
-            {pack_key(0, 5, 7): 1, pack_key(2, 7, 9_000): 2, pack_key(1, 5, 5): 3},
+            [pack_key(0, 5, 7), pack_key(1, 5, 5), pack_key(2, 7, 9_000)],
+            [1, 3, 2],
         )
 
     def test_sorted_tuple_target(self, monkeypatch):
@@ -330,3 +331,98 @@ class TestRemapCostsTheTree:
     def test_missing_label_raises(self):
         with pytest.raises(ArenaError, match="not in this table"):
             fastmine._remap_packed(self.packed(), ("L00005", "L00007"), 1)
+
+
+def _caterpillar(spine: int) -> Tree:
+    """A spine of ``spine`` unlabeled nodes, each with one labeled leaf;
+    leaf ``i`` is labeled ``c{i % 3}``."""
+    tree = Tree()
+    node = tree.add_root()
+    for index in range(spine):
+        tree.add_child(node, label=f"c{index % 3}")
+        node = tree.add_child(node)
+    return tree
+
+
+class TestBatchEnumeration:
+    """Edge cases of the one-pass batch enumeration (``mine_arenas``)."""
+
+    def test_one_node_trees_in_a_batch(self):
+        trees = [parse_newick(text) for text in ("a;", "((a,b),c);", "b;", "(a);")]
+        mined = fastmine.mine_arenas(
+            [TreeArena.from_tree(tree) for tree in trees], MiningParams()
+        )
+        assert [len(packed) for packed in mined] == [0, 3, 0, 0]
+        for tree, packed in zip(trees, mined):
+            assert packed.to_counter() == single_tree.mine_tree_counter(tree)
+
+    def test_empty_batch_and_empty_tree(self):
+        assert fastmine.mine_arenas([], MiningParams()) == []
+        (packed,) = fastmine.mine_arenas([TreeArena.from_tree(Tree())], MiningParams())
+        assert len(packed) == 0 and packed.total_occurrences() == 0
+
+    def test_unlabeled_internal_nodes_and_repeated_labels(self):
+        tree = parse_newick("((a,a,(a,b)),((a,b),(,a)),(a,(a,a)));")
+        packed = mine_arena(TreeArena.from_tree(tree), MiningParams(maxdist=2.5))
+        assert packed.counts.max() > 1
+        assert packed.to_counter() == single_tree.mine_tree_counter(tree, 2.5)
+
+    def test_slices_and_own_tables_in_one_batch(self):
+        forest = parse_arenas("((a,b),(c,d));((x,y),a);")
+        own = TreeArena.from_tree(parse_newick("((b,c),(d,e));"))
+        mined = fastmine.mine_arenas([forest[0], own, forest[1]], MiningParams())
+        assert [packed.labels for packed in mined] == [
+            forest.table.labels, own.table.labels, forest.table.labels
+        ]
+        for text, packed in zip(
+            ("((a,b),(c,d));", "((b,c),(d,e));", "((x,y),a);"), mined
+        ):
+            assert packed.to_counter() == single_tree.mine_tree_counter(
+                parse_newick(text)
+            )
+
+    def test_deep_caterpillar_is_linear(self):
+        import time
+
+        params = MiningParams()
+
+        def mine(spine):
+            arena = TreeArena.from_tree(_caterpillar(spine))
+            best = float("inf")
+            for _ in range(3):
+                started = time.perf_counter()
+                packed = mine_arena(arena, params)
+                best = min(best, time.perf_counter() - started)
+            return packed, best
+
+        assert mine_tree_counter(_caterpillar(40)) == (
+            single_tree.mine_tree_counter(_caterpillar(40))
+        )
+        # 25,000 spine nodes + 25,000 leaves: no recursion, and each
+        # leaf pairs only with the next one (aunt-niece, distance 0.5)
+        packed, big = mine(25_000)
+        assert packed.to_counter() == Counter(
+            {("c0", "c1", 0.5): 8_333, ("c1", "c2", 0.5): 8_333,
+             ("c0", "c2", 0.5): 8_333}
+        )
+        _, small = mine(6_250)
+        # linear: 4x the nodes cost about 4x (a quadratic pass, 16x)
+        assert big < 10 * small
+
+    def test_single_label_star_stays_bounded(self):
+        import tracemalloc
+
+        leaves = 3_000
+        tree = parse_newick("(" + ",".join(["x"] * leaves) + ");")
+        arena = TreeArena.from_tree(tree)
+        tracemalloc.start()
+        try:
+            packed = mine_arena(arena, MiningParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert packed.to_counter() == Counter(
+            {("x", "x", 0.0): leaves * (leaves - 1) // 2}
+        )
+        # 4.5 million pairs are expanded in chunks, never all at once
+        assert peak < 64 * 2**20

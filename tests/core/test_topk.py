@@ -259,6 +259,6 @@ class TestQueryProjection:
         tree = parse_newick("((a,zz),(b,a));")
         packed = MiningEngine(jobs=1).packed_counts([tree])[1][0]
         projected = query_vector(vectors, packed)
-        assert projected.full_total == sum(packed.counts.values())
+        assert projected.full_total == packed.total_occurrences()
         assert projected.pair_total == projected.full_total
         assert np.all(np.diff(projected.full_keys) > 0)

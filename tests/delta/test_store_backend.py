@@ -169,3 +169,39 @@ def test_store_version_tracks_every_commit(engine, tmp_path):
         corpus.add_trees(forest(1, 10 + step))
         assert corpus.store.version == corpus.version
         assert PairStore.open(directory).version == corpus.version
+
+
+def test_commit_of_known_labels_makes_no_label_lookup(engine, tmp_path, monkeypatch):
+    """The corpus hands the store rows on the store's own label tuple:
+    a commit that brings no new label looks none up, also after a
+    label-growth compaction."""
+    from repro.store import pairstore
+
+    directory = str(tmp_path / "store")
+    trees = forest(5, 12)
+    corpus = VersionedCorpus(trees, engine=engine)
+    corpus.pack_store(directory)
+    looked = []
+    find = pairstore.find_label
+
+    def spy(labels, label):
+        looked.append(label)
+        return find(labels, label)
+
+    monkeypatch.setattr(pairstore, "find_label", spy)
+    grown = synthetic_forest(
+        SyntheticTreeParams(treesize=12, databasesize=2, alphabetsize=30),
+        rng=13,
+    )
+    for op, payload, lookups in [
+        ("add", trees[:2], False),
+        ("replace", {1: trees[4]}, False),
+        ("add", grown, True),
+        ("add", grown[:1], False),
+        ("remove", [0, 3], False),
+    ]:
+        looked.clear()
+        getattr(corpus, f"{op}_trees")(payload)
+        mirror(trees, op, payload)
+        assert bool(looked) == lookups, (op, looked)
+        assert_in_sync(corpus, trees, directory, f"after {op} v{corpus.version}")

@@ -211,7 +211,7 @@ class TestPayloadRejection:
         engine = MiningEngine()
         baseline = engine.items([tree])
         key = _key(tree, MiningParams(minsup=1))
-        poisoned = PackedCounts(("w", "x", "y", "z"), {0: 99})
+        poisoned = PackedCounts(("w", "x", "y", "z"), [0], [99])
         engine.cache.put(key, poisoned)
         engine.stats.reset()
 

@@ -133,3 +133,27 @@ class TestFrequentTrace:
         batch, = names["engine.batch"]
         assert read["parent"] is None and formatted["parent"] is None
         assert read["start"] < batch["start"] < formatted["start"]
+
+    def test_one_sweep_per_engine_mine(self, tmp_path, capsys):
+        forest = tmp_path / "forest.nwk"
+        forest.write_text(
+            "((a,b),(c,d));\n((a,b),(c,e));\n(a,(b,(c,d)));\n((a,b),(c,d));\n",
+            encoding="utf-8",
+        )
+        path = tmp_path / "trace.jsonl"
+        assert main(["frequent", str(forest), "--trace", str(path)]) == 0
+        capsys.readouterr()
+        lines = [
+            json.loads(raw)
+            for raw in path.read_text(encoding="utf-8").splitlines()
+        ]
+        names = spans_by_name(lines)
+        mines = names["engine.mine"]
+        sweeps = names["fastmine.sweep"]
+        assert len(sweeps) == len(mines) == 1
+        assert sweeps[0]["parent"] == mines[0]["id"]
+        # The batch's three distinct trees (7 nodes each) in one sweep;
+        # the repeated tree is served from the batch, not mined again.
+        counters = lines[-1]["registry"]["counters"]
+        assert counters["fastmine.trees"] == 3
+        assert counters["fastmine.nodes"] == 21

@@ -1,6 +1,6 @@
 """Property-based tests for the consensus methods."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.consensus import (
     adams_consensus,
@@ -11,9 +11,12 @@ from repro.consensus import (
 )
 from repro.trees.bipartition import (
     all_compatible,
+    cluster_counts,
+    compatible,
     nontrivial_clusters,
     robinson_foulds,
 )
+from repro.trees.newick import parse_newick
 from repro.trees.validate import check_tree, is_leaf_labeled
 
 from tests.property.strategies import leaf_labeled_trees, same_taxa_profiles
@@ -59,13 +62,53 @@ def test_inclusion_chain(profile):
     assert strict <= semi
 
 
+def heaviest_compatible_weight(counts):
+    """Brute force: the largest total replication of any set of
+    pairwise-compatible clusters, each such set visited once."""
+    clusters = sorted(counts, key=lambda cluster: (len(cluster), sorted(cluster)))
+    best = 0
+    stack = [(0, 0, ())]
+    while stack:
+        start, weight, chosen = stack.pop()
+        best = max(best, weight)
+        for index in range(start, len(clusters)):
+            cluster = clusters[index]
+            if all(compatible(cluster, other) for other in chosen):
+                stack.append(
+                    (index + 1, weight + counts[cluster], (*chosen, cluster))
+                )
+    return best
+
+
+# Two compatible sets reach the maximum weight 8 here, and the one
+# Nelson's method returns lacks the majority clusters {t0,t1} and
+# {t2,t3}: majority clusters need not join a heaviest clique.
+TIED_PROFILE = [
+    parse_newick(text)
+    for text in (
+        "((t2,t3),((t4,t5),(t0,t1)));",
+        "((t1,t2),(t3,(t5,(t0,t4))));",
+        "((t1,t2),(t3,(t5,(t0,t4))));",
+        "((t0,t1),((t5,(t2,t3)),t4));",
+        "(((t2,t3),t4),(t5,(t0,t1)));",
+    )
+]
+
+
 @settings(max_examples=40, deadline=None)
 @given(profile=same_taxa_profiles(min_trees=2))
-def test_majority_within_nelson(profile):
-    """Majority clusters always join the max-replication clique."""
-    majority = nontrivial_clusters(majority_consensus(profile))
-    nelson = nontrivial_clusters(nelson_consensus(profile))
-    assert majority <= nelson
+@example(profile=TIED_PROFILE)
+def test_nelson_weight_is_the_compatible_maximum(profile):
+    """Nelson's clusters weigh as much as the heaviest compatible set
+    (exhaustive search), so at least as much as the majority set."""
+    counts = cluster_counts(profile)
+
+    def weight(tree):
+        return sum(counts[cluster] for cluster in nontrivial_clusters(tree))
+
+    nelson = weight(nelson_consensus(profile))
+    assert nelson == heaviest_compatible_weight(counts)
+    assert nelson >= weight(majority_consensus(profile))
 
 
 @settings(max_examples=40, deadline=None)
