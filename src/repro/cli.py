@@ -352,8 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextmanager
-def _engine_session(args: argparse.Namespace) -> Iterator[MiningEngine]:
+def _engine_session(
+    args: argparse.Namespace, *, reuse: bool = False
+) -> Iterator[MiningEngine]:
     """Build the engine and install its observability scope.
+
+    A command that hands the engine each tree once can reuse no mined
+    payload, so its engine has no cache and computes no content
+    address.  ``reuse`` keeps the engine's default cache: ``diff``
+    mines each snapshot twice, and ``corpus`` addresses every tree for
+    its store anyway.
 
     While the scope is active, ambient metrics and spans (kernel
     search, clustering, diff phases, cache internals) land in the
@@ -374,7 +382,12 @@ def _engine_session(args: argparse.Namespace) -> Iterator[MiningEngine]:
     profile = getattr(args, "profile", False)
     registry = MetricsRegistry()
     tracer = Tracer(registry, enabled=trace_path is not None or profile)
-    engine = MiningEngine(jobs=args.jobs, registry=registry, tracer=tracer)
+    engine = MiningEngine(
+        jobs=args.jobs,
+        cache_size=4096 if reuse else 0,
+        registry=registry,
+        tracer=tracer,
+    )
     try:
         with scope(registry, tracer):
             yield engine
@@ -671,7 +684,7 @@ def _cmd_supertree(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.apps.diff import diff_forests
 
-    with _engine_session(args) as engine:
+    with _engine_session(args, reuse=True) as engine:
         delta = diff_forests(
             load_trees(args.old),
             load_trees(args.new),
@@ -709,7 +722,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     from repro.engine.delta import VersionedCorpus
     from repro.store import STORE_FILE
 
-    with _engine_session(args) as engine:
+    with _engine_session(args, reuse=True) as engine:
         if args.action == "init":
             path = os.path.join(args.dir, STORE_FILE)
             if os.path.exists(path):

@@ -38,6 +38,7 @@ from repro.core.fastmine import (
     shared_labels,
 )
 from repro.core.params import MiningParams, validate_minoccur, validate_minsup
+from repro.obs.context import get_tracer
 from repro.trees.arena import LabelTable, TreeLike, forest_arenas
 from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK
 from repro.trees.tree import Tree
@@ -202,19 +203,21 @@ def aggregate_packed(
     arena; ``table``, when given, is its table) — then ids pass
     through with no table built and no remap — or carry several (the
     engine's per-tree cached form), which are re-interned onto their
-    merged, sorted universe.
+    merged, sorted universe.  One ``multi_tree.aggregate`` span covers
+    the call.
     """
-    if table is None:
-        table = shared_labels(packed)
-    rows = [_remap_packed(counts, table, 1) for counts in packed]
-    return aggregate_rows(
-        table.labels if isinstance(table, LabelTable) else table,
-        [keys for keys, _ in rows],
-        [counts for _, counts in rows],
-        minoccur=minoccur,
-        minsup=minsup,
-        ignore_distance=ignore_distance,
-    )
+    with get_tracer().span("multi_tree.aggregate", trees=len(packed)):
+        if table is None:
+            table = shared_labels(packed)
+        rows = [_remap_packed(counts, table, 1) for counts in packed]
+        return aggregate_rows(
+            table.labels if isinstance(table, LabelTable) else table,
+            [keys for keys, _ in rows],
+            [counts for _, counts in rows],
+            minoccur=minoccur,
+            minsup=minsup,
+            ignore_distance=ignore_distance,
+        )
 
 
 def mine_forest(

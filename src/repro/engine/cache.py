@@ -32,6 +32,13 @@ arena's (:meth:`repro.engine.engine.MiningEngine._admissible`).
 :func:`arena_cache_key` is the only address function: the engine
 computes it from the arenas the readers produce (or flattens a pointer
 tree first), and :class:`repro.store.PairStore` records it per tree.
+An address costs about as much as mining the tree, so the engine
+computes one only where it can be used: for every tree of a batch
+when its cache is on, and for every tree passed to
+:meth:`repro.engine.engine.MiningEngine.packed_counts` (whose callers
+persist it) whatever the cache size.  An engine whose cache is off
+(``max_entries=0``) mines its other batches unaddressed; deduplicating
+isomorphic trees inside a batch therefore needs a cache.
 
 The cache is one bounded in-process LRU (``OrderedDict``).  Per-tree
 results persist only inside a corpus's pair store

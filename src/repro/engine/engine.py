@@ -9,22 +9,27 @@ cacheable by content.
 :class:`MiningEngine` packages that behind one object:
 
 - each input tree is flattened once into a
-  :class:`repro.trees.arena.TreeArena`; the flat form addresses the
-  cache (:func:`repro.engine.cache.arena_cache_key`) and feeds the
-  interned kernel directly;
-- per-tree :class:`repro.core.fastmine.PackedCounts` are looked up in
-  a content-addressed :class:`repro.engine.cache.PairSetCache`
-  (an in-process LRU) and materialised into string-keyed counters /
-  item lists only at the public boundary;
-- a batch's cache misses are mined in-process, in one ``mine_arenas``
-  call;
-- duplicate trees inside one batch are mined once and re-served;
+  :class:`repro.trees.arena.TreeArena`, which feeds the interned
+  kernel directly;
+- with the cache on, each arena is content-addressed
+  (:func:`repro.engine.cache.arena_cache_key`) and its
+  :class:`repro.core.fastmine.PackedCounts` looked up in a
+  :class:`repro.engine.cache.PairSetCache` (an in-process LRU);
+  a batch's misses are mined in one ``mine_arenas`` call, and a tree
+  repeated inside the batch is mined once and re-served;
+- with the cache off (``cache_size=0``) nothing could reuse a
+  payload, so no address is computed: the whole batch is mined in one
+  ``mine_arenas`` call and served by position, a repeated tree
+  included.  :meth:`MiningEngine.packed_counts` still addresses every
+  tree, since its callers persist the addresses;
+- counts are materialised into string-keyed counters / item lists
+  only at the public boundary;
 - every batch updates an :class:`repro.engine.stats.EngineStats`.
 
 Results are *bit-identical* to the serial reference paths regardless
-of cache temperature: the mined counts are deterministic and are
-reassembled by content address.  ``tests/engine`` and
-``tests/property/test_prop_engine.py`` enforce this equivalence.
+of cache size or temperature: the mined counts are deterministic.
+``tests/engine`` and ``tests/property/test_prop_engine.py`` enforce
+this equivalence.
 """
 
 from __future__ import annotations
@@ -82,8 +87,10 @@ class MiningEngine:
         An explicit :class:`PairSetCache` to share between engines;
         mutually exclusive with ``cache_size``.
     cache_size:
-        Capacity of the in-process LRU cache (``0`` disables it,
-        ``None`` unbounded).
+        Capacity of the in-process LRU cache (``None`` unbounded).
+        ``0`` disables it, and with it the content addresses: such an
+        engine suits a batch that is mined once, and leaves even a
+        tree repeated inside a batch to be mined again.
     registry:
         The :class:`repro.obs.metrics.MetricsRegistry` backing
         ``engine.stats`` and every kernel metric counted during this
@@ -152,13 +159,13 @@ class MiningEngine:
         """Raw per-tree counters, aligned with the input order.
 
         Equivalent to ``[mine_tree_counter(t, ...) for t in trees]``;
-        misses come from the cache layers or (de-duplicated) mining.
+        counts come from the cache or from mining.
         Each returned counter is materialised fresh from the interned
         cached form — mutating it never corrupts the cache.
         """
         params = self._resolve(params, maxdist, 1, max_generation_gap, max_height)
-        keys, resolved = self._resolved_packed(trees, params)
-        return [resolved[key].to_counter() for key in keys]
+        _keys, packed = self._resolved_packed(trees, params)
+        return [counts.to_counter() for counts in packed]
 
     def packed_counts(
         self,
@@ -176,12 +183,15 @@ class MiningEngine:
         tree: the content address keys its bookkeeping and the
         :class:`PackedCounts` carry every occurrence at
         ``minoccur=1`` so any filter can be re-derived later.  The
-        returned objects are the engine's cached instances — callers
-        must treat them as read-only.
+        addresses are computed whatever the cache size, since the
+        corpus and its pair store persist them.  The returned objects
+        are the engine's cached instances — callers must treat them as
+        read-only.
         """
         params = self._resolve(params, maxdist, 1, max_generation_gap, max_height)
-        keys, resolved = self._resolved_packed(trees, params)
-        return keys, [resolved[key] for key in keys]
+        keys, packed = self._resolved_packed(trees, params, address=True)
+        assert keys is not None
+        return keys, packed
 
     def invalidate_distance_memos(self) -> None:
         """Drop memoised whole-forest frequent-pair lists.
@@ -197,15 +207,22 @@ class MiningEngine:
             del self._projections[key]
 
     def _resolved_packed(
-        self, trees: Sequence[TreeLike], params: MiningParams
-    ) -> tuple[list[str], dict[str, PackedCounts]]:
-        """Content addresses per tree plus the address -> counts map.
+        self,
+        trees: Sequence[TreeLike],
+        params: MiningParams,
+        *,
+        address: bool = False,
+    ) -> tuple[list[str] | None, list[PackedCounts]]:
+        """Per-tree packed counts in input order, plus their addresses.
 
         Arena inputs are used as they are, forest slices with their
         shared label table included; pointer trees are flattened once.
-        The arena both addresses the cache and feeds the kernel on a
-        miss.
-        The returned :class:`PackedCounts` are the engine's own cached
+        An engine whose cache is off (``cache.max_entries == 0``) can
+        reuse no payload, so unless ``address`` asks for the addresses
+        it mines the whole batch unaddressed and returns ``None`` for
+        them.  Otherwise each arena is addressed and looked up, and the
+        misses are mined, a tree repeated inside the batch once.  The
+        returned :class:`PackedCounts` may be the engine's cached
         objects — internal callers only read them; the public surface
         materialises fresh counters / item lists from them.
         """
@@ -216,11 +233,14 @@ class MiningEngine:
         ):
             stats.batches += 1
             stats.trees_seen += len(trees)
+            arenas = [as_arena(tree) for tree in trees]
+            if not address and self.cache.max_entries == 0:
+                stats.misses += len(arenas)
+                return None, self._mine(arenas, params)
 
             resolved: dict[str, object] = {}
             to_mine: list[tuple[str, TreeArena]] = []
             with tracer.span("engine.lookup"):
-                arenas = [as_arena(tree) for tree in trees]
                 keys = [arena_cache_key(arena, params) for arena in arenas]
                 for arena, key in zip(arenas, keys):
                     if key in resolved:
@@ -248,18 +268,22 @@ class MiningEngine:
                         stats.memory_hits += 1
                         resolved[key] = found
 
-            if to_mine:
-                with tracer.span(
-                    "engine.mine",
-                    metric="engine.mine.seconds",
-                    misses=len(to_mine),
-                ):
-                    mined = mine_arenas([arena for _, arena in to_mine], params)
-                    for (key, _arena), packed in zip(to_mine, mined):
-                        resolved[key] = packed
-                        self.cache.put(key, packed)
+            mined = self._mine([arena for _, arena in to_mine], params)
+            for (key, _arena), packed in zip(to_mine, mined):
+                resolved[key] = packed
+                self.cache.put(key, packed)
+            return keys, [resolved[key] for key in keys]
 
-            return keys, resolved
+    def _mine(
+        self, arenas: list[TreeArena], params: MiningParams
+    ) -> list[PackedCounts]:
+        """One ``mine_arenas`` call under the ``engine.mine`` span."""
+        if not arenas:
+            return []
+        with self.tracer.span(
+            "engine.mine", metric="engine.mine.seconds", misses=len(arenas)
+        ):
+            return mine_arenas(arenas, params)
 
     # ------------------------------------------------------------------
     # Projections (mirror the serial reference APIs exactly)
@@ -278,8 +302,8 @@ class MiningEngine:
         params = self._resolve(
             params, maxdist, minoccur, max_generation_gap, max_height
         )
-        keys, resolved = self._resolved_packed(trees, params)
-        return [resolved[key].items(params.minoccur) for key in keys]
+        _keys, packed = self._resolved_packed(trees, params)
+        return [counts.items(params.minoccur) for counts in packed]
 
     # ------------------------------------------------------------------
     # Distance kernel (Section 5.3 matrix builds)
@@ -310,9 +334,9 @@ class MiningEngine:
             "engine.distance.vectors", trees=len(trees)
         ):
             self.stats.distance_builds += 1
-            keys, resolved = self._resolved_packed(trees, params)
+            _keys, packed = self._resolved_packed(trees, params)
             return DistanceVectors.from_packed(
-                [resolved[key] for key in keys], minoccur=params.minoccur
+                packed, minoccur=params.minoccur
             )
 
     def frequent_pairs(
@@ -327,18 +351,21 @@ class MiningEngine:
         What :func:`repro.core.multi_tree.mine_forest` returns with
         ``engine=self``: per-tree mining goes through the
         content-addressed cache, the counting step is the one kernel
-        (:func:`repro.core.multi_tree.aggregate_packed`), and the
-        result is memoised under the forest fingerprint plus the
-        thresholds, so a repeat query over the same forest skips the
-        kernel too.  The returned list is the caller's.
+        (:func:`repro.core.multi_tree.aggregate_packed`), and, with the
+        cache on, the result is memoised under the forest fingerprint
+        plus the thresholds, so a repeat query over the same forest
+        skips the kernel too.  The returned list is the caller's.
         """
         with obs_scope(self.registry, self.tracer):
-            keys, resolved = self._resolved_packed(trees, params)
+            keys, packed = self._resolved_packed(trees, params)
+            if keys is None:
+                # No cache, so no memo either: nothing to key it by.
+                return self._build_frequent(packed, params, ignore_distance)
             fingerprint = forest_fingerprint(keys, params.minoccur)
             patterns = self._projection(
                 ("frequent", fingerprint, params.minoccur, params.minsup,
                  ignore_distance),
-                [resolved[key] for key in keys],
+                packed,
                 params,
                 self._build_frequent,
                 ignore_distance,
@@ -417,10 +444,8 @@ class MiningEngine:
             trees=len(vectors),
             mode=mode.value,
         ):
-            keys, resolved = self._resolved_packed([query], params)
-            projected = query_vector(
-                vectors, resolved[keys[0]], params.minoccur
-            )
+            _keys, (packed,) = self._resolved_packed([query], params)
+            projected = query_vector(vectors, packed, params.minoccur)
             return topk_search(vectors, projected, k, mode)
 
     # ------------------------------------------------------------------
@@ -514,11 +539,10 @@ class MiningEngine:
         """Serve a whole-forest result, memoised by ``memo_key``.
 
         ``build(packed, params, *args)`` computes a missing entry.
-        Entries are shared; callers copy what they hand out.  Disabled
-        alongside the memory cache (``cache_size=0``).
+        Entries are shared; callers copy what they hand out.  An engine
+        without a memory cache (``cache_size=0``) has no forest address
+        and never gets here.
         """
-        if self._projection_cap == 0:
-            return build(packed, params, *args)
         cached = self._projections.get(memo_key)
         if cached is None:
             cached = build(packed, params, *args)

@@ -114,8 +114,9 @@ class EngineStats:
         Lookups served from the in-process LRU cache — including
         repeats of a tree already resolved earlier in the same batch.
     misses:
-        Lookups that found nothing cached; exactly one per distinct
-        (canonical form, parameters) pair actually mined.
+        Trees mined.  With a cache, the lookups that found nothing
+        cached: one per distinct (canonical form, parameters) pair.
+        With no cache (``cache_size=0``), every tree of every batch.
     rejected:
         Cached payloads refused at lookup time because they were not
         interned packed counts or their label table disagreed with the

@@ -261,3 +261,78 @@ class TestPayloadRejection:
     def test_rejected_appears_in_stats_dict(self, tree):
         engine = MiningEngine()
         assert engine.stats.as_dict()["rejected"] == 0
+
+
+class TestUncachedEngineAddressesNothing:
+    """An engine without a cache (``cache_size=0``) can reuse no
+    payload, so it mines each batch without content addresses; only
+    :meth:`MiningEngine.packed_counts`, whose addresses callers persist,
+    still computes them."""
+
+    FOREST = ("((a,b),(c,d));", "((b,a),(d,c));", "(a,(b,(c,d)));")
+
+    @pytest.fixture
+    def fingerprints(self, monkeypatch):
+        calls = []
+        fingerprint = TreeArena.fingerprint
+
+        def counted(arena):
+            calls.append(arena)
+            return fingerprint(arena)
+
+        monkeypatch.setattr(TreeArena, "fingerprint", counted)
+        return calls
+
+    @pytest.fixture
+    def forest(self):
+        return [parse_newick(text) for text in self.FOREST]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda engine, forest: engine.frequent_pairs(
+                forest, MiningParams(minsup=1)
+            ),
+            lambda engine, forest: engine.distance_vectors(forest).matrix(),
+            lambda engine, forest: engine.topk_similar(
+                engine.distance_vectors(forest), forest[2], 2
+            ).neighbors,
+            lambda engine, forest: engine.items(forest),
+            lambda engine, forest: engine.counters(forest),
+        ],
+        ids=["frequent_pairs", "distance_vectors", "topk_similar",
+             "items", "counters"],
+    )
+    def test_no_fingerprint_and_same_answer(self, call, forest, fingerprints):
+        cached = call(MiningEngine(), forest)
+        assert fingerprints  # a cached engine addresses every tree
+        fingerprints.clear()
+        engine = MiningEngine(cache_size=0)
+        uncached = call(engine, forest)
+        assert fingerprints == []
+        assert uncached == cached
+        # Every tree is mined, the in-batch repeat included, and the
+        # counters still partition the trees seen.
+        stats = engine.stats
+        assert stats.memory_hits == 0
+        assert stats.misses == stats.trees_seen
+        assert (
+            engine.registry.counter("engine.lookups").value
+            == stats.memory_hits + stats.misses
+        )
+
+    def test_packed_counts_still_addresses(self, forest, fingerprints):
+        params = MiningParams(minsup=1)
+        engine = MiningEngine(cache_size=0)
+        keys, packed = engine.packed_counts(forest, params)
+        assert len(fingerprints) == len(forest)
+        assert keys == [_key(tree, params) for tree in forest]
+        # The in-batch repeat shares its address and is mined once.
+        assert keys[0] == keys[1] and packed[0] is packed[1]
+        assert engine.stats.misses == 2
+        assert engine.stats.memory_hits == 1
+        assert (
+            engine.registry.counter("engine.lookups").value
+            == engine.stats.memory_hits + engine.stats.misses
+        )
+        assert len(engine.cache) == 0

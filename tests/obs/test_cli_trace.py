@@ -1,6 +1,6 @@
 """End-to-end: ``repro distance --trace`` emits a coherent span tree.
 
-The acceptance shape: the trace's spans cover the lookup -> mine ->
+The acceptance shape: the trace's spans cover the batch -> mine ->
 join/prune phases of a distance run, parent links form a tree rooted
 in the engine spans, the file validates against the checked-in
 schema, and the histogram totals in the closing snapshot reconcile
@@ -68,15 +68,17 @@ class TestDistanceTrace:
         for required in (
             "engine.distance.vectors",
             "engine.batch",
-            "engine.lookup",
             "engine.mine",
             "fastmine.sweep",
             "distvec.build",
             "distvec.join",
         ):
             assert required in names, f"missing span {required}"
+        # A one-shot CLI engine has no cache, so it looks nothing up:
+        # the batch goes straight to mining.  The lookup span of a
+        # cached engine is pinned in tests/obs/test_overhead.py.
+        assert "engine.lookup" not in names
         batch = names["engine.batch"][0]
-        assert names["engine.lookup"][0]["parent"] == batch["id"]
         assert names["engine.mine"][0]["parent"] == batch["id"]
         assert batch["parent"] == names["engine.distance.vectors"][0]["id"]
         mine_id = names["engine.mine"][0]["id"]
@@ -125,14 +127,20 @@ class TestFrequentTrace:
             assert validate(line, TRACE_SCHEMA) == []
         names = spans_by_name(lines)
         for required in (
-            "trees.read", "engine.batch", "fastmine.sweep", "cli.format"
+            "trees.read", "engine.batch", "fastmine.sweep",
+            "multi_tree.aggregate", "cli.format",
         ):
             assert required in names, f"missing span {required}"
         read, = names["trees.read"]
         formatted, = names["cli.format"]
         batch, = names["engine.batch"]
+        aggregate, = names["multi_tree.aggregate"]
         assert read["parent"] is None and formatted["parent"] is None
-        assert read["start"] < batch["start"] < formatted["start"]
+        assert aggregate["parent"] is None
+        assert (
+            read["start"] < batch["start"] < aggregate["start"]
+            < formatted["start"]
+        )
 
     def test_one_sweep_per_engine_mine(self, tmp_path, capsys):
         forest = tmp_path / "forest.nwk"
@@ -152,8 +160,11 @@ class TestFrequentTrace:
         sweeps = names["fastmine.sweep"]
         assert len(sweeps) == len(mines) == 1
         assert sweeps[0]["parent"] == mines[0]["id"]
-        # The batch's three distinct trees (7 nodes each) in one sweep;
-        # the repeated tree is served from the batch, not mined again.
+        # The batch's four trees (7 nodes each) in one sweep: a
+        # one-shot run addresses nothing, so the repeated tree is
+        # mined again rather than looked up.
+        assert "engine.lookup" not in names
         counters = lines[-1]["registry"]["counters"]
-        assert counters["fastmine.trees"] == 3
-        assert counters["fastmine.nodes"] == 21
+        assert counters["fastmine.trees"] == 4
+        assert counters["fastmine.nodes"] == 28
+        assert counters["engine.lookups"] == counters["engine.cache.misses"]

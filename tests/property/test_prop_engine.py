@@ -3,8 +3,9 @@
 For random forests and random parameter draws, the engine must emit
 byte-for-byte the same frequent pairs as the dict-loop oracle
 (:func:`repro.core.reference.mine_forest_reference`) — under a cold
-cache and a warm cache.  Shrinking then hands back the smallest forest that
-breaks the contract.
+cache and a warm cache, and with no cache at all (``cache_size=0``,
+the unaddressed path).  Shrinking then hands back the smallest forest
+that breaks the contract.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.engine import MiningEngine
 from tests.property.strategies import gaps, maxdists, trees
 
 forests = st.lists(trees(max_size=12), min_size=0, max_size=6)
+cache_sizes = st.sampled_from([0, 4096])
 
 
 def strict(patterns):
@@ -43,9 +45,10 @@ def strict(patterns):
     minoccur=st.integers(min_value=1, max_value=3),
     minsup=st.integers(min_value=1, max_value=3),
     ignore_distance=st.booleans(),
+    cache_size=cache_sizes,
 )
 def test_serial_engine_cold_and_warm_equal_reference(
-    forest, maxdist, gap, minoccur, minsup, ignore_distance
+    forest, maxdist, gap, minoccur, minsup, ignore_distance, cache_size
 ):
     reference = mine_forest_reference(
         forest,
@@ -55,7 +58,7 @@ def test_serial_engine_cold_and_warm_equal_reference(
         ignore_distance=ignore_distance,
         max_generation_gap=gap,
     )
-    engine = MiningEngine(jobs=1)
+    engine = MiningEngine(jobs=1, cache_size=cache_size)
     for _temperature in ("cold", "warm"):
         got = engine.mine_forest(
             forest,
@@ -69,9 +72,9 @@ def test_serial_engine_cold_and_warm_equal_reference(
 
 
 @settings(max_examples=40, deadline=None)
-@given(forest=forests, maxdist=maxdists, gap=gaps)
-def test_per_tree_items_equal_reference(forest, maxdist, gap):
-    engine = MiningEngine(jobs=1)
+@given(forest=forests, maxdist=maxdists, gap=gaps, cache_size=cache_sizes)
+def test_per_tree_items_equal_reference(forest, maxdist, gap, cache_size):
+    engine = MiningEngine(jobs=1, cache_size=cache_size)
     assert engine.items(
         forest, maxdist=maxdist, max_generation_gap=gap
     ) == [
@@ -81,9 +84,9 @@ def test_per_tree_items_equal_reference(forest, maxdist, gap):
 
 
 @settings(max_examples=40, deadline=None)
-@given(forest=forests, maxdist=maxdists, gap=gaps)
-def test_stats_partition_invariant(forest, maxdist, gap):
-    engine = MiningEngine(jobs=1)
+@given(forest=forests, maxdist=maxdists, gap=gaps, cache_size=cache_sizes)
+def test_stats_partition_invariant(forest, maxdist, gap, cache_size):
+    engine = MiningEngine(jobs=1, cache_size=cache_size)
     engine.counters(forest, maxdist=maxdist, max_generation_gap=gap)
     stats = engine.stats
     assert stats.trees_seen == len(forest)

@@ -77,10 +77,22 @@ run_step "repro-lint src/repro (whole-program, baseline-gated)" lint_gate
 # history warehouse.  Ingest first (a counted no-op for manifests that
 # are already recorded), then check — only *new* regressions fail:
 # a re-ingested manifest is excluded from its own baseline, and a
-# fresh warehouse abstains rather than failing.
+# fresh warehouse abstains rather than failing.  Both steps run on a
+# temporary copy of .repro-history, so the gate writes no tracked
+# file; recording a run is an explicit `perf ingest` of its own.
 perf_gate() {
-    python -m repro.cli perf ingest BENCH_*.manifest.json >/dev/null \
-        && python -m repro.cli perf check BENCH_*.manifest.json
+    local history code
+    history="$(mktemp -d)" || return 1
+    if [ -d .repro-history ]; then
+        cp -R .repro-history/. "$history"/
+    fi
+    python -m repro.cli perf ingest --history "$history" \
+            BENCH_*.manifest.json >/dev/null \
+        && python -m repro.cli perf check --history "$history" \
+            BENCH_*.manifest.json
+    code=$?
+    rm -rf "$history"
+    return "$code"
 }
 
 if ls BENCH_*.manifest.json >/dev/null 2>&1; then
