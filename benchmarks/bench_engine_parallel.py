@@ -5,9 +5,10 @@ and records, side by side:
 
 - the **legacy** serial kernel (per-tree
   :func:`repro.core.single_tree.mine_tree_counter`, the seed's hot
-  path) vs the **fastmine** serial kernel (per-tree
-  :func:`repro.core.fastmine.mine_tree_counter`) — the perf trajectory
-  across PRs stays comparable because both are always measured;
+  path) vs the **fastmine** serial kernel (per tree,
+  :meth:`TreeArena.from_tree` + :func:`repro.core.fastmine.mine_arena`
+  + ``.to_counter()``) — the perf trajectory across PRs stays
+  comparable because both are always measured;
 - ``mine_forest`` without an engine;
 - a cached engine mined cold then warm.
 
@@ -23,10 +24,13 @@ import random
 from pathlib import Path
 
 from benchmarks.conftest import wall_time, write_run_manifest
-from repro.core import fastmine, single_tree
+from repro.core import single_tree
+from repro.core.fastmine import mine_arena
 from repro.core.multi_tree import mine_forest
+from repro.core.params import MiningParams
 from repro.engine import MiningEngine
 from repro.generate.random_trees import SyntheticTreeParams, synthetic_forest
+from repro.trees.arena import TreeArena
 
 COUNT = 600
 TREESIZE = 50  # Table 3's 200 scaled down, matching bench_fig6
@@ -57,16 +61,24 @@ def test_engine_cache_speedup(benchmark, print_rows):
         legacy_counts, legacy_seconds = wall_time(
             lambda: [single_tree.mine_tree_counter(t) for t in corpus]
         )
+        params = MiningParams()
         fast_counts, fastmine_seconds = wall_time(
-            lambda: [fastmine.mine_tree_counter(t) for t in corpus]
+            lambda: [
+                mine_arena(TreeArena.from_tree(t), params).to_counter()
+                for t in corpus
+            ]
         )
         assert fast_counts == legacy_counts
 
         reference, serial_seconds = wall_time(mine_forest, corpus)
 
         cached_engine = MiningEngine()
-        cold, cache_cold_seconds = wall_time(cached_engine.mine_forest, corpus)
-        warm, cache_warm_seconds = wall_time(cached_engine.mine_forest, corpus)
+        cold, cache_cold_seconds = wall_time(
+            mine_forest, corpus, engine=cached_engine
+        )
+        warm, cache_warm_seconds = wall_time(
+            mine_forest, corpus, engine=cached_engine
+        )
         assert strict(cold) == strict(reference)
         assert strict(warm) == strict(reference)
         assert cached_engine.stats.misses <= len(corpus)

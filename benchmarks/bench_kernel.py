@@ -6,9 +6,10 @@ synthetic trees of ~50 nodes, Figure-6 style):
 - ``reference`` — the seed miner, :func:`repro.core.single_tree.
   mine_tree_counter`, walking ``Node`` objects and hashing label
   strings;
-- ``dropin`` — :func:`repro.core.fastmine.mine_tree_counter`, the
-  drop-in replacement *including* the cost of materialising a
-  string-keyed ``Counter`` per tree;
+- ``dropin`` — :meth:`TreeArena.from_tree` + :func:`mine_arena` +
+  :meth:`PackedCounts.to_counter` per tree: the kernel as a drop-in
+  replacement for the reference, *including* the cost of
+  materialising a string-keyed ``Counter`` per tree;
 - ``kernel`` — the interned pipeline, one tree per call:
   :meth:`TreeArena.from_tree` + :func:`mine_arena`, producing packed
   counts (string materialisation happens once, outside the timed
@@ -49,7 +50,7 @@ try:
 except ImportError:  # script invocation: sys.path[0] is benchmarks/
     from conftest import write_run_manifest
 
-from repro.core import fastmine, single_tree
+from repro.core import single_tree
 from repro.core.fastmine import mine_arena, mine_arenas
 from repro.core.params import MiningParams
 from repro.generate.random_trees import SyntheticTreeParams, synthetic_forest
@@ -118,7 +119,9 @@ def run(
             corpus,
         )
         dropin, dropin_seconds = best_of(
-            REPEATS, lambda t: fastmine.mine_tree_counter(t, MAXDIST), corpus
+            REPEATS,
+            lambda t: mine_arena(TreeArena.from_tree(t), params).to_counter(),
+            corpus,
         )
         packed, kernel_seconds = best_of(
             REPEATS,

@@ -1,8 +1,8 @@
-"""Extensions tour: weighted mining, UpDown ranking, and the index.
+"""Extensions tour: weighted mining, UpDown ranking, and support queries.
 
 Run with::
 
-    python examples/weighted_and_indexed.py
+    python examples/extensions_tour.py
 
 Three capabilities beyond the paper's evaluation, each hooked to a
 place the paper points at:
@@ -11,13 +11,14 @@ place the paper points at:
    pattern class, enriched with branch-length spans;
 2. **UpDown / TreeRank** (Section 2's pointer for ancestor-descendant
    pairs): rank a database of phylogenies against a query;
-3. **the inverted index** (the database deployment of this ICDE
-   paper): one mining pass, many O(1) support queries.
+3. **support queries** (the database deployment of this ICDE paper):
+   the support of one pattern, and the most frequent patterns of a
+   forest.
 """
 
 import random
 
-from repro.core.index import CousinPairIndex
+from repro.core.multi_tree import mine_forest, support
 from repro.core.treerank import rank_trees, treerank_score
 from repro.core.weighted import mine_tree_weighted
 from repro.generate.phylo import random_spr, yule_tree
@@ -55,17 +56,16 @@ def main() -> None:
     print(f"  (self-score check: {treerank_score(query, query):.0f}/100)")
 
     # ------------------------------------------------------------------
-    # 3. The inverted index.
+    # 3. Support queries.
     # ------------------------------------------------------------------
     forest = [yule_tree(["a", "b", "c", "d", "e"], rng) for _ in range(50)]
-    index = CousinPairIndex.build(forest)
-    print(f"\nIndexed {index.tree_count} trees, "
-          f"{index.pattern_count} distinct patterns")
+    patterns = mine_forest(forest, minsup=1)
+    print(f"\nMined {len(forest)} trees, {len(patterns)} distinct patterns")
     print(f"  support of (a, b) as siblings : "
-          f"{index.support('a', 'b', 0.0)}/50 trees")
-    print(f"  support of (a, b), any distance: {index.support('a', 'b')}/50")
+          f"{support(forest, 'a', 'b', 0.0)}/50 trees")
+    print(f"  support of (a, b), any distance: {support(forest, 'a', 'b')}/50")
     print("  top 3 patterns by support:")
-    for pattern in index.top_k(3):
+    for pattern in patterns[:3]:
         print(f"    {pattern.describe()}")
 
 

@@ -65,7 +65,6 @@ if TYPE_CHECKING:
     from repro.core.freetree import FreeTree, mine_free_tree, mine_graph_forest
     from repro.core.treerank import updown_distance, treerank_score, rank_trees
     from repro.core.weighted import mine_tree_weighted
-    from repro.core.index import CousinPairIndex
 
 __version__ = "1.0.0"
 
@@ -116,7 +115,6 @@ __all__ = [
     "treerank_score",
     "rank_trees",
     "mine_tree_weighted",
-    "CousinPairIndex",
     # consensus
     "consensus",
 ]
@@ -158,7 +156,6 @@ _EXPORTS = {
     "treerank_score": "core.treerank",
     "rank_trees": "core.treerank",
     "mine_tree_weighted": "core.weighted",
-    "CousinPairIndex": "core.index",
 }
 
 

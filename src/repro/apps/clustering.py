@@ -25,7 +25,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.distance import DistanceMode, distance_matrix
 from repro.core.params import validate_mode
+from repro.errors import MiningParameterError
 from repro.obs.context import get_registry, get_tracer
+from repro.trees.arena import TreeLike
 from repro.trees.tree import Tree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -80,7 +82,7 @@ def _linkage_distance(
 
 
 def cluster_trees(
-    trees: Sequence[Tree],
+    trees: Sequence[TreeLike],
     k: int,
     mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
     linkage: str = "average",
@@ -107,9 +109,11 @@ def cluster_trees(
     # Validate every knob before the expensive matrix build.
     mode = validate_mode(mode)
     if linkage not in _LINKAGES:
-        raise ValueError(f"linkage must be one of {_LINKAGES}, got {linkage!r}")
+        raise MiningParameterError(
+            f"linkage must be one of {_LINKAGES}, got {linkage!r}"
+        )
     if not 1 <= k <= len(trees):
-        raise ValueError(
+        raise MiningParameterError(
             f"k must be between 1 and {len(trees)}, got {k}"
         )
     tracer = get_tracer()

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.distance import DistanceMode
 from repro.core.multi_tree import FrequentCousinPair, mine_forest
 from repro.obs.context import get_tracer
-from repro.trees.tree import Tree
+from repro.trees.arena import TreeLike, forest_arenas
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.engine import MiningEngine
@@ -138,8 +138,8 @@ def diff_patterns(
 
 
 def diff_forests(
-    old_trees: Sequence[Tree],
-    new_trees: Sequence[Tree],
+    old_trees: Sequence[TreeLike],
+    new_trees: Sequence[TreeLike],
     maxdist: float = 1.5,
     minoccur: int = 1,
     minsup: int = 2,
@@ -188,8 +188,8 @@ def diff_forests(
 
 
 def _snapshot_distance(
-    old_trees: Sequence[Tree],
-    new_trees: Sequence[Tree],
+    old_trees: Sequence[TreeLike],
+    new_trees: Sequence[TreeLike],
     maxdist: float,
     max_generation_gap: int,
     mode: DistanceMode | str,
@@ -202,26 +202,24 @@ def _snapshot_distance(
     compared on the packed vector kernel exactly like two trees.
     """
     from repro.core.distvec import DistanceVectors
-    from repro.core.fastmine import mine_tree_counter
-    from repro.core.params import validate_mode
+    from repro.core.fastmine import mine_arenas
+    from repro.core.params import MiningParams, validate_mode
 
     mode = validate_mode(mode)
+    params = MiningParams(
+        maxdist=maxdist,
+        minoccur=1,
+        minsup=1,
+        max_generation_gap=max_generation_gap,
+    )
     aggregates: list[Counter] = []
     for trees in (old_trees, new_trees):
         if engine is not None:
-            counters = engine.counters(
-                trees,
-                maxdist=maxdist,
-                max_generation_gap=max_generation_gap,
-            )
+            counters = engine.counters(trees, params)
         else:
+            _table, arenas = forest_arenas(trees)
             counters = [
-                mine_tree_counter(
-                    tree,
-                    maxdist=maxdist,
-                    max_generation_gap=max_generation_gap,
-                )
-                for tree in trees
+                counts.to_counter() for counts in mine_arenas(arenas, params)
             ]
         aggregate: Counter = Counter()
         for counter in counters:

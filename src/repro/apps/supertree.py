@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.errors import MiningParameterError
 from repro.trees.build import BuildConflict, Triple, build_from_triples, tree_triples
 from repro.trees.tree import Tree
 
@@ -69,11 +70,13 @@ def build_supertree(
 
     Raises
     ------
+    MiningParameterError
+        If no trees are given (also a ``ValueError``).
     TreeError
-        If no trees are given or a tree has duplicate leaf labels.
+        If a tree has duplicate leaf labels.
     """
     if not trees:
-        raise ValueError("supertree assembly needs at least one tree")
+        raise MiningParameterError("supertree assembly needs at least one tree")
     taxa: set[str] = set()
     weights: Counter[Triple] = Counter()
     for tree in trees:

@@ -45,9 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.engine import MiningEngine
 
 from repro.consensus.base import CONSENSUS_METHODS
+from repro.core.fastmine import mine_arenas
 from repro.core.multi_tree import mine_forest, support
-from repro.core.fastmine import mine_tree
-from repro.core.params import validate_mode
+from repro.core.params import MiningParams, validate_mode
 from repro.errors import ReproError
 from repro.trees.newick import write_newick
 from repro.trees.nexus import read_arenas
@@ -58,8 +58,9 @@ __all__ = ["main", "build_parser", "load_trees"]
 def load_trees(path: str):
     """Read pointer trees from a Newick or NEXUS file (sniffed by header).
 
-    For the subcommands that walk nodes; the mining subcommands read
-    arenas with :func:`repro.trees.nexus.read_arenas` instead.
+    For the subcommands that walk nodes (``consensus``, ``treerank``,
+    ``supertree``, ``report``); the mining subcommands read arenas
+    with :func:`repro.trees.nexus.read_arenas` instead.
     """
     return [arena.to_tree() for arena in read_arenas(path)]
 
@@ -433,28 +434,29 @@ def _store_position(store, token: str) -> int:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    trees = load_trees(args.file)
+    trees = read_arenas(args.file)
     if args.free:
         from repro.core.freetree import FreeTree, mine_free_tree
 
         per_tree = [
             mine_free_tree(
-                FreeTree.from_rooted(tree, suppress_root=True),
+                FreeTree.from_rooted(tree.to_tree(), suppress_root=True),
                 maxdist=args.maxdist,
                 minoccur=args.minoccur,
             )
             for tree in trees
         ]
     else:
+        params = MiningParams(
+            maxdist=args.maxdist,
+            minoccur=args.minoccur,
+            minsup=1,
+            max_generation_gap=args.gap,
+            max_height=args.max_height,
+        )
         per_tree = [
-            mine_tree(
-                tree,
-                maxdist=args.maxdist,
-                minoccur=args.minoccur,
-                max_generation_gap=args.gap,
-                max_height=args.max_height,
-            )
-            for tree in trees
+            counts.items(params.minoccur)
+            for counts in mine_arenas(trees, params)
         ]
     if args.format == "json":
         from repro.io import items_to_json
@@ -503,7 +505,7 @@ def _cmd_frequent(args: argparse.Namespace) -> int:
 
 
 def _cmd_support(args: argparse.Namespace) -> int:
-    trees = load_trees(args.file)
+    trees = read_arenas(args.file)
     value = support(
         trees,
         args.pair[0],
@@ -650,7 +652,7 @@ def _cmd_similar(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.apps.clustering import cluster_trees
 
-    trees = load_trees(args.file)
+    trees = read_arenas(args.file)
     with _engine_session(args) as engine:
         result = cluster_trees(
             trees, args.k, mode=args.mode, linkage=args.linkage, engine=engine
@@ -686,8 +688,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
     with _engine_session(args, reuse=True) as engine:
         delta = diff_forests(
-            load_trees(args.old),
-            load_trees(args.new),
+            read_arenas(args.old),
+            read_arenas(args.new),
             maxdist=args.maxdist,
             minoccur=args.minoccur,
             minsup=args.minsup,

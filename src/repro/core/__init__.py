@@ -32,8 +32,6 @@ Modules
   (the paper's reference [39], covering ancestor-descendant pairs);
 - :mod:`repro.core.weighted` — cousin mining on trees with weighted
   edges (the paper's future work i);
-- :mod:`repro.core.index` — a queryable inverted index over a mined
-  forest (the database deployment);
 - :mod:`repro.core.expectations` — closed-form pair counts on
   complete k-ary trees (the arithmetic behind Figure 4).
 """
@@ -67,7 +65,6 @@ if TYPE_CHECKING:
     from repro.core.freetree import FreeTree, mine_free_tree, mine_graph_forest
     from repro.core.treerank import updown_matrix, updown_distance, treerank_score, rank_trees
     from repro.core.weighted import WeightedPairItem, mine_tree_weighted
-    from repro.core.index import CousinPairIndex
 
 __all__ = [
     "ANY",
@@ -106,7 +103,6 @@ __all__ = [
     "rank_trees",
     "WeightedPairItem",
     "mine_tree_weighted",
-    "CousinPairIndex",
 ]
 
 # Name -> defining submodule.  Each submodule is imported the first time
@@ -149,7 +145,6 @@ _EXPORTS = {
     "rank_trees": "treerank",
     "WeightedPairItem": "weighted",
     "mine_tree_weighted": "weighted",
-    "CousinPairIndex": "index",
 }
 
 

@@ -82,7 +82,6 @@ __all__ = [
     "mine_arena",
     "mine_arenas",
     "mine_tree",
-    "mine_tree_counter",
     "enumerate_cousin_pairs",
     "iter_pair_indexes",
 ]
@@ -566,8 +565,6 @@ def _collapse_pairs(
     return unique, summed
 
 
-
-
 def mine_arenas(
     arenas: Sequence[TreeArena], params: MiningParams
 ) -> list[PackedCounts]:
@@ -625,22 +622,6 @@ def mine_arena(arena: TreeArena, params: MiningParams) -> PackedCounts:
     return mine_arenas([arena], params)[0]
 
 
-def mine_tree_counter(
-    tree: Tree,
-    maxdist: float = 1.5,
-    max_generation_gap: int = 1,
-    max_height: int | None = None,
-) -> Counter:
-    """Raw occurrence counts keyed by ``(label_a, label_b, distance)``.
-
-    Drop-in replacement for
-    :func:`repro.core.single_tree.mine_tree_counter` riding the arena
-    kernel.
-    """
-    params = _params(maxdist, 1, max_generation_gap, max_height)
-    return mine_arena(TreeArena.from_tree(tree), params).to_counter()
-
-
 def mine_tree(
     tree: Tree,
     maxdist: float = 1.5,
@@ -651,7 +632,10 @@ def mine_tree(
     """Find all qualifying cousin pair items of one tree.
 
     Drop-in replacement for :func:`repro.core.single_tree.mine_tree`;
-    see that function for the parameter semantics.
+    see that function for the parameter semantics.  The per-tree
+    convenience behind ``repro.mine_tree``: forests go through
+    :func:`repro.core.multi_tree.mine_forest` or the engine, which mine
+    the whole batch in one :func:`mine_arenas` call.
     """
     params = _params(maxdist, minoccur, max_generation_gap, max_height)
     return mine_arena(TreeArena.from_tree(tree), params).items(params.minoccur)

@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors
 from repro.core.params import validate_mode
+from repro.errors import MiningParameterError
 from repro.obs.context import get_registry, get_tracer
 from repro.trees.arena import TreeLike
 
@@ -91,16 +92,15 @@ def find_kernel_trees(
 
     Raises
     ------
-    ValueError
+    MiningParameterError
         If fewer than two groups are given, any group is empty, or
-        ``mode`` is not a known variant
-        (:class:`repro.errors.MiningParameterError`).
+        ``mode`` is not a known variant (also a ``ValueError``).
     """
     if len(groups) < 2:
-        raise ValueError("kernel-tree search needs at least two groups")
+        raise MiningParameterError("kernel-tree search needs at least two groups")
     for position, group in enumerate(groups):
         if not group:
-            raise ValueError(f"group {position} is empty")
+            raise MiningParameterError(f"group {position} is empty")
     mode = validate_mode(mode)
 
     # Mine every tree once, into one shared vector universe.

@@ -34,14 +34,12 @@ from repro.core.fastmine import (
     _collapse_pairs,
     _remap_packed,
     mine_arenas,
-    mine_tree,
     shared_labels,
 )
 from repro.core.params import MiningParams, validate_minoccur, validate_minsup
 from repro.obs.context import get_tracer
 from repro.trees.arena import LabelTable, TreeLike, forest_arenas
-from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK
-from repro.trees.tree import Tree
+from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK, PAIR_MASK
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.engine import MiningEngine
@@ -286,7 +284,7 @@ def mine_forest(
 
 
 def support(
-    trees: Sequence[Tree],
+    trees: Sequence[TreeLike],
     label_a: str,
     label_b: str,
     distance: float | None = None,
@@ -299,31 +297,31 @@ def support(
 
     ``distance=None`` ignores distances (the paper's example: the
     support of (b, e) is 3 when distances are ignored but 2 with
-    respect to distance 1).
+    respect to distance 1).  The forest is mined in one
+    :func:`~repro.core.fastmine.mine_arenas` batch, and each tree's
+    occurrences of the pair are read off its packed keys.
     """
-    if label_a > label_b:
-        label_a, label_b = label_b, label_a
-    count = 0
-    for tree in trees:
-        items = mine_tree(
-            tree,
-            maxdist=maxdist,
-            minoccur=1,
-            max_generation_gap=max_generation_gap,
-            max_height=max_height,
-        )
-        if distance is None:
-            occurrences = sum(
-                item.occurrences
-                for item in items
-                if item.label_key == (label_a, label_b)
-            )
+    params = MiningParams(
+        maxdist=maxdist,
+        minoccur=1,
+        minsup=1,
+        max_generation_gap=max_generation_gap,
+        max_height=max_height,
+    )
+    table, arenas = forest_arenas(trees)
+    low, high = sorted(table.find_many([label_a, label_b]).tolist())
+    mask, want = PAIR_MASK, (low << LABEL_BITS) | high
+    if distance is not None:
+        steps = 2 * distance
+        if not 0 <= steps <= 2 * params.maxdist or steps != int(steps):
+            low = -1  # off the half-step grid or past maxdist
         else:
-            occurrences = sum(
-                item.occurrences
-                for item in items
-                if item.key == (label_a, label_b, distance)
-            )
+            mask, want = -1, want | (int(steps) << DIST_SHIFT)
+    if low < 0:
+        want = -1  # no packed key matches: no tree holds the pair
+    count = 0
+    for packed in mine_arenas(arenas, params):
+        occurrences = int(packed.counts[(packed.keys & mask) == want].sum())
         if occurrences >= minoccur:
             count += 1
     return count

@@ -158,8 +158,8 @@ class MiningEngine:
     ) -> list[Counter]:
         """Raw per-tree counters, aligned with the input order.
 
-        Equivalent to ``[mine_tree_counter(t, ...) for t in trees]``;
-        counts come from the cache or from mining.
+        Equivalent to :func:`repro.core.single_tree.mine_tree_counter`
+        per tree; counts come from the cache or from mining.
         Each returned counter is materialised fresh from the interned
         cached form — mutating it never corrupts the cache.
         """
@@ -553,17 +553,6 @@ class MiningEngine:
         else:
             self._projections.move_to_end(memo_key)
         return cached
-
-    def mine_forest(self, trees: Sequence[TreeLike], **kwargs):
-        """Frequent pairs across a forest via this engine.
-
-        Same signature and output as
-        :func:`repro.core.multi_tree.mine_forest` (which this simply
-        routes through with ``engine=self``).
-        """
-        from repro.core.multi_tree import mine_forest
-
-        return mine_forest(trees, engine=self, **kwargs)
 
     # ------------------------------------------------------------------
     # Helpers

@@ -109,7 +109,9 @@ class EngineStats:
     Attributes
     ----------
     trees_seen:
-        Total per-tree lookups (one per input tree per batch).
+        Trees handed to the engine (one per input tree per batch),
+        whether or not a cache was consulted; the counter keeps its
+        ``engine.lookups`` name.
     memory_hits:
         Lookups served from the in-process LRU cache — including
         repeats of a tree already resolved earlier in the same batch.
@@ -235,7 +237,7 @@ class EngineStats:
     def describe(self) -> str:
         """One-line human rendering used by ``--engine-stats``."""
         line = (
-            f"engine: {self.trees_seen} tree lookup(s), "
+            f"engine: {self.trees_seen} tree(s), "
             f"{self.memory_hits} memory hit(s), "
             f"{self.misses} miss(es) mined in {self.mine_seconds:.3f}s "
             f"({self.batches} batch(es), hit rate {self.hit_rate:.0%})"

@@ -10,8 +10,8 @@ from repro.core.distance import (
     pairset_distance_matrix,
 )
 from repro.core.distvec import DistanceVectors, assemble_matrix
-from repro.core.fastmine import mine_tree_counter
 from repro.core.pairset import CousinPairSet
+from repro.core.single_tree import mine_tree_counter
 from repro.errors import MiningParameterError
 from repro.trees.newick import parse_newick
 

@@ -13,7 +13,6 @@ from repro.core.fastmine import (
     enumerate_cousin_pairs,
     mine_arena,
     mine_tree,
-    mine_tree_counter,
 )
 from repro.core.params import MiningParams
 from repro.engine.cache import arena_cache_key
@@ -34,6 +33,12 @@ _LABEL_MASK = (1 << LABEL_BITS) - 1
 
 def _sample_tree() -> Tree:
     return parse_newick("((a,b,(c,a)d)e,((b)f,c,(a,(b,c))));")
+
+
+def _counter(tree: Tree, maxdist: float = 1.5) -> Counter:
+    """The kernel's raw counts of one tree, as a reference counter."""
+    params = MiningParams(maxdist=maxdist)
+    return mine_arena(TreeArena.from_tree(tree), params).to_counter()
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +254,7 @@ class TestDropInEquivalence:
 
     def test_counter_and_enumeration_match(self):
         tree = _sample_tree()
-        assert mine_tree_counter(tree, maxdist=2.0) == (
+        assert _counter(tree, maxdist=2.0) == (
             single_tree.mine_tree_counter(tree, maxdist=2.0)
         )
         assert set(enumerate_cousin_pairs(tree, maxdist=2.0)) == set(
@@ -264,7 +269,7 @@ class TestDropInEquivalence:
     def test_empty_and_trivial_trees(self):
         assert mine_tree(Tree()) == []
         assert mine_tree(parse_newick("a;")) == []
-        assert mine_tree_counter(Tree()) == Counter()
+        assert _counter(Tree()) == Counter()
 
     def test_random_trees_match(self, rng):
         from tests.conftest import make_random_tree
@@ -395,7 +400,7 @@ class TestBatchEnumeration:
                 best = min(best, time.perf_counter() - started)
             return packed, best
 
-        assert mine_tree_counter(_caterpillar(40)) == (
+        assert _counter(_caterpillar(40)) == (
             single_tree.mine_tree_counter(_caterpillar(40))
         )
         # 25,000 spine nodes + 25,000 leaves: no recursion, and each

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.kernel import find_kernel_trees
+from repro.core.multi_tree import mine_forest
 from repro.core.reference import mine_forest_reference
 from repro.core.params import MiningParams
 from repro.engine import MiningEngine, PairSetCache, arena_cache_key
@@ -100,10 +101,10 @@ class TestCacheKey:
 class TestNoStaleHits:
     def test_param_change_after_warmup(self, forest):
         engine = MiningEngine()
-        engine.mine_forest(forest, maxdist=1.5)  # warm at defaults
+        mine_forest(forest, maxdist=1.5, engine=engine)  # warm at defaults
         for maxdist, gap in [(0.5, 1), (2.5, 3), (1.5, 0)]:
-            got = engine.mine_forest(
-                forest, maxdist=maxdist, max_generation_gap=gap
+            got = mine_forest(
+                forest, maxdist=maxdist, max_generation_gap=gap, engine=engine
             )
             want = mine_forest_reference(
                 forest, maxdist=maxdist, max_generation_gap=gap

@@ -5,34 +5,11 @@ from __future__ import annotations
 from repro.apps.clustering import cluster_trees
 from repro.apps.cooccurrence import find_cooccurring_patterns
 from repro.core.distance import distance_matrix
-from repro.core.index import CousinPairIndex
 from repro.engine import MiningEngine
 
 
 def make_engine(jobs):
     return MiningEngine(jobs=jobs)
-
-
-class TestIndexBuild:
-    def test_engine_build_equals_serial_build(self, forest, jobs):
-        serial = CousinPairIndex.build(forest, maxdist=2.0, minoccur=1)
-        engined = CousinPairIndex.build(
-            forest, maxdist=2.0, minoccur=1, engine=make_engine(jobs)
-        )
-        assert engined.tree_count == serial.tree_count
-        assert engined.pattern_count == serial.pattern_count
-        assert list(engined) == list(serial)
-        for key in serial:
-            assert engined.trees_with(*key) == serial.trees_with(*key)
-        assert engined.frequent(minsup=2) == serial.frequent(minsup=2)
-        assert engined.top_k(5) == serial.top_k(5)
-
-    def test_engine_build_respects_minoccur(self, forest, jobs):
-        serial = CousinPairIndex.build(forest, minoccur=2)
-        engined = CousinPairIndex.build(
-            forest, minoccur=2, engine=make_engine(jobs)
-        )
-        assert list(engined) == list(serial)
 
 
 class TestDistanceMatrix:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.multi_tree import mine_forest
 from repro.core.reference import mine_forest_reference
 from repro.core.single_tree import mine_tree, mine_tree_counter
 from repro.engine import MiningEngine
@@ -65,7 +66,7 @@ class TestForestEquivalence:
         )
         engine = MiningEngine(jobs=jobs)
         for temperature in ("cold", "warm"):
-            result = engine.mine_forest(
+            result = mine_forest(
                 forest,
                 maxdist=maxdist,
                 minoccur=minoccur,
@@ -73,6 +74,7 @@ class TestForestEquivalence:
                 ignore_distance=ignore,
                 max_generation_gap=gap,
                 max_height=height,
+                engine=engine,
             )
             assert strict(result) == strict(reference), temperature
 
@@ -91,7 +93,7 @@ class TestForestEquivalence:
                 max_generation_gap=gap,
                 max_height=height,
             )
-            assert strict(engine.mine_forest(forest, **knobs)) == strict(
+            assert strict(mine_forest(forest, engine=engine, **knobs)) == strict(
                 mine_forest_reference(forest, **knobs)
             ), grid
 
@@ -110,10 +112,10 @@ class TestForestEquivalence:
     def test_empty_forest(self, jobs):
         engine = MiningEngine(jobs=jobs)
         assert engine.counters([]) == []
-        assert engine.mine_forest([]) == []
+        assert mine_forest([], engine=engine) == []
         for minsup, ignore in [(1, False), (1, True), (3, False)]:
-            assert engine.mine_forest(
-                [], minsup=minsup, ignore_distance=ignore
+            assert mine_forest(
+                [], minsup=minsup, ignore_distance=ignore, engine=engine
             ) == mine_forest_reference(
                 [], minsup=minsup, ignore_distance=ignore
             )
@@ -133,7 +135,9 @@ class TestForestEquivalence:
         ]
         for ignore in (False, True):
             assert strict(
-                engine.mine_forest(pairless, minsup=1, ignore_distance=ignore)
+                mine_forest(
+                    pairless, minsup=1, ignore_distance=ignore, engine=engine
+                )
             ) == strict(
                 mine_forest_reference(
                     pairless, minsup=1, ignore_distance=ignore
@@ -172,7 +176,7 @@ class TestStatsAccounting:
         engine = MiningEngine()
         engine.items(forest)
         text = engine.stats.describe()
-        assert "lookup" in text and "miss" in text
+        assert f"{len(forest)} tree(s)" in text and "miss" in text
 
 
 class TestJobsResolution:
@@ -191,7 +195,9 @@ class TestJobsResolution:
         for jobs in (None, 1, 4):
             engine = MiningEngine(jobs=jobs)
             assert engine.items(forest) == expected
-            assert engine.mine_forest(forest) == mine_forest_reference(forest)
+            assert mine_forest(forest, engine=engine) == (
+                mine_forest_reference(forest)
+            )
             vectors = engine.distance_vectors(forest)
             assert engine.distance_matrix(vectors) == vectors.matrix()
 

@@ -25,6 +25,7 @@ import time
 
 from repro.core.distance import DistanceMode, distance_matrix
 from repro.core.kernel import find_kernel_trees
+from repro.core.multi_tree import mine_forest
 from repro.engine import MiningEngine
 from repro.generate.phylo import random_nni, yule_tree
 from repro.generate.random_trees import SyntheticTreeParams, synthetic_forest
@@ -61,8 +62,8 @@ def traced_engine():
 class TestDifferential:
     def test_mine_forest_byte_identical_tracing_on_and_off(self):
         forest = make_forest()
-        plain = MiningEngine(jobs=1).mine_forest(forest)
-        traced = traced_engine().mine_forest(forest)
+        plain = mine_forest(forest, engine=MiningEngine(jobs=1))
+        traced = mine_forest(forest, engine=traced_engine())
         assert (
             json.dumps(strict(traced)).encode("utf-8")
             == json.dumps(strict(plain)).encode("utf-8")
@@ -89,12 +90,12 @@ class TestOverheadGate:
         baseline = float("inf")
         for _ in range(3):
             with stopwatch() as watch:
-                MiningEngine(jobs=1).mine_forest(forest)
+                mine_forest(forest, engine=MiningEngine(jobs=1))
             baseline = min(baseline, watch.seconds)
 
         # How many spans would that run execute if traced?
         engine = traced_engine()
-        engine.mine_forest(forest)
+        mine_forest(forest, engine=engine)
         names = [record.name for record in engine.tracer.records]
         span_count = len(names)
         # Every layer the run crosses is spanned; the kernel once per
@@ -189,7 +190,7 @@ class TestEnabledOverheadGate:
 
     def test_mine_forest_traced_within_10_percent(self):
         forest = make_forest()
-        self.assert_cheap(lambda engine: engine.mine_forest(forest))
+        self.assert_cheap(lambda engine: mine_forest(forest, engine=engine))
 
     def test_kernel_search_traced_within_10_percent(self):
         groups = make_groups()

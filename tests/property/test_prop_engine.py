@@ -13,6 +13,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.multi_tree import mine_forest
 from repro.core.reference import mine_forest_reference
 from repro.core.single_tree import mine_tree
 from repro.engine import MiningEngine
@@ -60,13 +61,14 @@ def test_serial_engine_cold_and_warm_equal_reference(
     )
     engine = MiningEngine(jobs=1, cache_size=cache_size)
     for _temperature in ("cold", "warm"):
-        got = engine.mine_forest(
+        got = mine_forest(
             forest,
             maxdist=maxdist,
             minoccur=minoccur,
             minsup=minsup,
             ignore_distance=ignore_distance,
             max_generation_gap=gap,
+            engine=engine,
         )
         assert strict(got) == strict(reference)
 

@@ -43,7 +43,8 @@ def test_max_height_agrees(tree, maxdist, gap, height):
 @settings(max_examples=40, deadline=None)
 @given(tree=trees(), maxdist=maxdists, gap=gaps)
 def test_raw_counters_agree(tree, maxdist, gap):
-    assert fastmine.mine_tree_counter(tree, maxdist, gap) == (
+    params = MiningParams(maxdist=maxdist, max_generation_gap=gap)
+    assert fastmine.mine_arena(TreeArena.from_tree(tree), params).to_counter() == (
         single_tree.mine_tree_counter(tree, maxdist, gap)
     )
 

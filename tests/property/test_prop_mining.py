@@ -127,30 +127,33 @@ def test_pair_count_bounded_by_all_pairs(tree):
     forest=st.lists(trees(max_size=15), min_size=1, max_size=5),
     minsup=st.integers(min_value=1, max_value=3),
 )
-def test_index_matches_batch_miner(forest, minsup):
-    """The inverted index is a drop-in accelerator for mine_forest."""
-    from repro.core.index import CousinPairIndex
+def test_mine_forest_matches_reference(forest, minsup):
+    """The batch miner's frequent pairs equal the Section 3 dict loop."""
     from repro.core.multi_tree import mine_forest
     from repro.core.reference import mine_forest_reference
     from tests.delta.equivalence import pattern_tuples
 
-    index = CousinPairIndex.build(forest)
     want = pattern_tuples(mine_forest_reference(forest, minsup=minsup))
-    assert pattern_tuples(index.frequent(minsup)) == want
     assert pattern_tuples(mine_forest(forest, minsup=minsup)) == want
 
 
 @settings(max_examples=30, deadline=None)
 @given(forest=st.lists(trees(max_size=15), min_size=2, max_size=5))
-def test_index_incremental_order_independent_support(forest):
-    """Support is a function of the multiset of trees, not arrival order
-    (posting lists differ, supports must not)."""
-    from repro.core.index import CousinPairIndex
+def test_support_order_independent(forest):
+    """Support is a function of the multiset of trees, not their order,
+    and counts the trees whose Fig 3 items hold the pair."""
+    from repro.core.multi_tree import support
 
-    forward = CousinPairIndex.build(forest)
-    backward = CousinPairIndex.build(list(reversed(forest)))
-    keys = set(forward) | set(backward)
+    per_tree = [mine_tree(tree) for tree in forest]
+    backward = list(reversed(forest))
+    keys = {item.key for items in per_tree for item in items}
     for label_a, label_b, distance in keys:
-        assert forward.support(label_a, label_b, distance) == (
-            backward.support(label_a, label_b, distance)
+        holders = sum(
+            any(item.key == (label_a, label_b, distance) for item in items)
+            for items in per_tree
+        )
+        assert support(forest, label_a, label_b, distance) == holders
+        assert support(backward, label_b, label_a, distance) == holders
+        assert support(forest, label_a, label_b) == (
+            support(backward, label_a, label_b)
         )

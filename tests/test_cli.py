@@ -133,6 +133,31 @@ class TestErrorPaths:
         assert main(["mine", forest_file, "--maxdist", "-3"]) == 1
         assert "maxdist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("kernel", "error: group 0 is empty"),
+            ("supertree", "error: supertree assembly needs at least one tree"),
+            ("cluster", "error: k must be between 1 and 2, got 500"),
+        ],
+        ids=["kernel", "supertree", "cluster"],
+    )
+    def test_bad_input_is_one_error_line(
+        self, command, message, forest_file, tmp_path, capsys
+    ):
+        empty = tmp_path / "empty.nwk"
+        empty.write_text("", encoding="utf-8")
+        argv = {
+            "kernel": ["kernel", str(empty), forest_file],
+            "supertree": ["supertree", str(empty)],
+            "cluster": ["cluster", forest_file, "-k", "500"],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+        assert "Traceback" not in captured.err
+
 
 class TestNexusInput:
     def test_mine_reads_nexus(self, tmp_path, capsys):
@@ -480,6 +505,47 @@ class TestArenaOnlyMiningPath:
                 self._forbid_pointer_trees(patched)
                 assert main(argv) == 0
                 assert capsys.readouterr().out == expected
+
+
+class TestNoPointerTrees:
+    """Every command that only mines reaches the kernel on arenas: with
+    ``TreeArena.to_tree`` refused, each prints what it printed before."""
+
+    @pytest.mark.parametrize(
+        "command",
+        ["mine", "support", "cluster", "diff", "frequent", "kernel",
+         "distance", "similar"],
+    )
+    def test_to_tree_never_called(
+        self, command, seed_plants_file, tmp_path, capsys, monkeypatch
+    ):
+        from repro.trees.arena import TreeArena
+
+        one = tmp_path / "one.nwk"
+        one.write_text(SEED_PLANT_NEWICKS[0], encoding="utf-8")
+        other = tmp_path / "other.nwk"
+        other.write_text(SEED_PLANT_NEWICKS[1], encoding="utf-8")
+        argv = {
+            "mine": ["mine", seed_plants_file],
+            "support": ["support", seed_plants_file,
+                        "--pair", "Gnetum", "Welwitschia", "--distance", "0"],
+            "cluster": ["cluster", seed_plants_file, "-k", "2"],
+            "diff": ["diff", str(one), seed_plants_file],
+            "frequent": ["frequent", seed_plants_file],
+            "kernel": ["kernel", str(one), seed_plants_file],
+            "distance": ["distance", str(one), str(other)],
+            "similar": ["similar", str(one), seed_plants_file, "--k", "2"],
+        }[command]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        assert expected
+
+        def refuse(self):
+            raise AssertionError("pointer tree built on the mining path")
+
+        monkeypatch.setattr(TreeArena, "to_tree", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestMalformedInputErrors:
