@@ -104,7 +104,8 @@ def cluster_trees(
         ``"single"``, ``"complete"`` or ``"average"`` (default).
     engine:
         Optional :class:`repro.engine.MiningEngine` for the distance
-        matrix's per-tree mining (cached, identical output).
+        matrix's per-tree mining (counted in its stats, identical
+        output).
     """
     # Validate every knob before the expensive matrix build.
     mode = validate_mode(mode)

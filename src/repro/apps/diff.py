@@ -21,7 +21,13 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.distance import DistanceMode
-from repro.core.multi_tree import FrequentCousinPair, mine_forest
+from repro.core.fastmine import PackedCounts, mine_arenas
+from repro.core.multi_tree import (
+    FrequentCousinPair,
+    aggregate_packed,
+    pattern_order,
+)
+from repro.core.params import MiningParams, validate_mode
 from repro.obs.context import get_tracer
 from repro.trees.arena import TreeLike, forest_arenas
 
@@ -121,19 +127,11 @@ def diff_patterns(
         else:
             unchanged.append(after)
 
-    def sort_key(pattern: FrequentCousinPair):
-        return (
-            -pattern.support,
-            pattern.label_a,
-            pattern.label_b,
-            pattern.distance if pattern.distance is not None else -1.0,
-        )
-
     return PatternDiff(
-        gained=tuple(sorted(gained, key=sort_key)),
-        lost=tuple(sorted(lost, key=sort_key)),
-        changed=tuple(sorted(changed, key=lambda pair: sort_key(pair[1]))),
-        unchanged=tuple(sorted(unchanged, key=sort_key)),
+        gained=tuple(sorted(gained, key=pattern_order)),
+        lost=tuple(sorted(lost, key=pattern_order)),
+        changed=tuple(sorted(changed, key=lambda pair: pattern_order(pair[1]))),
+        unchanged=tuple(sorted(unchanged, key=pattern_order)),
     )
 
 
@@ -151,79 +149,59 @@ def diff_forests(
 
     Besides the pattern delta, the result carries
     ``snapshot_distance``: the ``mode`` cousin distance between the
-    snapshots' aggregated (occurrence-summed) pair collections.  With
-    an ``engine``, per-tree mining for both the patterns and the
-    distance is cached, with identical output.
+    snapshots' aggregated (occurrence-summed) pair collections.  Each
+    snapshot is mined once — in one engine batch when an ``engine`` is
+    given, with identical output — and its per-tree counts feed both
+    the frequent patterns and the snapshot's aggregate collection.
     """
+    params = MiningParams(
+        maxdist=maxdist,
+        minoccur=minoccur,
+        minsup=minsup,
+        max_generation_gap=max_generation_gap,
+    )
     tracer = get_tracer()
-    with tracer.span("diff.mine", snapshot="old", trees=len(old_trees)):
-        old = mine_forest(
-            old_trees,
-            maxdist=maxdist,
-            minoccur=minoccur,
-            minsup=minsup,
-            max_generation_gap=max_generation_gap,
-            engine=engine,
-        )
-    with tracer.span("diff.mine", snapshot="new", trees=len(new_trees)):
-        new = mine_forest(
-            new_trees,
-            maxdist=maxdist,
-            minoccur=minoccur,
-            minsup=minsup,
-            max_generation_gap=max_generation_gap,
-            engine=engine,
-        )
+    mined: list[list[PackedCounts]] = []
+    patterns: list[list[FrequentCousinPair]] = []
+    for snapshot, trees in (("old", old_trees), ("new", new_trees)):
+        with tracer.span("diff.mine", snapshot=snapshot, trees=len(trees)):
+            if engine is not None:
+                packed = engine.mine(trees, params)
+            else:
+                _table, arenas = forest_arenas(trees)
+                packed = mine_arenas(arenas, params)
+            mined.append(packed)
+            patterns.append(
+                aggregate_packed(
+                    packed,
+                    minoccur=params.minoccur,
+                    minsup=params.minsup,
+                    ignore_distance=False,
+                )
+            )
     with tracer.span("diff.snapshot_distance"):
-        distance = _snapshot_distance(
-            old_trees,
-            new_trees,
-            maxdist=maxdist,
-            max_generation_gap=max_generation_gap,
-            mode=mode,
-            engine=engine,
-        )
+        distance = _snapshot_distance(mined, mode)
     with tracer.span("diff.delta"):
-        return replace(diff_patterns(old, new), snapshot_distance=distance)
+        return replace(diff_patterns(*patterns), snapshot_distance=distance)
 
 
 def _snapshot_distance(
-    old_trees: Sequence[TreeLike],
-    new_trees: Sequence[TreeLike],
-    maxdist: float,
-    max_generation_gap: int,
-    mode: DistanceMode | str,
-    engine: "MiningEngine | None",
+    mined: Sequence[Sequence[PackedCounts]], mode: DistanceMode | str
 ) -> float:
     """Cousin distance between two snapshots' aggregate collections.
 
-    Each snapshot is flattened to one counter (per-tree occurrence
-    counts summed across the forest), then the two counters are
-    compared on the packed vector kernel exactly like two trees.
+    Each snapshot's per-tree counts (at ``minoccur=1``) are summed into
+    one counter, then the two counters are compared on the packed
+    vector kernel exactly like two trees.
     """
     from repro.core.distvec import DistanceVectors
-    from repro.core.fastmine import mine_arenas
-    from repro.core.params import MiningParams, validate_mode
 
     mode = validate_mode(mode)
-    params = MiningParams(
-        maxdist=maxdist,
-        minoccur=1,
-        minsup=1,
-        max_generation_gap=max_generation_gap,
-    )
     aggregates: list[Counter] = []
-    for trees in (old_trees, new_trees):
-        if engine is not None:
-            counters = engine.counters(trees, params)
-        else:
-            _table, arenas = forest_arenas(trees)
-            counters = [
-                counts.to_counter() for counts in mine_arenas(arenas, params)
-            ]
+    for packed in mined:
         aggregate: Counter = Counter()
-        for counter in counters:
-            aggregate.update(counter)
+        for counts in packed:
+            aggregate.update(counts.to_counter())
         aggregates.append(aggregate)
     vectors = DistanceVectors.from_counters(aggregates)
     return vectors.distance(0, 1, mode)

@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=argparse.SUPPRESS)
         p.add_argument("--engine-stats", action="store_true",
                        dest="engine_stats",
-                       help="print cache and distance statistics "
+                       help="print engine and distance statistics "
                             "to stderr")
         p.add_argument("--trace", default=None, metavar="PATH",
                        help="record spans and write a JSON-lines "
@@ -353,19 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextmanager
-def _engine_session(
-    args: argparse.Namespace, *, reuse: bool = False
-) -> Iterator[MiningEngine]:
+def _engine_session(args: argparse.Namespace) -> Iterator[MiningEngine]:
     """Build the engine and install its observability scope.
 
-    A command that hands the engine each tree once can reuse no mined
-    payload, so its engine has no cache and computes no content
-    address.  ``reuse`` keeps the engine's default cache: ``diff``
-    mines each snapshot twice, and ``corpus`` addresses every tree for
-    its store anyway.
-
     While the scope is active, ambient metrics and spans (kernel
-    search, clustering, diff phases, cache internals) land in the
+    search, clustering, diff phases, store internals) land in the
     engine's registry, so ``--engine-stats`` and ``--trace`` see the
     whole run.  On exit — also for failed runs, whose counters (say,
     ``store.read_errors``) explain the failure — ``--engine-stats``
@@ -383,12 +375,7 @@ def _engine_session(
     profile = getattr(args, "profile", False)
     registry = MetricsRegistry()
     tracer = Tracer(registry, enabled=trace_path is not None or profile)
-    engine = MiningEngine(
-        jobs=args.jobs,
-        cache_size=4096 if reuse else 0,
-        registry=registry,
-        tracer=tracer,
-    )
+    engine = MiningEngine(jobs=args.jobs, registry=registry, tracer=tracer)
     try:
         with scope(registry, tracer):
             yield engine
@@ -686,7 +673,7 @@ def _cmd_supertree(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.apps.diff import diff_forests
 
-    with _engine_session(args, reuse=True) as engine:
+    with _engine_session(args) as engine:
         delta = diff_forests(
             read_arenas(args.old),
             read_arenas(args.new),
@@ -724,7 +711,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     from repro.engine.delta import VersionedCorpus
     from repro.store import STORE_FILE
 
-    with _engine_session(args, reuse=True) as engine:
+    with _engine_session(args) as engine:
         if args.action == "init":
             path = os.path.join(args.dir, STORE_FILE)
             if os.path.exists(path):

@@ -64,8 +64,8 @@ def _is_multiset_mode(mode: DistanceMode) -> bool:
     return mode in (DistanceMode.OCCUR, DistanceMode.DIST_OCCUR)
 
 
-def _mode_projection(pair_set: CousinPairSet, mode: DistanceMode):
-    """The projection of one pair set that ``mode`` compares.
+def _mode_view(pair_set: CousinPairSet, mode: DistanceMode):
+    """The view of one pair set that ``mode`` compares.
 
     A plain ``set`` for the wildcard-occurrence modes, a ``Counter``
     for the multiset modes — materialised once so matrix-style callers
@@ -80,8 +80,8 @@ def _mode_projection(pair_set: CousinPairSet, mode: DistanceMode):
     return pair_set.with_distance_and_occurrence()
 
 
-def _projection_distance(left, right, multiset: bool) -> float:
-    """Jaccard-style distance between two prebuilt projections."""
+def _view_distance(left, right, multiset: bool) -> float:
+    """Jaccard-style distance between two prebuilt views."""
     if multiset:
         intersection = CousinPairSet.multiset_intersection_size(left, right)
         union = CousinPairSet.multiset_union_size(left, right)
@@ -104,9 +104,9 @@ def pairset_distance(
     by convention.
     """
     mode = DistanceMode(mode)
-    return _projection_distance(
-        _mode_projection(left, mode),
-        _mode_projection(right, mode),
+    return _view_distance(
+        _mode_view(left, mode),
+        _mode_view(right, mode),
         _is_multiset_mode(mode),
     )
 
@@ -125,12 +125,12 @@ def pairset_distance_matrix(
     """
     mode = DistanceMode(mode)
     multiset = _is_multiset_mode(mode)
-    projections = [_mode_projection(pair_set, mode) for pair_set in pair_sets]
+    projections = [_mode_view(pair_set, mode) for pair_set in pair_sets]
     size = len(projections)
     matrix = [[0.0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            value = _projection_distance(projections[i], projections[j], multiset)
+            value = _view_distance(projections[i], projections[j], multiset)
             matrix[i][j] = value
             matrix[j][i] = value
     return matrix
@@ -156,7 +156,7 @@ def tree_distance(
         Mining parameters used to build each tree's pair set.
     engine:
         Optional :class:`repro.engine.MiningEngine`; per-tree mining
-        then runs through its cache with identical output.
+        then runs as one of its batches with identical output.
     """
     from repro.core.distvec import DistanceVectors
     from repro.core.params import validate_mode
@@ -186,8 +186,8 @@ def distance_matrix(
     zero diagonal, computed on the packed sparse-vector kernel
     (:mod:`repro.core.distvec`) — numerically identical to
     :func:`pairset_distance_matrix` over the same trees.  With an
-    ``engine``, per-tree mining is cached and the build is counted in
-    its stats (:meth:`repro.engine.MiningEngine.distance_matrix`) with
+    ``engine``, per-tree mining runs as its batch and the build is
+    counted in its stats (:meth:`repro.engine.MiningEngine.distance_matrix`) with
     identical output.
     """
     from repro.core.distvec import DistanceVectors

@@ -284,7 +284,7 @@ class DistanceVectors:
     ) -> "DistanceVectors":
         """Mine ``trees`` once and wrap the results.
 
-        With an ``engine`` the per-tree mining is cached
+        With an ``engine`` the per-tree mining runs as its batch
         (:meth:`repro.engine.MiningEngine.distance_vectors`) with
         identical output.
         """

@@ -50,8 +50,8 @@ returns the concrete pairs themselves.
 
 The string-keyed boundary (``Counter`` objects,
 :class:`~repro.core.cousins.CousinPairItem`) is materialised only on
-request via :class:`PackedCounts`, so the engine caches the interned
-arrays.
+request via :class:`PackedCounts`, so the engine and the pair store
+handle the interned arrays.
 """
 
 from __future__ import annotations
@@ -372,7 +372,7 @@ def _cousin_ranges(
 class PackedCounts:
     """Interned mining result: sorted packed keys, counts, label table.
 
-    This is what the kernel produces and what the engine caches —
+    This is what the kernel produces and what a pair store persists —
     materialising string-keyed :class:`~collections.Counter` objects or
     :class:`~repro.core.cousins.CousinPairItem` lists only at the
     boundary via :meth:`to_counter` / :meth:`items`.
@@ -381,7 +381,7 @@ class PackedCounts:
     packed format, ``(half_steps << 42) | (label_a_id << 21) |
     label_b_id`` with ``label_a_id <= label_b_id`` and ``distance =
     half_steps / 2``; ``counts`` holds each key's occurrences.  Both are
-    read-only: consumers share them with the cache.  ``labels`` is the
+    read-only: consumers share them.  ``labels`` is the
     sorted label tuple of the :class:`~repro.trees.arena.LabelTable`
     the ids refer to.
     """
@@ -572,7 +572,7 @@ def mine_arenas(
 
     This is the engine-facing entry point: one pair enumeration over
     the batch's concatenated columns, never touching label strings, so
-    the results can be cached and shipped across processes as-is.  The
+    the results can be persisted and shipped across processes as-is.  The
     arenas may carry different label tables; each result carries its
     arena's.  ``params.minoccur``/``minsup`` are not applied here —
     filtering happens at the boundary, as in the reference.

@@ -85,10 +85,9 @@ def find_kernel_trees(
         full ``DIST_OCCUR`` variant.
     engine:
         Optional :class:`repro.engine.MiningEngine`.  Per-tree mining
-        (the dominant cost for Figure 10) is then cached —
-        duplicate trees across groups are mined exactly once —
-        with identical selection output, and the joined pair count is
-        added to the engine's ``distance_pairs_computed`` stat.
+        then runs as its batches, with identical selection output, and
+        the joined pair count is added to the engine's
+        ``distance_pairs_computed`` stat.
 
     Raises
     ------

@@ -14,8 +14,8 @@ support counts trees containing the label pair at *any* distance.
 The counting step is written once, as the vectorised kernel
 :func:`aggregate_rows` over per-tree packed-key rows.  Every producer
 of frequent pairs feeds it: :func:`mine_forest` (directly, or through
-the engine's memoised :meth:`~repro.engine.MiningEngine
-.frequent_pairs`), :class:`~repro.engine.delta.VersionedCorpus` and
+:meth:`~repro.engine.MiningEngine.frequent_pairs`),
+:class:`~repro.engine.delta.VersionedCorpus` and
 :class:`~repro.store.PairStore`.  :func:`pattern_order` is the one
 order patterns are listed in.  The dict-loop form of the same step,
 over Fig 3 items, is kept only as the test oracle
@@ -199,10 +199,10 @@ def aggregate_packed(
 
     ``packed`` may share one label tuple (the slices of one forest
     arena; ``table``, when given, is its table) — then ids pass
-    through with no table built and no remap — or carry several (the
-    engine's per-tree cached form), which are re-interned onto their
-    merged, sorted universe.  One ``multi_tree.aggregate`` span covers
-    the call.
+    through with no table built and no remap — or carry several
+    (pointer trees the engine flattened one by one), which are
+    re-interned onto their merged, sorted universe.  One
+    ``multi_tree.aggregate`` span covers the call.
     """
     with get_tracer().span("multi_tree.aggregate", trees=len(packed)):
         if table is None:
@@ -248,11 +248,10 @@ def mine_forest(
         (see :class:`repro.core.params.MiningParams`).
     engine:
         Optional :class:`repro.engine.MiningEngine`; when given, the
-        per-tree mining phase runs through its content-addressed cache,
-        and the whole-forest result is memoised
-        (:meth:`~repro.engine.MiningEngine.frequent_pairs`).  Results
-        are identical to the serial path (enforced by the equivalence
-        suite in ``tests/engine``).
+        per-tree mining phase runs as one of its batches
+        (:meth:`~repro.engine.MiningEngine.frequent_pairs`), counted in
+        its stats.  Results are identical to the serial path (enforced
+        by the equivalence suite in ``tests/engine``).
 
     Returns
     -------
@@ -301,6 +300,7 @@ def support(
     :func:`~repro.core.fastmine.mine_arenas` batch, and each tree's
     occurrences of the pair are read off its packed keys.
     """
+    minoccur = validate_minoccur(minoccur)
     params = MiningParams(
         maxdist=maxdist,
         minoccur=1,

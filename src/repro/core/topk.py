@@ -32,8 +32,8 @@ monotonically); unknown-containing keys can never collide with a
 corpus key.  Intersections — the only quantity distances consume —
 are therefore exactly those of a merged-table rebuild.
 
-:meth:`repro.engine.MiningEngine.topk_similar` mines the query through
-the engine cache; the CLI surface is the ``similar`` subcommand.  See
+:meth:`repro.engine.MiningEngine.topk_similar` mines the query as an
+engine batch; the CLI surface is the ``similar`` subcommand.  See
 ``docs/perf.md`` for the size sweep.
 """
 
@@ -269,8 +269,8 @@ def topk_similar(
     knobs or the distances stop matching the all-pairs reference),
     projects it onto the corpus label space and runs
     :func:`topk_search`.  :meth:`repro.engine.MiningEngine
-    .topk_similar` does the same with the query mined through the
-    engine cache.
+    .topk_similar` does the same with the query mined as an engine
+    batch.
     """
     if params is None:
         params = MiningParams(

@@ -1,8 +1,9 @@
-"""Cached execution of per-tree cousin-pair mining.
+"""Batched execution of per-tree cousin-pair mining.
 
 The engine is the seam between the paper's algorithms (pure functions
-over one tree) and production concerns (content-addressed caching of
-per-tree counts, incremental corpus maintenance, observability).  See
+over one tree) and production concerns (batched mining, content
+addresses for persisted corpora, incremental corpus maintenance,
+observability).  See
 :mod:`repro.engine.engine` for the execution model,
 :mod:`repro.engine.cache` for the content-address scheme,
 :mod:`repro.engine.delta` for versioned corpora and ``docs/engine.md``
@@ -13,7 +14,7 @@ from importlib import import_module
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.engine.cache import PairSetCache, arena_cache_key
+    from repro.engine.cache import arena_cache_key
     from repro.engine.delta import (
         CorpusDelta,
         CorpusDiff,
@@ -26,7 +27,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MiningEngine",
-    "PairSetCache",
     "EngineStats",
     "VersionedCorpus",
     "CorpusDelta",
@@ -40,7 +40,6 @@ __all__ = [
 # one of its names is looked up (PEP 562), so importing this package
 # loads none of them.
 _EXPORTS = {
-    "PairSetCache": "cache",
     "arena_cache_key": "cache",
     "CorpusDelta": "delta",
     "CorpusDiff": "delta",

@@ -10,8 +10,9 @@ however, a *sum of independent per-tree contributions* (the
 its products can be maintained under churn by touching only the
 contributions that changed:
 
-- per-tree :class:`~repro.core.fastmine.PackedCounts` come from the
-  engine's content-addressed cache (an unchanged tree is never
+- a tree is mined once, when it joins: its
+  :class:`~repro.core.fastmine.PackedCounts` come from one engine
+  batch together with its content address (an unchanged tree is never
   re-mined);
 - the one row state — each tree's sorted packed keys and occurrence
   counts at the ``minoccur=1`` level on one shared label table, held
@@ -136,7 +137,7 @@ class TreeRef:
 
     The ``uid`` is unique across the corpus lifetime (a replaced tree
     gets a fresh uid even at the same position), so log entries stay
-    unambiguous under churn; the ``content_key`` is the engine cache
+    unambiguous under churn; the ``content_key`` is the tree's content
     address (:func:`repro.engine.cache.arena_cache_key`), equal iff
     the trees are isomorphic under the same parameters.
     """
@@ -281,8 +282,7 @@ class VersionedCorpus:
         corpus's occurrence threshold (``minsup`` is a per-query knob
         of :meth:`frequent_pairs`).
     engine:
-        The engine to mine and cache through; a private one when
-        omitted.
+        The engine to mine through; a private one when omitted.
     """
 
     def __init__(
@@ -893,9 +893,6 @@ class VersionedCorpus:
         stats.delta_trees_removed += len(removed)
         stats.delta_rows_patched += rows_patched
         stats.delta_supports_patched += supports
-        # The engine's frequent-pair memo is fingerprinted over a
-        # specific tree sequence; this corpus's sequence just changed.
-        self.engine.invalidate_distance_memos()
         # An attached pair store follows every version bump: new trees
         # land as an appended generation (or a compaction), departures
         # leave the row map, and the log gains this delta.  The

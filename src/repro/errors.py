@@ -61,7 +61,7 @@ class EngineError(ReproError):
     """The mining engine was misconfigured or failed to execute.
 
     Raised for example when the worker count is not a positive integer
-    or the on-disk cache directory cannot be created.
+    or a store query runs with no pair store attached.
     """
 
 

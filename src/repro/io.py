@@ -8,7 +8,7 @@ a growing TreeBASE snapshot).
 
 It also owns :func:`atomic_write`, the single temp-file +
 ``os.replace`` implementation behind every on-disk artifact the
-package persists (cache entries, corpus manifests, pair-store shards):
+package persists (corpus manifests, pair-store shards, run history):
 a reader either sees the previous complete file or the new complete
 file, never a torn write.
 """

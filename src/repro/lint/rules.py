@@ -220,7 +220,7 @@ class NoMagicPackingLiterals(Rule):
     ``core/distvec.py`` idiom) count the same as bare ones.
 
     The same goes for the key *scheme string* (``"cpi-packed/..."``)
-    that the cache and the pair store stamp into their manifests: a
+    that the content addresses and the pair store stamp in: a
     module that spells it inline keeps accepting stale shards after a
     layout bump.  Compare against the imported ``PACKED_KEY_SCHEME``;
     only docstrings may mention the scheme by name.

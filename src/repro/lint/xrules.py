@@ -100,11 +100,11 @@ def _resolve_guarded(context, summary: dict, caller: dict, callee: str):
 class EngineThreadingRule(ProjectRule):
     """RPL101: a function taking ``engine=`` must forward it.
 
-    The engine exists so every layer above it shares one
-    content-addressed cache; a wrapper that accepts ``engine=`` but
+    The engine exists so every layer above it shares one set of
+    stats, spans and metrics; a wrapper that accepts ``engine=`` but
     calls an engine-capable callee without passing it on silently
-    rebuilds the world from scratch — results stay correct, the
-    memoisation guarantee quietly dies.  Flags each call from an
+    mines outside it — results stay correct, the run's accounting
+    quietly loses that work.  Flags each call from an
     ``engine=``-accepting function to a resolvable project function
     that also accepts ``engine=`` but receives neither an ``engine``
     keyword, an ``engine`` positional, nor a ``**kwargs`` splat.

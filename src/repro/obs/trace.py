@@ -3,7 +3,7 @@
 A :class:`Tracer` hands out spans::
 
     with tracer.span("engine.mine", metric="engine.mine.seconds",
-                     misses=3):
+                     trees=3):
         ...
 
 Enabled, the span records (name, id, parent id, start offset,

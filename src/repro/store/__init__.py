@@ -12,8 +12,8 @@ Public surface:
   writes and checked memmap reads of one shard.
 
 The store is the only on-disk form of mining results: a
-``repro-mine corpus`` directory is a pair store, and the engine cache
-is in-process only.
+``repro-mine corpus`` directory is a pair store, and the engine keeps
+nothing between batches.
 
 See ``docs/perf.md`` for the shard layout and the generation /
 compaction model.

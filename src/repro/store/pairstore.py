@@ -372,7 +372,7 @@ class PairStore:
     def fingerprint(self) -> str:
         """Corpus content fingerprint — equals
         :attr:`repro.engine.delta.VersionedCorpus.fingerprint` for the
-        same tree sequence, so corpus-level cache keys interchange."""
+        same tree sequence, so corpus-level fingerprints interchange."""
         digest = hashlib.sha256()
         for row in self._manifest["rows"]:
             digest.update(row["content_key"].encode("ascii"))

@@ -20,8 +20,8 @@ mining algorithms of the paper operate:
 - :mod:`repro.trees.build` — rooted triples and the BUILD algorithm
   (Aho et al.), the supertree substrate;
 - :mod:`repro.trees.arena` — flat-array arenas with interned integer
-  labels, the compact form the fastmine kernel and the engine's cache
-  operate on (see ``docs/perf.md``);
+  labels, the compact form the fastmine kernel and the content
+  addresses operate on (see ``docs/perf.md``);
 - :mod:`repro.trees.ops` — structural operations (copy, restrict,
   relabel);
 - :mod:`repro.trees.validate` — structural invariants used by tests.

@@ -4,7 +4,7 @@ The arena is the mining path's only tree representation: the Newick
 and NEXUS readers (:func:`repro.trees.newick.parse_arenas`,
 :func:`repro.trees.nexus.read_arenas`) fill one :class:`ForestArena`
 per file straight from text, and the kernel
-(:mod:`repro.core.fastmine`) and the engine's cache keys consume its
+(:mod:`repro.core.fastmine`) and the content addresses consume its
 per-tree slices without attribute lookups, per-node objects, or string
 hashing.  The pointer-based
 :class:`~repro.trees.tree.Tree` is for editing and for the consumers
@@ -48,8 +48,8 @@ Arenas pickle as their raw buffers: a few ``memcpy``-like array
 copies instead of a linked node graph.  Because ids are assigned in
 sorted order, interning is a pure function of the label *set* — two
 processes (or two runs) flattening the same tree always agree on
-every id, which is what makes interned mining results portable (the
-on-disk cache serves them across runs).
+every id, which is what makes interned mining results portable (a
+pair store serves them across runs).
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class LabelTable:
     which lets the mining kernel order an unordered label pair by
     comparing ids.  Construction from the same label *set* is
     deterministic regardless of input order or process, so interned
-    results can cross process boundaries and cache layers safely.
+    results can cross process boundaries and persisted stores safely.
     """
 
     __slots__ = ("labels", "_ids")
@@ -320,7 +320,7 @@ class TreeArena:
         """This arena with its label column interned through ``table``.
 
         ``None`` asks for the per-tree table (this tree's labels only)
-        that content addresses and cached payloads are checked against.
+        that content addresses are computed against.
         Returns ``self`` when the arena already carries the requested
         table; otherwise a new arena sharing the structure buffers.
         Raises :class:`ArenaError` if ``table`` misses a used label.

@@ -13,10 +13,10 @@ field is the "half" bit distinguishing e.g. first cousins from
 first-cousins-once-removed.
 
 Every module that touches this layout — the arena's label-table cap,
-the kernel's encode loops, the engine cache's key-scheme tag — must
+the kernel's encode loops, the content-address scheme tag — must
 import these constants rather than re-deriving the widths, so the
-layout can only ever change in one place (and the cache scheme tag
-changes with it).  The repo's own static analyzer enforces this:
+layout can only ever change in one place (and the address scheme
+tag changes with it).  The repo's own static analyzer enforces this:
 rule ``RPL002`` of :mod:`repro.lint` flags bit-width/shift/mask
 literals anywhere else under ``src/repro``.
 
@@ -67,12 +67,12 @@ MAX_HALF_STEPS = (1 << HALF_STEP_BITS) - 1
 """Largest encodable distance, in half steps."""
 
 PACKED_KEY_SCHEME = "cpi-packed/v2"
-"""Version tag of the packed layout, mixed into every cache address.
+"""Version tag of the packed layout, mixed into every content address.
 
-Bump this whenever the key layout (or the semantics of a cached
+Bump this whenever the key layout (or the semantics of a persisted
 :class:`repro.core.fastmine.PackedCounts` payload) changes, so stale
-on-disk cache entries become unreachable instead of being decoded
-under the wrong layout.
+stored rows become unreachable instead of being decoded under the
+wrong layout.
 """
 
 # Import-time overflow guard (a plain raise so ``python -O`` cannot

@@ -37,6 +37,55 @@ class TestDiffForests:
         assert engined.snapshot_distance == serial.snapshot_distance
         assert "snapshot distance:" in serial.describe()
 
+    def test_each_snapshot_is_mined_once(self, monkeypatch):
+        # One mine_arenas batch per snapshot feeds both the patterns
+        # and the snapshot distance.
+        import repro.apps.diff
+        import repro.core.fastmine
+        import repro.core.multi_tree
+        from repro.engine import MiningEngine
+        from repro.obs.context import scope
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.trace import Tracer
+
+        calls = []
+        mine_arenas = repro.core.fastmine.mine_arenas
+
+        def counted(arenas, params):
+            calls.append(len(arenas))
+            return mine_arenas(arenas, params)
+
+        for module in (repro.core.fastmine, repro.core.multi_tree,
+                       repro.apps.diff):
+            monkeypatch.setattr(module, "mine_arenas", counted, raising=False)
+        old = forest("((a,b),(c,d));", "((a,b),e);", "(a,(b,c));")
+        new = forest("((a,b),(c,d));", "((a,c),e);")
+        registry = MetricsRegistry()
+        with scope(registry, Tracer(registry, enabled=False)):
+            delta = diff_forests(old, new)
+        assert calls == [len(old), len(new)]
+        assert registry.counter("fastmine.trees").value == len(old) + len(new)
+        assert delta == diff_forests(old, new, engine=MiningEngine())
+
+    def test_engine_mines_each_snapshot_once_unaddressed(self, monkeypatch):
+        from repro.engine import MiningEngine
+        from repro.trees.arena import TreeArena
+
+        def no_address(arena):
+            raise AssertionError("diff must not content-address a tree")
+
+        monkeypatch.setattr(TreeArena, "fingerprint", no_address)
+        old = forest("((a,b),(c,d));", "((a,b),e);")
+        new = forest("((a,b),(c,d));", "((a,c),e);", "(a,b);")
+        engine = MiningEngine()
+        diff_forests(old, new, engine=engine)
+        assert engine.stats.batches == 2
+        assert engine.stats.trees_seen == len(old) + len(new)
+        assert (
+            engine.registry.counter("fastmine.trees").value
+            == len(old) + len(new)
+        )
+
     def test_pattern_diffs_have_no_snapshot_distance(self):
         trees = forest("((a,b),c);", "((a,b),d);")
         patterns = mine_forest(trees)

@@ -126,7 +126,7 @@ def test_churn_open_churn_stays_in_sync(engine, tmp_path):
     churn(corpus, trees, directory, [("add", forest(2, 6)), ("remove", [6, 0])])
     # A fresh process's view: rows off the store, no tree re-mined.
     reopened = VersionedCorpus.open(directory, engine=MiningEngine())
-    assert reopened.engine.stats.misses == 0
+    assert reopened.engine.stats.trees_seen == 0
     assert_in_sync(reopened, trees, directory, "after open")
     grown = synthetic_forest(
         SyntheticTreeParams(treesize=12, databasesize=2, alphabetsize=30),

@@ -53,8 +53,7 @@ class TestCooccurrence:
 
 class TestArenaInputs:
     """Arenas stand in for pointer trees on the engine and serial paths:
-    per-tree arenas from the reader, and arenas on one shared table
-    (re-interned before they address the cache)."""
+    per-tree arenas from the reader, and arenas on one shared table."""
 
     @staticmethod
     def _inputs(forest):
@@ -90,8 +89,6 @@ class TestArenaInputs:
         assert results(forest, engine) == expected
         for arenas in self._inputs(forest):
             assert results(arenas, None) == expected
-            # One engine serves every input kind from one cache: an
-            # arena on a shared table must not disagree with the
-            # per-tree payloads already cached for its content.
+            # One engine serves every input kind: an arena on a
+            # shared table must not disagree with a per-tree one.
             assert results(arenas, engine) == expected
-            assert engine.stats.rejected == 0

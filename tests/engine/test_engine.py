@@ -2,10 +2,9 @@
 
 The contract under test: for any forest and any parameters, engine
 output is *identical* to the serial reference paths — for any
-``jobs=`` value (an inert input) and for both cold and warm caches.
-Frequent-pair comparisons are strict (every field, including the
-non-``compare`` ones), so any ordering, pickling or cache divergence
-fails loudly.
+``jobs=`` value (an inert input) and for repeated batches on one
+engine.  Frequent-pair comparisons are strict (every field, including
+the non-``compare`` ones), so any ordering divergence fails loudly.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.multi_tree import mine_forest
+from repro.core.params import MiningParams
 from repro.core.reference import mine_forest_reference
 from repro.core.single_tree import mine_tree, mine_tree_counter
 from repro.engine import MiningEngine
@@ -65,7 +65,7 @@ class TestForestEquivalence:
             max_height=height,
         )
         engine = MiningEngine(jobs=jobs)
-        for temperature in ("cold", "warm"):
+        for repeat in ("first", "repeat"):
             result = mine_forest(
                 forest,
                 maxdist=maxdist,
@@ -76,12 +76,11 @@ class TestForestEquivalence:
                 max_height=height,
                 engine=engine,
             )
-            assert strict(result) == strict(reference), temperature
+            assert strict(result) == strict(reference), repeat
 
     def test_one_engine_serves_the_whole_grid(self, forest):
-        # One engine, every grid point forwards then backwards: the
-        # whole-forest memo must key on every threshold, or a later
-        # grid point is served an earlier point's answer.
+        # One engine, every grid point forwards then backwards: no
+        # grid point may see state left by an earlier one.
         engine = MiningEngine()
         for grid in PARAM_GRID + PARAM_GRID[::-1]:
             maxdist, minoccur, minsup, ignore, gap, height = grid
@@ -99,19 +98,24 @@ class TestForestEquivalence:
 
     def test_order_follows_input(self, forest, jobs):
         engine = MiningEngine(jobs=jobs)
-        per_tree = engine.items(forest)
+        per_tree = [
+            counts.items() for counts in engine.mine(forest, MiningParams())
+        ]
         assert per_tree == [mine_tree(tree) for tree in forest]
 
     def test_counters_match_reference(self, forest, jobs):
         engine = MiningEngine(jobs=jobs)
-        counters = engine.counters(forest, maxdist=2.0, max_generation_gap=2)
+        params = MiningParams(maxdist=2.0, max_generation_gap=2)
+        counters = [
+            counts.to_counter() for counts in engine.mine(forest, params)
+        ]
         assert counters == [
             mine_tree_counter(tree, 2.0, 2, None) for tree in forest
         ]
 
     def test_empty_forest(self, jobs):
         engine = MiningEngine(jobs=jobs)
-        assert engine.counters([]) == []
+        assert engine.mine([], MiningParams()) == []
         assert mine_forest([], engine=engine) == []
         for minsup, ignore in [(1, False), (1, True), (3, False)]:
             assert mine_forest(
@@ -124,8 +128,8 @@ class TestForestEquivalence:
         from repro.trees.tree import Tree
 
         engine = MiningEngine(jobs=jobs)
-        (counter,) = engine.counters([Tree()])
-        assert counter == mine_tree_counter(Tree())
+        (counts,) = engine.mine([Tree()], MiningParams())
+        assert counts.to_counter() == mine_tree_counter(Tree())
         # Trees without a single labelled cousin pair.
         pairless = [
             Tree(),
@@ -146,37 +150,18 @@ class TestForestEquivalence:
 
 
 class TestStatsAccounting:
-    def test_lookups_partition_into_hits_and_misses(self, forest):
-        engine = MiningEngine()
-        engine.items(forest)
-        stats = engine.stats
-        assert stats.trees_seen == len(forest)
-        assert stats.memory_hits + stats.misses == stats.trees_seen
-        # The forest holds one isomorphic duplicate -> one in-batch hit.
-        assert stats.misses == len(forest) - 1
-        assert stats.memory_hits == 1
-
-    def test_warm_run_has_no_new_misses(self, forest):
-        engine = MiningEngine()
-        engine.items(forest)
-        cold_misses = engine.stats.misses
-        engine.items(forest)
-        assert engine.stats.misses == cold_misses
-        assert engine.stats.hit_rate > 0.5
-        assert engine.stats.batches == 2
-
     def test_reset(self, forest):
         engine = MiningEngine()
-        engine.items(forest)
+        engine.mine(forest, MiningParams())
         engine.stats.reset()
         assert engine.stats.trees_seen == 0
-        assert engine.stats.as_dict()["misses"] == 0
+        assert engine.stats.batches == 0
 
     def test_describe_mentions_counts(self, forest):
         engine = MiningEngine()
-        engine.items(forest)
+        engine.mine(forest, MiningParams())
         text = engine.stats.describe()
-        assert f"{len(forest)} tree(s)" in text and "miss" in text
+        assert f"{len(forest)} tree(s) mined" in text and "1 batch(es)" in text
 
 
 class TestJobsResolution:
@@ -194,7 +179,9 @@ class TestJobsResolution:
         expected = [mine_tree(tree) for tree in forest]
         for jobs in (None, 1, 4):
             engine = MiningEngine(jobs=jobs)
-            assert engine.items(forest) == expected
+            assert [
+                counts.items() for counts in engine.mine(forest, MiningParams())
+            ] == expected
             assert mine_forest(forest, engine=engine) == (
                 mine_forest_reference(forest)
             )
@@ -208,17 +195,15 @@ class TestConfigValidation:
         with pytest.raises(EngineError, match="jobs"):
             MiningEngine(jobs=bad)
 
-    def test_explicit_cache_excludes_cache_knobs(self):
-        from repro.engine import PairSetCache
-
-        cache = PairSetCache()
-        with pytest.raises(EngineError, match="not both"):
-            MiningEngine(cache=cache, cache_size=8)
+    @pytest.mark.parametrize("knob", ["cache", "cache_size"])
+    def test_no_cache_knobs(self, knob):
+        with pytest.raises(TypeError):
+            MiningEngine(**{knob: None})
 
     def test_returned_counters_are_copies(self):
         tree = parse_newick("((a,b),(c,d));")
         engine = MiningEngine()
-        (first,) = engine.counters([tree])
-        first.clear()  # corrupting the copy must not poison the cache
-        (second,) = engine.counters([tree])
-        assert second == mine_tree_counter(tree)
+        (first,) = engine.mine([tree], MiningParams())
+        counter = first.to_counter()
+        counter.clear()  # corrupting the copy must not touch the counts
+        assert first.to_counter() == mine_tree_counter(tree)

@@ -1,4 +1,4 @@
-"""EngineStats as a registry view: describe gating, reset, legacy surface."""
+"""EngineStats as a registry view: describe gating, reset, field names."""
 
 from __future__ import annotations
 
@@ -46,11 +46,11 @@ class TestRegistryView:
     def test_reset_resets_the_backing_registry(self):
         registry = MetricsRegistry()
         stats = EngineStats(registry)
-        stats.misses += 3
+        stats.batches += 3
         stats.mine_seconds += 0.5
-        registry.counter("cache.disk.writes").add(2)  # outside the facade
+        registry.counter("store.read_errors").add(2)  # outside the facade
         stats.reset()
-        assert stats.misses == 0
+        assert stats.batches == 0
         assert stats.mine_seconds == 0.0
         snapshot = registry.snapshot()
         assert all(
@@ -64,12 +64,10 @@ class TestRegistryView:
     def test_fields_are_registry_backed_both_ways(self):
         registry = MetricsRegistry()
         stats = EngineStats(registry)
-        stats.memory_hits += 2
-        assert registry.counter("engine.cache.memory_hits").value == 2
+        stats.batches += 2
+        assert registry.counter("engine.batches").value == 2
         registry.counter("engine.lookups").add(4)
         assert stats.trees_seen == 4
-        assert stats.hits == 2
-        assert stats.hit_rate == pytest.approx(0.5)
 
     def test_two_views_over_one_registry_agree(self):
         registry = MetricsRegistry()
@@ -77,7 +75,7 @@ class TestRegistryView:
         first.batches += 1
         second = EngineStats(registry)
         assert second.batches == 1
-        assert second.as_dict() == first.as_dict()
+        assert second.describe() == first.describe()
 
     def test_seconds_assignment_restarts_the_distribution(self):
         stats = EngineStats()
@@ -85,26 +83,23 @@ class TestRegistryView:
         histogram.observe(1.0)
         histogram.observe(2.0)
         assert stats.mine_seconds == pytest.approx(3.0)
-        # Legacy assignment replaces the accumulated total outright.
+        # Assignment replaces the accumulated total outright.
         stats.mine_seconds = 0.25
         assert stats.mine_seconds == pytest.approx(0.25)
         assert histogram.count == 1
 
-    def test_distance_builds_excluded_from_as_dict(self):
-        stats = EngineStats()
-        stats.distance_builds += 1
-        assert "distance_builds" not in stats.as_dict()
-
     def test_delta_fields_present_and_zero_by_default(self):
-        payload = EngineStats().as_dict()
-        for field in (
-            "delta_updates",
-            "delta_trees_added",
-            "delta_trees_removed",
-            "delta_rows_patched",
-            "delta_supports_patched",
+        stats = EngineStats()
+        counters = stats.registry.snapshot()["counters"]
+        for field, metric in (
+            ("delta_updates", "engine.delta.updates"),
+            ("delta_trees_added", "engine.delta.trees_added"),
+            ("delta_trees_removed", "engine.delta.trees_removed"),
+            ("delta_rows_patched", "engine.delta.rows_patched"),
+            ("delta_supports_patched", "engine.delta.supports_patched"),
         ):
-            assert payload[field] == 0
+            assert getattr(stats, field) == 0
+            assert counters[metric] == 0
 
     def test_describe_delta_gate(self):
         stats = EngineStats()

@@ -74,9 +74,8 @@ class TestDistanceTrace:
             "distvec.join",
         ):
             assert required in names, f"missing span {required}"
-        # A one-shot CLI engine has no cache, so it looks nothing up:
-        # the batch goes straight to mining.  The lookup span of a
-        # cached engine is pinned in tests/obs/test_overhead.py.
+        # A one-shot CLI engine addresses nothing: the batch goes
+        # straight to mining.  Only a corpus addresses its trees.
         assert "engine.lookup" not in names
         batch = names["engine.batch"][0]
         assert names["engine.mine"][0]["parent"] == batch["id"]
@@ -160,11 +159,12 @@ class TestFrequentTrace:
         sweeps = names["fastmine.sweep"]
         assert len(sweeps) == len(mines) == 1
         assert sweeps[0]["parent"] == mines[0]["id"]
-        # The batch's four trees (7 nodes each) in one sweep: a
-        # one-shot run addresses nothing, so the repeated tree is
-        # mined again rather than looked up.
+        # The batch's four trees (7 nodes each) in one sweep: the
+        # engine addresses nothing, so the repeated tree is mined
+        # again rather than looked up.
         assert "engine.lookup" not in names
         counters = lines[-1]["registry"]["counters"]
         assert counters["fastmine.trees"] == 4
         assert counters["fastmine.nodes"] == 28
-        assert counters["engine.lookups"] == counters["engine.cache.misses"]
+        assert counters["engine.lookups"] == counters["fastmine.trees"]
+        assert not any(name.startswith("engine.cache.") for name in counters)

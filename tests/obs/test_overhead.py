@@ -100,7 +100,7 @@ class TestOverheadGate:
         span_count = len(names)
         # Every layer the run crosses is spanned; the kernel once per
         # mined batch, however many trees the batch holds.
-        assert {"engine.batch", "engine.lookup", "engine.mine"} <= set(names)
+        assert {"engine.batch", "engine.mine"} <= set(names)
         assert names.count("fastmine.sweep") == names.count("engine.mine")
 
         # Per-span cost of the *disabled* path, worst case: a

@@ -139,8 +139,9 @@ class TestErrorPaths:
             ("kernel", "error: group 0 is empty"),
             ("supertree", "error: supertree assembly needs at least one tree"),
             ("cluster", "error: k must be between 1 and 2, got 500"),
+            ("support", "error: minoccur must be >= 1, got 0"),
         ],
-        ids=["kernel", "supertree", "cluster"],
+        ids=["kernel", "supertree", "cluster", "support"],
     )
     def test_bad_input_is_one_error_line(
         self, command, message, forest_file, tmp_path, capsys
@@ -151,6 +152,8 @@ class TestErrorPaths:
             "kernel": ["kernel", str(empty), forest_file],
             "supertree": ["supertree", str(empty)],
             "cluster": ["cluster", forest_file, "-k", "500"],
+            "support": ["support", forest_file, "--pair", "a", "zz",
+                        "--minoccur", "0"],
         }[command]
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -413,8 +416,7 @@ class TestEngineFlags:
     def test_engine_stats_go_to_stderr(self, forest_file, capsys):
         assert main(["frequent", forest_file, "--engine-stats"]) == 0
         captured = capsys.readouterr()
-        assert "engine:" in captured.err
-        assert "miss" in captured.err
+        assert "engine: 2 tree(s) mined in " in captured.err
         assert "engine:" not in captured.out
 
     def test_kernel_accepts_engine_flags(self, tmp_path, capsys):
