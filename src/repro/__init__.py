@@ -48,7 +48,7 @@ if TYPE_CHECKING:
     from repro.trees.traversal import TreeIndex
     from repro.trees.newick import parse_newick, parse_forest, write_newick
     from repro.trees.bipartition import robinson_foulds
-    from repro.core.params import MiningParams, DEFAULT_PARAMS
+    from repro.core.params import MiningParams, DEFAULT_PARAMS, DistanceMode
     from repro.core.cousins import (
         ANY,
         CousinPair,
@@ -60,7 +60,7 @@ if TYPE_CHECKING:
     from repro.core.multi_tree import FrequentCousinPair, mine_forest, support
     from repro.core.pairset import CousinPairSet
     from repro.core.similarity import similarity_score, average_similarity
-    from repro.core.distance import tree_distance, DistanceMode
+    from repro.core.distance import tree_distance
     from repro.core.kernel import KernelResult, find_kernel_trees
     from repro.core.freetree import FreeTree, mine_free_tree, mine_graph_forest
     from repro.core.treerank import updown_distance, treerank_score, rank_trees
@@ -146,7 +146,7 @@ _EXPORTS = {
     "similarity_score": "core.similarity",
     "average_similarity": "core.similarity",
     "tree_distance": "core.distance",
-    "DistanceMode": "core.distance",
+    "DistanceMode": "core.params",
     "KernelResult": "core.kernel",
     "find_kernel_trees": "core.kernel",
     "FreeTree": "core.freetree",

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.distance import DistanceMode, distance_matrix
-from repro.core.params import validate_mode
+from repro.core.distance import distance_matrix
+from repro.core.params import DistanceMode, validate_mode
 from repro.errors import MiningParameterError
 from repro.obs.context import get_registry, get_tracer
 from repro.trees.arena import TreeLike

@@ -10,24 +10,24 @@ two frequent-pattern lists (or directly from two forests).
 Forest-level diffs additionally report a single *snapshot distance*:
 the Section 5.3 cousin distance between the two snapshots' aggregated
 cousin-pair collections, computed on the packed vector kernel
-(:meth:`repro.core.distvec.DistanceVectors.from_counters`) — 0.0 for
+(:meth:`repro.core.distvec.DistanceVectors.from_packed`) — 0.0 for
 identical mining output, approaching 1.0 as the snapshots diverge.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.distance import DistanceMode
+import numpy as np
+
 from repro.core.fastmine import PackedCounts, mine_arenas
 from repro.core.multi_tree import (
     FrequentCousinPair,
     aggregate_packed,
     pattern_order,
 )
-from repro.core.params import MiningParams, validate_mode
+from repro.core.params import DistanceMode, MiningParams, validate_mode
 from repro.obs.context import get_tracer
 from repro.trees.arena import TreeLike, forest_arenas
 
@@ -190,18 +190,32 @@ def _snapshot_distance(
 ) -> float:
     """Cousin distance between two snapshots' aggregate collections.
 
-    Each snapshot's per-tree counts (at ``minoccur=1``) are summed into
-    one counter, then the two counters are compared on the packed
-    vector kernel exactly like two trees.
+    Both snapshots' per-tree counts (at ``minoccur=1``) share one
+    packed vector universe; each snapshot's rows are summed into one
+    row (``np.unique`` + ``np.bincount``), and the two summed rows are
+    compared on the packed vector kernel exactly like two trees.
     """
     from repro.core.distvec import DistanceVectors
 
     mode = validate_mode(mode)
-    aggregates: list[Counter] = []
+    vectors = DistanceVectors.from_packed(
+        [counts for packed in mined for counts in packed]
+    )
+    full_keys, full_counts = vectors.full_rows
+    summed_keys: list[np.ndarray] = []
+    summed_counts: list[np.ndarray] = []
+    start = 0
     for packed in mined:
-        aggregate: Counter = Counter()
-        for counts in packed:
-            aggregate.update(counts.to_counter())
-        aggregates.append(aggregate)
-    vectors = DistanceVectors.from_counters(aggregates)
-    return vectors.distance(0, 1, mode)
+        rows = slice(start, start + len(packed))
+        start += len(packed)
+        keys = np.concatenate([np.empty(0, np.int64), *full_keys[rows]])
+        counts = np.concatenate([np.empty(0, np.int64), *full_counts[rows]])
+        unique, inverse = np.unique(keys, return_inverse=True)
+        summed_keys.append(unique)
+        # Float weights sum integer counts exactly (< 2**53).
+        summed_counts.append(
+            np.bincount(inverse, weights=counts, minlength=unique.size)
+            .astype(np.int64)
+        )
+    summed = DistanceVectors(vectors.labels, summed_keys, summed_counts)
+    return summed.distance(0, 1, mode)

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.distance import DistanceMode
+from repro.core.params import DistanceMode
 from repro.core.kernel import KernelResult, find_kernel_trees
 from repro.datasets.ascomycetes import ascomycete_groups
 from repro.obs.metrics import stopwatch

@@ -40,7 +40,12 @@ from importlib import import_module
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.core.params import MiningParams, DEFAULT_PARAMS, validate_mode
+    from repro.core.params import (
+        MiningParams,
+        DEFAULT_PARAMS,
+        DistanceMode,
+        validate_mode,
+    )
     from repro.core.cousins import (
         ANY,
         CousinPair,
@@ -57,7 +62,6 @@ if TYPE_CHECKING:
         distance_matrix,
         pairset_distance,
         pairset_distance_matrix,
-        DistanceMode,
     )
     from repro.core.distvec import DistanceVectors
     from repro.core.topk import TopKResult, topk_search, topk_similar
@@ -129,7 +133,7 @@ _EXPORTS = {
     "distance_matrix": "distance",
     "pairset_distance": "distance",
     "pairset_distance_matrix": "distance",
-    "DistanceMode": "distance",
+    "DistanceMode": "params",
     "DistanceVectors": "distvec",
     "TopKResult": "topk",
     "topk_search": "topk",

@@ -24,10 +24,10 @@ COMPONENT tool's measures), these distances are defined for trees with
 
 from __future__ import annotations
 
-import enum
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.pairset import CousinPairSet
+from repro.core.params import DistanceMode
 from repro.trees.arena import TreeLike
 from repro.trees.tree import Tree
 
@@ -41,22 +41,6 @@ __all__ = [
     "pairset_distance_matrix",
     "distance_matrix",
 ]
-
-
-class DistanceMode(str, enum.Enum):
-    """Which item slots participate in the distance (Section 5.3)."""
-
-    PLAIN = "plain"
-    """Neither cousin distance nor occurrence number: label pairs only."""
-
-    DIST = "dist"
-    """Cousin distance kept, occurrence numbers ignored."""
-
-    OCCUR = "occur"
-    """Occurrence numbers kept (summed over distances), distances ignored."""
-
-    DIST_OCCUR = "dist_occur"
-    """Both kept: the full cousin pair items."""
 
 
 def _is_multiset_mode(mode: DistanceMode) -> bool:

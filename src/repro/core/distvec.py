@@ -34,8 +34,10 @@ with a vectorised form that never materialises a string key:
   (zero-overlap pairs are filled with their known distance — 1.0, or
   0.0 for two empty collections — without a join).  Rectangular
   blocks (:meth:`DistanceVectors.block`, the cross-group distances of
-  :func:`repro.core.kernel.find_kernel_trees`) join every non-empty
-  pair with the same batched merge-join.
+  :func:`repro.core.kernel.find_kernel_trees`) are one sort-merge
+  join over the whole block: both sides' keys sorted once, every
+  shared key's row x column occurrences summed into the cells with
+  ``np.bincount``.
 
 A matrix is one upper-triangle pass (:meth:`DistanceVectors.triangle`)
 mirrored by :func:`assemble_matrix`.  See ``docs/perf.md`` for the
@@ -63,7 +65,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.distance import DistanceMode
 from repro.core.fastmine import (
     PackedCounts,
     _collapse_pairs,
@@ -71,7 +72,12 @@ from repro.core.fastmine import (
     mine_arenas,
     shared_labels,
 )
-from repro.core.params import MiningParams, validate_minoccur, validate_mode
+from repro.core.params import (
+    DistanceMode,
+    MiningParams,
+    validate_minoccur,
+    validate_mode,
+)
 from repro.obs.context import get_registry, get_tracer
 from repro.trees.arena import LabelTable, TreeLike, find_label, forest_arenas
 from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK, pack_key
@@ -87,6 +93,9 @@ __all__ = [
 
 _MULTISET_MODES = frozenset({DistanceMode.OCCUR, DistanceMode.DIST_OCCUR})
 _FULL_MODES = frozenset({DistanceMode.DIST, DistanceMode.DIST_OCCUR})
+# Most (row, col, key) matches one chunk of a block join crosses at once.
+_BLOCK_MATCHES = 1 << 18
+
 
 def _monotone_remap(
     old_labels: Sequence[str], new_labels: Sequence[str]
@@ -196,6 +205,74 @@ def _index_entries(
     if unique.size == 0:
         return np.empty(0, dtype=np.int64), owners
     return np.repeat(unique, ends - starts), owners
+
+
+def _block_overlap(
+    row_side: tuple[np.ndarray, np.ndarray, np.ndarray, int],
+    col_side: tuple[np.ndarray, np.ndarray, np.ndarray, int],
+    multiset: bool,
+) -> np.ndarray:
+    """The rows x cols (multi)set intersections of two sorted sides.
+
+    Each side is ``(keys, counts, owners, size)`` from
+    :meth:`DistanceVectors._sorted_side`.  The keys both sides hold are
+    found on the sides' unique runs; each shared key's row occurrences
+    are crossed with its column occurrences (``np.repeat``), and each
+    match adds ``min(count)`` (or 1) to its cell with ``np.bincount``.
+    Shared keys are taken in chunks of at most ``_BLOCK_MATCHES``
+    matches (one key alone, at most rows x cols matches, may exceed
+    it), so the transient arrays stay within max(_BLOCK_MATCHES,
+    rows x cols) entries.
+    """
+    row_keys, row_counts, row_owners, row_size = row_side
+    col_keys, col_counts, col_owners, col_size = col_side
+    cells = row_size * col_size
+    intersections = np.zeros(cells, dtype=np.int64)
+    row_unique, row_starts, row_ends, _owners = _index_from_sorted(
+        row_keys, row_owners
+    )
+    col_unique, col_starts, col_ends, _owners = _index_from_sorted(
+        col_keys, col_owners
+    )
+    if row_unique.size and col_unique.size:
+        slots = np.searchsorted(col_unique, row_unique)
+        clipped = np.minimum(slots, col_unique.size - 1)
+        shared = (slots < col_unique.size) & (col_unique[clipped] == row_unique)
+        row_at = row_starts[shared]
+        row_run = row_ends[shared] - row_at
+        col_at = col_starts[clipped[shared]]
+        col_run = col_ends[clipped[shared]] - col_at
+        matches = row_run * col_run
+        ends = np.cumsum(matches)
+        starts = ends - matches
+        first = 0
+        while first < matches.size:
+            done = int(starts[first])
+            last = max(
+                int(np.searchsorted(ends, done + _BLOCK_MATCHES, side="right")),
+                first + 1,
+            )
+            # Match t of shared key k is row occurrence t // col_run[k]
+            # crossed with column occurrence t % col_run[k].  The chunk's
+            # match arrays are its output, bounded by _BLOCK_MATCHES.
+            # repro-lint: disable-next-line=RPL105 -- one chunk's matches
+            key = np.repeat(np.arange(first, last), matches[first:last])
+            # repro-lint: disable-next-line=RPL105 -- one chunk's matches
+            step = np.arange(done, int(ends[last - 1])) - starts[key]
+            row_hit = row_at[key] + step // col_run[key]
+            col_hit = col_at[key] + step % col_run[key]
+            cell = row_owners[row_hit] * col_size + col_owners[col_hit]
+            if multiset:
+                # Float weights sum integer counts exactly (< 2**53).
+                intersections += np.bincount(
+                    cell,
+                    weights=np.minimum(row_counts[row_hit], col_counts[col_hit]),
+                    minlength=cells,
+                ).astype(np.int64)
+            else:
+                intersections += np.bincount(cell, minlength=cells)
+            first = last
+    return intersections.reshape(row_size, col_size)
 
 
 class DistanceVectors:
@@ -938,11 +1015,12 @@ class DistanceVectors:
     ) -> np.ndarray:
         """The ``len(rows) x len(cols)`` distances between two tree sets.
 
-        One batched merge-join per row, over every column whose ``mode``
-        projection is non-empty; empty pairs get the zero-overlap fill
-        :meth:`row` uses (1.0, or 0.0 when both sides are empty).  Every
-        entry equals :meth:`distance` bit for bit.  One
-        ``distvec.block`` span per call; the joined pairs land on the
+        One sort-merge join over the whole block (:func:`_block_overlap`)
+        gives every cell's (multi)set intersection; the union is
+        ``total_a + total_b - intersection`` as in :meth:`distance`,
+        and two empty collections are at 0.0.  Every entry equals
+        :meth:`distance` bit for bit.  One ``distvec.block`` span per
+        call; the pairs with both sides non-empty land on the
         ``distvec.pairs.joined`` counter.
         """
         mode = validate_mode(mode)
@@ -950,21 +1028,41 @@ class DistanceVectors:
             "distvec.block", rows=len(rows), cols=len(cols), mode=mode.value
         ):
             totals = np.asarray(self.totals(mode), dtype=np.int64)
-            columns = np.asarray(cols, dtype=np.int64)
-            nonempty = totals[columns] > 0
-            joinable = columns[nonempty]
-            block = np.empty((len(rows), columns.size), dtype=np.float64)
-            joined = 0
-            for position, index in enumerate(rows):
-                keys, counts, total = self._view(index, mode)
-                block[position] = np.where(nonempty | (total > 0), 1.0, 0.0)
-                if total and joinable.size:
-                    block[position, nonempty] = self._join(
-                        keys, counts, total, joinable, mode, totals
-                    )
-                    joined += joinable.size
-        get_registry().counter("distvec.pairs.joined").add(joined)
+            row_totals = totals[np.asarray(rows, dtype=np.int64)]
+            col_totals = totals[np.asarray(cols, dtype=np.int64)]
+            intersections = _block_overlap(
+                self._sorted_side(rows, mode),
+                self._sorted_side(cols, mode),
+                mode in _MULTISET_MODES,
+            )
+            unions = row_totals[:, None] + col_totals[None, :] - intersections
+            empty = unions == 0
+            block = np.where(
+                empty, 0.0, 1.0 - intersections / np.where(empty, 1, unions)
+            )
+        get_registry().counter("distvec.pairs.joined").add(
+            int(np.count_nonzero(row_totals)) * int(np.count_nonzero(col_totals))
+        )
         return block
+
+    def _sorted_side(
+        self, indexes: Sequence[int], mode: DistanceMode
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """One side of a block: the ``mode`` keys of ``indexes``, stably
+        sorted, with their counts, their positions in ``indexes`` and the
+        side's length."""
+        views = [self._view(index, mode) for index in indexes]
+        if not views:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty, 0
+        keys = np.concatenate([view[0] for view in views])
+        counts = np.concatenate([view[1] for view in views])
+        owners = np.repeat(
+            np.arange(len(views), dtype=np.int64),
+            [view[0].size for view in views],
+        )
+        order = np.argsort(keys, kind="stable")
+        return keys[order], counts[order], owners[order], len(views)
 
     def triangle(
         self, mode: DistanceMode | str = DistanceMode.DIST_OCCUR

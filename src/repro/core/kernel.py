@@ -27,9 +27,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors
-from repro.core.params import validate_mode
+from repro.core.params import DistanceMode, validate_mode
 from repro.errors import MiningParameterError
 from repro.obs.context import get_registry, get_tracer
 from repro.trees.arena import TreeLike
@@ -154,8 +153,9 @@ def _search(
     level ``k`` every candidate's sum is one vector,
     ``partial + (0.0 + D[0,k][c0] + D[1,k][c1] + ...)``, added in that
     order.  Intermediate levels visit candidates in ascending order and
-    skip any whose sum is already ``>= best``; the last level takes the
-    first minimum and keeps it only if strictly smaller, so ties go to
+    skip any whose sum is already ``>= best``.  The last two levels are
+    one ``n[g-2] x n[g-1]`` matrix, added in the same order; its first
+    row-major minimum is kept only if strictly smaller, so ties go to
     the lexicographically smallest index tuple.
     """
     group_count = len(sizes)
@@ -163,17 +163,22 @@ def _search(
     best_choice: tuple[int, ...] = ()
     choice: list[int] = []
 
+    def added(level: int) -> np.ndarray:
+        """``0.0 + D[0,level][c0] + ...`` over the chosen groups."""
+        total = np.zeros(sizes[level])
+        for earlier, chosen in enumerate(choice):
+            total += blocks[earlier, level][chosen]
+        return total
+
     def extend(level: int, partial_sum: float) -> None:
         nonlocal best_sum, best_choice
-        added = np.zeros(sizes[level])
-        for earlier in range(level):
-            added += blocks[earlier, level][choice[earlier]]
-        sums = partial_sum + added
-        if level == group_count - 1:
-            candidate = int(np.argmin(sums))
-            if sums[candidate] < best_sum:
-                best_sum = float(sums[candidate])
-                best_choice = (*choice, candidate)
+        sums = partial_sum + added(level)
+        if level == group_count - 2:
+            last = sums[:, None] + (added(level + 1) + blocks[level, level + 1])
+            flat = int(np.argmin(last))
+            if last.flat[flat] < best_sum:
+                best_sum = float(last.flat[flat])
+                best_choice = (*choice, *divmod(flat, sizes[level + 1]))
             return
         for candidate, value in enumerate(sums.tolist()):
             # best_sum moves during the loop, so re-check each time.

@@ -21,16 +21,14 @@ of 1 reproduces the paper exactly.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.errors import MiningParameterError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.distance import DistanceMode
-
 __all__ = [
+    "DistanceMode",
     "MiningParams",
     "DEFAULT_PARAMS",
     "validate_maxdist",
@@ -38,6 +36,27 @@ __all__ = [
     "validate_minsup",
     "validate_mode",
 ]
+
+
+class DistanceMode(str, enum.Enum):
+    """Which item slots participate in the distance (Section 5.3).
+
+    Defined here, next to the other knobs, so that the packed distance
+    paths can name a mode without importing the reference
+    implementation in :mod:`repro.core.distance`, which re-exports it.
+    """
+
+    PLAIN = "plain"
+    """Neither cousin distance nor occurrence number: label pairs only."""
+
+    DIST = "dist"
+    """Cousin distance kept, occurrence numbers ignored."""
+
+    OCCUR = "occur"
+    """Occurrence numbers kept (summed over distances), distances ignored."""
+
+    DIST_OCCUR = "dist_occur"
+    """Both kept: the full cousin pair items."""
 
 
 def _is_half_step(value: float) -> bool:
@@ -79,10 +98,10 @@ def validate_minsup(minsup: int) -> int:
     return minsup
 
 
-def validate_mode(mode: "DistanceMode | str") -> "DistanceMode":
+def validate_mode(mode: DistanceMode | str) -> DistanceMode:
     """Normalise one raw distance ``mode`` knob to a ``DistanceMode``.
 
-    Accepts a :class:`repro.core.distance.DistanceMode` member or its
+    Accepts a :class:`DistanceMode` member or its
     string value (``"plain"``, ``"dist"``, ``"occur"``,
     ``"dist_occur"``) and returns the member; anything else raises
     :class:`MiningParameterError`.  This is the single validation
@@ -91,11 +110,6 @@ def validate_mode(mode: "DistanceMode | str") -> "DistanceMode":
     an ``argparse`` ``type=`` callable (the error subclasses
     ``ValueError``, so bad values become a clean usage message).
     """
-    # Imported lazily: distance.py sits above params in the import
-    # chain (distance -> pairset -> fastmine -> params), so a
-    # module-level import here would be circular.
-    from repro.core.distance import DistanceMode
-
     if isinstance(mode, DistanceMode):
         return mode
     try:

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.distance import DistanceMode
 from repro.core.distvec import (
     _FULL_MODES,
     _MULTISET_MODES,
@@ -51,7 +50,12 @@ from repro.core.distvec import (
     DistanceVectors,
 )
 from repro.core.fastmine import PackedCounts, _collapse_pairs, mine_arena
-from repro.core.params import MiningParams, validate_minoccur, validate_mode
+from repro.core.params import (
+    DistanceMode,
+    MiningParams,
+    validate_minoccur,
+    validate_mode,
+)
 from repro.errors import ArenaError, MiningParameterError
 from repro.obs.context import get_registry, get_tracer
 from repro.trees.arena import TreeLike, as_arena, find_label

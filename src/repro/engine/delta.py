@@ -58,11 +58,10 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors, _remap_full_keys
 from repro.core.fastmine import PackedCounts
 from repro.core.multi_tree import FrequentCousinPair, aggregate_rows
-from repro.core.params import MiningParams, validate_mode
+from repro.core.params import DistanceMode, MiningParams, validate_mode
 from repro.engine.engine import MiningEngine
 from repro.errors import EngineError
 from repro.obs.context import scope as obs_scope

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.fastmine import PackedCounts, mine_arenas
 from repro.core.multi_tree import FrequentCousinPair, aggregate_packed
-from repro.core.params import MiningParams, validate_mode
+from repro.core.params import DistanceMode, MiningParams, validate_mode
 from repro.engine.cache import arena_cache_key
 from repro.engine.stats import EngineStats
 from repro.errors import EngineError
@@ -38,7 +38,6 @@ from repro.obs.trace import Tracer
 from repro.trees.arena import TreeLike, as_arena
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.core.distance import DistanceMode
     from repro.core.distvec import DistanceVectors
     from repro.core.topk import TopKResult
     from repro.store import PairStore

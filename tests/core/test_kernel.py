@@ -2,11 +2,14 @@
 
 from itertools import product
 
+import numpy as np
 import pytest
 
 from repro.core.distance import DistanceMode, pairset_distance
-from repro.core.kernel import find_kernel_trees
+from repro.core.kernel import _search, find_kernel_trees
 from repro.core.pairset import CousinPairSet
+from repro.obs.context import scope
+from repro.obs.metrics import MetricsRegistry
 from repro.trees.newick import parse_newick
 
 from tests.conftest import make_random_tree
@@ -117,6 +120,65 @@ class TestBookkeeping:
         ]
         expected = [9 * count * (count - 1) // 2 for count in (2, 3, 4, 5)]
         assert totals == expected
+
+
+    def test_counts_evaluations_and_joined_pairs(self):
+        # Every cross-group pair is evaluated; only the pairs whose two
+        # projections are both non-empty are joined.
+        groups = [
+            [parse_newick("((a,b),(c,d));"), parse_newick("a;")],
+            [
+                parse_newick("((a,b),x);"),
+                parse_newick("((e,f),(g,h));"),
+                parse_newick("b;"),
+            ],
+            [parse_newick("((a,c),(b,d));")],
+        ]
+        with scope(MetricsRegistry()) as (registry, _tracer):
+            result = find_kernel_trees(groups)
+        assert result.pairwise_evaluations == 2 * 3 + 2 * 1 + 3 * 1
+        assert registry.counter("kernel.evaluations").value == 11
+        assert registry.counter("distvec.pairs.joined").value == (
+            1 * 2 + 1 * 1 + 2 * 1
+        )
+
+
+class TestSearch:
+    @pytest.mark.parametrize("group_count", [2, 3, 4, 5])
+    def test_matches_exhaustive_product_on_tied_blocks(self, group_count):
+        generator = np.random.default_rng(group_count)
+        shapes = [[1] * group_count, [3] * (group_count - 1) + [1]]
+        shapes += [
+            [int(size) for size in generator.integers(1, 5, group_count)]
+            for _ in range(30)
+        ]
+        for sizes in shapes:
+            # Few one-decimal values: many tied sums, and sums whose
+            # rounding depends on the order they are added in.
+            blocks = {
+                (first, second): generator.choice(
+                    [0.1, 0.2, 0.3, 0.7], (sizes[first], sizes[second])
+                )
+                for first in range(group_count)
+                for second in range(first + 1, group_count)
+            }
+            assert _search(sizes, blocks) == _exhaustive_blocks(sizes, blocks)
+
+
+def _exhaustive_blocks(sizes, blocks):
+    """Every index tuple in lexicographic order, summed in the search's
+    order; the best only moves on a strictly smaller sum."""
+    best_sum, best_choice = float("inf"), ()
+    for choice in product(*(range(size) for size in sizes)):
+        total = 0.0
+        for k in range(1, len(sizes)):
+            added = 0.0
+            for earlier in range(k):
+                added += float(blocks[earlier, k][choice[earlier], choice[k]])
+            total += added
+        if total < best_sum:
+            best_sum, best_choice = total, choice
+    return best_sum, best_choice
 
 
 def _exhaustive(groups, mode, minoccur):

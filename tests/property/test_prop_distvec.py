@@ -5,8 +5,13 @@
 unions, same float division — for every mode, forest and ``minoccur``.
 """
 
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from repro.core import distvec
 
 from repro.core.distance import (
     DistanceMode,
@@ -15,6 +20,7 @@ from repro.core.distance import (
 )
 from repro.core.distvec import DistanceVectors
 from repro.core.pairset import CousinPairSet
+from repro.trees.newick import parse_newick
 from repro.trees.tree import Tree
 
 from tests.property.strategies import trees
@@ -72,6 +78,47 @@ def test_empty_vs_empty_is_zero(mode):
     vectors = DistanceVectors.from_trees(bare)
     assert vectors.distance(0, 1, mode) == 0.0
     assert vectors.matrix(mode) == [[0.0, 0.0], [0.0, 0.0]]
+
+
+# ----------------------------------------------------------------------
+# Rectangular blocks: one sort-merge join over the whole block must give
+# every cell of the pairwise path, however the shared keys are chunked.
+# ----------------------------------------------------------------------
+# A one-leaf tree (empty under every mode) and a tree whose duplicate
+# labels give counts above 1.
+BLOCK_EXTRAS = ["a;", "((a,a),(a,a),(b,(b,a)));"]
+
+
+def index_lists(size):
+    return st.lists(
+        st.integers(min_value=0, max_value=size - 1), min_size=0, max_size=7
+    )
+
+
+@pytest.mark.parametrize("chunk", [None, 1], ids=["default", "one-match"])
+@settings(max_examples=40, deadline=None)
+@given(
+    forest=forests(min_trees=1, max_trees=5),
+    minoccur=MINOCCURS,
+    data=st.data(),
+)
+def test_block_cells_equal_distance(chunk, forest, minoccur, data):
+    forest = forest + [parse_newick(text) for text in BLOCK_EXTRAS]
+    vectors = DistanceVectors.from_trees(forest, minoccur=minoccur)
+    size = len(forest)
+    rows = data.draw(index_lists(size), label="rows")
+    cols = data.draw(
+        st.one_of(st.just(rows), index_lists(size)), label="cols"
+    )
+    limit = distvec._BLOCK_MATCHES if chunk is None else chunk
+    with mock.patch.object(distvec, "_BLOCK_MATCHES", limit):
+        for mode in DistanceMode:
+            block = vectors.block(rows, cols, mode)
+            assert block.shape == (len(rows), len(cols))
+            assert block.dtype == float
+            for r, i in enumerate(rows):
+                for c, j in enumerate(cols):
+                    assert block[r, c] == vectors.distance(i, j, mode)
 
 
 # ----------------------------------------------------------------------

@@ -127,6 +127,14 @@ class TestMiningImports:
         distance = ["repro.core.distvec", "repro.core.distance", "repro.core.pairset"]
         assert [name for name in distance if name in run["modules"]] == []
 
+    def test_kernel_loads_no_reference_distance_code(self, inputs):
+        # DistanceMode lives in repro.core.params: the packed kernel
+        # path never needs the Eq 6 reference modules.
+        run = run_cli(["kernel", inputs["forest"], inputs["group"]])
+        assert run["code"] == 0
+        reference = ["repro.core.distance", "repro.core.pairset"]
+        assert [name for name in reference if name in run["modules"]] == []
+
     def test_mode_choices_spell_the_distance_modes(self):
         from repro.cli import build_parser
         from repro.core.distance import DistanceMode
