@@ -21,7 +21,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.fastmine import PackedCounts, mine_arenas
+from repro.core.fastmine import (
+    PackedCounts,
+    _remap_packed,
+    mine_arenas,
+    shared_labels,
+)
 from repro.core.multi_tree import (
     FrequentCousinPair,
     aggregate_packed,
@@ -29,7 +34,7 @@ from repro.core.multi_tree import (
 )
 from repro.core.params import DistanceMode, MiningParams, validate_mode
 from repro.obs.context import get_tracer
-from repro.trees.arena import TreeLike, forest_arenas
+from repro.trees.arena import LabelTable, TreeLike, forest_arenas
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.engine import MiningEngine
@@ -190,32 +195,24 @@ def _snapshot_distance(
 ) -> float:
     """Cousin distance between two snapshots' aggregate collections.
 
-    Both snapshots' per-tree counts (at ``minoccur=1``) share one
-    packed vector universe; each snapshot's rows are summed into one
-    row (``np.unique`` + ``np.bincount``), and the two summed rows are
-    compared on the packed vector kernel exactly like two trees.
+    Each snapshot's per-tree counts (at ``minoccur=1``) are re-interned
+    onto the snapshot's one label universe (a no-op for the trees of
+    one forest) and summed into one row (``np.unique`` +
+    ``np.bincount``); the two summed rows are compared on the packed
+    vector kernel exactly like two trees.
     """
     from repro.core.distvec import DistanceVectors
 
     mode = validate_mode(mode)
-    vectors = DistanceVectors.from_packed(
-        [counts for packed in mined for counts in packed]
-    )
-    full_keys, full_counts = vectors.full_rows
-    summed_keys: list[np.ndarray] = []
-    summed_counts: list[np.ndarray] = []
-    start = 0
+    summed: list[PackedCounts] = []
     for packed in mined:
-        rows = slice(start, start + len(packed))
-        start += len(packed)
-        keys = np.concatenate([np.empty(0, np.int64), *full_keys[rows]])
-        counts = np.concatenate([np.empty(0, np.int64), *full_counts[rows]])
+        table = shared_labels(packed)
+        rows = [_remap_packed(counts, table, 1) for counts in packed]
+        keys = np.concatenate([np.empty(0, np.int64), *(k for k, _ in rows)])
+        counts = np.concatenate([np.empty(0, np.int64), *(c for _, c in rows)])
         unique, inverse = np.unique(keys, return_inverse=True)
-        summed_keys.append(unique)
         # Float weights sum integer counts exactly (< 2**53).
-        summed_counts.append(
-            np.bincount(inverse, weights=counts, minlength=unique.size)
-            .astype(np.int64)
-        )
-    summed = DistanceVectors(vectors.labels, summed_keys, summed_counts)
-    return summed.distance(0, 1, mode)
+        sums = np.bincount(inverse, weights=counts, minlength=unique.size)
+        labels = table.labels if isinstance(table, LabelTable) else table
+        summed.append(PackedCounts(labels, unique, sums.astype(np.int64)))
+    return DistanceVectors.from_packed(summed).distance(0, 1, mode)

@@ -32,12 +32,14 @@ with a vectorised form that never materialises a string key:
 - Matrix builds skip work: an inverted pair-key → tree index finds,
   per row, exactly the trees sharing at least one label pair
   (zero-overlap pairs are filled with their known distance — 1.0, or
-  0.0 for two empty collections — without a join).  Rectangular
-  blocks (:meth:`DistanceVectors.block`, the cross-group distances of
-  :func:`repro.core.kernel.find_kernel_trees`) are one sort-merge
-  join over the whole block: both sides' keys sorted once, every
-  shared key's row x column occurrences summed into the cells with
-  ``np.bincount``.
+  0.0 for two empty collections — without a join).  The index is two
+  flat parallel arrays: every row's pair keys, sorted, and the tree
+  that owns each entry; one lookup is two ``searchsorted`` calls and
+  one gather.  Rectangular blocks (:meth:`DistanceVectors.block`, the
+  cross-group distances of :func:`repro.core.kernel.find_kernel_trees`)
+  are one sort-merge join over the whole block: both sides' keys
+  sorted once, every shared key's row x column occurrences summed into
+  the cells with ``np.bincount``.
 
 A matrix is one upper-triangle pass (:meth:`DistanceVectors.triangle`)
 mirrored by :func:`assemble_matrix`.  See ``docs/perf.md`` for the
@@ -48,14 +50,15 @@ Since the delta-mining pass the vectors are also *patchable*:
 :meth:`DistanceVectors.remove_rows` and
 :meth:`DistanceVectors.replace_rows` mutate the per-tree rows in
 place without touching the unaffected trees, and the inverted
-pair-key → tree index is patched (a linear merge for additions, a
-mask-and-renumber for removals) rather than rebuilt.  Growing the
-label universe re-interns existing keys through a *monotone* id remap
-(old sorted labels are a subsequence of the new sorted labels), so
-every per-tree key array stays sorted without a re-sort.  A patched
-instance serves distances byte-identical to a from-scratch rebuild
-over the same trees — the contract the ``tests/delta`` churn harness
-enforces at every step.
+pair-key → tree index is patched (one ``searchsorted`` and one
+``np.insert`` per array for additions, one keep-mask and a renumber
+for removals) rather than rebuilt.  Growing the label universe
+re-interns existing keys through a *monotone* id remap (old sorted
+labels are a subsequence of the new sorted labels), so every per-tree
+key array, and the index's flat key array, stays sorted without a
+re-sort.  A patched instance serves distances byte-identical to a
+from-scratch rebuild over the same trees — the contract the
+``tests/delta`` churn harness enforces at every step.
 """
 
 from __future__ import annotations
@@ -178,33 +181,37 @@ def merge_intersection(
     return int(np.count_nonzero(matched))
 
 
-def _index_from_sorted(
-    sorted_keys: np.ndarray, sorted_owners: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Build the (unique, starts, ends, owners) index from sorted runs.
+def _sorted_runs(
+    sorted_keys: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(unique, starts, ends)`` runs of an already sorted array.
 
-    ``sorted_keys`` is already sorted, so the unique slots fall out of
-    one boundary scan — no re-sort, unlike ``np.unique``.
+    One boundary scan — no re-sort, unlike ``np.unique``.
     """
     if sorted_keys.size == 0:
         empty = np.empty(0, dtype=np.int64)
-        return (empty, empty, empty, sorted_owners.astype(np.int64))
+        return empty, empty, empty
     boundaries = np.flatnonzero(
         np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
     ).astype(np.int64)
-    unique = sorted_keys[boundaries]
     ends = np.append(boundaries[1:], sorted_keys.size).astype(np.int64)
-    return unique, boundaries, ends, sorted_owners
+    return sorted_keys[boundaries], boundaries, ends
 
 
-def _index_entries(
-    index: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+def _flat_entries(
+    rows: Sequence[np.ndarray], owners: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten an index back to parallel (sorted_keys, owners) arrays."""
-    unique, starts, ends, owners = index
-    if unique.size == 0:
-        return np.empty(0, dtype=np.int64), owners
-    return np.repeat(unique, ends - starts), owners
+    """Index entries of ``rows``: their keys, stably sorted, and owners.
+
+    ``rows[i]`` belongs to tree ``owners[i]``; equal keys keep the
+    order of ``rows``.
+    """
+    keys = np.concatenate([np.empty(0, dtype=np.int64), *rows])
+    owned = np.repeat(
+        np.asarray(owners, dtype=np.int64), [row.size for row in rows]
+    )
+    order = np.argsort(keys, kind="stable")
+    return keys[order], owned[order]
 
 
 def _block_overlap(
@@ -228,12 +235,8 @@ def _block_overlap(
     col_keys, col_counts, col_owners, col_size = col_side
     cells = row_size * col_size
     intersections = np.zeros(cells, dtype=np.int64)
-    row_unique, row_starts, row_ends, _owners = _index_from_sorted(
-        row_keys, row_owners
-    )
-    col_unique, col_starts, col_ends, _owners = _index_from_sorted(
-        col_keys, col_owners
-    )
+    row_unique, row_starts, row_ends = _sorted_runs(row_keys)
+    col_unique, col_starts, col_ends = _sorted_runs(col_keys)
     if row_unique.size and col_unique.size:
         slots = np.searchsorted(col_unique, row_unique)
         clipped = np.minimum(slots, col_unique.size - 1)
@@ -315,7 +318,7 @@ class DistanceVectors:
         self._pair_counts = [summed for _, summed in collapsed]
         self._full_totals = [int(counts.sum()) for counts in self._full_counts]
         self._pair_totals = [int(counts.sum()) for counts in self._pair_counts]
-        self._index: tuple | None = None
+        self._index: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -476,9 +479,9 @@ class DistanceVectors:
         When new labels appear, every existing key array is re-interned
         through the monotone old → new id remap, which is returned
         (``None`` when the table already covers ``packed``); sorted
-        order survives (see :func:`_monotone_remap`), and a built
-        inverted index only needs its unique-key array remapped — the
-        slot layout and the owner runs are untouched.
+        order survives (see :func:`_monotone_remap`), so a built
+        inverted index only needs its flat key array remapped — it stays
+        sorted and its owners are untouched.
         """
         labels = self.labels
         missing = {
@@ -498,10 +501,8 @@ class DistanceVectors:
             _remap_pair_keys(keys, remap) for keys in self._pair_keys
         ]
         if self._index is not None:
-            unique, starts, ends, owners = self._index
-            self._index = (
-                _remap_pair_keys(unique, remap), starts, ends, owners
-            )
+            keys, owners = self._index
+            self._index = (_remap_pair_keys(keys, remap), owners)
         self.labels = new_labels
         return remap
 
@@ -516,44 +517,43 @@ class DistanceVectors:
         self._pair_totals.append(int(pair_counts.sum()))
 
     def _merge_index_entries(
-        self, new_keys: np.ndarray, new_owners: np.ndarray
+        self, rows: Sequence[np.ndarray], owners: Sequence[int]
     ) -> None:
-        """Linear-merge new (pair key, owner) entries into the index.
+        """Merge the pair-key rows of trees ``owners`` into the index.
 
-        ``new_keys`` must be sorted; equal keys keep the order of
-        ``new_owners``.  The merge is ``searchsorted`` plus one
-        ``np.insert`` pass — O(existing + new), no re-sort of the
-        existing runs.
+        One ``searchsorted`` and one ``np.insert`` per array: O(existing
+        + new), no re-sort of the existing entries.  New entries go after
+        the existing ones of an equal key.
         """
         assert self._index is not None
-        sorted_keys, sorted_owners = _index_entries(self._index)
-        positions = np.searchsorted(sorted_keys, new_keys, side="right")
-        merged_keys = np.insert(sorted_keys, positions, new_keys)
-        merged_owners = np.insert(sorted_owners, positions, new_owners)
-        self._index = _index_from_sorted(merged_keys, merged_owners)
+        keys, owned = self._index
+        new_keys, new_owners = _flat_entries(rows, owners)
+        if new_keys.size:
+            positions = np.searchsorted(keys, new_keys, side="right")
+            self._index = (
+                np.insert(keys, positions, new_keys),
+                np.insert(owned, positions, new_owners),
+            )
 
-    def _drop_index_owners(
-        self, drop: Sequence[int], renumber: np.ndarray | None = None
-    ) -> None:
+    def _drop_index_owners(self, drop: Sequence[int], renumber: bool) -> None:
         """Remove every index entry owned by a tree in ``drop``.
 
-        ``renumber`` (old tree index -> new tree index) compacts the
-        surviving owner ids after positional removals; ``None`` keeps
-        them (the replace path, where positions are stable).
+        One keep-mask over the owners; with ``renumber`` the surviving
+        owner ids are compacted as the positional removal of ``drop``
+        shifts them, without it they are kept (the replace path, where
+        positions are stable).
         """
         assert self._index is not None
-        sorted_keys, sorted_owners = _index_entries(self._index)
-        if sorted_keys.size == 0:
-            return
+        keys, owned = self._index
         # Callers patch the index before deleting rows, so len(self) is
         # still the pre-removal tree count the owner ids refer to.
         keep = np.ones(len(self), dtype=bool)
-        keep[np.asarray(sorted(drop), dtype=np.int64)] = False
-        mask = keep[sorted_owners]
-        kept_owners = sorted_owners[mask]
-        if renumber is not None:
-            kept_owners = renumber[kept_owners]
-        self._index = _index_from_sorted(sorted_keys[mask], kept_owners)
+        keep[np.asarray(drop, dtype=np.int64)] = False
+        mask = keep[owned]
+        owned = owned[mask]
+        if renumber:
+            owned = (np.cumsum(keep, dtype=np.int64) - 1)[owned]
+        self._index = (keys[mask], owned)
 
     def append_packed(
         self, packed: Sequence[PackedCounts], minoccur: int = 1
@@ -574,23 +574,13 @@ class DistanceVectors:
         ):
             self._grow_labels(packed)
             start = len(self)
-            new_pair_keys: list[np.ndarray] = []
             for counts in packed:
                 keys, values = _remap_packed(counts, self.labels, minoccur)
                 self._append_one(keys, values)
-                new_pair_keys.append(self._pair_keys[-1])
-            if self._index is not None and new_pair_keys:
-                sizes = [keys.size for keys in new_pair_keys]
-                if sum(sizes) > 0:
-                    flat = np.concatenate(new_pair_keys)
-                    owners = np.repeat(
-                        np.arange(
-                            start, start + len(new_pair_keys), dtype=np.int64
-                        ),
-                        sizes,
-                    )
-                    order = np.argsort(flat, kind="stable")
-                    self._merge_index_entries(flat[order], owners[order])
+            if self._index is not None:
+                self._merge_index_entries(
+                    self._pair_keys[start:], range(start, len(self))
+                )
             get_registry().counter("distvec.rows.appended").add(len(packed))
             return list(range(start, start + len(packed)))
 
@@ -616,10 +606,7 @@ class DistanceVectors:
                 )
         with get_tracer().span("distvec.remove", trees=len(drop)):
             if self._index is not None:
-                keep = np.ones(size, dtype=bool)
-                keep[np.asarray(drop, dtype=np.int64)] = False
-                renumber = np.cumsum(keep, dtype=np.int64) - 1
-                self._drop_index_owners(drop, renumber=renumber)
+                self._drop_index_owners(drop, renumber=True)
             for index in reversed(drop):
                 del self._full_keys[index]
                 del self._full_counts[index]
@@ -653,12 +640,10 @@ class DistanceVectors:
         with get_tracer().span(
             "distvec.replace", trees=len(replacements)
         ):
-            packed = [replacements[index] for index in sorted(replacements)]
+            positions = sorted(replacements)
+            packed = [replacements[index] for index in positions]
             self._grow_labels(packed)
-            if self._index is not None:
-                self._drop_index_owners(sorted(replacements))
-            new_entries: list[tuple[int, np.ndarray]] = []
-            for index, counts in zip(sorted(replacements), packed):
+            for index, counts in zip(positions, packed):
                 keys, values = _remap_packed(counts, self.labels, minoccur)
                 pair_keys, pair_counts = _collapse_pairs(keys, values)
                 self._full_keys[index] = keys
@@ -667,22 +652,11 @@ class DistanceVectors:
                 self._pair_counts[index] = pair_counts
                 self._full_totals[index] = int(values.sum())
                 self._pair_totals[index] = int(pair_counts.sum())
-                new_entries.append((index, pair_keys))
             if self._index is not None:
-                sizes = [keys.size for _index, keys in new_entries]
-                if sum(sizes) > 0:
-                    flat = np.concatenate(
-                        [keys for _index, keys in new_entries]
-                    )
-                    owners = np.repeat(
-                        np.asarray(
-                            [index for index, _keys in new_entries],
-                            dtype=np.int64,
-                        ),
-                        sizes,
-                    )
-                    order = np.argsort(flat, kind="stable")
-                    self._merge_index_entries(flat[order], owners[order])
+                self._drop_index_owners(positions, renumber=False)
+                self._merge_index_entries(
+                    [self._pair_keys[index] for index in positions], positions
+                )
             get_registry().counter("distvec.rows.replaced").add(
                 len(replacements)
             )
@@ -807,27 +781,37 @@ class DistanceVectors:
     def build_index(self) -> None:
         """Materialise the inverted pair-key → tree index.
 
-        Called lazily by :meth:`triangle`, :meth:`row` and
-        :meth:`candidate_trees`.
+        Two flat parallel arrays: every row's pair keys, sorted (stably,
+        so equal keys list their owners in ascending order), and the
+        tree that owns each entry.  Called lazily by :meth:`triangle`,
+        :meth:`row` and :meth:`candidate_trees`; the row-patching
+        methods keep a built index current.
         """
         if self._index is not None:
             return
         with get_tracer().span(
             "distvec.index", metric="distvec.index.seconds", trees=len(self)
         ):
-            sizes = [keys.size for keys in self._pair_keys]
-            if sum(sizes) == 0:
-                empty = np.empty(0, dtype=np.int64)
-                self._index = (empty, empty, empty, empty)
-                return
-            all_keys = np.concatenate(self._pair_keys)
-            owners = np.repeat(np.arange(len(self), dtype=np.int64), sizes)
-            order = np.argsort(all_keys, kind="stable")
-            sorted_keys = all_keys[order]
-            sorted_owners = owners[order]
-            unique, starts = np.unique(sorted_keys, return_index=True)
-            ends = np.append(starts[1:], sorted_keys.size)
-            self._index = (unique, starts, ends, sorted_owners)
+            self._index = _flat_entries(self._pair_keys, range(len(self)))
+
+    def _owners_of(self, pair_keys: np.ndarray) -> np.ndarray:
+        """The distinct trees owning any of ``pair_keys``, ascending.
+
+        Each key's run of entries is found with ``searchsorted`` left
+        and right (an absent key has an empty run), and all the runs'
+        owners are gathered at once.
+        """
+        keys, owners = self._index  # type: ignore[misc]
+        starts = np.searchsorted(keys, pair_keys, side="left")
+        runs = np.searchsorted(keys, pair_keys, side="right") - starts
+        total = int(runs.sum())
+        if total == 0:
+            return np.empty(0, dtype=np.int64)
+        # Entry t of the gather is offset t - (run start in the gather)
+        # into its key's run of the index.
+        ends = np.cumsum(runs)
+        entries = np.arange(total) + np.repeat(starts - (ends - runs), runs)
+        return np.unique(owners[entries])
 
     def _neighbors_after(self, row: int) -> np.ndarray:
         """Trees ``j > row`` sharing at least one label pair with ``row``.
@@ -837,30 +821,12 @@ class DistanceVectors:
         ``j`` outside this set is at the zero-overlap distance without
         a join.
         """
-        keys = self._pair_keys[row]
-        unique, starts, ends, owners = self._index  # type: ignore[misc]
-        if keys.size == 0 or unique.size == 0:
-            return np.empty(0, dtype=np.int64)
-        slots = np.searchsorted(unique, keys)
-        neighbors = np.unique(
-            np.concatenate(
-                [owners[starts[slot] : ends[slot]] for slot in slots]
-            )
-        )
+        neighbors = self._owners_of(self._pair_keys[row])
         return neighbors[neighbors > row]
 
     def _neighbors_all(self, row: int) -> np.ndarray:
         """Trees ``j != row`` sharing at least one label pair with ``row``."""
-        keys = self._pair_keys[row]
-        unique, starts, ends, owners = self._index  # type: ignore[misc]
-        if keys.size == 0 or unique.size == 0:
-            return np.empty(0, dtype=np.int64)
-        slots = np.searchsorted(unique, keys)
-        neighbors = np.unique(
-            np.concatenate(
-                [owners[starts[slot] : ends[slot]] for slot in slots]
-            )
-        )
+        neighbors = self._owners_of(self._pair_keys[row])
         return neighbors[neighbors != row]
 
     def candidate_trees(self, pair_keys: np.ndarray) -> np.ndarray:
@@ -869,27 +835,12 @@ class DistanceVectors:
         The single-query analogue of :meth:`_neighbors_all`: the keys
         come from *outside* the corpus (a query tree projected onto
         this label table by :mod:`repro.core.topk`), so unlike a
-        corpus row they may be absent from the inverted index and are
-        masked out before the owner runs are gathered.  Any tree not
-        returned has a provably empty intersection with the query
-        under every mode.
+        corpus row they may be absent from the inverted index (an
+        absent key owns no tree).  Any tree not returned has a provably
+        empty intersection with the query under every mode.
         """
         self.build_index()
-        unique, starts, ends, owners = self._index  # type: ignore[misc]
-        if pair_keys.size == 0 or unique.size == 0:
-            return np.empty(0, dtype=np.int64)
-        slots = np.searchsorted(unique, pair_keys)
-        clipped = np.minimum(slots, unique.size - 1)
-        present = unique[clipped] == pair_keys
-        present &= slots < unique.size
-        hits = clipped[present]
-        if hits.size == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(
-            np.concatenate(
-                [owners[starts[slot] : ends[slot]] for slot in hits]
-            )
-        )
+        return self._owners_of(pair_keys)
 
     def _join(
         self,

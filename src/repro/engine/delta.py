@@ -810,16 +810,19 @@ class VersionedCorpus:
 
     def _decode(self, keys: np.ndarray) -> tuple[PairKey, ...]:
         """Packed keys as sorted ``(label_a, label_b, distance)`` items."""
-        if not keys.size:
-            return ()
-        labels = np.asarray(self._rows.labels, dtype=object)
+        labels = self._rows.labels
+        firsts = (keys >> LABEL_BITS) & LABEL_MASK
+        seconds = keys & LABEL_MASK
+        half_steps = keys >> DIST_SHIFT
+        # Label ids follow sorted label order, so sorting the ids sorts
+        # the items; only the changed keys' labels are looked up.
+        order = np.lexsort((half_steps, seconds, firsts))
         return tuple(
-            sorted(
-                zip(
-                    labels[(keys >> LABEL_BITS) & LABEL_MASK].tolist(),
-                    labels[keys & LABEL_MASK].tolist(),
-                    ((keys >> DIST_SHIFT) / 2.0).tolist(),
-                )
+            (labels[label_a], labels[label_b], half / 2.0)
+            for label_a, label_b, half in zip(
+                firsts[order].tolist(),
+                seconds[order].tolist(),
+                half_steps[order].tolist(),
             )
         )
 

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.fastmine import PackedCounts, mine_arenas
 from repro.core.multi_tree import FrequentCousinPair, aggregate_packed
 from repro.core.params import DistanceMode, MiningParams, validate_mode
-from repro.engine.cache import arena_cache_key
 from repro.engine.stats import EngineStats
 from repro.errors import EngineError
 from repro.obs.context import scope as obs_scope
@@ -150,6 +149,10 @@ class MiningEngine:
             arenas = [as_arena(tree) for tree in trees]
             keys = None
             if address:
+                # Only corpus commits address trees: one-shot runs never
+                # load the content-address module.
+                from repro.engine.cache import arena_cache_key
+
                 with tracer.span("engine.lookup"):
                     keys = [arena_cache_key(arena, params) for arena in arenas]
             if not arenas:

@@ -390,27 +390,29 @@ class TestBatchEnumeration:
         import time
 
         params = MiningParams()
+        big_arena = TreeArena.from_tree(_caterpillar(25_000))
+        small_arena = TreeArena.from_tree(_caterpillar(6_250))
 
-        def mine(spine):
-            arena = TreeArena.from_tree(_caterpillar(spine))
-            best = float("inf")
-            for _ in range(3):
-                started = time.perf_counter()
-                packed = mine_arena(arena, params)
-                best = min(best, time.perf_counter() - started)
-            return packed, best
+        def timed(arena):
+            started = time.perf_counter()
+            mine_arena(arena, params)
+            return time.perf_counter() - started
 
         assert _counter(_caterpillar(40)) == (
             single_tree.mine_tree_counter(_caterpillar(40))
         )
         # 25,000 spine nodes + 25,000 leaves: no recursion, and each
         # leaf pairs only with the next one (aunt-niece, distance 0.5)
-        packed, big = mine(25_000)
-        assert packed.to_counter() == Counter(
+        assert mine_arena(big_arena, params).to_counter() == Counter(
             {("c0", "c1", 0.5): 8_333, ("c1", "c2", 0.5): 8_333,
              ("c0", "c2", 0.5): 8_333}
         )
-        _, small = mine(6_250)
+        # Best of 3 rounds, the two sizes interleaved within each round
+        # so that a burst of host load slows both.
+        big = small = float("inf")
+        for _ in range(3):
+            big = min(big, timed(big_arena))
+            small = min(small, timed(small_arena))
         # linear: 4x the nodes cost about 4x (a quadratic pass, 16x)
         assert big < 10 * small
 

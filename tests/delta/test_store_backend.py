@@ -205,3 +205,35 @@ def test_commit_of_known_labels_makes_no_label_lookup(engine, tmp_path, monkeypa
         mirror(trees, op, payload)
         assert bool(looked) == lookups, (op, looked)
         assert_in_sync(corpus, trees, directory, f"after {op} v{corpus.version}")
+
+
+def test_churned_corpus_builds_its_pair_index_once(tmp_path):
+    """Commits patch the inverted pair index the first query built: N
+    commits (label growth and a replace among them) and N top-k
+    queries record one ``distvec.index`` span."""
+    from repro.obs.trace import Tracer
+
+    tracer = Tracer()
+    engine = MiningEngine(registry=tracer.registry, tracer=tracer)
+    trees = forest(8, 14)
+    corpus = VersionedCorpus(trees, engine=engine)
+    corpus.pack_store(str(tmp_path / "store"))
+    grown = synthetic_forest(
+        SyntheticTreeParams(treesize=12, databasesize=2, alphabetsize=30),
+        rng=15,
+    )
+    commits = [
+        ("add", forest(2, 16)),
+        ("remove", [0, 3]),
+        ("add", grown),
+        ("replace", {1: forest(1, 17)[0]}),
+        ("remove", [2]),
+    ]
+    for number, (op, payload) in enumerate(commits):
+        getattr(corpus, f"{op}_trees")(payload)
+        mirror(trees, op, payload)
+        result = corpus.topk_similar(trees[number], 3)
+        assert result.neighbors[0][1] == 0.0
+    spans = [record.name for record in tracer.records]
+    assert spans.count("engine.topk") == len(commits)
+    assert spans.count("distvec.index") == 1

@@ -7,6 +7,7 @@ unions, same float division — for every mode, forest and ``minoccur``.
 
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -245,3 +246,97 @@ def test_replace_rows_matches_rebuild(forest, replacement, data):
     patched = list(forest)
     patched[position] = replacement
     assert_equals_rebuild(vectors, patched)
+
+
+# ----------------------------------------------------------------------
+# The patched inverted index: after any sequence of appends, removals
+# and replacements (label growth included), every lookup must answer
+# as a fresh build_index() over the current rows does.
+# ----------------------------------------------------------------------
+# A wider alphabet than the initial forests', so patches grow labels.
+GROWING_LABELS = st.one_of(st.none(), st.sampled_from(list("abcdefghijk")))
+PATCH_STEPS = st.sampled_from(["append", "remove", "replace"])
+
+
+def _index_answers(vectors, queries):
+    """Every row's neighbours and each query's candidate trees."""
+    from repro.core.topk import query_vector
+
+    vectors.build_index()
+    keys, _owners = vectors._index
+    assert np.all(keys[1:] >= keys[:-1])
+    rows = [
+        (vectors._neighbors_all(i).tolist(), vectors._neighbors_after(i).tolist())
+        for i in range(len(vectors))
+    ]
+    hits = [
+        vectors.candidate_trees(query_vector(vectors, query).pair_keys).tolist()
+        for query in queries
+    ]
+    return rows, hits
+
+
+def _positions(data, size, label):
+    return data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=size - 1),
+            min_size=1,
+            max_size=size,
+            unique=True,
+        ),
+        label=label,
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    forest=forests(min_trees=1, max_trees=4),
+    queries=st.lists(
+        trees(max_size=10, labels=GROWING_LABELS), min_size=1, max_size=2
+    ),
+    steps=st.lists(PATCH_STEPS, min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_patched_index_answers_like_a_fresh_build(forest, queries, steps, data):
+    rows = _mined(forest)
+    queries = _mined(queries)
+    vectors = DistanceVectors.from_packed(rows)
+    vectors.build_index()
+    for step in steps:
+        if step == "append":
+            added = _mined(
+                data.draw(
+                    st.lists(
+                        trees(max_size=12, labels=GROWING_LABELS),
+                        min_size=1,
+                        max_size=3,
+                    ),
+                    label="appended",
+                )
+            )
+            vectors.append_packed(added)
+            rows.extend(added)
+        elif not rows:
+            continue
+        elif step == "remove":
+            gone = set(_positions(data, len(rows), "removed"))
+            vectors.remove_rows(sorted(gone))
+            rows = [row for index, row in enumerate(rows) if index not in gone]
+        else:
+            positions = _positions(data, len(rows), "replaced")
+            fresh = _mined(
+                data.draw(
+                    st.lists(
+                        trees(max_size=12, labels=GROWING_LABELS),
+                        min_size=len(positions),
+                        max_size=len(positions),
+                    ),
+                    label="replacements",
+                )
+            )
+            vectors.replace_rows(dict(zip(positions, fresh)))
+            for index, row in zip(positions, fresh):
+                rows[index] = row
+        assert _index_answers(vectors, queries) == _index_answers(
+            DistanceVectors.from_packed(rows), queries
+        )

@@ -135,6 +135,21 @@ class TestMiningImports:
         reference = ["repro.core.distance", "repro.core.pairset"]
         assert [name for name in reference if name in run["modules"]] == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frequent", "{forest}", "--minsup", "2"],
+            ["kernel", "{forest}", "{group}"],
+        ],
+        ids=["frequent", "kernel"],
+    )
+    def test_one_shot_runs_load_no_content_addressing(self, inputs, argv):
+        # Only a corpus commit addresses trees (MiningEngine.packed_counts).
+        run = run_cli([arg.format(**inputs) for arg in argv])
+        assert run["code"] == 0
+        addressing = ["repro.engine.cache", "hashlib"]
+        assert [name for name in addressing if name in run["modules"]] == []
+
     def test_mode_choices_spell_the_distance_modes(self):
         from repro.cli import build_parser
         from repro.core.distance import DistanceMode
