@@ -673,6 +673,12 @@ class DistanceVectors:
         :attr:`labels` (treat as read-only)."""
         return self._full_keys, self._full_counts
 
+    @property
+    def pair_rows(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-tree distance-free pair projections of :attr:`full_rows`
+        and their summed counts (treat as read-only)."""
+        return self._pair_keys, self._pair_counts
+
     def at_minoccur(self, minoccur: int) -> "DistanceVectors":
         """These vectors with counts below ``minoccur`` dropped.
 

@@ -121,20 +121,32 @@ class _Table(NamedTuple):
     levels: int  # the deepest admissible dr
 
 
+def _levels(params: MiningParams, nodes: int) -> int:
+    """The deepest height below an LCA worth enumerating for trees of
+    at most ``nodes`` nodes.
+
+    No pair sits deeper below its LCA than the trees are tall, and a
+    tree is shorter than its node count, so a huge ``maxdist`` costs
+    the trees' height, not its own.  The bound is rounded up to a power
+    of two, so batches of similar trees share one cached table.
+    """
+    return min(params.max_level, 1 << max(nodes, 1).bit_length())
+
+
 @lru_cache(maxsize=64)
-def _cousin_table(params: MiningParams) -> _Table:
-    """One row per ``(dl, dr)`` with ``dl <= dr`` that passes
-    ``params.admits_heights`` — the entire distance logic, hoisted out
-    of the enumeration — lifted rows first (:meth:`_Entries.partners`).
+def _cousin_table(params: MiningParams, max_level: int) -> _Table:
+    """One row per ``(dl, dr)`` with ``dl <= dr <= max_level`` that
+    passes ``params.admits_heights`` — the entire distance logic,
+    hoisted out of the enumeration — lifted rows first
+    (:meth:`_Entries.partners`).  ``max_level`` is :func:`_levels`.
     """
     gap = params.max_generation_gap
-    levels = range(1, params.max_level + 1)
     rows = sorted(
         (
             (left, right - left, int(2 * distance_from_heights(left, right, gap)))
-            for left in levels
-            for right in levels
-            if left <= right and params.admits_heights(left, right)
+            for left in range(1, max_level + 1)
+            for right in range(left, min(left + gap, max_level) + 1)
+            if params.admits_heights(left, right)
         ),
         key=lambda row: row[1] == 0,
     )
@@ -581,7 +593,8 @@ def mine_arenas(
     clock reads per *batch*); the ambient registry counts trees, nodes
     and emitted keys.
     """
-    table = _cousin_table(params)
+    sizes = [len(arena.parent) for arena in arenas]
+    table = _cousin_table(params, _levels(params, max(sizes, default=0)))
     # the tree index of a batch row must fit above its key
     group = 1 << (_KEY_BITS - table.width)
     with get_tracer().span(
@@ -594,7 +607,7 @@ def mine_arenas(
         ]
     registry = get_registry()
     registry.counter("fastmine.trees").add(len(arenas))
-    registry.counter("fastmine.nodes").add(sum(len(arena.parent) for arena in arenas))
+    registry.counter("fastmine.nodes").add(sum(sizes))
     registry.counter("fastmine.keys").add(sum(len(result) for result in mined))
     return mined
 
@@ -719,7 +732,7 @@ def iter_pair_indexes(
     the form the weighted miner consumes: it already carries the least
     common ancestor, so no per-pair LCA query is needed downstream.
     """
-    table = _cousin_table(params)
+    table = _cousin_table(params, _levels(params, len(arena.parent)))
     link, label, _tree = _columns([arena])
     entries = _Entries(link, label, table.levels)
     left, begin, count, code = _cousin_ranges(entries, table)

@@ -323,6 +323,8 @@ class VersionedCorpus:
         rows = self._rows.full_rows[0]
         gained, _lost = self._count_keys(rows, ())
         self._matrices: dict[DistanceMode, np.ndarray] = {}
+        # The rows at minoccur, once a query has asked (_query_vectors).
+        self._filtered: DistanceVectors | None = None
         self._store: "PairStore | None" = None
         init = CorpusDelta(
             version=0,
@@ -492,6 +494,7 @@ class VersionedCorpus:
             self._grow_labels(packed)
             start = len(self._refs)
             self._rows.append_packed(packed)
+            self._filtered = None
             self._refs.extend(refs)
             self._names.extend(names)
             positions = list(range(start, len(self._refs)))
@@ -501,7 +504,7 @@ class VersionedCorpus:
                 removed=(),
                 arrived=self._rows.full_rows[0][start:],
                 departed=(),
-                packed=self._row_counts(positions),
+                positions=positions,
                 rows_patched=self._patch_matrices(positions),
             )
             return positions
@@ -521,6 +524,7 @@ class VersionedCorpus:
             departed = [rows[index] for index in drop]
             removed = [self._refs[index] for index in drop]
             self._rows.remove_rows(drop)
+            self._filtered = None
             for index in reversed(drop):
                 del self._refs[index]
                 del self._names[index]
@@ -530,7 +534,7 @@ class VersionedCorpus:
                 removed=removed,
                 arrived=(),
                 departed=departed,
-                packed=(),
+                positions=(),
                 rows_patched=self._patch_matrices((), dropped=drop),
             )
 
@@ -556,6 +560,7 @@ class VersionedCorpus:
             departed = [rows[index] for index in positions]
             removed = [self._refs[index] for index in positions]
             self._rows.replace_rows(dict(zip(positions, packed)))
+            self._filtered = None
             for index, ref, name in zip(positions, refs, names):
                 self._refs[index] = ref
                 self._names[index] = name
@@ -565,7 +570,7 @@ class VersionedCorpus:
                 removed=removed,
                 arrived=[self._rows.full_rows[0][index] for index in positions],
                 departed=departed,
-                packed=self._row_counts(positions),
+                positions=positions,
                 rows_patched=self._patch_matrices(positions),
             )
 
@@ -735,14 +740,6 @@ class VersionedCorpus:
                 self._log = self._store.read_log(CorpusDelta.from_dict)
         return self._log
 
-    def _row_counts(self, positions: Sequence[int]) -> list[PackedCounts]:
-        """The rows at ``positions`` as packed counts on the rows' label
-        tuple — the one an attached store shares, so it takes them as
-        they are instead of re-interning the trees' own counts."""
-        keys, counts = self._rows.full_rows
-        labels = self._rows.labels
-        return [PackedCounts(labels, keys[index], counts[index]) for index in positions]
-
     def _check_positions(self, positions: Sequence[int]) -> None:
         size = len(self._refs)
         for index in positions:
@@ -827,9 +824,14 @@ class VersionedCorpus:
         )
 
     def _query_vectors(self) -> DistanceVectors:
-        """The rows at this corpus's ``minoccur`` (a filtered copy
-        above 1)."""
-        return self._rows.at_minoccur(self.params.minoccur)
+        """The rows at this corpus's ``minoccur``.
+
+        Above 1 a filtered copy, kept — with the inverted index a query
+        builds on it — until the rows change.
+        """
+        if self._filtered is None:
+            self._filtered = self._rows.at_minoccur(self.params.minoccur)
+        return self._filtered
 
     def _patch_matrices(
         self, written: Sequence[int], dropped: Sequence[int] = ()
@@ -870,9 +872,11 @@ class VersionedCorpus:
         removed: Sequence[TreeRef],
         arrived: Sequence[np.ndarray],
         departed: Sequence[np.ndarray],
-        packed: Sequence[PackedCounts],
+        positions: Sequence[int],
         rows_patched: int,
     ) -> None:
+        """Log one mutation whose new trees sit at ``positions`` and
+        sync an attached store."""
         gained, lost = self._count_keys(arrived, departed)
         supports = sum(len(keys) for keys in (*arrived, *departed))
         self.version += 1
@@ -897,15 +901,28 @@ class VersionedCorpus:
         stats.delta_supports_patched += supports
         # An attached pair store follows every version bump: new trees
         # land as an appended generation (or a compaction), departures
-        # leave the row map, and the log gains this delta.  The
-        # manifest replace commits the sync.
+        # leave the row map, and the log gains this delta.  The new rows
+        # go over on the rows' label tuple — the one the store shares —
+        # with their pair projections, so the store neither re-interns
+        # nor collapses them.  Its journal line commits the sync.
         if self._store is not None:
+            keys, counts = self._rows.full_rows
+            pair_keys, pair_counts = self._rows.pair_rows
+            labels = self._rows.labels
             self._store.apply(
                 [(ref.uid, ref.content_key) for ref in self._refs],
-                {ref.uid: counts for ref, counts in zip(added, packed)},
+                {
+                    ref.uid: PackedCounts(labels, keys[index], counts[index])
+                    for ref, index in zip(added, positions)
+                },
                 version=self.version,
                 names={
-                    ref.uid: name for ref, name in zip(self._refs, self._names)
+                    ref.uid: self._names[index]
+                    for ref, index in zip(added, positions)
                 },
                 log=delta.as_dict(),
+                pairs={
+                    ref.uid: (pair_keys[index], pair_counts[index])
+                    for ref, index in zip(added, positions)
+                },
             )

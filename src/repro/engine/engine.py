@@ -301,7 +301,8 @@ class MiningEngine:
     def open_store(self, directory: str) -> "PairStore":
         """Open the pair store in ``directory`` and attach it.
 
-        Only the manifest is read and the shard sizes checked
+        Only the checkpoint, journal and label table are read and
+        each generation's size checked
         (:meth:`repro.store.PairStore.open`), so a warm reopen is
         cheap; a corrupt or stale store raises
         :class:`~repro.errors.StoreError` after counting

@@ -1,58 +1,71 @@
-"""The on-disk pair store: memmappable corpus shards behind a manifest.
+"""The on-disk pair store: memmappable corpus generations behind a
+checkpoint and a journal.
 
 A packed corpus — the directory ``repro-mine corpus`` maintains —
 lives in one directory::
 
-    store.json            manifest (format, scheme, params, version,
+    store.json            checkpoint (format, scheme, params, version,
                           generation serial, label count, next uid,
-                          generations, row map), compact JSON
+                          generations, row map), compact JSON; written
+                          only by a build and a compaction
+    journal.jsonl         one compact JSON line per commit since the
+                          checkpoint: the commit's row-map edit (dropped
+                          uids; inserted rows with position, uid,
+                          content address and name), the generation it
+                          appended, and its version, serial and next uid
     log.jsonl             the delta log, one compact JSON line per
                           version (decoded only when
                           :class:`~repro.engine.delta.VersionedCorpus`
                           lists or diffs it, never by
                           :meth:`PairStore.open`)
-    gen-000000/           one *generation* of row shards
+    gen-000000/           one *generation* of rows
         labels.json       the sorted label table, in the first (*base*)
                           generation only: written at build and
                           compaction, the only times labels change
-        full_keys.npy     concatenated per-tree sorted packed keys
-        full_counts.npy   parallel occurrence counts
-        full_offsets.npy  row boundaries (``trees + 1`` entries)
-        pair_keys.npy     the distance-free pair projection, collapsed
-        pair_counts.npy   exactly as :func:`repro.core.fastmine
-        pair_offsets.npy  ._collapse_pairs` would
-        full_totals.npy   per-tree occurrence totals
-        pair_totals.npy   per-tree collapsed totals
+        columns.npy       one int64 array holding the generation's
+                          eight columns back to back: concatenated
+                          per-tree sorted packed keys, their counts
+                          and row offsets (``trees + 1`` entries), the
+                          distance-free pair projection's keys, counts
+                          and offsets (collapsed exactly as
+                          :func:`repro.core.fastmine._collapse_pairs`
+                          would), and per-tree totals of both; the
+                          generation record gives each column's
+                          element range
 
 Rows are persisted at the ``minoccur=1`` level — the same raw state
 :class:`~repro.engine.delta.VersionedCorpus` maintains — so any
-occurrence threshold can be re-derived at load time, and the manifest
-maps each corpus position to ``(generation, row)`` plus its stable
-uid, engine content address and display name.  A commit that appends
-a generation rewrites only the manifest, whose size is the row map's:
-the label table stays in its immutable shard.  Shards and the
-manifest are written through :func:`repro.io.atomic_write`; a
-commit's log line is appended before its manifest, and the manifest
-replace is the commit point, so a crash mid-write leaves either the
-old complete store or the new complete store (an orphaned generation
-directory is ignored by :meth:`PairStore.open` and swept by the next
-write; log lines past the manifest's version are ignored and cut off
-by the next append).
+occurrence threshold can be re-derived at load time, and the row map
+sends each corpus position to ``(generation, row)`` plus its stable
+uid, engine content address and display name.
 
-Mutations append: new trees land in a fresh generation, removals and
-replacements only rewrite the manifest's row map.  When the dead
-fraction reaches one half — or new trees grow the label universe, a
-monotone re-intern of every surviving key — the store *compacts* into
-a single fresh generation and drops the old directories.
+A commit costs the size of its change.  One whose new trees fit the
+label table appends: a generation file for the trees it adds (none
+for a pure removal), one delta-log line, then one journal line, which
+is the commit point.  ``store.json`` is not touched, so the bytes a
+commit writes do not grow with the corpus.  A crash leaves the old
+complete store or the new one: a torn journal line is ignored by
+:meth:`PairStore.open` and cut off by the next append, as are log lines
+past the store's version, and a generation directory no line
+references is an orphan the next commit sweeps.
 
-Reads are lazy: :meth:`PairStore.open` reads only the manifest and
-the label table and checks the shard file sizes (truncation is
-detected before any memmap is handed out), and
-:meth:`PairStore.as_vectors` slices
-``np.load(..., mmap_mode="r")`` views per tree into a
-:class:`~repro.core.distvec.DistanceVectors` — byte-identical in
-every query to an in-RAM build over the same trees, without loading a
-key column until a join touches it.
+When the dead fraction reaches one half — or new trees grow the label
+universe, a monotone re-intern of every surviving key, or a commit
+reorders surviving rows — the store *compacts*: every live row goes
+into one fresh base generation, a new checkpoint replaces
+``store.json`` (the commit point), the journal is reset and the old
+directories are dropped.  :meth:`PairStore.open` reads the checkpoint
+and replays the journal lines past it; lines a compaction or build
+left behind by crashing before the reset — at or below the
+checkpoint's version, or below its serial — are skipped.
+
+Reads are lazy: :meth:`PairStore.open` reads only the checkpoint, the
+journal and the label table and makes one ``stat`` per generation
+(truncation is detected before any memmap is handed out), and
+:meth:`PairStore.as_vectors` slices ``np.load(..., mmap_mode="r")``
+views per tree into a :class:`~repro.core.distvec.DistanceVectors` —
+byte-identical in every query to an in-RAM build over the same trees,
+without loading a key column until a join touches it.
 """
 
 from __future__ import annotations
@@ -76,18 +89,28 @@ from repro.store.shards import load_array, write_array
 from repro.trees.arena import find_label
 from repro.trees.packing import PACKED_KEY_SCHEME
 
-__all__ = ["PairStore", "LABELS_FILE", "LOG_FILE", "STORE_FILE", "STORE_FORMAT"]
+__all__ = [
+    "PairStore",
+    "COLUMNS_FILE",
+    "JOURNAL_FILE",
+    "LABELS_FILE",
+    "LOG_FILE",
+    "STORE_FILE",
+    "STORE_FORMAT",
+]
 
 STORE_FILE = "store.json"
-STORE_FORMAT = 2
+STORE_FORMAT = 3
+JOURNAL_FILE = "journal.jsonl"
 LOG_FILE = "log.jsonl"
 LABELS_FILE = "labels.json"
+COLUMNS_FILE = "columns.npy"
 # The file an older release kept a whole corpus in (trees as Newick).
 _OLD_CORPUS_FILE = "corpus.json"
 
 _Record = TypeVar("_Record")
 
-# One store generation is these eight .npy columns, nothing else.
+# A generation's eight int64 columns, in their order in COLUMNS_FILE.
 _GEN_STEMS = (
     "full_keys",
     "full_counts",
@@ -101,6 +124,8 @@ _GEN_STEMS = (
 
 # A corpus member as the store tracks it: (uid, engine content key).
 Member = tuple[int, str]
+# One tree's sorted (keys, counts) arrays.
+Row = tuple[np.ndarray, np.ndarray]
 
 
 def _params_to_dict(params: MiningParams) -> dict:
@@ -128,13 +153,13 @@ def _params_from_dict(payload: Mapping) -> MiningParams:
 
 
 def _manifest_failure(path: str, detail: str) -> StoreError:
-    """Count one manifest-read degradation and build the error."""
+    """Count one checkpoint-read degradation and build the error."""
     get_registry().counter("store.read_errors").add(1)
     return StoreError(f"corrupt pair store manifest {path!r}: {detail}")
 
 
 def _log_line(entry: Mapping) -> bytes:
-    """One delta-log record as a compact JSON line."""
+    """One delta-log or journal record as a compact JSON line."""
     return (json.dumps(entry, separators=(",", ":")) + "\n").encode("utf-8")
 
 
@@ -143,9 +168,9 @@ def _generation_name(serial: int) -> str:
 
 
 class _Generation:
-    """One immutable shard set: lazy, size-validated memmap columns."""
+    """One immutable generation: a lazy, size-validated memmap file."""
 
-    __slots__ = ("directory", "name", "trees", "files", "_arrays", "_views")
+    __slots__ = ("directory", "name", "trees", "files", "ranges", "_views")
 
     def __init__(self, store_directory: str, record: Mapping) -> None:
         self.name = str(record["name"])
@@ -155,36 +180,40 @@ class _Generation:
             str(filename): int(size)
             for filename, size in record["files"].items()
         }
-        self._arrays: dict[str, np.ndarray] = {}
+        self.ranges = {
+            stem: (int(start), int(stop))
+            for stem, (start, stop) in record["columns"].items()
+        }
+        missing = [stem for stem in _GEN_STEMS if stem not in self.ranges]
+        if missing or COLUMNS_FILE not in self.files:
+            raise ValueError(
+                f"generation {self.name!r} records no "
+                f"{(missing or [COLUMNS_FILE])[0]!r}"
+            )
         self._views: dict[str, np.ndarray] = {}
 
     def validate(self) -> None:
-        """Check every column exists at its recorded byte size.
+        """Check the columns file exists at its recorded byte size.
 
-        Runs at :meth:`PairStore.open` — a missing or truncated shard
+        Runs at :meth:`PairStore.open` — a missing or truncated file
         (the mid-write crash signatures) counts one
         ``store.read_errors`` and fails the open before any memmap
-        view could fault mid-query.  Only ``stat`` calls: no data
-        page is read.
+        view could fault mid-query.  One ``stat``: no data page is
+        read.
         """
-        for stem in _GEN_STEMS:
-            filename = stem + ".npy"
-            expected = self.files.get(filename)
-            path = os.path.join(self.directory, filename)
-            if expected is None:
-                raise _manifest_failure(
-                    path, f"generation {self.name!r} records no size for it"
-                )
-            if not os.path.exists(path):
-                get_registry().counter("store.read_errors").add(1)
-                raise StoreError(f"missing store shard {path!r}")
-            actual = os.path.getsize(path)
-            if actual != expected:
-                get_registry().counter("store.read_errors").add(1)
-                raise StoreError(
-                    f"truncated store shard {path!r}: expected "
-                    f"{expected} bytes, found {actual}"
-                )
+        path = os.path.join(self.directory, COLUMNS_FILE)
+        try:
+            actual = os.stat(path).st_size
+        except FileNotFoundError:
+            get_registry().counter("store.read_errors").add(1)
+            raise StoreError(f"missing store shard {path!r}") from None
+        expected = self.files[COLUMNS_FILE]
+        if actual != expected:
+            get_registry().counter("store.read_errors").add(1)
+            raise StoreError(
+                f"truncated store shard {path!r}: expected "
+                f"{expected} bytes, found {actual}"
+            )
 
     def read_labels(self, count: int) -> tuple[str, ...]:
         """The label table of a base generation, checked like a shard.
@@ -226,19 +255,8 @@ class _Generation:
             ) from error
         return tuple(labels)
 
-    def array(self, stem: str) -> np.ndarray:
-        column = self._arrays.get(stem)
-        if column is None:
-            filename = stem + ".npy"
-            column = load_array(
-                os.path.join(self.directory, filename),
-                expected_bytes=self.files.get(filename),
-            )
-            self._arrays[stem] = column
-        return column
-
     def view(self, stem: str) -> np.ndarray:
-        """A plain-ndarray view of one memmapped column.
+        """One column as a plain-ndarray slice of the memmapped file.
 
         Slicing ``np.memmap`` pays ``__array_finalize__`` per slice
         (~7x the cost of slicing a plain array); the view shares the
@@ -248,8 +266,20 @@ class _Generation:
         """
         cached = self._views.get(stem)
         if cached is None:
-            cached = self.array(stem).view(np.ndarray)
-            self._views[stem] = cached
+            path = os.path.join(self.directory, COLUMNS_FILE)
+            columns = load_array(
+                path, expected_bytes=self.files[COLUMNS_FILE]
+            ).view(np.ndarray)
+            for name, (start, stop) in self.ranges.items():
+                if not 0 <= start <= stop <= columns.size or columns.ndim != 1:
+                    get_registry().counter("store.read_errors").add(1)
+                    raise StoreError(
+                        f"cannot read store shard {path!r}: column {name!r} "
+                        f"[{start}, {stop}) outside its {columns.size} "
+                        "elements"
+                    )
+                self._views[name] = columns[start:stop]
+            cached = self._views[stem]
         return cached
 
     def row(self, row: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -269,61 +299,55 @@ class _Generation:
 def _write_generation(
     directory: str,
     name: str,
-    rows: Sequence[tuple[np.ndarray, np.ndarray]],
+    rows: Sequence[Row],
+    pairs: Sequence[Row],
     labels: Sequence[str] | None = None,
 ) -> dict:
-    """Write one generation's eight columns; returns its manifest record.
+    """Write one generation's columns file; returns its record.
 
     ``rows`` holds per-tree ``(full_keys, full_counts)`` arrays already
-    re-interned (sorted, ``minoccur=1`` level); the pair projection is
-    derived here with the exact :func:`~repro.core.distvec
+    re-interned (sorted, ``minoccur=1`` level) and ``pairs`` their pair
+    projections, collapsed by the exact :func:`~repro.core.fastmine
     ._collapse_pairs` the in-RAM vectors use, so a reopened store and a
     fresh build disagree on nothing.  A base generation also gets the
     label table (``labels``) as ``labels.json``.
     """
     gen_dir = os.path.join(directory, name)
     os.makedirs(gen_dir, exist_ok=True)
-    collapsed = [_collapse_pairs(keys, counts) for keys, counts in rows]
     files: dict[str, int] = {}
     if labels is not None:
         data = json.dumps(list(labels), separators=(",", ":")).encode()
-        path = os.path.join(gen_dir, LABELS_FILE)
-        with atomic_write(path, "wb") as stream:
+        with atomic_write(os.path.join(gen_dir, LABELS_FILE), "wb") as stream:
             stream.write(data)
         files[LABELS_FILE] = len(data)
 
-    def column(stem: str, parts: Sequence[np.ndarray]) -> None:
-        flat = (
-            np.concatenate(parts)
-            if parts
-            else np.zeros(0, dtype=np.int64)
-        )
-        files[stem + ".npy"] = write_array(
-            os.path.join(gen_dir, stem + ".npy"), flat.astype(np.int64)
+    def offsets(parts: Sequence[Row]) -> np.ndarray:
+        sizes = np.asarray([keys.size for keys, _ in parts], dtype=np.int64)
+        return np.concatenate(([0], np.cumsum(sizes)))
+
+    def totals(parts: Sequence[Row]) -> np.ndarray:
+        return np.asarray(
+            [int(counts.sum()) for _, counts in parts], dtype=np.int64
         )
 
-    def offsets(stem: str, parts: Sequence[np.ndarray]) -> None:
-        sizes = np.asarray([part.size for part in parts], dtype=np.int64)
-        files[stem + ".npy"] = write_array(
-            os.path.join(gen_dir, stem + ".npy"),
-            np.concatenate(([0], np.cumsum(sizes))).astype(np.int64),
-        )
-
-    def totals(stem: str, parts: Sequence[np.ndarray]) -> None:
-        files[stem + ".npy"] = write_array(
-            os.path.join(gen_dir, stem + ".npy"),
-            np.asarray([int(part.sum()) for part in parts], dtype=np.int64),
-        )
-
-    column("full_keys", [keys for keys, _ in rows])
-    column("full_counts", [counts for _, counts in rows])
-    offsets("full_offsets", [keys for keys, _ in rows])
-    totals("full_totals", [counts for _, counts in rows])
-    column("pair_keys", [keys for keys, _ in collapsed])
-    column("pair_counts", [counts for _, counts in collapsed])
-    offsets("pair_offsets", [keys for keys, _ in collapsed])
-    totals("pair_totals", [counts for _, counts in collapsed])
-    return {"name": name, "trees": len(rows), "files": files}
+    sections = (
+        [keys for keys, _ in rows],
+        [counts for _, counts in rows],
+        [offsets(rows)],
+        [keys for keys, _ in pairs],
+        [counts for _, counts in pairs],
+        [offsets(pairs)],
+        [totals(rows)],
+        [totals(pairs)],
+    )
+    columns: dict[str, list[int]] = {}
+    start = 0
+    for stem, parts in zip(_GEN_STEMS, sections):
+        stop = start + sum(part.size for part in parts)
+        columns[stem] = [start, stop]
+        start = stop
+    files[COLUMNS_FILE] = write_array(os.path.join(gen_dir, COLUMNS_FILE), sections)
+    return {"name": name, "trees": len(rows), "files": files, "columns": columns}
 
 
 class PairStore:
@@ -342,22 +366,29 @@ class PairStore:
     def __init__(
         self,
         directory: str,
-        manifest: dict,
+        checkpoint: Mapping,
         generations: list[_Generation],
         labels: tuple[str, ...],
     ) -> None:
         self.directory = directory
-        self._manifest = manifest
-        self._generations = generations
-        self.params = _params_from_dict(manifest["params"])
+        self.params = _params_from_dict(checkpoint["params"])
         self.labels = labels
-        self.version = int(manifest["version"])
+        self.version = int(checkpoint["version"])
+        self._serial = int(checkpoint["serial"])
+        self._next_uid = int(checkpoint["next_uid"])
+        self._generations = generations
+        # The row map, patched in place by every journal line.
+        self._rows: list[dict] = list(checkpoint["rows"])
+        self._by_uid = {int(row["uid"]): row for row in self._rows}
+        # Byte length of the journal's complete lines: a torn tail past
+        # it is cut off by the next append.
+        self._journal_end = 0
         # Byte length of the log's first version + 1 lines, once known;
         # anything past it is a torn tail the next append cuts off.
         self._log_end: int | None = None
 
     def __len__(self) -> int:
-        return len(self._manifest["rows"])
+        return len(self._rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -374,7 +405,7 @@ class PairStore:
         :attr:`repro.engine.delta.VersionedCorpus.fingerprint` for the
         same tree sequence, so corpus-level fingerprints interchange."""
         digest = hashlib.sha256()
-        for row in self._manifest["rows"]:
+        for row in self._rows:
             digest.update(row["content_key"].encode("ascii"))
             digest.update(b"|")
         return digest.hexdigest()
@@ -382,21 +413,18 @@ class PairStore:
     @property
     def names(self) -> list[str]:
         """Display names aligned with corpus positions."""
-        return [str(row["name"]) for row in self._manifest["rows"]]
+        return [str(row["name"]) for row in self._rows]
 
     @property
     def members(self) -> list[Member]:
         """The ``(uid, content_key)`` sequence in corpus order."""
-        return [
-            (int(row["uid"]), str(row["content_key"]))
-            for row in self._manifest["rows"]
-        ]
+        return [(int(row["uid"]), str(row["content_key"])) for row in self._rows]
 
     @property
     def next_uid(self) -> int:
         """One past the largest uid the corpus ever issued, so a
         removed tree's uid is never reissued after a reopen."""
-        return int(self._manifest["next_uid"])
+        return self._next_uid
 
     # ------------------------------------------------------------------
     # Construction
@@ -407,7 +435,7 @@ class PairStore:
         directory: str,
         members: Sequence[Member],
         labels: Sequence[str],
-        rows: Sequence[tuple[np.ndarray, np.ndarray]],
+        rows: Sequence[Row],
         params: MiningParams,
         *,
         version: int,
@@ -424,8 +452,8 @@ class PairStore:
         label table ``labels``.  ``log`` is the delta log through
         ``version``, one record per version; ``next_uid`` is the first
         uid the corpus has not issued.  An existing store in the
-        directory is replaced: the manifest commits last and stale
-        generation directories are swept.
+        directory is replaced: the checkpoint commits last, then the
+        journal is reset and stale generation directories are swept.
         """
         registry = get_registry()
         with get_tracer().span(
@@ -444,14 +472,18 @@ class PairStore:
             serial = _fresh_serial(directory)
             labels = tuple(labels)
             record = _write_generation(
-                directory, _generation_name(serial), rows, labels
+                directory,
+                _generation_name(serial),
+                rows,
+                [_collapse_pairs(keys, counts) for keys, counts in rows],
+                labels,
             )
             lines = b"".join(_log_line(entry) for entry in log)
             with atomic_write(
                 os.path.join(directory, LOG_FILE), "wb"
             ) as stream:
                 stream.write(lines)
-            manifest = {
+            checkpoint = {
                 "format": STORE_FORMAT,
                 "scheme": PACKED_KEY_SCHEME,
                 "params": _params_to_dict(params),
@@ -460,46 +492,35 @@ class PairStore:
                 "label_count": len(labels),
                 "next_uid": int(next_uid),
                 "generations": [record],
-                "rows": [
-                    {
-                        "gen": 0,
-                        "row": index,
-                        "uid": int(uid),
-                        "content_key": str(content_key),
-                        "name": str(name),
-                    }
-                    for index, ((uid, content_key), name) in enumerate(
-                        zip(members, names)
-                    )
-                ],
+                "rows": _base_rows(members, names),
             }
-            _write_manifest(directory, manifest)
-            _sweep_orphans(directory, manifest)
-            registry.counter("store.packs").add(1)
             store = cls(
-                directory, manifest, [_Generation(directory, record)], labels
+                directory, checkpoint, [_Generation(directory, record)], labels
             )
+            store._write_checkpoint(checkpoint)
             store._log_end = len(lines)
+            registry.counter("store.packs").add(1)
             return store
 
     @classmethod
     def open(cls, directory: str) -> "PairStore":
         """Load the store in ``directory``, validating before serving.
 
-        Only the manifest and the label table are parsed and the shard
-        byte sizes checked — no key or count page is read, which is
-        what keeps a warm reopen fast.  A missing manifest raises a
-        plain :class:`StoreError`; a corrupt manifest or label table, a
-        store of another format, a stale generation (missing or
-        truncated shard) or a foreign packed-key scheme additionally
-        counts one ``store.read_errors``.
+        Only the checkpoint, the journal and the label table are parsed
+        and each generation's byte size checked — no key or count page
+        is read, which is what keeps a warm reopen fast.  A missing
+        checkpoint raises a plain :class:`StoreError`; a corrupt
+        checkpoint, journal line or label table, a store of another
+        format, a stale generation (missing or truncated file) or a
+        foreign packed-key scheme additionally counts one
+        ``store.read_errors``.
         """
         registry = get_registry()
         with get_tracer().span("store.open", metric="store.open.seconds"):
             path = os.path.join(directory, STORE_FILE)
             try:
                 with open(path, encoding="utf-8") as handle:
-                    manifest = json.load(handle)
+                    checkpoint = json.load(handle)
             except FileNotFoundError:
                 if os.path.exists(os.path.join(directory, _OLD_CORPUS_FILE)):
                     raise StoreError(
@@ -512,10 +533,14 @@ class PairStore:
                 ) from None
             except (OSError, json.JSONDecodeError) as error:
                 raise _manifest_failure(path, str(error)) from error
-            generations = _validate_manifest(directory, path, manifest)
-            labels = generations[0].read_labels(int(manifest["label_count"]))
+            generations = _validate_checkpoint(directory, path, checkpoint)
+            labels = generations[0].read_labels(int(checkpoint["label_count"]))
+            store = cls(directory, checkpoint, generations, labels)
+            store._replay_journal(int(checkpoint["serial"]))
+            for generation in store._generations:
+                generation.validate()
             registry.counter("store.opens").add(1)
-            return cls(directory, manifest, generations, labels)
+            return store
 
     # ------------------------------------------------------------------
     # Queries
@@ -524,11 +549,12 @@ class PairStore:
         """Distance vectors over the store's memmapped rows.
 
         ``minoccur=None`` (or 1, the packing level) is zero-copy: every
-        per-tree key/count array is a slice of a shard memmap, and the
-        totals come from the persisted totals columns — nothing forces
-        a data page until a query touches it.  A larger ``minoccur``
-        filters rows at load, copying only the survivors, and equals a
-        fresh :meth:`DistanceVectors.from_packed` at that threshold.
+        per-tree key/count array is a slice of a generation's memmap,
+        and the totals come from the persisted totals columns — nothing
+        forces a data page until a query touches it.  A larger
+        ``minoccur`` filters rows at load, copying only the survivors,
+        and equals a fresh :meth:`DistanceVectors.from_packed` at that
+        threshold.
         """
         minoccur = 1 if minoccur is None else validate_minoccur(minoccur)
         with get_tracer().span(
@@ -540,7 +566,7 @@ class PairStore:
             pair_counts = []
             full_totals = []
             pair_totals = []
-            for row in self._manifest["rows"]:
+            for row in self._rows:
                 generation = self._generations[row["gen"]]
                 keys, counts = generation.row(row["row"], "full")
                 full_keys.append(keys)
@@ -565,7 +591,7 @@ class PairStore:
     def frequent_pairs(
         self, minsup: int = 2, ignore_distance: bool = False
     ) -> list[FrequentCousinPair]:
-        """Frequent cousin pairs, straight off the shard columns.
+        """Frequent cousin pairs, straight off the generation columns.
 
         Byte-identical to :func:`repro.core.multi_tree.mine_forest`
         over the store's tree sequence with its parameters — same
@@ -584,7 +610,7 @@ class PairStore:
         ):
             rows = [
                 self._generations[row["gen"]].row(row["row"], "full")
-                for row in self._manifest["rows"]
+                for row in self._rows
             ]
             get_registry().counter("store.frequent_pairs").add(1)
             return aggregate_rows(
@@ -606,7 +632,7 @@ class PairStore:
 
         Each of the first ``version + 1`` lines must be a JSON object
         whose ``version`` is its line number, and must pass ``decode``;
-        later lines are the torn tail of an append whose manifest
+        later lines are the torn tail of an append whose journal line
         never committed, and are ignored.  A shorter log or a bad line
         counts one ``store.read_errors`` and raises :class:`StoreError`.
         """
@@ -652,21 +678,123 @@ class PairStore:
 
     def _append_log(self, entry: Mapping) -> int:
         """Write one record after the committed lines, cutting any torn
-        tail; returns the log's length once the caller's manifest
-        commits."""
+        tail; returns the log's length once the caller's commit
+        lands."""
         path = os.path.join(self.directory, LOG_FILE)
         if self._log_end is None:
             self._committed_log(path)
         assert self._log_end is not None
-        line = _log_line(entry)
-        with open(path, "r+b") as handle:
-            handle.seek(self._log_end)
-            handle.truncate()
-            handle.write(line)
-        return self._log_end + len(line)
+        return _append_line(path, self._log_end, entry)
 
     # ------------------------------------------------------------------
-    # Mutation (generation append + compaction)
+    # Journal (the row map's edits since the checkpoint)
+    # ------------------------------------------------------------------
+    def _replay_journal(self, serial: int) -> None:
+        """Patch the checkpoint's row map with the journal's lines.
+
+        Only complete lines count: bytes past the last newline are a
+        torn append, ignored here and cut off by the next one.  Lines
+        at or below the checkpoint's version, or below its ``serial``,
+        predate it (a compaction or build that crashed before resetting
+        the journal) and are skipped.  A line that does not parse or
+        does not fit the row map counts one ``store.read_errors`` and
+        raises :class:`StoreError`.
+        """
+        path = os.path.join(self.directory, JOURNAL_FILE)
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            data = b""
+        self._journal_end = data.rfind(b"\n") + 1
+        checkpoint_version = self.version
+        for number, line in enumerate(
+            data[: self._journal_end].split(b"\n")[:-1], start=1
+        ):
+            try:
+                entry = json.loads(line)
+                if (
+                    int(entry["version"]) <= checkpoint_version
+                    or int(entry["serial"]) < serial
+                ):
+                    continue
+                self._patch(entry)
+            except (KeyError, TypeError, ValueError, IndexError) as error:
+                get_registry().counter("store.read_errors").add(1)
+                raise StoreError(
+                    f"corrupt pair store journal {path!r}: line {number}: "
+                    f"{error}"
+                ) from error
+
+    def _patch(self, entry: Mapping) -> None:
+        """Apply one journal line's row-map edit in place.
+
+        Dropped uids leave the row map; inserted rows take their
+        recorded final positions in ascending order, each pointing at
+        its row of the line's generation.  Raises ``ValueError`` (or a
+        lookup error) when the line does not fit the row map.
+        """
+        version = int(entry["version"])
+        if version <= self.version:
+            raise ValueError(
+                f"version {version} does not follow {self.version}"
+            )
+        inserts = entry["insert"]
+        record = entry["generation"]
+        generation = None
+        if record is not None:
+            generation = _Generation(self.directory, record)
+        if len(inserts) > (0 if generation is None else generation.trees):
+            raise ValueError(f"inserts {len(inserts)} rows it did not write")
+        dropped = {int(uid) for uid in entry["drop"]}
+        unknown = dropped - self._by_uid.keys()
+        if unknown:
+            raise ValueError(f"drops unknown uids {sorted(unknown)!r}")
+        rows = self._rows
+        if dropped:
+            for position in reversed(
+                [at for at, row in enumerate(rows) if row["uid"] in dropped]
+            ):
+                del self._by_uid[rows[position]["uid"]]
+                del rows[position]
+        if generation is not None:
+            self._generations.append(generation)
+        gen = len(self._generations) - 1
+        for index, (position, uid, content_key, name) in enumerate(inserts):
+            if not 0 <= int(position) <= len(rows) or int(uid) in self._by_uid:
+                raise ValueError(f"cannot insert uid {uid} at {position}")
+            row = {
+                "gen": gen,
+                "row": index,
+                "uid": int(uid),
+                "content_key": str(content_key),
+                "name": str(name),
+            }
+            rows.insert(int(position), row)
+            self._by_uid[row["uid"]] = row
+        self.version = version
+        self._serial = int(entry["serial"])
+        self._next_uid = int(entry["next_uid"])
+
+    def _write_checkpoint(self, checkpoint: Mapping) -> None:
+        """Replace ``store.json`` (the commit point), reset the journal
+        and sweep the generations the checkpoint no longer references.
+
+        Compact JSON, so ``json`` runs its C encoder (an ``indent``
+        forces the pure-Python one).
+        """
+        with atomic_write(os.path.join(self.directory, STORE_FILE)) as stream:
+            stream.write(json.dumps(checkpoint, separators=(",", ":")) + "\n")
+        with atomic_write(os.path.join(self.directory, JOURNAL_FILE), "wb"):
+            pass
+        self._journal_end = 0
+        _sweep_orphans(
+            self.directory,
+            {str(record["name"]) for record in checkpoint["generations"]},
+        )
+
+    # ------------------------------------------------------------------
+    # Mutation (journaled append + compaction)
     # ------------------------------------------------------------------
     def apply(
         self,
@@ -676,181 +804,187 @@ class PairStore:
         version: int,
         names: Mapping[int, str] | None = None,
         log: Mapping,
+        pairs: Mapping[int, Row] | None = None,
     ) -> None:
         """Bring the store to ``members`` at ``version``.
 
         ``members`` is the new ``(uid, content_key)`` sequence;
         ``packed`` must cover every uid the store has not seen (known
         uids reuse their persisted rows — their arrays are never
-        rewritten outside compaction).  New trees whose labels fit the
-        store's table land in one appended generation; label growth or
-        a dead-row fraction of one half triggers compaction into a
-        single fresh generation.  ``log`` is the record of ``version``,
-        appended to the delta log before the manifest replace, which is
-        the commit point either way.
+        rewritten outside compaction), and ``pairs`` may carry a new
+        uid's collapsed pair projection when its counts are on this
+        store's label tuple, so the store need not collapse it again.
+        New trees whose labels fit the store's table land in one
+        appended generation and the row-map edit in one journal line;
+        label growth, a dead-row fraction of one half or reordered
+        surviving rows trigger compaction into a single fresh
+        generation.  ``log`` is the record of ``version``, appended to
+        the delta log before the journal line (or checkpoint), which is
+        the commit point.
         """
         packed = {} if packed is None else packed
+        pairs = {} if pairs is None else pairs
         registry = get_registry()
         with get_tracer().span(
             "store.apply", metric="store.apply.seconds", trees=len(members)
         ):
-            current = {
-                int(row["uid"]): row for row in self._manifest["rows"]
-            }
-            for uid, content_key in members:
+            current = self._by_uid
+            fresh: list[tuple[int, int, str]] = []
+            for position, (uid, content_key) in enumerate(members):
                 row = current.get(uid)
-                if row is not None and row["content_key"] != content_key:
+                if row is None:
+                    fresh.append((position, uid, content_key))
+                elif row["content_key"] != content_key:
                     raise StoreError(
                         f"uid {uid} changed content under the store "
                         f"({row['content_key'][:12]}.. -> "
                         f"{content_key[:12]}..); re-pack"
                     )
-            fresh = [
-                (uid, content_key)
-                for uid, content_key in members
-                if uid not in current
-            ]
-            missing = [uid for uid, _ in fresh if uid not in packed]
+            missing = [uid for _, uid, _ in fresh if uid not in packed]
             if missing:
                 raise StoreError(
                     f"no packed counts supplied for new uids {missing!r}"
                 )
+            uids = {uid for uid, _ in members}
+            if len(uids) != len(members):
+                raise StoreError("members repeat a uid")
             if (
                 not fresh
                 and version == self.version
-                and [
-                    (int(row["uid"]), str(row["content_key"]))
-                    for row in self._manifest["rows"]
-                ]
-                == [(uid, key) for uid, key in members]
+                and self.members == [(uid, key) for uid, key in members]
             ):
                 return
+            if version <= self.version:
+                raise StoreError(
+                    f"version {version} does not follow the store's "
+                    f"{self.version}"
+                )
             # Rows on this store's own label tuple (a corpus commit's)
             # need no lookup: identity, never a tuple comparison.
             unknown = {
                 label
-                for uid, _ in fresh
+                for _, uid, _ in fresh
                 if packed[uid].labels is not self.labels
                 for label in packed[uid].labels_used()
                 if find_label(self.labels, label) < 0
             }
+            survivors = [row["uid"] for row in self._rows if row["uid"] in uids]
+            reordered = survivors != [uid for uid, _ in members if uid in current]
             stored = sum(g.trees for g in self._generations)
-            reused = len(members) - len(fresh)
-            dead = stored - reused
+            dead = stored - (len(members) - len(fresh))
             log_end = self._append_log(log)
-            if unknown or (stored and dead * 2 >= stored + len(fresh)):
-                self._compact(members, packed, version, names, unknown)
+            if (
+                unknown
+                or reordered
+                or (stored and dead * 2 >= stored + len(fresh))
+            ):
+                self._compact(members, packed, pairs, version, names, unknown)
             else:
-                self._append(members, packed, version, names, fresh)
+                dropped = [
+                    row["uid"] for row in self._rows if row["uid"] not in uids
+                ]
+                self._append(fresh, dropped, packed, pairs, version, names)
             self._log_end = log_end
             registry.counter("store.applies").add(1)
 
+    def _fresh_rows(
+        self,
+        uids: Sequence[int],
+        packed: Mapping[int, PackedCounts],
+        pairs: Mapping[int, Row],
+        labels: tuple[str, ...],
+    ) -> tuple[list[Row], list[Row]]:
+        """New trees' rows on ``labels`` and their pair projections:
+        handed over when the counts already sit on ``labels``,
+        collapsed here otherwise."""
+        rows = []
+        projections = []
+        for uid in uids:
+            counts = packed[uid]
+            keys, values = _remap_packed(counts, labels, 1)
+            rows.append((keys, values))
+            if uid in pairs and counts.labels is labels:
+                projections.append(pairs[uid])
+            else:
+                projections.append(_collapse_pairs(keys, values))
+        return rows, projections
+
     def _append(
         self,
-        members: Sequence[Member],
+        fresh: Sequence[tuple[int, int, str]],
+        dropped: Sequence[int],
         packed: Mapping[int, PackedCounts],
+        pairs: Mapping[int, Row],
         version: int,
         names: Mapping[int, str] | None,
-        fresh: Sequence[Member],
     ) -> None:
-        """Append new trees as one generation; rewrite the row map."""
+        """Write new trees as one generation; journal the row-map edit."""
         with get_tracer().span(
             "store.append",
             metric="store.append.seconds",
-            trees=len(members),
+            trees=len(self._rows) - len(dropped) + len(fresh),
             fresh=len(fresh),
         ):
-            self._append_locked(members, packed, version, names, fresh)
-
-    def _append_locked(
-        self,
-        members: Sequence[Member],
-        packed: Mapping[int, PackedCounts],
-        version: int,
-        names: Mapping[int, str] | None,
-        fresh: Sequence[Member],
-    ) -> None:
-        manifest = self._manifest
-        generations = list(self._generations)
-        gen_records = list(manifest["generations"])
-        serial = int(manifest["serial"])
-        placed: dict[int, tuple[int, int]] = {}
-        if fresh:
-            rows = [
-                _remap_packed(packed[uid], self.labels, 1) for uid, _ in fresh
-            ]
-            record = _write_generation(
-                self.directory, _generation_name(serial), rows
-            )
-            serial += 1
-            gen_records.append(record)
-            generations.append(_Generation(self.directory, record))
-            gen_index = len(gen_records) - 1
-            placed = {
-                uid: (gen_index, position)
-                for position, (uid, _) in enumerate(fresh)
+            serial = self._serial
+            record = None
+            if fresh:
+                rows, projections = self._fresh_rows(
+                    [uid for _, uid, _ in fresh], packed, pairs, self.labels
+                )
+                record = _write_generation(
+                    self.directory, _generation_name(serial), rows, projections
+                )
+                serial += 1
+            entry = {
+                "version": int(version),
+                "serial": serial,
+                "next_uid": max(
+                    [self._next_uid] + [uid + 1 for _, uid, _ in fresh]
+                ),
+                "drop": [int(uid) for uid in dropped],
+                "insert": [
+                    [position, int(uid), str(content_key), _name(names, uid)]
+                    for position, uid, content_key in fresh
+                ],
+                "generation": record,
             }
-            get_registry().counter("store.generations.appended").add(1)
-        current = {int(row["uid"]): row for row in manifest["rows"]}
-        new_rows = []
-        for uid, content_key in members:
-            old = current.get(uid)
-            if old is not None:
-                # Row records are never mutated after creation, so the
-                # new manifest may alias the surviving ones.
-                new_rows.append(old)
-                continue
-            gen_index, position = placed[uid]
-            new_rows.append(
-                {
-                    "gen": gen_index,
-                    "row": position,
-                    "uid": int(uid),
-                    "content_key": str(content_key),
-                    "name": (
-                        names[uid]
-                        if names is not None and uid in names
-                        else f"t{uid}"
-                    ),
-                }
+            self._journal_end = _append_line(
+                os.path.join(self.directory, JOURNAL_FILE),
+                self._journal_end,
+                entry,
             )
-        manifest = dict(manifest)
-        manifest["version"] = int(version)
-        manifest["serial"] = serial
-        manifest["next_uid"] = _next_uid(manifest, fresh)
-        manifest["generations"] = gen_records
-        manifest["rows"] = new_rows
-        _write_manifest(self.directory, manifest)
-        _sweep_orphans(self.directory, manifest)
-        self._manifest = manifest
-        self._generations = generations
-        self.version = int(version)
+            self._patch(entry)
+            if record is not None:
+                get_registry().counter("store.generations.appended").add(1)
+            _sweep_orphans(
+                self.directory, {generation.name for generation in self._generations}
+            )
 
     def _compact(
         self,
         members: Sequence[Member],
         packed: Mapping[int, PackedCounts],
+        pairs: Mapping[int, Row],
         version: int,
         names: Mapping[int, str] | None,
         unknown: set[str],
     ) -> None:
         """Rewrite every live row into one fresh base generation.
 
-        Existing rows come straight off the current shards (memmap
+        Existing rows come straight off the current generations (memmap
         slices, re-interned through the monotone remap when the
         ``unknown`` labels grow the universe); new rows come from their
         packed counts; the label table is written beside them.  The
-        old generation directories are removed only after the new
-        manifest has committed, so a crash at any point leaves a
-        consistent store — at worst with an orphaned directory the
-        next write sweeps.
+        new checkpoint is the commit point; the old generation
+        directories are removed only after it, so a crash at any point
+        leaves a consistent store — at worst with an orphaned directory
+        the next write sweeps.
         """
         with get_tracer().span(
             "store.compact",
             metric="store.compact.seconds",
             trees=len(members),
         ):
-            manifest = self._manifest
             new_labels = self.labels
             remap = None
             if unknown:
@@ -863,64 +997,107 @@ class PairStore:
                     (labels,) = tuples.values()
                     if labels == new_labels:
                         new_labels = labels
-            current = {int(row["uid"]): row for row in manifest["rows"]}
-            rows = []
-            for uid, _ in members:
-                old = current.get(uid)
-                if old is None:
-                    rows.append(_remap_packed(packed[uid], new_labels, 1))
-                    continue
-                keys, counts = self._generations[old["gen"]].row(
-                    old["row"], "full"
-                )
-                keys = np.asarray(keys, dtype=np.int64)
-                if remap is not None:
-                    keys = _remap_full_keys(keys, remap)
-                rows.append((keys, np.asarray(counts, dtype=np.int64)))
-            serial = int(manifest["serial"])
-            record = _write_generation(
-                self.directory, _generation_name(serial), rows, new_labels
+            current = self._by_uid
+            fresh = [uid for uid, _ in members if uid not in current]
+            fresh_rows, fresh_pairs = self._fresh_rows(
+                fresh, packed, pairs, new_labels
             )
-            new_manifest = dict(manifest)
-            new_manifest["version"] = int(version)
-            new_manifest["serial"] = serial + 1
-            new_manifest["label_count"] = len(new_labels)
-            new_manifest["next_uid"] = _next_uid(manifest, members)
-            new_manifest["generations"] = [record]
-            new_manifest["rows"] = [
-                {
-                    "gen": 0,
-                    "row": index,
-                    "uid": int(uid),
-                    "content_key": str(content_key),
-                    "name": (
+            made = dict(zip(fresh, zip(fresh_rows, fresh_pairs)))
+            rows = []
+            projections = []
+            for uid, _ in members:
+                if uid in made:
+                    row, projection = made[uid]
+                else:
+                    old = current[uid]
+                    keys, counts = self._generations[old["gen"]].row(
+                        old["row"], "full"
+                    )
+                    keys = np.asarray(keys, dtype=np.int64)
+                    if remap is not None:
+                        keys = _remap_full_keys(keys, remap)
+                    row = (keys, np.asarray(counts, dtype=np.int64))
+                    projection = _collapse_pairs(*row)
+                rows.append(row)
+                projections.append(projection)
+            serial = self._serial
+            record = _write_generation(
+                self.directory,
+                _generation_name(serial),
+                rows,
+                projections,
+                new_labels,
+            )
+            checkpoint = {
+                "format": STORE_FORMAT,
+                "scheme": PACKED_KEY_SCHEME,
+                "params": _params_to_dict(self.params),
+                "version": int(version),
+                "serial": serial + 1,
+                "label_count": len(new_labels),
+                "next_uid": max(
+                    [self._next_uid] + [uid + 1 for uid, _ in members]
+                ),
+                "generations": [record],
+                "rows": _base_rows(
+                    members,
+                    [
                         str(current[uid]["name"])
                         if uid in current
-                        else (
-                            names[uid]
-                            if names is not None and uid in names
-                            else f"t{uid}"
-                        )
-                    ),
-                }
-                for index, (uid, content_key) in enumerate(members)
-            ]
-            _write_manifest(self.directory, new_manifest)
-            _sweep_orphans(self.directory, new_manifest)
-            self._manifest = new_manifest
+                        else _name(names, uid)
+                        for uid, _ in members
+                    ],
+                ),
+            }
+            self._write_checkpoint(checkpoint)
             self._generations = [_Generation(self.directory, record)]
+            self._rows = checkpoint["rows"]
+            self._by_uid = {row["uid"]: row for row in self._rows}
+            self._serial = serial + 1
+            self._next_uid = checkpoint["next_uid"]
             self.labels = new_labels
             self.version = int(version)
             get_registry().counter("store.compactions").add(1)
 
 
+def _name(names: Mapping[int, str] | None, uid: int) -> str:
+    """A new tree's display name: the caller's, or ``t<uid>``."""
+    return names[uid] if names is not None and uid in names else f"t{uid}"
+
+
+def _base_rows(members: Sequence[Member], names: Sequence[str]) -> list[dict]:
+    """The row map of a single base generation holding ``members``."""
+    return [
+        {
+            "gen": 0,
+            "row": index,
+            "uid": int(uid),
+            "content_key": str(content_key),
+            "name": str(name),
+        }
+        for index, ((uid, content_key), name) in enumerate(zip(members, names))
+    ]
+
+
+def _append_line(path: str, end: int, entry: Mapping) -> int:
+    """Write ``entry`` as one line at byte ``end`` of ``path``, cutting
+    whatever followed (a torn tail); returns the new end."""
+    line = _log_line(entry)
+    descriptor = os.open(path, os.O_WRONLY | os.O_CREAT, 0o644)
+    with os.fdopen(descriptor, "wb") as handle:
+        handle.seek(end)
+        handle.truncate()
+        handle.write(line)
+    return end + len(line)
+
+
 def _fresh_serial(directory: str) -> int:
     """First unused generation serial in ``directory``.
 
-    Scanned from the directory names rather than any manifest, so a
+    Scanned from the directory names rather than any checkpoint, so a
     build over a half-written store never reuses — and therefore
-    never clobbers — shards an existing manifest still references
-    before the new manifest commits.
+    never clobbers — generations an existing checkpoint or journal
+    still references before the new checkpoint commits.
     """
     serial = 0
     try:
@@ -936,31 +1113,13 @@ def _fresh_serial(directory: str) -> int:
     return serial
 
 
-def _next_uid(manifest: Mapping, members: Sequence[Member]) -> int:
-    """The manifest's next uid, moved past every uid in ``members``."""
-    return max([int(manifest["next_uid"])] + [uid + 1 for uid, _ in members])
+def _sweep_orphans(directory: str, referenced: set[str]) -> None:
+    """Remove the generation directories not named in ``referenced``.
 
-
-def _write_manifest(directory: str, manifest: Mapping) -> None:
-    """The manifest commit point: one atomic ``store.json`` replace.
-
-    Compact JSON, so ``json`` runs its C encoder (an ``indent`` forces
-    the pure-Python one).
+    Runs after every commit; an orphan is the debris of a commit,
+    compaction or build that crashed between writing its generation
+    and committing — harmless to readers, reclaimed here.
     """
-    with atomic_write(os.path.join(directory, STORE_FILE)) as stream:
-        stream.write(json.dumps(manifest, separators=(",", ":")) + "\n")
-
-
-def _sweep_orphans(directory: str, manifest: Mapping) -> None:
-    """Remove generation directories the manifest no longer references.
-
-    Runs after every successful manifest commit; an orphan is the
-    debris of a compaction (or build) that crashed between writing
-    its shards and committing — harmless to readers, reclaimed here.
-    """
-    referenced = {
-        str(record["name"]) for record in manifest["generations"]
-    }
     try:
         entries = os.listdir(directory)
     except OSError:  # pragma: no cover - directory vanished underneath
@@ -970,43 +1129,42 @@ def _sweep_orphans(directory: str, manifest: Mapping) -> None:
             shutil.rmtree(os.path.join(directory, entry), ignore_errors=True)
 
 
-def _validate_manifest(
-    directory: str, path: str, manifest: object
+def _validate_checkpoint(
+    directory: str, path: str, checkpoint: object
 ) -> list[_Generation]:
-    """Structure-check a parsed manifest; returns its generations.
+    """Structure-check a parsed checkpoint; returns its generations.
 
     Every failure counts one ``store.read_errors`` and raises
     :class:`StoreError`.
     """
-    if not isinstance(manifest, dict):
+    if not isinstance(checkpoint, dict):
         raise _manifest_failure(path, "not a JSON object")
-    if manifest.get("format") != STORE_FORMAT:
+    if checkpoint.get("format") != STORE_FORMAT:
         raise _manifest_failure(
             path,
-            f"unsupported format {manifest.get('format')!r} "
+            f"unsupported format {checkpoint.get('format')!r} "
             f"(expected {STORE_FORMAT}); run 'corpus init' again on its "
             "trees",
         )
-    if manifest.get("scheme") != PACKED_KEY_SCHEME:
+    if checkpoint.get("scheme") != PACKED_KEY_SCHEME:
         raise _manifest_failure(
             path,
-            f"foreign packed-key scheme {manifest.get('scheme')!r} "
+            f"foreign packed-key scheme {checkpoint.get('scheme')!r} "
             f"(expected {PACKED_KEY_SCHEME!r})",
         )
     try:
-        _params_from_dict(manifest["params"])
-        int(manifest["version"])
-        int(manifest["serial"])
-        int(manifest["label_count"])
-        int(manifest["next_uid"])
+        _params_from_dict(checkpoint["params"])
+        int(checkpoint["version"])
+        int(checkpoint["serial"])
+        int(checkpoint["label_count"])
+        int(checkpoint["next_uid"])
         generations = [
             _Generation(directory, record)
-            for record in manifest["generations"]
+            for record in checkpoint["generations"]
         ]
         if not generations:
             raise ValueError("no generations")
-        rows = manifest["rows"]
-        for row in rows:
+        for row in checkpoint["rows"]:
             gen = int(row["gen"])
             position = int(row["row"])
             if not 0 <= gen < len(generations):
@@ -1021,6 +1179,4 @@ def _validate_manifest(
             str(row["name"])
     except (KeyError, TypeError, ValueError) as error:
         raise _manifest_failure(path, str(error)) from error
-    for generation in generations:
-        generation.validate()
     return generations

@@ -55,6 +55,7 @@ __all__ = [
     "parse_forest",
     "write_newick",
     "read_newick_file",
+    "read_text",
 ]
 
 _NEEDS_QUOTING = set("()[]{}:;,' \t\n\r")
@@ -183,10 +184,33 @@ def parse_forest(text: str, name_prefix: str = "tree") -> list[Tree]:
     return [arena.to_tree() for arena in parse_arenas(text, name_prefix)]
 
 
+def read_text(path: str) -> str:
+    """The text of a tree file, read as UTF-8 with universal newlines.
+
+    A file that is not UTF-8 raises :class:`~repro.errors.NewickError`
+    naming the first bad byte and its byte offset.
+    """
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError:
+            pass
+    # A text read reports the offset within one buffered chunk only.
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise NewickError(
+            f"{path}: not UTF-8 text: byte 0x{data[error.start]:02x} "
+            f"at byte offset {error.start}"
+        ) from None
+    raise NewickError(f"{path}: not UTF-8 text")
+
+
 def read_newick_file(path: str) -> list[Tree]:
     """Read all trees from a Newick file (one or more per file)."""
-    with open(path, encoding="utf-8") as handle:
-        return parse_forest(handle.read())
+    return parse_forest(read_text(path))
 
 
 def read_forest(

@@ -41,7 +41,7 @@ from itertools import count, repeat
 
 from repro.errors import NewickError
 from repro.trees.arena import ForestArena
-from repro.trees.newick import parse_arenas, read_forest, write_newick
+from repro.trees.newick import parse_arenas, read_forest, read_text, write_newick
 from repro.trees.tree import Tree
 
 __all__ = [
@@ -150,8 +150,7 @@ def parse_nexus(text: str) -> list[Tree]:
 
 def read_nexus_file(path: str) -> list[Tree]:
     """Read all trees from a NEXUS file."""
-    with open(path, encoding="utf-8") as handle:
-        return parse_nexus(handle.read())
+    return parse_nexus(read_text(path))
 
 
 def read_arenas(path: str) -> ForestArena:
@@ -159,9 +158,10 @@ def read_arenas(path: str) -> ForestArena:
 
     The format is sniffed by a ``#NEXUS`` header in the first 64
     characters; Newick trees are named ``tree_0``, ``tree_1``, ...
+    A file that is not UTF-8 raises :class:`~repro.errors.NewickError`
+    naming the byte offset of its first bad byte.
     """
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    text = read_text(path)
     if text[:64].lstrip().upper().startswith("#NEXUS"):
         return parse_nexus_arenas(text)
     return parse_arenas(text)

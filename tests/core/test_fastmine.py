@@ -416,6 +416,27 @@ class TestBatchEnumeration:
         # linear: 4x the nodes cost about 4x (a quadratic pass, 16x)
         assert big < 10 * small
 
+    def test_huge_maxdist_costs_the_forest_height(self):
+        """No pair sits deeper below its LCA than the trees are tall,
+        so a huge ``maxdist`` mines like one just above the height."""
+        import time
+
+        forest = parse_arenas(
+            "((a,b),(c,(d,e)));(((a,b),c),(d,(e,(f,g))));((a,(b,c)),d);"
+        )
+        arenas = list(forest)
+        # the forest is 4 levels tall: 4.5 admits every pair there is
+        want = fastmine.mine_arenas(arenas, MiningParams(maxdist=4.5))
+        assert want != fastmine.mine_arenas(arenas, MiningParams(maxdist=2.0))
+        for maxdist in (1e6, 1e300):
+            started = time.perf_counter()
+            got = fastmine.mine_arenas(arenas, MiningParams(maxdist=maxdist))
+            assert time.perf_counter() - started < 1.0
+            assert got == want
+        assert mine_arena(arenas[1], MiningParams(maxdist=1e6)).to_counter() == (
+            single_tree.mine_tree_counter(forest[1].to_tree(), 4.5)
+        )
+
     def test_single_label_star_stays_bounded(self):
         import tracemalloc
 

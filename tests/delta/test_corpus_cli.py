@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.engine.delta import VersionedCorpus
-from repro.store import LOG_FILE, STORE_FILE
+from repro.store import COLUMNS_FILE, LOG_FILE, STORE_FILE
 
 
 @pytest.fixture
@@ -142,7 +142,7 @@ class TestEngineFlags:
             name for name in os.listdir(corpus_dir) if name.startswith("gen-")
         )[-1]
         with open(
-            os.path.join(corpus_dir, generation, "full_keys.npy"), "r+b"
+            os.path.join(corpus_dir, generation, COLUMNS_FILE), "r+b"
         ) as handle:
             handle.truncate(16)
         capsys.readouterr()

@@ -24,7 +24,7 @@ import sys
 import pytest
 
 from repro.datasets.seed_plants import seed_plants_nexus
-from repro.store import LOG_FILE
+from repro.store import COLUMNS_FILE, LOG_FILE
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -158,7 +158,7 @@ class TestFailurePaths:
         generation = sorted(
             name for name in os.listdir(herbarium) if name.startswith("gen-")
         )[-1]
-        with open(herbarium / generation / "full_keys.npy", "r+b") as handle:
+        with open(herbarium / generation / COLUMNS_FILE, "r+b") as handle:
             handle.truncate(16)
         result = run(
             ["corpus", "log", "herbarium", "--trace", "t.jsonl"], workdir

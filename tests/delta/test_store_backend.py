@@ -18,6 +18,7 @@ from repro.core.distvec import DistanceVectors
 from repro.core.reference import mine_forest_reference
 from repro.engine import MiningEngine, VersionedCorpus
 from repro.generate import SyntheticTreeParams, synthetic_forest
+from repro.generate.phylo import random_nni
 from repro.store import PairStore
 
 from tests.delta.equivalence import (
@@ -237,3 +238,60 @@ def test_churned_corpus_builds_its_pair_index_once(tmp_path):
     spans = [record.name for record in tracer.records]
     assert spans.count("engine.topk") == len(commits)
     assert spans.count("distvec.index") == 1
+
+
+def test_minoccur_corpus_keeps_its_filtered_index_between_queries():
+    """Above ``minoccur`` 1 a corpus keeps the filtered rows, and the
+    index its first query builds, until the next commit; the answers
+    after the commit equal a fresh build at that ``minoccur``."""
+    from repro.obs.trace import Tracer
+
+    tracer = Tracer()
+    engine = MiningEngine(registry=tracer.registry, tracer=tracer)
+    trees = forest(20, 18)
+    corpus = VersionedCorpus(trees, engine=engine, minoccur=2)
+    for query in trees[:4]:
+        corpus.topk_similar(query, 3)
+    spans = [record.name for record in tracer.records]
+    assert spans.count("distvec.index") == 1
+    added = forest(3, 19)
+    corpus.add_trees(added)
+    corpus.remove_trees([1, 5])
+    mirror(trees, "add", added)
+    mirror(trees, "remove", [1, 5])
+    fresh = DistanceVectors.from_packed(
+        MiningEngine().packed_counts(trees, corpus.params)[1], minoccur=2
+    )
+    for mode in DistanceMode:
+        for query in (trees[0], added[1]):
+            got = corpus.topk_similar(query, 4, mode)
+            want = MiningEngine().topk_similar(fresh, query, 4, mode, corpus.params)
+            assert got.neighbors == want.neighbors
+
+
+def test_non_growth_commit_collapses_each_new_tree_once(tmp_path, monkeypatch):
+    """The corpus hands its store the pair projections it just made:
+    a commit whose labels the store holds collapses each new tree
+    once in all."""
+    import repro.core.distvec as distvec
+    import repro.store.pairstore as pairstore
+
+    trees = forest(10, 20)
+    corpus = VersionedCorpus(trees)
+    store = corpus.pack_store(str(tmp_path / "store"))
+    variants = [random_nni(tree, seed) for seed, tree in enumerate(trees[:3])]
+    calls = []
+    collapse = distvec._collapse_pairs
+
+    def counting(keys, counts):
+        calls.append(len(keys))
+        return collapse(keys, counts)
+
+    monkeypatch.setattr(distvec, "_collapse_pairs", counting)
+    monkeypatch.setattr(pairstore, "_collapse_pairs", counting)
+    corpus.add_trees(variants)
+    assert len(store._generations) == 2  # appended, not compacted
+    assert len(calls) == len(variants)
+    monkeypatch.undo()
+    mirror(trees, "add", variants)
+    assert_store_matches_remine(PairStore.open(store.directory), trees)

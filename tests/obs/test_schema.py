@@ -79,6 +79,27 @@ class TestCompound:
         with pytest.raises(SchemaError, match="unsupported schema keyword"):
             validate(3, {"minimum": 0})
 
+    def test_ref_resolves_against_the_root_defs(self):
+        schema = {
+            "type": "object",
+            "properties": {"pair": {"$ref": "#/$defs/pair"}},
+            "$defs": {
+                "pair": {"type": "array", "items": {"$ref": "#/$defs/id"}},
+                "id": {"type": "integer"},
+            },
+        }
+        assert validate({"pair": [1, 2]}, schema) == []
+        assert validate({"pair": [1, "b"]}, schema) == [
+            "$.pair[1]: expected type integer, got str"
+        ]
+        assert validate("x", {"$ref": "#/$defs/id"}, root=schema) != []
+
+    def test_unresolvable_ref_raises(self):
+        with pytest.raises(SchemaError, match="unresolvable"):
+            validate(3, {"$ref": "#/$defs/missing", "$defs": {}})
+        with pytest.raises(SchemaError, match="unresolvable"):
+            validate(3, {"$ref": "other.json#/x"})
+
 
 class TestCli:
     def test_valid_and_invalid_exit_codes(self, tmp_path, capsys):
@@ -103,3 +124,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert "line 3" in captured.err
         assert "line 4: not JSON" in captured.err
+
+    def test_def_flag_validates_lines_against_one_definition(
+        self, tmp_path, capsys
+    ):
+        schema = tmp_path / "schema.json"
+        schema.write_text(
+            json.dumps({"type": "object", "$defs": {"line": {"type": "integer"}}}),
+            encoding="utf-8",
+        )
+        lines = tmp_path / "lines.jsonl"
+        lines.write_text('1\n2\n', encoding="utf-8")
+        assert main(["--jsonl", "--def", "line", str(lines), str(schema)]) == 0
+        assert main(["--jsonl", str(lines), str(schema)]) == 1
+        lines.write_text('1\n"x"\n', encoding="utf-8")
+        assert main(["--jsonl", "--def", "line", str(lines), str(schema)]) == 1
+        assert "line 2" in capsys.readouterr().err

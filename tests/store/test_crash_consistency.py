@@ -22,7 +22,7 @@ from repro.errors import StoreError
 from repro.generate import SyntheticTreeParams, synthetic_forest
 from repro.obs.context import scope as obs_scope
 from repro.obs.metrics import MetricsRegistry
-from repro.store import LABELS_FILE, STORE_FILE, PairStore
+from repro.store import COLUMNS_FILE, LABELS_FILE, STORE_FILE, PairStore
 
 from tests.delta.equivalence import pattern_tuples
 
@@ -51,7 +51,7 @@ def packed(tmp_path):
     return trees, str(tmp_path / "store")
 
 
-def shard_path(directory, filename="full_keys.npy"):
+def shard_path(directory, filename=COLUMNS_FILE):
     for name in sorted(os.listdir(directory)):
         if name.startswith("gen-"):
             return os.path.join(directory, name, filename)
@@ -191,7 +191,7 @@ class TestMidCompactionKill:
         # commit leaves an unreferenced generation directory behind.
         orphan = os.path.join(directory, "gen-000099")
         os.makedirs(orphan)
-        with open(os.path.join(orphan, "full_keys.npy"), "wb") as handle:
+        with open(os.path.join(orphan, COLUMNS_FILE), "wb") as handle:
             handle.write(b"partial write")
         store = PairStore.open(directory)
         want = pattern_tuples(store.frequent_pairs(minsup=2))
@@ -224,9 +224,7 @@ class TestMidCompactionKill:
         )
         # Fresh serials are allocated past any directory on disk, so
         # the append never reused the orphan's name.
-        assert {g["name"] for g in store._manifest["generations"]}.isdisjoint(
-            {"gen-000099"}
-        )
+        assert {g.name for g in store._generations}.isdisjoint({"gen-000099"})
 
 
 class TestStaleGeneration:

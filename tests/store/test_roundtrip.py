@@ -246,7 +246,7 @@ class TestCommitCost:
         corpus.remove_trees([0])
         assert store.version == 2
         # Both commits appended: no compaction rewrote the base.
-        assert len(store._manifest["generations"]) == 2
+        assert len(store._generations) == 2
         after = os.stat(path)
         assert (after.st_ino, after.st_mtime_ns) == (
             before.st_ino,

@@ -589,3 +589,20 @@ class TestMalformedInputErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["frequent", "kernel", "corpus init"])
+    def test_non_utf8_input_names_the_byte(
+        self, command, good_file, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.nwk"
+        bad.write_bytes(b"((a,b),c);\n\xff\xfe((a,c),b);\n")
+        argv = {
+            "frequent": ["frequent", str(bad)],
+            "kernel": ["kernel", good_file, str(bad)],
+            "corpus init": ["corpus", "init", str(tmp_path / "c"), "--trees", str(bad)],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == f"error: {bad}: not UTF-8 text: byte 0xff at byte offset 11"

@@ -184,3 +184,18 @@ class TestArenas:
         newick.write_text("((a,b),c);\n(a,(b,c));\n", encoding="utf-8")
         assert [a.name for a in read_arenas(str(nexus))] == ["tree_1", "tree_2"]
         assert [a.name for a in read_arenas(str(newick))] == ["tree_0", "tree_1"]
+
+    def test_non_utf8_file_is_a_newick_error(self, tmp_path):
+        """Bytes that are not UTF-8 name their offset, also past the
+        first buffered chunk of a text read."""
+        from repro.cli import load_trees
+        from repro.trees.newick import read_newick_file
+        from repro.trees.nexus import read_arenas
+
+        path = tmp_path / "bad.nex"
+        head = SAMPLE.encode("utf-8") + b"[" + b"x" * 20_000 + b"]"
+        path.write_bytes(head + b"\xe9\n")
+        for read in (read_arenas, load_trees, read_newick_file, read_nexus_file):
+            with pytest.raises(NewickError) as caught:
+                read(str(path))
+            assert f"byte 0xe9 at byte offset {len(head)}" in str(caught.value)
