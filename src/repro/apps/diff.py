@@ -35,6 +35,7 @@ from repro.core.multi_tree import (
 from repro.core.params import DistanceMode, MiningParams, validate_mode
 from repro.obs.context import get_tracer
 from repro.trees.arena import LabelTable, TreeLike, forest_arenas
+from repro.trees.newick import format_label
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.engine import MiningEngine
@@ -94,8 +95,9 @@ class PatternDiff:
         for pattern in self.lost:
             lines.append(f"  - {pattern.describe()}")
         for old, new in self.changed:
+            pair = f"{format_label(old.label_a)}, {format_label(old.label_b)}"
             lines.append(
-                f"  ~ ({old.label_a}, {old.label_b}) "
+                f"  ~ ({pair}) "
                 f"support {old.support} -> {new.support}, "
                 f"occurrences {old.total_occurrences} -> "
                 f"{new.total_occurrences}"

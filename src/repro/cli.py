@@ -49,7 +49,7 @@ from repro.core.fastmine import mine_arenas
 from repro.core.multi_tree import mine_forest, support
 from repro.core.params import MiningParams, validate_mode
 from repro.errors import ReproError
-from repro.trees.newick import write_newick
+from repro.trees.newick import format_label, write_newick
 from repro.trees.nexus import read_arenas
 
 __all__ = ["main", "build_parser", "load_trees"]
@@ -503,7 +503,8 @@ def _cmd_support(args: argparse.Namespace) -> int:
         max_generation_gap=args.gap,
     )
     where = f"distance {args.distance:g}" if args.distance is not None else "any distance"
-    print(f"support of ({args.pair[0]}, {args.pair[1]}) at {where}: {value}")
+    first, second = map(format_label, args.pair)
+    print(f"support of ({first}, {second}) at {where}: {value}")
     return 0
 
 

@@ -39,6 +39,7 @@ from repro.core.fastmine import (
 from repro.core.params import MiningParams, validate_minoccur, validate_minsup
 from repro.obs.context import get_tracer
 from repro.trees.arena import LabelTable, TreeLike, forest_arenas
+from repro.trees.newick import format_label
 from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK, PAIR_MASK
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -84,12 +85,14 @@ class FrequentCousinPair:
     total_occurrences: int = field(compare=False, default=0)
 
     def describe(self) -> str:
-        """One-line rendering used by reports and the CLI."""
+        """One-line rendering used by reports and the CLI; labels are
+        quoted as Newick quotes them."""
         where = (
             f"distance {self.distance:g}" if self.distance is not None else "any distance"
         )
+        pair = f"{format_label(self.label_a)}, {format_label(self.label_b)}"
         return (
-            f"({self.label_a}, {self.label_b}) at {where}: "
+            f"({pair}) at {where}: "
             f"support {self.support} "
             f"(trees {', '.join(str(i) for i in self.tree_indexes)})"
         )

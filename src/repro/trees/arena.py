@@ -74,7 +74,6 @@ __all__ = [
     "as_arena",
     "find_label",
     "forest_arenas",
-    "tree_columns",
 ]
 
 
@@ -412,30 +411,15 @@ class TreeArena:
 
     def to_tree(self) -> Tree:
         """Rebuild a pointer :class:`Tree` (ids and lengths preserved)."""
-        tree = Tree(name=self.name)
-        count = len(self.parent)
-        if count == 0:
-            return tree
         labels = self.table.labels
-        nodes: list = [None] * count
-        for index in range(count):
-            interned = self.label[index]
-            text = None if interned < 0 else labels[interned]
-            length = self.lengths[index]
-            branch = None if length != length else length  # NaN -> None
-            parent_index = self.parent[index]
-            if parent_index < 0:
-                node = tree.add_root(label=text, node_id=self.node_ids[index])
-                node.length = branch
-            else:
-                node = tree.add_child(
-                    nodes[parent_index],
-                    label=text,
-                    length=branch,
-                    node_id=self.node_ids[index],
-                )
-            nodes[index] = node
-        return tree
+        return Tree.from_preorder(
+            self.parent.tolist(),
+            self.node_ids.tolist(),
+            [None if index < 0 else labels[index] for index in self.label.tolist()],
+            # NaN -> None
+            [None if length != length else length for length in self.lengths.tolist()],
+            name=self.name,
+        )
 
     # ------------------------------------------------------------------
     # Identity / pickling
@@ -497,13 +481,13 @@ class ForestArena(list[TreeArena]):
 
     The preorder columns of every tree are concatenated, tree after
     tree, as numpy arrays: ``parent``, ``first_child`` and
-    ``next_sibling`` (tree-local indexes, ``-1`` for none; see
-    :func:`tree_columns`), ``label`` (ids into the one sorted
-    ``table``), ``node_ids`` and ``lengths``; tree ``i`` owns rows
-    ``offsets[i]:offsets[i + 1]``.  The list items are the per-tree
-    :class:`TreeArena` slices of those columns (memoryviews, no copy),
-    named by ``names`` and all sharing ``table``, so forest label ids
-    pass from the reader to the aggregation unchanged.
+    ``next_sibling`` (tree-local indexes, ``-1`` for none), ``label``
+    (ids into the one sorted ``table``), ``node_ids`` and ``lengths``;
+    tree ``i`` owns rows ``offsets[i]:offsets[i + 1]``.  The list items
+    are the per-tree :class:`TreeArena` slices of those columns
+    (memoryviews, no copy), named by ``names`` and all sharing
+    ``table``, so forest label ids pass from the reader to the
+    aggregation unchanged.
     """
 
     __slots__ = (
@@ -527,35 +511,6 @@ class ForestArena(list[TreeArena]):
             TreeArena(*[view[start:stop] for view in views], table, name)
             for start, stop, name in zip(bounds, bounds[1:], names)
         )
-
-
-def tree_columns(parent: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Tree-local ``parent``, ``first_child``, ``next_sibling`` and
-    ``node_ids`` columns of concatenated preorder trees.
-
-    ``parent`` holds ``int32`` indexes across all the rows, with ``-1``
-    at each tree's root, its first row; it is made tree-local in place.
-    Node ids are preorder positions inside each tree.
-    """
-    roots = (parent < 0).nonzero()[0]
-    # Each row's tree start: indexes across the rows minus it are local.
-    base = np.repeat(roots.astype(np.int32), np.diff(np.append(roots, parent.size)))
-    # One stable sort groups the children of each node in preorder: the
-    # first of a group is its parent's first child, and each member's
-    # next sibling is the member after it.
-    first_child = np.full(parent.size, -1, np.int32)
-    next_sibling = np.full(parent.size, -1, np.int32)
-    children = (parent >= 0).nonzero()[0]
-    order = children[parent[children].argsort(kind="stable")]
-    owners = parent[order]
-    first = np.ones(order.size, bool)
-    np.not_equal(owners[1:], owners[:-1], out=first[1:])
-    first_child[owners[first]] = order[first]
-    later = ~first[1:]
-    next_sibling[order[:-1][later]] = order[1:][later]
-    for links in (parent, first_child, next_sibling):
-        np.subtract(links, base, out=links, where=links >= 0)
-    return parent, first_child, next_sibling, np.arange(parent.size, dtype="q") - base
 
 
 TreeLike = Tree | TreeArena

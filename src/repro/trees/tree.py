@@ -26,6 +26,7 @@ Example
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import TreeError
@@ -145,6 +146,49 @@ class Tree:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    @classmethod
+    def from_preorder(
+        cls,
+        parents: Iterable[int],
+        node_ids: Iterable[int],
+        labels: Iterable[str | None],
+        lengths: Iterable[float | None],
+        name: str | None = None,
+    ) -> "Tree":
+        """The tree of preorder rows: each row's parent row (``-1`` for
+        the root, the first row), node id, label and branch length.
+
+        The same tree as :meth:`add_root` and :meth:`add_child` calls
+        row by row, built without their per-node checks.
+
+        Raises
+        ------
+        TreeError
+            If a second root or a repeated node id occurs.
+        """
+        tree = cls(name)
+        nodes: list[Node] = []
+        for parent, node_id, label, length in zip(parents, node_ids, labels, lengths):
+            node = Node(tree, node_id, label, length)
+            if parent >= 0:
+                node._parent = above = nodes[parent]
+                above._children.append(node)
+            elif nodes:
+                raise TreeError("tree already has a root")
+            nodes.append(node)
+        tree._nodes = {node._id: node for node in nodes}
+        if len(tree._nodes) < len(nodes):
+            raise TreeError("repeated node id")
+        if nodes:
+            tree._root = nodes[0]
+            # What :meth:`add_child` leaves, ``max(next, id) + 1`` after
+            # each node in turn: past every id by the nodes after it.
+            tree._next_id = len(nodes) + max(
+                0, max(map(operator.sub, tree._nodes, range(len(nodes))))
+            )
+        tree._version = len(nodes)
+        return tree
+
     def add_root(
         self,
         label: str | None = None,

@@ -367,6 +367,47 @@ class TestDiff:
         assert "+ (c, d)" in out
 
 
+class TestQuotedLabels:
+    """Pair renderings quote a label as Newick does, so each label of a
+    pair reads back as one label."""
+
+    LABELS = {"x, y", "a;b"}
+
+    @staticmethod
+    def write(tmp_path, name, *trees):
+        path = tmp_path / name
+        path.write_text("".join(tree + "\n" for tree in trees), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def read_pair(line):
+        """The labels of the ``(first, second)`` pair in ``line``."""
+        pair = line[line.index("(") + 1 : line.index(") ")]
+        return parse_newick(f"({pair});").leaf_labels()
+
+    def test_frequent_support_and_diff(self, tmp_path, capsys):
+        tree = "(('x, y','a;b'),c);"
+        old = self.write(tmp_path, "old.nwk", tree, tree)
+        new = self.write(tmp_path, "new.nwk", tree, tree, tree)
+        assert main(["frequent", old]) == 0
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if " at distance 0:" in line]
+        assert line.startswith("  ('a;b', 'x, y') at distance 0")
+        assert self.read_pair(line) == self.LABELS
+        assert main(["support", old, "--pair", "x, y", "a;b"]) == 0
+        line = capsys.readouterr().out
+        assert line.startswith("support of ('x, y', 'a;b') at any distance: 2")
+        assert self.read_pair(line) == self.LABELS
+        assert main(["diff", old, new]) == 0
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("  ~ ('a;b', '")]
+        assert self.read_pair(line) == self.LABELS
+
+    def test_plain_labels_are_not_quoted(self, forest_file, capsys):
+        assert main(["support", forest_file, "--pair", "a", "b"]) == 0
+        assert capsys.readouterr().out.startswith("support of (a, b) at")
+
+
 class TestEngineFlags:
     def test_jobs_flag_output_identical(self, forest_file, capsys):
         assert main(["frequent", forest_file]) == 0

@@ -6,14 +6,46 @@ fuzzes the two against each other: on every input both raise
 :class:`~repro.errors.NewickError` with the same message and position,
 or the reader's arenas equal ``TreeArena.from_tree`` of the trees
 parsed here.
+
+:data:`TOKEN_RE` is the reference for the reader's tokens: one regular
+expression, one token per match.  ``tests/trees/test_scan.py`` checks
+that the code-point scanner cuts every text into the same tokens.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import NewickError
 from repro.trees.tree import Node, Tree
 
-__all__ = ["parse_newick", "parse_forest"]
+__all__ = ["parse_newick", "parse_forest", "TOKEN_RE", "tokens"]
+
+# Whitespace and ``[...]`` comments between tokens.  ``\s`` matches
+# exactly the characters ``str.isspace`` accepts.
+_FILLER = r"\s*(?:\[[^\]]*\]\s*)*"
+# One token per match, filler skipped: an unquoted label (``\t\n\r``
+# and space end it; other whitespace such as ``\x1f`` is part of it
+# once it has started), punctuation, a ``:`` length with its number, a
+# quoted label whose closing quote is not the first half of a ``''``
+# escape, any other single character — always an error (``]``, ``{``,
+# ``}``, or an unterminated quote or comment) — or, at the end, an
+# empty token, so trailing filler is never re-read as a token.
+TOKEN_RE = re.compile(
+    _FILLER
+    + r"([^()\[\]{}:;,'\t\n\r ]+|[(),;]|:"
+    + _FILLER
+    + r"[\d+\-.eE]*|'[^']*(?:''[^']*)*'(?!')|.|\Z)",
+    re.DOTALL,
+)
+
+
+def tokens(text: str, start: int = 0, end: int | None = None) -> list[str]:
+    """The tokens of ``text[start:end]``, without the trailing empty one."""
+    found = TOKEN_RE.findall(text, start, len(text) if end is None else end)
+    while found and not found[-1]:
+        found.pop()
+    return found
 
 _UNQUOTED_FORBIDDEN = set("()[]{}:;,'\t\n\r ")
 

@@ -56,6 +56,44 @@ class TestConstruction:
         child = tree.add_child(root)
         assert child.node_id == 11
 
+    @pytest.mark.parametrize(
+        "ids", [[0, 1, 2, 3], [10, 2, 30, 4], [3, 2, 1, 0], [0, 9, 1, 2]]
+    )
+    def test_from_preorder_equals_adding_row_by_row(self, ids):
+        parents = [-1, 0, 1, 0]
+        labels = [None, "a", "b", None]
+        lengths = [None, 1.5, None, 0.25]
+        built = Tree.from_preorder(parents, ids, labels, lengths, name="t")
+        added = Tree(name="t")
+        nodes = []
+        for parent, node_id, label, length in zip(parents, ids, labels, lengths):
+            if parent < 0:
+                node = added.add_root(label=label, node_id=node_id)
+                node.length = length
+            else:
+                node = added.add_child(
+                    nodes[parent], label=label, length=length, node_id=node_id
+                )
+            nodes.append(node)
+        assert built.name == "t"
+        assert [
+            (n.node_id, n.label, n.length, n.parent and n.parent.node_id)
+            for n in built.preorder()
+        ] == [
+            (n.node_id, n.label, n.length, n.parent and n.parent.node_id)
+            for n in added.preorder()
+        ]
+        assert built.add_child(built.root).node_id == added.add_child(
+            added.root
+        ).node_id
+        assert len(Tree.from_preorder([], [], [], [])) == 0
+
+    def test_from_preorder_rejects_a_second_root_or_a_repeated_id(self):
+        with pytest.raises(TreeError, match="already has a root"):
+            Tree.from_preorder([-1, -1], [0, 1], [None, None], [None, None])
+        with pytest.raises(TreeError, match="repeated node id"):
+            Tree.from_preorder([-1, 0], [4, 4], [None, None], [None, None])
+
     def test_foreign_node_rejected(self):
         tree_a, tree_b = Tree(), Tree()
         root_a = tree_a.add_root()
